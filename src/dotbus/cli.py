@@ -8,7 +8,8 @@ Subcommands:
 
 Exit codes: 0 success, 2 configuration error, 3 numerical-diagnostic or
 threshold failure, 4 I/O error.  All outputs are deterministic for a fixed
-config; CSV files are byte-stable across runs and thread counts.
+config; CSV files are byte-stable across runs.  ``--threads`` is accepted and
+ignored: the sweep runs serially.
 """
 
 from __future__ import annotations
@@ -125,9 +126,7 @@ def cmd_epr(cfg: RunConfig, out, args) -> int:
 
 def cmd_sweep(cfg: RunConfig, out, args) -> int:
     out = out or "sweep.csv"
-    sweep = decoherence_sweep(
-        cfg.model, cfg.sweep_gamma_axis, cfg.sweep_gamma_phi_axis, threads=args.threads
-    )
+    sweep = decoherence_sweep(cfg.model, cfg.sweep_gamma_axis, cfg.sweep_gamma_phi_axis)
     rows = []
     for i, gamma in enumerate(sweep.gamma_axis):
         for j, gamma_phi in enumerate(sweep.gamma_phi_axis):
@@ -148,8 +147,14 @@ def cmd_sweep(cfg: RunConfig, out, args) -> int:
 
 
 def cmd_validate(cfg: RunConfig, out, args) -> int:
-    report = dispersive_validity(cfg.model)
-    lam = cfg.model.lam
+    model = cfg.model
+    if not model.is_dispersive:
+        ratio = model.detunings_tau[0] / model.couplings_g[0]
+        print(f"validation failed: tau/g = {ratio:.6g} is below the dispersive threshold "
+              f"{model.dispersive_threshold:.6g}", file=sys.stderr)
+        return EXIT_DIAGNOSTIC
+    report = dispersive_validity(model)
+    lam = model.lam
     rng = np.random.default_rng(20260824)
     h20 = h_reduced_two_qubit(lam)
     unitary_dev = 0.0
@@ -188,6 +193,9 @@ def cmd_validate(cfg: RunConfig, out, args) -> int:
     return EXIT_OK
 
 
+# Commands that simulate exactly one qubit pair.
+_TWO_QUBIT_COMMANDS = ("epr", "sweep", "validate")
+
 _COMMANDS = {
     "device": cmd_device,
     "epr": cmd_epr,
@@ -207,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to JSON run configuration")
         p.add_argument("--out", default=None, help="output file path")
         p.add_argument("--threads", type=int, default=None,
-                       help="sweep parallelism (output is independent of this)")
+                       help="accepted and ignored; the sweep runs serially")
     return parser
 
 
@@ -215,6 +223,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = parse_config(args.config)
+        if args.command in _TWO_QUBIT_COMMANDS and cfg.model.n_qubits != 2:
+            raise ConfigError(
+                "model.n_qubits",
+                f"'{args.command}' simulates exactly 2 qubits, got {cfg.model.n_qubits}",
+            )
         return _COMMANDS[args.command](cfg, args.out, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -54,7 +54,7 @@ _UNITS = {
 }
 
 
-def parse_quantity(value, kind: str, path: str) -> float:
+def _quantity(value, kind: str, path: str) -> float:
     if isinstance(value, bool):
         raise ConfigError(path, "expected a number or unit string, got a boolean")
     if isinstance(value, (int, float)):
@@ -77,81 +77,91 @@ def parse_quantity(value, kind: str, path: str) -> float:
     raise ConfigError(path, f"expected a number or unit string, got {type(value).__name__}")
 
 
-DEFAULTS = {
+def parse_quantity(value, kind: str, path: str) -> float:
+    """A finite float from a bare number or a ``"<number> <unit>"`` string."""
+    try:
+        result = _quantity(value, kind, path)
+    except OverflowError:  # an integer too large for a float
+        result = math.inf
+    if not math.isfinite(result):
+        raise ConfigError(path, f"expected a finite value, got {value!r}")
+    return result
+
+
+# Every key of a run configuration.  A leaf is (default, kind): kind "int" and
+# "bool" take JSON integers and booleans, any other kind is a key of _UNITS.
+# A string default is a sentinel the leaf also accepts verbatim.
+SCHEMA = {
     "device": {
         "tlr": {
-            "length": 0.01,
-            "inductance_per_length": 4e-7,
-            "capacitance_per_length": 2.5e-10,
-            "wiring_capacitance": 0.0,
-            "quality_factor": 1e5,
+            "length": (0.01, "length"),
+            "inductance_per_length": (4e-7, "inductance_per_length"),
+            "capacitance_per_length": (2.5e-10, "capacitance_per_length"),
+            "wiring_capacitance": (0.0, "capacitance"),
+            "quality_factor": (1e5, "dimensionless"),
         },
         "dot": {
-            "bias": 0.0,
-            "tunneling": 20e-6 * EV_TO_JOULE,
-            "total_capacitance": 1e-15,
-            "triplet_energy": 0.0,
-            "singlet_energy": 0.0,
+            "bias": (0.0, "energy"),
+            "tunneling": (20e-6 * EV_TO_JOULE, "energy"),
+            "total_capacitance": (1e-15, "capacitance"),
+            "triplet_energy": (0.0, "energy"),
+            "singlet_energy": (0.0, "energy"),
         },
-        "coupler": {"coupling_capacitance": 2.5e-16, "position": 0.0},
+        "coupler": {
+            "coupling_capacitance": (2.5e-16, "capacitance"),
+            "position": (0.0, "length"),
+        },
     },
     "model": {
-        "n_qubits": 2,
-        "coupling_g": "from-device",
-        "tau_over_g": 10.0,
-        "photon_cutoff": 5,
-        "dispersive_threshold": 5.0,
+        "n_qubits": (2, "int"),
+        "coupling_g": ("from-device", "frequency"),
+        "tau_over_g": (10.0, "dimensionless"),
+        "photon_cutoff": (5, "int"),
+        "dispersive_threshold": (5.0, "dimensionless"),
     },
-    "noise": {"gamma_over_2pi": 0.2e6, "gamma_phi_over_2pi": 0.5e6},
+    "noise": {
+        "gamma_over_2pi": (0.2e6, "frequency"),
+        "gamma_phi_over_2pi": (0.5e6, "frequency"),
+    },
     "sweep": {
-        "gamma_max_over_2pi": 1e6,
-        "gamma_phi_max_over_2pi": 1e6,
-        "gamma_points": 21,
-        "gamma_phi_points": 21,
+        "gamma_max_over_2pi": (1e6, "frequency"),
+        "gamma_phi_max_over_2pi": (1e6, "frequency"),
+        "gamma_points": (21, "int"),
+        "gamma_phi_points": (21, "int"),
     },
-    "output": {"timeseries": False},
+    "output": {"timeseries": (False, "bool")},
 }
 
-_KINDS = {
-    "device.tlr.length": "length",
-    "device.tlr.inductance_per_length": "inductance_per_length",
-    "device.tlr.capacitance_per_length": "capacitance_per_length",
-    "device.tlr.wiring_capacitance": "capacitance",
-    "device.tlr.quality_factor": "dimensionless",
-    "device.dot.bias": "energy",
-    "device.dot.tunneling": "energy",
-    "device.dot.total_capacitance": "capacitance",
-    "device.dot.triplet_energy": "energy",
-    "device.dot.singlet_energy": "energy",
-    "device.coupler.coupling_capacitance": "capacitance",
-    "device.coupler.position": "length",
-    "model.tau_over_g": "dimensionless",
-    "model.dispersive_threshold": "dimensionless",
-    "noise.gamma_over_2pi": "frequency",
-    "noise.gamma_phi_over_2pi": "frequency",
-    "sweep.gamma_max_over_2pi": "frequency",
-    "sweep.gamma_phi_max_over_2pi": "frequency",
-}
 
-_INT_KEYS = {"model.n_qubits", "model.photon_cutoff", "sweep.gamma_points", "sweep.gamma_phi_points"}
-_BOOL_KEYS = {"output.timeseries"}
+def _parse_leaf(value, default, kind: str, path: str):
+    if kind == "int":
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(path, f"expected an integer, got {value!r}")
+        return value
+    if kind == "bool":
+        if not isinstance(value, bool):
+            raise ConfigError(path, f"expected true/false, got {value!r}")
+        return value
+    if isinstance(default, str) and value == default:
+        return value
+    return parse_quantity(value, kind, path)
 
 
-def _merge(defaults, given, path: str):
-    """Overlay ``given`` onto the default tree, rejecting unknown keys."""
+def _resolve(schema: dict, given, path: str) -> dict:
+    """Overlay ``given`` on the schema defaults, rejecting unknown keys and parsing every leaf."""
     if not isinstance(given, dict):
         raise ConfigError(path or "<root>", "expected an object")
-    out = {}
-    for key, default in defaults.items():
-        sub_path = f"{path}.{key}" if path else key
-        if isinstance(default, dict):
-            out[key] = _merge(default, given.get(key, {}), sub_path)
-        else:
-            out[key] = given.get(key, default)
     for key in given:
-        if key not in defaults:
-            sub_path = f"{path}.{key}" if path else key
-            raise ConfigError(sub_path, "unknown key")
+        if key not in schema:
+            raise ConfigError(f"{path}.{key}" if path else key, "unknown key")
+    out = {}
+    for key, node in schema.items():
+        sub_path = f"{path}.{key}" if path else key
+        if isinstance(node, dict):
+            out[key] = _resolve(node, given.get(key, {}), sub_path)
+        else:
+            default, kind = node
+            out[key] = _parse_leaf(given.get(key, default), default, kind, sub_path)
     return out
 
 
@@ -174,38 +184,16 @@ class RunConfig:
         return json.dumps(self.normalized, indent=2, sort_keys=True) + "\n"
 
 
-def _normalize_tree(tree: dict) -> dict:
-    out = {}
-
-    def walk(node, path):
-        result = {}
-        for key, value in node.items():
-            sub = f"{path}.{key}" if path else key
-            if isinstance(value, dict):
-                result[key] = walk(value, sub)
-            elif sub in _INT_KEYS:
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise ConfigError(sub, f"expected an integer, got {value!r}")
-                result[key] = value
-            elif sub in _BOOL_KEYS:
-                if not isinstance(value, bool):
-                    raise ConfigError(sub, f"expected true/false, got {value!r}")
-                result[key] = value
-            elif sub == "model.coupling_g":
-                if value == "from-device":
-                    result[key] = value
-                else:
-                    result[key] = parse_quantity(value, "frequency", sub)
-            else:
-                result[key] = parse_quantity(value, _KINDS[sub], sub)
-        return result
-
-    out = walk(tree, "")
-    return out
+def _build(path: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, with a ValueError reported as a ConfigError at ``path``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from None
 
 
 def config_from_dict(raw: dict) -> RunConfig:
-    tree = _normalize_tree(_merge(DEFAULTS, raw, ""))
+    tree = _resolve(SCHEMA, raw, "")
 
     t = tree["device"]["tlr"]
     lc = t["length"] * t["capacitance_per_length"]
@@ -215,37 +203,14 @@ def config_from_dict(raw: dict) -> RunConfig:
             f"wiring ratio C0/LC = {t['wiring_capacitance'] / lc:.3g} "
             f"exceeds the perturbative limit {MAX_WIRING_EPSILON}",
         )
-    try:
-        tlr = TlrParams(
-            length=t["length"],
-            inductance_per_length=t["inductance_per_length"],
-            capacitance_per_length=t["capacitance_per_length"],
-            wiring_capacitance=t["wiring_capacitance"],
-            quality_factor=t["quality_factor"],
-        )
-    except ValueError as exc:
-        raise ConfigError("device.tlr", str(exc)) from None
-
+    tlr = _build("device.tlr", TlrParams, **t)
     d = tree["device"]["dot"]
-    try:
-        dot = DotParams(
-            bias_epsilon=d["bias"],
-            tunneling=d["tunneling"],
-            total_capacitance=d["total_capacitance"],
-            triplet_energy=d["triplet_energy"],
-            singlet_energy=d["singlet_energy"],
-        )
-    except ValueError as exc:
-        raise ConfigError("device.dot", str(exc)) from None
-
-    c = tree["device"]["coupler"]
-    try:
-        coupler = CouplerParams(
-            coupling_capacitance=c["coupling_capacitance"], position=c["position"]
-        )
-        coupler.validate_against(tlr)
-    except ValueError as exc:
-        raise ConfigError("device.coupler", str(exc)) from None
+    dot = _build(
+        "device.dot", DotParams, d["bias"], d["tunneling"], d["total_capacitance"],
+        d["triplet_energy"], d["singlet_energy"],
+    )
+    coupler = _build("device.coupler", CouplerParams, **tree["device"]["coupler"])
+    _build("device.coupler", coupler.validate_against, tlr)
 
     m = tree["model"]
     if m["coupling_g"] == "from-device":
@@ -256,23 +221,17 @@ def config_from_dict(raw: dict) -> RunConfig:
         raise ConfigError("model.coupling_g", "resolved coupling must be positive")
     if m["tau_over_g"] <= 0:
         raise ConfigError("model.tau_over_g", "detuning ratio must be positive")
-    tau = m["tau_over_g"] * g
-    try:
-        model = ModelParams.uniform(m["n_qubits"], g, tau, m["photon_cutoff"])
-        model = ModelParams(
-            model.n_qubits, model.couplings_g, model.detunings_tau,
-            model.photon_cutoff, m["dispersive_threshold"],
-        )
-    except ValueError as exc:
-        raise ConfigError("model", str(exc)) from None
+    n = m["n_qubits"]
+    model = _build(
+        "model", ModelParams, n, (g,) * n, (m["tau_over_g"] * g,) * n,
+        m["photon_cutoff"], m["dispersive_threshold"],
+    )
 
-    n = tree["noise"]
-    try:
-        noise = NoiseSpec.uniform(
-            2, 2.0 * math.pi * n["gamma_over_2pi"], 2.0 * math.pi * n["gamma_phi_over_2pi"]
-        )
-    except ValueError as exc:
-        raise ConfigError("noise", str(exc)) from None
+    rates = tree["noise"]
+    noise = _build(
+        "noise", NoiseSpec.uniform,
+        2, 2.0 * math.pi * rates["gamma_over_2pi"], 2.0 * math.pi * rates["gamma_phi_over_2pi"],
+    )
 
     s = tree["sweep"]
     for key in ("gamma_points", "gamma_phi_points"):

@@ -241,11 +241,3 @@ def static_frame_hamiltonian(p: ModelParams) -> np.ndarray:
         h += g * (r + r.conj().T)
     return h
 
-
-def interaction_propagator(p: ModelParams, t: float) -> np.ndarray:
-    """Exact propagator of the time-dependent interaction, via the static frame."""
-    from .algebra import expm_propagator
-
-    a_diag = np.real(np.diag(rotating_frame_generator(p)))
-    frame = np.exp(1j * a_diag * t)
-    return frame[:, None] * expm_propagator(static_frame_hamiltonian(p), t)

@@ -8,8 +8,6 @@ checks, and the two-axis decoherence sweep of the generation error.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -282,17 +280,11 @@ class SweepResult:
             raise ValueError("error probabilities must lie in [0, 1]")
 
 
-def decoherence_sweep(
-    p: ModelParams,
-    gamma_axis,
-    gamma_phi_axis,
-    threads: int | None = None,
-) -> SweepResult:
+def decoherence_sweep(p: ModelParams, gamma_axis, gamma_phi_axis) -> SweepResult:
     """Generation error D over a (gamma, gamma_phi) grid.
 
     Every grid point shares the same step count (sized for the largest rates)
-    so the output is a pure function of the inputs, independent of thread
-    count and scheduling order.
+    so the output is a pure function of the inputs.
     """
     gamma_axis = np.asarray(gamma_axis, dtype=float)
     gamma_phi_axis = np.asarray(gamma_phi_axis, dtype=float)
@@ -306,21 +298,9 @@ def decoherence_sweep(
     worst = NoiseSpec.uniform(2, float(np.max(gamma_axis)), float(np.max(gamma_phi_axis)))
     steps = max(MIN_EPR_STEPS, default_step_count(t0, 2.0 * lam, worst.total_rate))
 
-    points = [(i, j) for i in range(gamma_axis.size) for j in range(gamma_phi_axis.size)]
-
-    def run(point):
-        i, j = point
-        noise = NoiseSpec.uniform(2, gamma_axis[i], gamma_phi_axis[j])
-        return epr_generation(p, noise, steps=steps).error_d
-
-    if threads is None:
-        threads = min(32, os.cpu_count() or 1)
     grid = np.empty((gamma_axis.size, gamma_phi_axis.size))
-    if threads <= 1:
-        values = map(run, points)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(run, points))
-    for (i, j), d in zip(points, values):
-        grid[i, j] = d
+    for i, gamma in enumerate(gamma_axis):
+        for j, gamma_phi in enumerate(gamma_phi_axis):
+            noise = NoiseSpec.uniform(2, gamma, gamma_phi)
+            grid[i, j] = epr_generation(p, noise, steps=steps).error_d
     return SweepResult(gamma_axis, gamma_phi_axis, grid, p)

@@ -86,7 +86,7 @@ def test_criterion_3_decoherence_sweep():
     start = time.perf_counter()
     gamma = 2 * math.pi * np.linspace(0.0, 1e6, 21)
     gamma_phi = 2 * math.pi * np.linspace(0.0, 1e6, 21)
-    grid = decoherence_sweep(MODEL, gamma, gamma_phi, threads=4).error_grid
+    grid = decoherence_sweep(MODEL, gamma, gamma_phi).error_grid
     elapsed = time.perf_counter() - start
     monotone = bool(
         np.all(np.diff(grid, axis=0) >= 0) and np.all(np.diff(grid, axis=1) >= 0)

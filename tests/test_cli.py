@@ -4,9 +4,11 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dotbus.cli import main
-from dotbus.config import ConfigError, config_from_dict, parse_config
+from dotbus.config import _UNITS, SCHEMA, ConfigError, config_from_dict, parse_config
 
 
 def write_config(tmp_path, data, name="run.json"):
@@ -88,7 +90,74 @@ class TestConfigValidation:
             config_from_dict({"sweep": {"gamma_points": 2.5}})
 
 
+def schema_leaves(schema=SCHEMA, path=""):
+    """(dotted path, (default, kind)) for every leaf of the schema."""
+    for key, node in schema.items():
+        sub = f"{path}.{key}" if path else key
+        if isinstance(node, dict):
+            yield from schema_leaves(node, sub)
+        else:
+            yield sub, node
+
+
+def nested(path, value):
+    for key in reversed(path.split(".")):
+        value = {key: value}
+    return value
+
+
+@pytest.mark.parametrize("bad", [[1.0], "not-a-number"])
+@pytest.mark.parametrize("path", [path for path, _ in schema_leaves()])
+def test_wrong_type_reports_exact_leaf_path(path, bad):
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(nested(path, bad))
+    assert err.value.path == path
+
+
+# Valid draws for leaves whose default is zero; every other number is drawn
+# within a factor of two of its default.
+ZERO_DEFAULT_RANGES = {
+    "device.tlr.wiring_capacitance": (0.0, 5e-14),  # C0/LC stays below 0.1
+    "device.dot.bias": (-1e-23, 1e-23),
+    "device.dot.triplet_energy": (-1e-23, 1e-23),
+    "device.dot.singlet_energy": (-1e-23, 1e-23),
+    "device.coupler.position": (0.0, 5e-3),  # on the shortest drawn line
+}
+
+
+def leaf_values(path, default, kind):
+    if kind == "int":
+        return st.integers(1, 40)
+    if kind == "bool":
+        return st.booleans()
+    if isinstance(default, str):
+        return st.just(default) | leaf_values(path, 1e8, kind)
+    lo, hi = ZERO_DEFAULT_RANGES.get(path, (default / 2, default * 2))
+    number = st.floats(lo, hi)
+    units = sorted(_UNITS[kind].items())
+    if not units:
+        return number
+    with_unit = st.tuples(number, st.sampled_from(units)).map(
+        lambda pair: f"{pair[0] / pair[1][1]!r} {pair[1][0]}"
+    )
+    return number | with_unit
+
+
+def overrides(schema=SCHEMA, path=""):
+    optional = {}
+    for key, node in schema.items():
+        sub = f"{path}.{key}" if path else key
+        optional[key] = overrides(node, sub) if isinstance(node, dict) else leaf_values(sub, *node)
+    return st.fixed_dictionaries({}, optional=optional)
+
+
 class TestRoundTrip:
+    @settings(max_examples=100, deadline=None)
+    @given(overrides())
+    def test_dump_round_trip_property(self, raw):
+        cfg = config_from_dict(raw)
+        assert config_from_dict(cfg.dump()).dump() == cfg.dump()
+
     def test_dump_reparses_identically(self):
         cfg = config_from_dict(
             {
@@ -241,3 +310,34 @@ class TestCliErrors:
         path = write_config(tmp_path, {"model": {"bogus": 1}})
         assert main(["device", "--config", path]) == 2
         assert "model.bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, text",
+        [
+            ("noise.gamma_over_2pi", '"nan MHz"'),
+            ("noise.gamma_over_2pi", '"inf"'),
+            ("noise.gamma_phi_over_2pi", "NaN"),
+            ("noise.gamma_phi_over_2pi", "Infinity"),
+            ("model.tau_over_g", '"inf"'),
+            ("model.tau_over_g", "-Infinity"),
+        ],
+    )
+    def test_non_finite_value_is_config_error(self, tmp_path, capsys, key, text):
+        section, leaf = key.split(".")
+        path = tmp_path / "run.json"
+        path.write_text(f'{{"{section}": {{"{leaf}": {text}}}}}')
+        assert main(["epr", "--config", str(path)]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["epr", "sweep", "validate"])
+    def test_qubit_count_mismatch_is_config_error(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, {"model": {"n_qubits": 3}})
+        assert main([command, "--config", path]) == 2
+        assert "model.n_qubits" in capsys.readouterr().err
+
+    def test_validate_below_dispersive_threshold_fails(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"model": {"tau_over_g": 2}})
+        assert main(["validate", "--config", path]) == 3
+        err = capsys.readouterr().err
+        assert "dispersive threshold" in err
+        assert "Traceback" not in err

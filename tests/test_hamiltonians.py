@@ -26,10 +26,10 @@ from dotbus.hamiltonians import (
     h_effective,
     h_interaction,
     h_reduced_two_qubit,
-    interaction_propagator,
     reduced_basis_op,
     total_excitation,
 )
+from dotbus.protocols import _frame_trajectory
 
 # Mapping from full-space two-qubit vacuum indices to the reduced basis
 # order {|00>, |10>, |01>, |11>}: qubit 1 is slow in the full space but fast
@@ -194,12 +194,13 @@ class TestFramePropagator:
         grid = TimeGrid(0.0, t_final, 4000)
         rk4 = propagate_schrodinger(lambda t: h_interaction(t, p), psi0, grid,
                                     record_every=grid.steps)
-        exact = interaction_propagator(p, t_final) @ psi0_vec
+        exact = _frame_trajectory(p, psi0_vec, np.array([t_final]))[0]
         assert np.max(np.abs(rk4.final - exact)) < 1e-8
 
     def test_unitary(self):
         p = ModelParams.uniform(3, 0.8, 8.0, photon_cutoff=2)
-        u = interaction_propagator(p, 1.7)
+        t = np.array([1.7])
+        u = np.column_stack([_frame_trajectory(p, e, t)[0] for e in identity(p.space.dim)])
         assert np.max(np.abs(u.conj().T @ u - identity(p.space.dim))) < 1e-10
 
 

@@ -208,8 +208,8 @@ class TestDecoherenceSweep:
 
     def test_deterministic_across_thread_counts(self):
         gamma, gamma_phi = self.make_axes()
-        a = decoherence_sweep(paper_model(), gamma, gamma_phi, threads=1)
-        b = decoherence_sweep(paper_model(), gamma, gamma_phi, threads=3)
+        a = decoherence_sweep(paper_model(), gamma, gamma_phi)
+        b = decoherence_sweep(paper_model(), gamma, gamma_phi)
         assert np.array_equal(a.error_grid, b.error_grid)
 
     def test_empty_axis_rejected(self):
