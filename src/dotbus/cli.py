@@ -33,6 +33,7 @@ from .device import (
 from .dynamics import DiagnosticError
 from .hamiltonians import analytic_u, h_reduced_two_qubit
 from .protocols import (
+    StepBudgetError,
     decoherence_sweep,
     dispersive_validity,
     epr_generation,
@@ -148,11 +149,6 @@ def cmd_sweep(cfg: RunConfig, out, args) -> int:
 
 def cmd_validate(cfg: RunConfig, out, args) -> int:
     model = cfg.model
-    if not model.is_dispersive:
-        ratio = model.detunings_tau[0] / model.couplings_g[0]
-        print(f"validation failed: tau/g = {ratio:.6g} is below the dispersive threshold "
-              f"{model.dispersive_threshold:.6g}", file=sys.stderr)
-        return EXIT_DIAGNOSTIC
     report = dispersive_validity(model)
     lam = model.lam
     rng = np.random.default_rng(20260824)
@@ -193,7 +189,7 @@ def cmd_validate(cfg: RunConfig, out, args) -> int:
     return EXIT_OK
 
 
-# Commands that simulate exactly one qubit pair.
+# Commands that simulate exactly one qubit pair with the dispersive model.
 _TWO_QUBIT_COMMANDS = ("epr", "sweep", "validate")
 
 _COMMANDS = {
@@ -223,17 +219,27 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = parse_config(args.config)
-        if args.command in _TWO_QUBIT_COMMANDS and cfg.model.n_qubits != 2:
-            raise ConfigError(
-                "model.n_qubits",
-                f"'{args.command}' simulates exactly 2 qubits, got {cfg.model.n_qubits}",
-            )
+        model = cfg.model
+        if args.command in _TWO_QUBIT_COMMANDS:
+            if model.n_qubits != 2:
+                raise ConfigError(
+                    "model.n_qubits",
+                    f"'{args.command}' simulates exactly 2 qubits, got {model.n_qubits}",
+                )
+            if not model.is_dispersive:
+                ratio = model.detunings_tau[0] / model.couplings_g[0]
+                print(f"validation failed: tau/g = {ratio:.6g} is below the dispersive "
+                      f"threshold {model.dispersive_threshold:.6g}", file=sys.stderr)
+                return EXIT_DIAGNOSTIC
         return _COMMANDS[args.command](cfg, args.out, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DiagnosticError as exc:
         print(f"numerical diagnostics failed: {exc}", file=sys.stderr)
+        return EXIT_DIAGNOSTIC
+    except StepBudgetError as exc:
+        print(f"step budget exceeded: {exc}", file=sys.stderr)
         return EXIT_DIAGNOSTIC
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

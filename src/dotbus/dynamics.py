@@ -15,9 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import DensityMatrix, PureState, fidelity, hermiticity_defect
-from .hamiltonians import reduced_basis_op
-from .algebra import SIGMA_MINUS, SIGMA_Z
+from .algebra import (SIGMA_MINUS, SIGMA_Z, DensityMatrix, HilbertSpace, PureState, embed,
+                      fidelity, hermiticity_defect)
 
 STABILITY_LIMIT = 0.1        # max allowed dt * ||generator||
 NORM_DRIFT_TOL = 1e-6
@@ -158,10 +157,10 @@ def propagate_schrodinger(
 
 @lru_cache(maxsize=8)
 def _qubit_channel_ops(n_qubits: int):
-    """(sigma_z_i, sigma_i^-) pairs in the reduced qubit basis."""
+    """(sigma_z_i, sigma_i^-) pairs on the n-qubit register."""
+    space = HilbertSpace((2,) * n_qubits)
     return tuple(
-        (reduced_basis_op(SIGMA_Z, j, n_qubits), reduced_basis_op(SIGMA_MINUS, j, n_qubits))
-        for j in range(n_qubits)
+        (embed(SIGMA_Z, j, space), embed(SIGMA_MINUS, j, space)) for j in range(n_qubits)
     )
 
 

@@ -1,10 +1,9 @@
 """Hamiltonian builders for n double-dot qubits coupled to a resonator mode.
 
-Full-space operators live on the tensor order [qubit 1, ..., qubit n,
-cavity] with standard row-major Kronecker products (qubit 1 is the slowest
-index).  The reduced two-qubit builders use the basis order {|00>, |10>,
-|01>, |11>} (first label = qubit 1, which is therefore the *fastest* bit in
-that 4-dimensional space); `reduced_basis_op` handles the bookkeeping.
+Every operator, full-space or reduced, uses one ordering: the tensor order
+[qubit 1, ..., qubit n, cavity] with row-major Kronecker products, built by
+`algebra.embed`.  Qubit 1 is the slowest index, so the two-qubit register
+reads {|00>, |01>, |10>, |11>} with |q1 q2> at index 2 q1 + q2.
 
 hbar = 1 throughout: all matrix elements are angular frequencies.
 """
@@ -21,8 +20,6 @@ from .algebra import (
     SIGMA_PLUS,
     NUMBER_OP,
     embed,
-    identity,
-    kron_all,
 )
 from .device import DotParams, HBAR
 
@@ -176,35 +173,21 @@ def total_excitation(p: ModelParams) -> np.ndarray:
     return n
 
 
-def reduced_basis_op(op: np.ndarray, qubit: int, n_qubits: int = 2) -> np.ndarray:
-    """Single-qubit operator in the reduced basis where qubit 1 is the fastest bit.
-
-    Basis order for two qubits: {|00>, |10>, |01>, |11>} with labels
-    |q1 q2>.  ``qubit`` is 0-based.
-    """
-    if not 0 <= qubit < n_qubits:
-        raise ValueError(f"qubit index {qubit} out of range")
-    factors = [identity(2)] * n_qubits
-    factors[n_qubits - 1 - qubit] = np.asarray(op, dtype=complex)
-    return kron_all(*factors)
-
-
 def h_reduced_two_qubit(lam: float) -> np.ndarray:
-    """Vacuum-sector two-qubit Hamiltonian in the basis {|00>, |10>, |01>, |11>}.
+    """Vacuum-sector two-qubit Hamiltonian on the register {|00>, |01>, |10>, |11>}.
 
     diag(0, lam, lam, 2 lam) plus a lam exchange coupling |10> <-> |01>.
     """
-    sp1 = reduced_basis_op(SIGMA_PLUS, 0)
-    sm1 = reduced_basis_op(SIGMA_MINUS, 0)
-    sp2 = reduced_basis_op(SIGMA_PLUS, 1)
-    sm2 = reduced_basis_op(SIGMA_MINUS, 1)
+    space = HilbertSpace((2, 2))
+    sp1, sp2 = (embed(SIGMA_PLUS, j, space) for j in range(2))
+    sm1, sm2 = (embed(SIGMA_MINUS, j, space) for j in range(2))
     return lam * (sp1 @ sm1 + sp2 @ sm2 + sp1 @ sm2 + sm1 @ sp2)
 
 
 def analytic_u(lam: float, t: float) -> np.ndarray:
     """Closed-form propagator of the reduced two-qubit Hamiltonian.
 
-    Basis {|00>, |10>, |01>, |11>}.  The central block is a phase-dressed
+    Basis {|00>, |01>, |10>, |11>}.  The central block is a phase-dressed
     excitation swap; the doubly excited entry is the unitary phase
     e^{-2 i lam t} (a published /2 on that entry fails unitarity and is
     treated as a typo; the exponential oracle confirms this value).

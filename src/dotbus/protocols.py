@@ -17,7 +17,6 @@ from .algebra import (
     HilbertSpace,
     PureState,
     concurrence,
-    expm_propagator,
     fidelity,
     partial_trace,
 )
@@ -31,7 +30,7 @@ from .dynamics import (
 )
 from .hamiltonians import (
     ModelParams,
-    h_effective,
+    analytic_u,
     h_reduced_two_qubit,
     rotating_frame_generator,
     static_frame_hamiltonian,
@@ -39,6 +38,13 @@ from .hamiltonians import (
 
 TWO_QUBIT_SPACE = HilbertSpace((2, 2))
 MIN_EPR_STEPS = 256
+# RK4 steps one epr run or one whole sweep (steps x grid points) may take;
+# the default 21x21 sweep takes 441 x 256 = 112,896.
+MAX_RK4_STEPS = 10_000_000
+
+
+class StepBudgetError(ValueError):
+    """The requested run would take more than MAX_RK4_STEPS RK4 steps."""
 
 
 def gate_time_t0(lam: float) -> float:
@@ -49,8 +55,8 @@ def gate_time_t0(lam: float) -> float:
 
 
 def epr_target() -> PureState:
-    """(|10> - i|01>)/sqrt(2) in the reduced basis {|00>, |10>, |01>, |11>}."""
-    return PureState(TWO_QUBIT_SPACE, np.array([0, 1, -1j, 0]) / math.sqrt(2))
+    """(|10> - i|01>)/sqrt(2) on the register {|00>, |01>, |10>, |11>}."""
+    return PureState(TWO_QUBIT_SPACE, np.array([0, -1j, 1, 0]) / math.sqrt(2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,10 +68,17 @@ class EprReport:
     result: SimResult
 
 
-def _epr_grid(lam: float, noise: NoiseSpec, steps: int | None) -> TimeGrid:
+def _epr_grid(lam: float, noise: NoiseSpec, steps: int | None = None,
+              runs: int = 1) -> TimeGrid:
+    """Time grid of one EPR run; refuses if ``runs`` such runs exceed the step budget."""
     t0 = gate_time_t0(lam)
     if steps is None:
         steps = max(MIN_EPR_STEPS, default_step_count(t0, 2.0 * lam, noise.total_rate))
+    if steps * runs > MAX_RK4_STEPS:
+        raise StepBudgetError(
+            f"{runs} run(s) x {steps} steps = {steps * runs} RK4 steps exceed the budget "
+            f"of {MAX_RK4_STEPS}"
+        )
     return TimeGrid(0.0, t0, steps)
 
 
@@ -90,7 +103,7 @@ def epr_generation(
     if record_every is None:
         record_every = grid.steps
     psi0 = np.zeros(4, dtype=complex)
-    psi0[1] = 1.0  # |10>
+    psi0[2] = 1.0  # |10>
     rho0 = PureState(TWO_QUBIT_SPACE, psi0).density_matrix()
     result = integrate_lindblad(h20, rho0, noise, grid, record_every=record_every)
     rho_final = DensityMatrix(TWO_QUBIT_SPACE, result.final)
@@ -149,13 +162,18 @@ def _cavity_occupation(p: ModelParams, states: np.ndarray) -> np.ndarray:
 def dispersive_validity(p: ModelParams, samples: int = 400) -> DispersiveReport:
     """Compare the full qubit-cavity dynamics against the effective model.
 
-    Propagates |10> x |vacuum> for the entangling time under both, traces the
-    cavity, and reports the overlap of the final qubit states plus the peak
-    cavity occupation of the full run.  ``cutoff_shift`` is the change of the
-    reduced final state when the photon cutoff is raised by one.
+    Propagates |10> x |vacuum> for the entangling time under the full model,
+    traces the cavity, and reports the overlap with |10> evolved by the reduced
+    model that `epr_generation` runs, plus the peak cavity occupation of the
+    full run.  ``cutoff_shift`` is the change of the reduced final state when
+    the photon cutoff is raised by one.
     """
     if p.n_qubits != 2:
         raise ValueError("dispersive validation is a two-qubit comparison")
+    if not p.is_dispersive:
+        raise ValueError(
+            f"detuning/coupling ratio below dispersive threshold {p.dispersive_threshold}"
+        )
     g, tau = p.couplings_g[0], p.detunings_tau[0]
     t0 = gate_time_t0(p.lam)
     times = np.linspace(0.0, t0, samples + 1)
@@ -176,15 +194,9 @@ def dispersive_validity(p: ModelParams, samples: int = 400) -> DispersiveReport:
     rho_next, _ = reduced_final(p_next)
     cutoff_shift = float(np.max(np.abs(rho_full - rho_next)))
 
-    # Effective evolution conserves photon number, so the vacuum block stays pure.
-    psi0 = _full_initial_state(p, excited=0)
-    psi_eff = expm_propagator(h_effective(p), t0) @ psi0
-    dim_cav = p.photon_cutoff + 1
-    blocks = psi_eff.reshape(4, dim_cav)
-    leakage = float(np.linalg.norm(blocks[:, 1:]))
-    if leakage > 1e-10:
-        raise RuntimeError(f"effective evolution leaked {leakage:.3g} out of the vacuum sector")
-    phi_eff = blocks[:, 0]
+    # The effective model conserves photon number, so from the vacuum it is the
+    # reduced two-qubit exchange; column 2 of its propagator is the image of |10>.
+    phi_eff = analytic_u(p.lam, t0)[:, 2]
     fid = float(np.real(phi_eff.conj() @ rho_full @ phi_eff))
 
     return DispersiveReport(
@@ -242,15 +254,12 @@ def selective_coupling_check(
         excitation += probs.sum(axis=tuple(k for k in range(1, p.n_qubits + 2)
                                            if k != j + 1))[:, 1]
 
-    rho_active = partial_trace(
-        PureState(full.space, states[-1]).density_matrix(), keep=tuple(sorted(active))
-    )
-    # partial_trace orders the pair (slow, fast); map the entangled target to match:
-    # |q_a1 q_a2> with a1 the slower index -> (|10> - i|01>)/sqrt2 = [0, -i, 1, 0]/sqrt2.
-    target = PureState(TWO_QUBIT_SPACE, np.array([0, -1j, 1, 0]) / math.sqrt(2))
+    rho_active = partial_trace(PureState(full.space, states[-1]).density_matrix(), keep=active)
     if active[0] > active[1]:
-        target = PureState(TWO_QUBIT_SPACE, np.array([0, 1, -1j, 0]) / math.sqrt(2))
-    fid_active = fidelity(rho_active, target)
+        # partial_trace keeps the lower index first; swap so the excited qubit leads
+        swapped = rho_active.matrix.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
+        rho_active = DensityMatrix(TWO_QUBIT_SPACE, swapped)
+    fid_active = fidelity(rho_active, epr_target())
 
     return SelectiveCouplingReport(
         spectator_ratio=spectator_ratio,
@@ -294,9 +303,8 @@ def decoherence_sweep(p: ModelParams, gamma_axis, gamma_phi_axis) -> SweepResult
         raise ValueError("noise rates must be nonnegative")
 
     lam = p.lam
-    t0 = gate_time_t0(lam)
     worst = NoiseSpec.uniform(2, float(np.max(gamma_axis)), float(np.max(gamma_phi_axis)))
-    steps = max(MIN_EPR_STEPS, default_step_count(t0, 2.0 * lam, worst.total_rate))
+    steps = _epr_grid(lam, worst, runs=gamma_axis.size * gamma_phi_axis.size).steps
 
     grid = np.empty((gamma_axis.size, gamma_phi_axis.size))
     for i, gamma in enumerate(gamma_axis):

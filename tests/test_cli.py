@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from dotbus.cli import main
 from dotbus.config import _UNITS, SCHEMA, ConfigError, config_from_dict, parse_config
+from dotbus.dynamics import NoiseSpec, default_step_count
+from dotbus.protocols import MAX_RK4_STEPS, gate_time_t0
 
 
 def write_config(tmp_path, data, name="run.json"):
@@ -341,3 +343,31 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert "dispersive threshold" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["epr", "sweep"])
+    def test_below_dispersive_threshold_fails(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, {"model": {"tau_over_g": 2}})
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", path, "--out", str(out)]) == 3
+        assert "dispersive threshold" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "run.json"]
+
+    @pytest.mark.parametrize("command", ["epr", "sweep"])
+    def test_step_budget_refuses_before_stepping(self, tmp_path, capsys, command):
+        raw = {"model": {"tau_over_g": 1e9}}
+        cfg = config_from_dict(raw)
+        lam = cfg.model.lam
+        if command == "epr":
+            noise, runs = cfg.noise, 1
+        else:
+            gammas, gamma_phis = cfg.sweep_gamma_axis, cfg.sweep_gamma_phi_axis
+            noise = NoiseSpec.uniform(2, max(gammas), max(gamma_phis))
+            runs = len(gammas) * len(gamma_phis)
+        total = runs * default_step_count(gate_time_t0(lam), 2.0 * lam, noise.total_rate)
+        assert total > MAX_RK4_STEPS
+        path = write_config(tmp_path, raw)
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", path, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"= {total} RK4 steps exceed the budget of {MAX_RK4_STEPS}" in err
+        assert list(tmp_path.iterdir()) == [tmp_path / "run.json"]

@@ -176,9 +176,9 @@ class TestIntegrateLindblad:
         noise = NoiseSpec((g1, 0.0), (0.0, 0.0))
         h = np.zeros((4, 4), dtype=complex)
         t = 2.0
-        result = integrate_lindblad(h, pure_rho(1), noise, TimeGrid(0, t, 800),
+        result = integrate_lindblad(h, pure_rho(2), noise, TimeGrid(0, t, 800),
                                     record_every=800)
-        assert result.final[1, 1].real == pytest.approx(math.exp(-g1 * t / 4), rel=1e-8)
+        assert result.final[2, 2].real == pytest.approx(math.exp(-g1 * t / 4), rel=1e-8)
 
     def test_diagnostics_recorded(self):
         h = h_reduced_two_qubit(1.0)

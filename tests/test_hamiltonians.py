@@ -26,15 +26,9 @@ from dotbus.hamiltonians import (
     h_effective,
     h_interaction,
     h_reduced_two_qubit,
-    reduced_basis_op,
     total_excitation,
 )
 from dotbus.protocols import _frame_trajectory
-
-# Mapping from full-space two-qubit vacuum indices to the reduced basis
-# order {|00>, |10>, |01>, |11>}: qubit 1 is slow in the full space but fast
-# in the reduced basis.
-VACUUM_PERM = (0, 2, 1, 3)
 
 
 class TestCavity:
@@ -102,7 +96,7 @@ class TestEffective:
         h = h_effective(p)
         dim_cav = p.photon_cutoff + 1
         vac = [b * dim_cav for b in range(4)]  # qubit basis x |0_cav>
-        block = h[np.ix_(vac, vac)][np.ix_(VACUUM_PERM, VACUUM_PERM)]
+        block = h[np.ix_(vac, vac)]
         assert np.max(np.abs(block - h_reduced_two_qubit(p.lam))) < 1e-12
 
     def test_ground_vacuum_is_dark(self):
@@ -122,6 +116,13 @@ class TestEffective:
         p = ModelParams(2, (1.0, 1.0), (10.0, 12.0))
         with pytest.raises(ValueError):
             h_effective(p)
+
+    def test_commutes_with_photon_number(self):
+        # Photon number is conserved, so a run from the vacuum never leaves it.
+        p = ModelParams.uniform(2, 1.0, 10.0, photon_cutoff=4)
+        h = h_effective(p)
+        n_cav = embed(destroy(4).conj().T @ destroy(4), 2, p.space)
+        assert np.max(np.abs(h @ n_cav - n_cav @ h)) < 1e-12
 
 
 class TestExcitationConservation:
@@ -163,8 +164,8 @@ class TestAnalyticU:
     def test_entangled_state_at_quarter_period(self):
         lam = 2 * math.pi * 10e6
         t0 = math.pi / (4 * lam)
-        psi = analytic_u(lam, t0) @ np.array([0, 1, 0, 0], dtype=complex)
-        target = np.exp(-1j * math.pi / 4) * np.array([0, 1, -1j, 0]) / math.sqrt(2)
+        psi = analytic_u(lam, t0) @ np.array([0, 0, 1, 0], dtype=complex)  # |10>
+        target = np.exp(-1j * math.pi / 4) * np.array([0, -1j, 1, 0]) / math.sqrt(2)
         assert np.max(np.abs(psi - target)) < 1e-12
 
     def test_matches_exponential_oracle(self):
@@ -203,16 +204,3 @@ class TestFramePropagator:
         u = np.column_stack([_frame_trajectory(p, e, t)[0] for e in identity(p.space.dim)])
         assert np.max(np.abs(u.conj().T @ u - identity(p.space.dim))) < 1e-10
 
-
-class TestReducedBasisOp:
-    def test_qubit_one_is_fast_bit(self):
-        sp1 = reduced_basis_op(SIGMA_PLUS, 0)
-        # sigma_1^+ maps |00> (index 0) to |10> (index 1)
-        assert sp1[1, 0] == 1.0
-        sp2 = reduced_basis_op(SIGMA_PLUS, 1)
-        # sigma_2^+ maps |00> to |01> (index 2)
-        assert sp2[2, 0] == 1.0
-
-    def test_index_out_of_range(self):
-        with pytest.raises(ValueError):
-            reduced_basis_op(SIGMA_PLUS, 2)

@@ -70,7 +70,7 @@ class TestEprGeneration:
     def test_noiseless_matches_closed_form(self):
         report = epr_generation(paper_model(), NoiseSpec.none(2))
         lam = paper_model().lam
-        psi = analytic_u(lam, report.t0) @ np.array([0, 1, 0, 0], dtype=complex)
+        psi = analytic_u(lam, report.t0) @ np.array([0, 0, 1, 0], dtype=complex)  # |10>
         closed_form = float(abs(np.vdot(epr_target().amplitudes, psi)) ** 2)
         assert abs(report.fidelity - closed_form) < 1e-8
 
@@ -169,19 +169,28 @@ class TestSelectiveCoupling:
         assert report.active_pair_fidelity > 0.95
 
     def test_matches_sector_oracle(self):
-        # Independent 4x4 one-excitation solution with the spectator included.
+        # Independent 4x4 one-excitation solution with the spectator included,
+        # for the default pair, the reversed pair and a non-adjacent pair.
         g, tau, ratio = 1.0, 10.0, 10.0
         p = ModelParams.uniform(3, g, tau, photon_cutoff=4)
-        report = selective_coupling_check(p, spectator_ratio=ratio, samples=400)
         t0 = gate_time_t0(g * g / tau)
-        h = np.diag([tau, tau, ratio * tau, 0.0]).astype(complex)
-        for i in range(3):
-            h[i, 3] = h[3, i] = g
-        frame = np.diag(np.exp(1j * np.array([tau, tau, ratio * tau, 0.0]) * t0))
-        amps = frame @ scipy.linalg.expm(-1j * h * t0) @ np.array([1, 0, 0, 0], complex)
-        assert report.spectator_final_deviation == pytest.approx(
-            abs(amps[2]) ** 2, abs=1e-10
-        )
+        for active in [(0, 1), (1, 0), (2, 0)]:
+            report = selective_coupling_check(p, active=active, spectator_ratio=ratio,
+                                              samples=400)
+            taus = [tau if j in active else ratio * tau for j in range(3)] + [0.0]
+            h = np.diag(taus).astype(complex)
+            for i in range(3):
+                h[i, 3] = h[3, i] = g
+            frame = np.diag(np.exp(1j * np.array(taus) * t0))
+            amps = frame @ scipy.linalg.expm(-1j * h * t0) @ np.eye(4)[active[0]]
+            (spectator,) = set(range(3)) - set(active)
+            assert report.spectator_final_deviation == pytest.approx(
+                abs(amps[spectator]) ** 2, abs=1e-10
+            )
+            # Target (|10> - i|01>)/sqrt2 over (active[0], active[1]); the rest
+            # of the pair's state sits on |00> and has no overlap with it.
+            fid = abs(amps[active[0]] + 1j * amps[active[1]]) ** 2 / 2
+            assert report.active_pair_fidelity == pytest.approx(fid, abs=1e-10)
 
     def test_requires_spectator(self):
         with pytest.raises(ValueError):
