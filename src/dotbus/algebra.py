@@ -14,6 +14,7 @@ seconds.  Qubit basis |0> = (1, 0), |1> = (0, 1), sigma^+ = |1><0|.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import prod
 
 import numpy as np
@@ -28,7 +29,6 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 SIGMA_PLUS = np.array([[0, 0], [1, 0]], dtype=complex)   # |1><0|
 SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|
-NUMBER_OP = SIGMA_PLUS @ SIGMA_MINUS                     # diag(0, 1)
 
 
 def identity(dim: int) -> np.ndarray:
@@ -115,28 +115,26 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def kron_all(*ops: np.ndarray) -> np.ndarray:
-    out = np.asarray(ops[0], dtype=complex)
-    for op in ops[1:]:
-        out = np.kron(out, op)
-    return out
+def embed(space: HilbertSpace, *factors: tuple[int, np.ndarray]) -> np.ndarray:
+    """Lift a product of single-subsystem operators to the full space.
 
-
-def embed(op: np.ndarray, at: int, space: HilbertSpace) -> np.ndarray:
-    """Lift ``op`` acting on subsystem ``at`` to the full space.
-
-    Identity on every other factor; subsystem order follows ``space.dims``.
+    Each factor is a ``(subsystem, op)`` pair.  Factors on the same subsystem
+    multiply in the order given, every other subsystem carries the identity,
+    and the result is one Kronecker product in ``space.dims`` order, e.g.
+    ``embed(space, (2, a.conj().T), (0, SIGMA_MINUS))`` is a^dagger sigma_0^-.
     """
-    op = np.asarray(op, dtype=complex)
-    if not 0 <= at < space.n_subsystems:
-        raise ValueError(f"subsystem index {at} out of range for {space.dims}")
-    d = space.dims[at]
-    if op.shape != (d, d):
-        raise ValueError(
-            f"operator shape {op.shape} does not match subsystem {at} dimension {d}"
-        )
-    factors = [identity(dim) if i != at else op for i, dim in enumerate(space.dims)]
-    return kron_all(*factors)
+    local = {}
+    for at, op in factors:
+        op = np.array(op, dtype=complex)  # a copy: the result never aliases an input
+        if not 0 <= at < space.n_subsystems:
+            raise ValueError(f"subsystem index {at} out of range for {space.dims}")
+        d = space.dims[at]
+        if op.shape != (d, d):
+            raise ValueError(
+                f"operator shape {op.shape} does not match subsystem {at} dimension {d}"
+            )
+        local[at] = local[at] @ op if at in local else op
+    return reduce(np.kron, [local.get(i, identity(d)) for i, d in enumerate(space.dims)])
 
 
 def expm_propagator(h: np.ndarray, t: float) -> np.ndarray:

@@ -20,7 +20,6 @@ import sys
 
 import numpy as np
 
-from .algebra import expm_propagator
 from .config import ConfigError, RunConfig, parse_config
 from .device import (
     bare_frequency,
@@ -31,7 +30,6 @@ from .device import (
     renormalized_frequency,
 )
 from .dynamics import DiagnosticError
-from .hamiltonians import analytic_u, h_reduced_two_qubit
 from .protocols import (
     StepBudgetError,
     decoherence_sweep,
@@ -148,16 +146,7 @@ def cmd_sweep(cfg: RunConfig, out, args) -> int:
 
 
 def cmd_validate(cfg: RunConfig, out, args) -> int:
-    model = cfg.model
-    report = dispersive_validity(model)
-    lam = model.lam
-    rng = np.random.default_rng(20260824)
-    h20 = h_reduced_two_qubit(lam)
-    unitary_dev = 0.0
-    for t in rng.uniform(0.0, 4.0 * gate_time_t0(lam), size=50):
-        dev = np.max(np.abs(analytic_u(lam, t) - expm_propagator(h20, t)))
-        unitary_dev = max(unitary_dev, float(dev))
-
+    report = dispersive_validity(cfg.model)
     checks = [
         ("full_vs_effective_fidelity",
          report.fidelity_full_vs_effective >= 0.95,
@@ -168,9 +157,6 @@ def cmd_validate(cfg: RunConfig, out, args) -> int:
         ("photon_cutoff_convergence",
          report.cutoff_shift < 1e-6,
          f"{report.cutoff_shift:.3e} (threshold < 1e-6)"),
-        ("closed_form_unitary_deviation",
-         unitary_dev < 1e-10,
-         f"{unitary_dev:.3e} (threshold < 1e-10)"),
     ]
     lines = [f"tau/g = {report.tau_over_g:.6g}"]
     ok = True
@@ -235,7 +221,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except DiagnosticError as exc:
+    except (DiagnosticError, np.linalg.LinAlgError) as exc:
         print(f"numerical diagnostics failed: {exc}", file=sys.stderr)
         return EXIT_DIAGNOSTIC
     except StepBudgetError as exc:

@@ -25,6 +25,11 @@ from .device import (
 )
 from .dynamics import NoiseSpec
 from .hamiltonians import ModelParams
+from .protocols import gate_time_t0
+
+# Largest dense qubit-cavity space 2**n_qubits x (photon_cutoff + 1) a config
+# may ask for: nine qubits at the default cutoff of five photons.
+MAX_SPACE_DIM = 2**9 * 6
 
 
 class ConfigError(Exception):
@@ -221,11 +226,25 @@ def config_from_dict(raw: dict) -> RunConfig:
         raise ConfigError("model.coupling_g", "resolved coupling must be positive")
     if m["tau_over_g"] <= 0:
         raise ConfigError("model.tau_over_g", "detuning ratio must be positive")
-    n = m["n_qubits"]
+    n, cutoff = m["n_qubits"], m["photon_cutoff"]
+    # n past the bound's bit length always exceeds it; 2**n is never formed then
+    if n > MAX_SPACE_DIM.bit_length() or (n > 0 and 2**n * (cutoff + 1) > MAX_SPACE_DIM):
+        raise ConfigError(
+            "model",
+            f"space dimension 2**model.n_qubits x (model.photon_cutoff + 1) exceeds "
+            f"MAX_SPACE_DIM = {MAX_SPACE_DIM} (n_qubits = {n}, photon_cutoff = {cutoff})",
+        )
     model = _build(
         "model", ModelParams, n, (g,) * n, (m["tau_over_g"] * g,) * n,
-        m["photon_cutoff"], m["dispersive_threshold"],
+        cutoff, m["dispersive_threshold"],
     )
+    lam = _build("model", lambda: model.lam)
+    if not (0 < lam < math.inf and gate_time_t0(lam) < math.inf):
+        raise ConfigError(
+            "model",
+            f"lambda = g^2/tau = {lam!r} rad/s from model.coupling_g and model.tau_over_g "
+            "must be positive and finite, and so must t0 = pi/(4 lambda)",
+        )
 
     rates = tree["noise"]
     noise = _build(
@@ -265,6 +284,6 @@ def parse_config(path: str) -> RunConfig:
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError("<file>", f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, bytes or nesting
         raise ConfigError("<file>", f"malformed JSON: {exc}") from None
     return config_from_dict(raw)

@@ -160,7 +160,7 @@ def _qubit_channel_ops(n_qubits: int):
     """(sigma_z_i, sigma_i^-) pairs on the n-qubit register."""
     space = HilbertSpace((2,) * n_qubits)
     return tuple(
-        (embed(SIGMA_Z, j, space), embed(SIGMA_MINUS, j, space)) for j in range(n_qubits)
+        (embed(space, (j, SIGMA_Z)), embed(space, (j, SIGMA_MINUS))) for j in range(n_qubits)
     )
 
 

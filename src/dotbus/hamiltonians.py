@@ -14,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (
-    HilbertSpace,
-    SIGMA_MINUS,
-    SIGMA_PLUS,
-    NUMBER_OP,
-    embed,
-)
+from .algebra import HilbertSpace, SIGMA_MINUS, SIGMA_PLUS, embed
 from .device import DotParams, HBAR
 
 DEFAULT_PHOTON_CUTOFF = 5
@@ -111,16 +105,6 @@ def h_double_dot(dot: DotParams) -> np.ndarray:
     return h / HBAR
 
 
-def _qubit_cavity_ops(p: ModelParams):
-    """Per-qubit raising operators a^dagger sigma_j^- on the full space, plus a^dagger a."""
-    space = p.space
-    n_cav = p.n_qubits
-    a = destroy(p.photon_cutoff)
-    adag_full = embed(a.conj().T, n_cav, space)
-    raising = [adag_full @ embed(SIGMA_MINUS, j, space) for j in range(p.n_qubits)]
-    return raising, embed(a.conj().T @ a, n_cav, space)
-
-
 def h_interaction(t: float, p: ModelParams) -> np.ndarray:
     """Time-dependent exchange coupling between each qubit and the cavity mode.
 
@@ -128,10 +112,11 @@ def h_interaction(t: float, p: ModelParams) -> np.ndarray:
     Hermitian at every t.  At t = 0 with one qubit this is the plain
     Jaynes-Cummings interaction g (a sigma^+ + a^dagger sigma^-).
     """
-    raising, _ = _qubit_cavity_ops(p)
-    h = np.zeros((p.space.dim, p.space.dim), dtype=complex)
-    for g, tau, r in zip(p.couplings_g, p.detunings_tau, raising):
-        term = g * np.exp(-1j * tau * t) * r
+    space, cav = p.space, p.n_qubits
+    adag = destroy(p.photon_cutoff).conj().T
+    h = np.zeros((space.dim, space.dim), dtype=complex)
+    for j, (g, tau) in enumerate(zip(p.couplings_g, p.detunings_tau)):
+        term = g * np.exp(-1j * tau * t) * embed(space, (cav, adag), (j, SIGMA_MINUS))
         h += term + term.conj().T
     return h
 
@@ -150,26 +135,24 @@ def h_effective(p: ModelParams) -> np.ndarray:
         raise ValueError(
             f"detuning/coupling ratio below dispersive threshold {p.dispersive_threshold}"
         )
-    lam = p.lam
-    space = p.space
+    space, cav = p.space, p.n_qubits
     a = destroy(p.photon_cutoff)
-    a_adag = embed(a @ a.conj().T, p.n_qubits, space)
-    adag_a = embed(a.conj().T @ a, p.n_qubits, space)
-    sp = [embed(SIGMA_PLUS, j, space) for j in range(p.n_qubits)]
-    sm = [embed(SIGMA_MINUS, j, space) for j in range(p.n_qubits)]
+    adag = a.conj().T
     h = np.zeros((space.dim, space.dim), dtype=complex)
     for j in range(p.n_qubits):
         for i in range(p.n_qubits):
-            h += sp[j] @ sm[i] @ a_adag - sm[j] @ sp[i] @ adag_a
-    return lam * h
+            h += (embed(space, (j, SIGMA_PLUS), (i, SIGMA_MINUS), (cav, a), (cav, adag))
+                  - embed(space, (j, SIGMA_MINUS), (i, SIGMA_PLUS), (cav, adag), (cav, a)))
+    return p.lam * h
 
 
 def total_excitation(p: ModelParams) -> np.ndarray:
     """Conserved excitation number sum_j sigma_j^+ sigma_j^- + a^dagger a."""
-    space = p.space
-    n = embed(destroy(p.photon_cutoff).conj().T @ destroy(p.photon_cutoff), p.n_qubits, space)
+    space, cav = p.space, p.n_qubits
+    a = destroy(p.photon_cutoff)
+    n = embed(space, (cav, a.conj().T), (cav, a))
     for j in range(p.n_qubits):
-        n += embed(NUMBER_OP, j, space)
+        n += embed(space, (j, SIGMA_PLUS), (j, SIGMA_MINUS))
     return n
 
 
@@ -179,9 +162,12 @@ def h_reduced_two_qubit(lam: float) -> np.ndarray:
     diag(0, lam, lam, 2 lam) plus a lam exchange coupling |10> <-> |01>.
     """
     space = HilbertSpace((2, 2))
-    sp1, sp2 = (embed(SIGMA_PLUS, j, space) for j in range(2))
-    sm1, sm2 = (embed(SIGMA_MINUS, j, space) for j in range(2))
-    return lam * (sp1 @ sm1 + sp2 @ sm2 + sp1 @ sm2 + sm1 @ sp2)
+    return lam * (
+        embed(space, (0, SIGMA_PLUS), (0, SIGMA_MINUS))
+        + embed(space, (1, SIGMA_PLUS), (1, SIGMA_MINUS))
+        + embed(space, (0, SIGMA_PLUS), (1, SIGMA_MINUS))
+        + embed(space, (0, SIGMA_MINUS), (1, SIGMA_PLUS))
+    )
 
 
 def analytic_u(lam: float, t: float) -> np.ndarray:
@@ -202,11 +188,10 @@ def analytic_u(lam: float, t: float) -> np.ndarray:
 
 
 def rotating_frame_generator(p: ModelParams) -> np.ndarray:
-    """Diagonal generator A = sum_j tau_j sigma_j^+ sigma_j^- of the frame rotation."""
-    space = p.space
-    a = np.zeros((space.dim, space.dim), dtype=complex)
+    """Diagonal of the frame generator A = sum_j tau_j sigma_j^+ sigma_j^-."""
+    a = np.zeros(p.space.dim, dtype=complex)
     for j, tau in enumerate(p.detunings_tau):
-        a += tau * embed(NUMBER_OP, j, space)
+        a += tau * np.diagonal(embed(p.space, (j, SIGMA_PLUS), (j, SIGMA_MINUS)))
     return a
 
 
@@ -218,9 +203,10 @@ def static_frame_hamiltonian(p: ModelParams) -> np.ndarray:
     V = sum_j g_j (a sigma_j^+ + a^dagger sigma_j^-).  The exact propagator
     therefore factorizes as U(t) = e^{iAt} e^{-i(A+V)t}.
     """
-    raising, _ = _qubit_cavity_ops(p)
-    h = rotating_frame_generator(p)
-    for g, r in zip(p.couplings_g, raising):
+    space, cav = p.space, p.n_qubits
+    adag = destroy(p.photon_cutoff).conj().T
+    h = np.diag(rotating_frame_generator(p))
+    for j, g in enumerate(p.couplings_g):
+        r = embed(space, (cav, adag), (j, SIGMA_MINUS))
         h += g * (r + r.conj().T)
     return h
-

@@ -73,7 +73,10 @@ def _epr_grid(lam: float, noise: NoiseSpec, steps: int | None = None,
     """Time grid of one EPR run; refuses if ``runs`` such runs exceed the step budget."""
     t0 = gate_time_t0(lam)
     if steps is None:
-        steps = max(MIN_EPR_STEPS, default_step_count(t0, 2.0 * lam, noise.total_rate))
+        try:
+            steps = max(MIN_EPR_STEPS, default_step_count(t0, 2.0 * lam, noise.total_rate))
+        except OverflowError:  # the step count overflows a float
+            steps = math.inf
     if steps * runs > MAX_RK4_STEPS:
         raise StepBudgetError(
             f"{runs} run(s) x {steps} steps = {steps * runs} RK4 steps exceed the budget "
@@ -127,7 +130,7 @@ def _frame_trajectory(p: ModelParams, psi0: np.ndarray, times: np.ndarray) -> np
     h = static_frame_hamiltonian(p)
     evals, evecs = np.linalg.eigh(h)
     c0 = evecs.conj().T @ psi0
-    a_diag = np.real(np.diag(rotating_frame_generator(p)))
+    a_diag = np.real(rotating_frame_generator(p))
     # (dim, nt) phases for both the propagation and the frame rotation
     prop = evecs @ (np.exp(-1j * np.outer(evals, times)) * c0[:, None])
     frame = np.exp(1j * np.outer(a_diag, times))
@@ -204,7 +207,7 @@ def dispersive_validity(p: ModelParams, samples: int = 400) -> DispersiveReport:
         fidelity_full_vs_effective=fid,
         infidelity=1.0 - fid,
         max_cavity_occupation=float(np.max(occupation)),
-        cavity_bound=4.0 * (g / tau) ** 2,
+        cavity_bound=4.0 * (g / tau) * (g / tau),  # inf, not OverflowError, for tiny tau
         cutoff_shift=cutoff_shift,
     )
 

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dotbus.algebra import (
     DensityMatrix,
@@ -55,24 +57,25 @@ class TestKron:
 
 class TestEmbed:
     def test_single_subsystem(self):
-        assert np.array_equal(embed(SIGMA_X, 0, HilbertSpace((2,))), SIGMA_X)
+        assert np.array_equal(embed(HilbertSpace((2,)), (0, SIGMA_X)), SIGMA_X)
 
     def test_second_of_two(self):
         assert np.array_equal(
-            embed(SIGMA_Z, 1, HilbertSpace((2, 2))), kron(identity(2), SIGMA_Z)
+            embed(HilbertSpace((2, 2)), (1, SIGMA_Z)), kron(identity(2), SIGMA_Z)
         )
 
     def test_annihilation_number_consistency(self):
         space = HilbertSpace((2, 2, 3))
         a = destroy(2)
-        lifted = embed(a, 2, space)
-        assert np.max(np.abs(lifted.conj().T @ lifted - embed(a.conj().T @ a, 2, space))) < 1e-14
+        lifted = embed(space, (2, a))
+        number = embed(space, (2, a.conj().T), (2, a))
+        assert np.max(np.abs(lifted.conj().T @ lifted - number)) < 1e-14
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            embed(SIGMA_X, 2, HilbertSpace((2, 2, 3)))
+            embed(HilbertSpace((2, 2, 3)), (2, SIGMA_X))
         with pytest.raises(ValueError):
-            embed(SIGMA_X, 5, HilbertSpace((2, 2)))
+            embed(HilbertSpace((2, 2)), (5, SIGMA_X))
 
     def test_disjoint_supports_commute(self):
         rng = np.random.default_rng(2)
@@ -81,9 +84,25 @@ class TestEmbed:
             i, j = rng.choice(3, size=2, replace=False)
             a = rng.normal(size=(space.dims[i],) * 2) + 1j * rng.normal(size=(space.dims[i],) * 2)
             b = rng.normal(size=(space.dims[j],) * 2) + 1j * rng.normal(size=(space.dims[j],) * 2)
-            ea, eb = embed(a, i, space), embed(b, j, space)
+            ea, eb = embed(space, (i, a)), embed(space, (j, b))
             assert np.max(np.abs(ea @ eb - eb @ ea)) < 1e-12
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_product_of_single_factor_embeds(self, data):
+        # Factors may repeat a subsystem; embed multiplies them in the order given.
+        dims = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+        space = HilbertSpace(tuple(dims))
+        subsystems = data.draw(st.lists(st.integers(0, len(dims) - 1), max_size=6))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        factors = [
+            (at, rng.normal(size=(dims[at],) * 2) + 1j * rng.normal(size=(dims[at],) * 2))
+            for at in subsystems
+        ]
+        expected = identity(space.dim)
+        for factor in factors:
+            expected = expected @ embed(space, factor)
+        assert np.max(np.abs(embed(space, *factors) - expected), initial=0.0) < 1e-12
 
 class TestExpmPropagator:
     def test_zero_generator(self):

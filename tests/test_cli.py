@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dotbus.cli import main
-from dotbus.config import _UNITS, SCHEMA, ConfigError, config_from_dict, parse_config
+from dotbus.config import (
+    _UNITS,
+    MAX_SPACE_DIM,
+    SCHEMA,
+    ConfigError,
+    config_from_dict,
+    parse_config,
+)
 from dotbus.dynamics import NoiseSpec, default_step_count
 from dotbus.protocols import MAX_RK4_STEPS, gate_time_t0
 
@@ -127,9 +134,14 @@ ZERO_DEFAULT_RANGES = {
 }
 
 
+# Integer leaves are drawn from 1..40, except n_qubits: 2**6 x (40 + 1) = 2624
+# keeps every draw within MAX_SPACE_DIM.
+INT_RANGES = {"model.n_qubits": (1, 6)}
+
+
 def leaf_values(path, default, kind):
     if kind == "int":
-        return st.integers(1, 40)
+        return st.integers(*INT_RANGES.get(path, (1, 40)))
     if kind == "bool":
         return st.booleans()
     if isinstance(default, str):
@@ -285,7 +297,7 @@ class TestCliValidate:
         path = write_config(tmp_path, {"model": {"coupling_g": "100 MHz"}})
         assert main(["validate", "--config", path]) == 0
         out = capsys.readouterr().out
-        assert out.count("[PASS]") == 4
+        assert out.count("[PASS]") == 3
         assert "[FAIL]" not in out
 
     def test_marginal_detuning_fails_named_check(self, tmp_path, capsys):
@@ -371,3 +383,98 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert f"= {total} RK4 steps exceed the budget of {MAX_RK4_STEPS}" in err
         assert list(tmp_path.iterdir()) == [tmp_path / "run.json"]
+
+    @pytest.mark.parametrize("command", ["device", "epr", "validate"])
+    @pytest.mark.parametrize(
+        "model",
+        [{"coupling_g": "1e-300 Hz"}, {"tau_over_g": 1e300}, {"coupling_g": "1e200 GHz"}],
+        ids=["lambda-underflows", "lambda-underflows-by-ratio", "lambda-overflows"],
+    )
+    def test_lambda_out_of_range_is_config_error(self, tmp_path, capsys, command, model):
+        path = write_config(tmp_path, {"model": model})
+        assert main([command, "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "lambda" in err
+        assert "model.coupling_g" in err and "model.tau_over_g" in err
+
+    @pytest.mark.parametrize("command", ["device", "epr", "sweep", "validate"])
+    @pytest.mark.parametrize("model", [{"n_qubits": 10**9}, {"photon_cutoff": 10**6}])
+    def test_space_dimension_bound_is_config_error(self, tmp_path, capsys, command, model):
+        path = write_config(tmp_path, {"model": model})
+        assert main([command, "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "model.n_qubits" in err and "model.photon_cutoff" in err
+        assert str(MAX_SPACE_DIM) in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [b"\xff\xfe{", b'{"model": {"n_qubits": ' + b"1" * 5000 + b"}}", b"[" * 100_000],
+        ids=["not-utf8", "integer-too-long", "nested-too-deep"],
+    )
+    def test_unreadable_json_is_config_error(self, tmp_path, capsys, text):
+        path = tmp_path / "run.json"
+        path.write_bytes(text)
+        assert main(["device", "--config", str(path)]) == 2
+        assert "malformed JSON" in capsys.readouterr().err
+
+    def test_eigensolver_failure_is_diagnostic(self, tmp_path, capsys):
+        # tau ~ 6e209 rad/s: the squared matrix entries overflow inside the eigensolver.
+        path = write_config(tmp_path, {"model": {"tau_over_g": 1e200}})
+        assert main(["validate", "--config", path]) == 3
+        assert "numerical diagnostics failed" in capsys.readouterr().err
+
+    def test_vanishing_detuning_bound_is_infinite(self, tmp_path, capsys):
+        # With a zero threshold, g/tau ~ 4e284 squares past the float range.
+        path = write_config(tmp_path, {"model": {"dispersive_threshold": 0,
+                                                 "tau_over_g": 2.7e-285}})
+        assert main(["validate", "--config", path]) == 3
+        assert "(bound inf)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["epr", "sweep"])
+    def test_step_count_past_float_range_is_over_budget(self, tmp_path, capsys, command):
+        # lambda = g/1e301 with g/2pi = 1 Hz: 40 t0 x rate overflows to inf.
+        path = write_config(tmp_path, {"model": {"coupling_g": "1 Hz", "tau_over_g": 1e301}})
+        assert main([command, "--config", path]) == 3
+        assert "= inf RK4 steps exceed the budget" in capsys.readouterr().err
+
+
+class TestSpaceDimensionBound:
+    @pytest.mark.parametrize(
+        "n_qubits, cutoff, accepted",
+        [(9, 5, True), (9, 6, False), (2, 767, True), (2, 768, False),
+         (11, 1, False), (12, 1, False), (13, 1, False)],
+    )
+    def test_bound_is_inclusive(self, n_qubits, cutoff, accepted):
+        raw = {"model": {"n_qubits": n_qubits, "photon_cutoff": cutoff}}
+        assert accepted == (2**n_qubits * (cutoff + 1) <= MAX_SPACE_DIM)
+        if accepted:
+            assert config_from_dict(raw).model.space.dim <= MAX_SPACE_DIM
+        else:
+            with pytest.raises(ConfigError) as err:
+                config_from_dict(raw)
+            assert err.value.path == "model"
+
+
+def any_float():
+    return st.floats(allow_nan=False, allow_infinity=False)
+
+
+# Every value a model leaf accepts, extremes included.  photon_cutoff skips
+# 9..767: those are valid but make validate diagonalise up to 3072 x 3072
+# matrices, which is slow, not a failure; from 768 on the size bound refuses.
+MODEL_OVERRIDES = st.fixed_dictionaries({}, optional={
+    "n_qubits": st.integers(-2, 13) | st.integers(13, 10**30),
+    "photon_cutoff": st.integers(-2, 8) | st.integers(MAX_SPACE_DIM // 4, 10**30),
+    "coupling_g": st.just("from-device") | any_float()
+    | any_float().map(lambda x: f"{x!r} GHz"),
+    "tau_over_g": any_float(),
+    "dispersive_threshold": any_float(),
+})
+
+
+@pytest.mark.parametrize("command", ["device", "validate"])
+@settings(max_examples=150, deadline=None)
+@given(model=MODEL_OVERRIDES)
+def test_every_model_override_exits_with_a_documented_code(tmp_path_factory, command, model):
+    path = write_config(tmp_path_factory.mktemp("cfg"), {"model": model})
+    assert main([command, "--config", path]) in (0, 2, 3, 4)

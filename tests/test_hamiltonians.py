@@ -79,8 +79,9 @@ class TestInteraction:
         g = 1.3
         p = ModelParams.uniform(1, g, 10.0, photon_cutoff=4)
         space = HilbertSpace((2, 5))
-        a = embed(destroy(4), 1, space)
-        jc = g * (a @ embed(SIGMA_PLUS, 0, space) + a.conj().T @ embed(SIGMA_MINUS, 0, space))
+        a = destroy(4)
+        jc = g * (embed(space, (1, a), (0, SIGMA_PLUS))
+                  + embed(space, (1, a.conj().T), (0, SIGMA_MINUS)))
         assert np.max(np.abs(h_interaction(0.0, p) - jc)) < 1e-13
 
     def test_hermitian_at_random_times(self):
@@ -121,7 +122,7 @@ class TestEffective:
         # Photon number is conserved, so a run from the vacuum never leaves it.
         p = ModelParams.uniform(2, 1.0, 10.0, photon_cutoff=4)
         h = h_effective(p)
-        n_cav = embed(destroy(4).conj().T @ destroy(4), 2, p.space)
+        n_cav = embed(p.space, (2, destroy(4).conj().T), (2, destroy(4)))
         assert np.max(np.abs(h @ n_cav - n_cav @ h)) < 1e-12
 
 
