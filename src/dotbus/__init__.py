@@ -31,7 +31,6 @@ from .dynamics import (
 from .hamiltonians import (
     ModelParams,
     analytic_u,
-    h_cavity,
     h_double_dot,
     h_effective,
     h_interaction,
@@ -73,7 +72,6 @@ __all__ = [
     "expm_propagator",
     "fidelity",
     "gate_time_t0",
-    "h_cavity",
     "h_double_dot",
     "h_effective",
     "h_interaction",

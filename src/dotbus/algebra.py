@@ -67,7 +67,7 @@ class HilbertSpace:
 
 @dataclass(frozen=True, eq=False)
 class PureState:
-    """Normalized state vector over an explicit HilbertSpace."""
+    """Finite, normalized state vector over an explicit HilbertSpace."""
 
     space: HilbertSpace
     amplitudes: np.ndarray
@@ -78,6 +78,8 @@ class PureState:
             raise ValueError(
                 f"amplitude vector has length {amps.size}, space dimension is {self.space.dim}"
             )
+        if not np.all(np.isfinite(amps)):
+            raise ValueError("state amplitudes are not all finite")
         norm = np.linalg.norm(amps)
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state not normalized: ||psi|| = {norm!r}")
@@ -89,7 +91,7 @@ class PureState:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Valid density operator: Hermitian, unit trace, positive semidefinite."""
+    """Valid density operator: finite, Hermitian, unit trace, positive semidefinite."""
 
     space: HilbertSpace
     matrix: np.ndarray
@@ -99,6 +101,8 @@ class DensityMatrix:
         d = self.space.dim
         if mat.shape != (d, d):
             raise ValueError(f"matrix shape {mat.shape} does not match space dimension {d}")
+        if not np.all(np.isfinite(mat)):
+            raise ValueError("density matrix entries are not all finite")
         if hermiticity_defect(mat) > HERMITIAN_TOL:
             raise ValueError("density matrix is not Hermitian within tolerance")
         tr = np.trace(mat).real

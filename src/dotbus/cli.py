@@ -92,7 +92,7 @@ def cmd_device(cfg: RunConfig, out, args) -> int:
 
 
 def cmd_epr(cfg: RunConfig, out, args) -> int:
-    record_every = 1 if (out or cfg.timeseries) else None
+    record_every = 1 if out else None
     report = epr_generation(cfg.model, cfg.noise, record_every=record_every)
     gamma_mhz = cfg.noise.relaxation[0] / (2e6 * math.pi)
     gamma_phi_mhz = cfg.noise.dephasing[0] / (2e6 * math.pi)

@@ -25,7 +25,7 @@ from .device import (
 )
 from .dynamics import NoiseSpec
 from .hamiltonians import ModelParams
-from .protocols import gate_time_t0
+from .protocols import MAX_RK4_STEPS, MIN_EPR_STEPS, gate_time_t0
 
 # Largest dense qubit-cavity space 2**n_qubits x (photon_cutoff + 1) a config
 # may ask for: nine qubits at the default cutoff of five photons.
@@ -93,8 +93,8 @@ def parse_quantity(value, kind: str, path: str) -> float:
     return result
 
 
-# Every key of a run configuration.  A leaf is (default, kind): kind "int" and
-# "bool" take JSON integers and booleans, any other kind is a key of _UNITS.
+# Every key of a run configuration.  A leaf is (default, kind): kind "int"
+# takes JSON integers, any other kind is a key of _UNITS.
 # A string default is a sentinel the leaf also accepts verbatim.
 SCHEMA = {
     "device": {
@@ -134,7 +134,6 @@ SCHEMA = {
         "gamma_points": (21, "int"),
         "gamma_phi_points": (21, "int"),
     },
-    "output": {"timeseries": (False, "bool")},
 }
 
 
@@ -143,13 +142,13 @@ def _parse_leaf(value, default, kind: str, path: str):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(path, f"expected an integer, got {value!r}")
         return value
-    if kind == "bool":
-        if not isinstance(value, bool):
-            raise ConfigError(path, f"expected true/false, got {value!r}")
-        return value
     if isinstance(default, str) and value == default:
         return value
-    return parse_quantity(value, kind, path)
+    value = parse_quantity(value, kind, path)
+    # The program reads a *_over_2pi value times 2 pi, as an angular rate.
+    if path.endswith("_over_2pi") and not math.isfinite(2.0 * math.pi * value):
+        raise ConfigError(path, f"2 pi x {value!r} overflows a float")
+    return value
 
 
 def _resolve(schema: dict, given, path: str) -> dict:
@@ -179,7 +178,6 @@ class RunConfig:
     noise: NoiseSpec
     sweep_gamma_axis: np.ndarray       # rad/s
     sweep_gamma_phi_axis: np.ndarray   # rad/s
-    timeseries: bool
     normalized: dict
 
     def dump(self) -> dict:
@@ -256,6 +254,12 @@ def config_from_dict(raw: dict) -> RunConfig:
     for key in ("gamma_points", "gamma_phi_points"):
         if s[key] < 1:
             raise ConfigError(f"sweep.{key}", "point count must be at least 1")
+    # Every point takes MIN_EPR_STEPS or more steps, so a larger grid can never
+    # fit the step budget; it is refused before the axes are allocated.
+    points = s["gamma_points"] * s["gamma_phi_points"]
+    if points * MIN_EPR_STEPS > MAX_RK4_STEPS:
+        raise ConfigError("sweep", f"sweep.gamma_points x sweep.gamma_phi_points = {points} "
+                          f"points x {MIN_EPR_STEPS} RK4 steps exceed the budget {MAX_RK4_STEPS}")
     for key in ("gamma_max_over_2pi", "gamma_phi_max_over_2pi"):
         if s[key] < 0:
             raise ConfigError(f"sweep.{key}", "axis maximum must be nonnegative")
@@ -272,7 +276,6 @@ def config_from_dict(raw: dict) -> RunConfig:
         noise=noise,
         sweep_gamma_axis=gamma_axis,
         sweep_gamma_phi_axis=gamma_phi_axis,
-        timeseries=tree["output"]["timeseries"],
         normalized=tree,
     )
 

@@ -83,13 +83,6 @@ def destroy(cutoff_n: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, cutoff_n + 1, dtype=float)), k=1).astype(complex)
 
 
-def h_cavity(omega: float, cutoff_n: int) -> np.ndarray:
-    """Free cavity Hamiltonian omega * a^dagger a, diagonal diag(0, w, ..., N w)."""
-    if cutoff_n < 1:
-        raise ValueError("cutoff must be at least 1")
-    return np.diag(omega * np.arange(cutoff_n + 1, dtype=float)).astype(complex)
-
-
 def h_double_dot(dot: DotParams) -> np.ndarray:
     """Three-level double-dot Hamiltonian in rad/s.
 

@@ -8,7 +8,8 @@ checks, and the two-axis decoherence sweep of the generation error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
@@ -18,9 +19,9 @@ from .algebra import (
     PureState,
     concurrence,
     fidelity,
-    partial_trace,
 )
 from .dynamics import (
+    DiagnosticError,
     NoiseSpec,
     SimResult,
     TimeGrid,
@@ -105,9 +106,7 @@ def epr_generation(
     grid = _epr_grid(lam, noise, steps)
     if record_every is None:
         record_every = grid.steps
-    psi0 = np.zeros(4, dtype=complex)
-    psi0[2] = 1.0  # |10>
-    rho0 = PureState(TWO_QUBIT_SPACE, psi0).density_matrix()
+    rho0 = DensityMatrix(TWO_QUBIT_SPACE, np.diag([0, 0, 1, 0]))  # |10><10|
     result = integrate_lindblad(h20, rho0, noise, grid, record_every=record_every)
     rho_final = DensityMatrix(TWO_QUBIT_SPACE, result.final)
     target = epr_target()
@@ -125,25 +124,58 @@ def _frame_trajectory(p: ModelParams, psi0: np.ndarray, times: np.ndarray) -> np
     """Exact states of the time-dependent interaction at the given times.
 
     Diagonalizes the equivalent static-frame Hamiltonian once, then applies
-    the frame phases; returns an array of shape (len(times), dim).
+    the frame phases; returns an array of shape (len(times), dim).  Raises
+    DiagnosticError if a phase overflows, which would make the states NaN.
     """
     h = static_frame_hamiltonian(p)
     evals, evecs = np.linalg.eigh(h)
-    c0 = evecs.conj().T @ psi0
     a_diag = np.real(rotating_frame_generator(p))
+    energy = float(max(np.max(np.abs(evals)), np.max(np.abs(a_diag))))
+    duration = float(np.max(np.abs(times)))
+    if not math.isfinite(energy * duration):  # bounds every phase below
+        raise DiagnosticError(
+            f"frame trajectory is not finite: the phase energy x time = {energy:.3g} rad/s "
+            f"x {duration:.3g} s overflows a float"
+        )
+    c0 = evecs.conj().T @ psi0
     # (dim, nt) phases for both the propagation and the frame rotation
     prop = evecs @ (np.exp(-1j * np.outer(evals, times)) * c0[:, None])
     frame = np.exp(1j * np.outer(a_diag, times))
     return (frame * prop).T
 
 
-def _full_initial_state(p: ModelParams, excited: int) -> np.ndarray:
-    """|0..1..0> x |vacuum> with qubit ``excited`` flipped, full-space index."""
-    dim_cav = p.photon_cutoff + 1
-    idx = dim_cav * 2 ** (p.n_qubits - 1 - excited)
-    psi = np.zeros(p.space.dim, dtype=complex)
-    psi[idx] = 1.0
-    return psi
+def _pair_run(p: ModelParams, active: tuple[int, int], lam: float,
+              samples: int) -> tuple[DensityMatrix, np.ndarray]:
+    """Excite qubit ``active[0]`` in the vacuum and evolve it exactly to t0 = pi/(4 lam).
+
+    Returns the two-qubit state of the pair at t0, with ``active[0]`` as the
+    first qubit, and the mean level <n_k>(t) of every subsystem on
+    ``samples + 1`` equally spaced times: shape (n_qubits + 1, samples + 1),
+    the excitation probability of each qubit, then the cavity's photon number.
+    """
+    dims = p.space.dims
+    psi0 = np.zeros(dims, dtype=complex)
+    psi0[tuple(int(k == active[0]) for k in range(len(dims)))] = 1.0
+    times = np.linspace(0.0, gate_time_t0(lam), samples + 1)
+    states = _frame_trajectory(p, psi0.reshape(-1), times)
+    final = PureState(p.space, states[-1]).amplitudes.reshape(dims)
+
+    # |psi><psi| on the pair only, never on the full space.  As in
+    # algebra.partial_trace, the traced subsystems go last-first, each summed
+    # term by term in index order, and the roundoff asymmetry is scrubbed, so
+    # both give the same bits.
+    pair = np.moveaxis(final, active, (0, 1)).reshape(4, *np.delete(dims, active))
+    rho = pair[:, None] * pair.conj()[None, :]
+    while rho.ndim > 2:
+        rho = reduce(np.add, np.moveaxis(rho, -1, 0))
+    rho = 0.5 * (rho + rho.conj().T)
+
+    probs = np.abs(states.reshape(len(times), *dims)) ** 2
+    levels = np.array([
+        probs.sum(axis=tuple(a for a in range(1, probs.ndim) if a != k + 1)) @ np.arange(d)
+        for k, d in enumerate(dims)
+    ])
+    return DensityMatrix(TWO_QUBIT_SPACE, rho), levels
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,12 +186,6 @@ class DispersiveReport:
     max_cavity_occupation: float
     cavity_bound: float
     cutoff_shift: float
-
-
-def _cavity_occupation(p: ModelParams, states: np.ndarray) -> np.ndarray:
-    dim_cav = p.photon_cutoff + 1
-    probs = np.abs(states.reshape(states.shape[0], -1, dim_cav)) ** 2
-    return probs.sum(axis=1) @ np.arange(dim_cav, dtype=float)
 
 
 def dispersive_validity(p: ModelParams, samples: int = 400) -> DispersiveReport:
@@ -178,35 +204,21 @@ def dispersive_validity(p: ModelParams, samples: int = 400) -> DispersiveReport:
             f"detuning/coupling ratio below dispersive threshold {p.dispersive_threshold}"
         )
     g, tau = p.couplings_g[0], p.detunings_tau[0]
-    t0 = gate_time_t0(p.lam)
-    times = np.linspace(0.0, t0, samples + 1)
-
-    def reduced_final(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-        psi0 = _full_initial_state(params, excited=0)
-        states = _frame_trajectory(params, psi0, times)
-        rho = partial_trace(
-            PureState(params.space, states[-1]).density_matrix(), keep=(0, 1)
-        )
-        return rho.matrix, _cavity_occupation(params, states)
-
-    rho_full, occupation = reduced_final(p)
-    p_next = ModelParams(
-        p.n_qubits, p.couplings_g, p.detunings_tau, p.photon_cutoff + 1,
-        p.dispersive_threshold,
-    )
-    rho_next, _ = reduced_final(p_next)
-    cutoff_shift = float(np.max(np.abs(rho_full - rho_next)))
+    lam = p.lam
+    rho_full, levels = _pair_run(p, (0, 1), lam, samples)
+    rho_next, _ = _pair_run(replace(p, photon_cutoff=p.photon_cutoff + 1), (0, 1), lam, samples)
+    cutoff_shift = float(np.max(np.abs(rho_full.matrix - rho_next.matrix)))
 
     # The effective model conserves photon number, so from the vacuum it is the
     # reduced two-qubit exchange; column 2 of its propagator is the image of |10>.
-    phi_eff = analytic_u(p.lam, t0)[:, 2]
-    fid = float(np.real(phi_eff.conj() @ rho_full @ phi_eff))
+    phi_eff = analytic_u(lam, gate_time_t0(lam))[:, 2]
+    fid = float(np.real(phi_eff.conj() @ rho_full.matrix @ phi_eff))
 
     return DispersiveReport(
         tau_over_g=tau / g,
         fidelity_full_vs_effective=fid,
         infidelity=1.0 - fid,
-        max_cavity_occupation=float(np.max(occupation)),
+        max_cavity_occupation=float(np.max(levels[-1])),
         cavity_bound=4.0 * (g / tau) * (g / tau),  # inf, not OverflowError, for tiny tau
         cutoff_shift=cutoff_shift,
     )
@@ -242,33 +254,15 @@ def selective_coupling_check(
         tau_active if j in active else spectator_ratio * tau_active
         for j in range(p.n_qubits)
     )
-    full = ModelParams(p.n_qubits, p.couplings_g, detunings, p.photon_cutoff,
-                       p.dispersive_threshold)
-    t0 = gate_time_t0(g * g / tau_active)
-    times = np.linspace(0.0, t0, samples + 1)
-    psi0 = _full_initial_state(full, excited=active[0])
-    states = _frame_trajectory(full, psi0, times)
-
-    dim_cav = p.photon_cutoff + 1
-    spectators = [j for j in range(p.n_qubits) if j not in active]
-    probs = np.abs(states.reshape(len(times), *([2] * p.n_qubits), dim_cav)) ** 2
-    excitation = np.zeros(len(times))
-    for j in spectators:
-        excitation += probs.sum(axis=tuple(k for k in range(1, p.n_qubits + 2)
-                                           if k != j + 1))[:, 1]
-
-    rho_active = partial_trace(PureState(full.space, states[-1]).density_matrix(), keep=active)
-    if active[0] > active[1]:
-        # partial_trace keeps the lower index first; swap so the excited qubit leads
-        swapped = rho_active.matrix.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
-        rho_active = DensityMatrix(TWO_QUBIT_SPACE, swapped)
-    fid_active = fidelity(rho_active, epr_target())
+    rho_active, levels = _pair_run(replace(p, detunings_tau=detunings), active,
+                                   g * g / tau_active, samples)
+    excitation = np.delete(levels[:-1], active, axis=0).sum(axis=0)  # spectators only
 
     return SelectiveCouplingReport(
         spectator_ratio=spectator_ratio,
         spectator_max_deviation=float(np.max(excitation)),
         spectator_final_deviation=float(excitation[-1]),
-        active_pair_fidelity=fid_active,
+        active_pair_fidelity=fidelity(rho_active, epr_target()),
     )
 
 

@@ -216,3 +216,13 @@ class TestStateValidation:
             DensityMatrix(space, np.diag([0.7, 0.7]).astype(complex))  # trace != 1
         with pytest.raises(ValueError):
             DensityMatrix(space, np.diag([1.5, -0.5]).astype(complex))  # negative eigenvalue
+
+    def test_non_finite_pure_state_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            PureState(HilbertSpace((2,)), [np.nan, 0])
+
+    @pytest.mark.parametrize("matrix", [np.full((2, 2), np.nan),
+                                        np.array([[0.5, np.nan], [np.nan, 0.5]])])
+    def test_non_finite_density_matrix_rejected(self, matrix):
+        with pytest.raises(ValueError, match="finite"):
+            DensityMatrix(HilbertSpace((2,)), matrix)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,7 @@ from dotbus.config import (
     parse_config,
 )
 from dotbus.dynamics import NoiseSpec, default_step_count
-from dotbus.protocols import MAX_RK4_STEPS, gate_time_t0
+from dotbus.protocols import MAX_RK4_STEPS, MIN_EPR_STEPS, gate_time_t0
 
 
 def write_config(tmp_path, data, name="run.json"):
@@ -35,7 +36,6 @@ class TestConfigDefaults:
         assert cfg.tlr.length == 0.01
         assert cfg.noise.relaxation[0] == pytest.approx(2 * math.pi * 0.2e6)
         assert cfg.noise.dephasing[0] == pytest.approx(2 * math.pi * 0.5e6)
-        assert cfg.timeseries is False
 
     def test_device_coupling_near_100_mhz(self):
         g = config_from_dict({}).model.couplings_g[0] / (2 * math.pi)
@@ -142,8 +142,6 @@ INT_RANGES = {"model.n_qubits": (1, 6)}
 def leaf_values(path, default, kind):
     if kind == "int":
         return st.integers(*INT_RANGES.get(path, (1, 40)))
-    if kind == "bool":
-        return st.booleans()
     if isinstance(default, str):
         return st.just(default) | leaf_values(path, 1e8, kind)
     lo, hi = ZERO_DEFAULT_RANGES.get(path, (default / 2, default * 2))
@@ -423,6 +421,21 @@ class TestCliErrors:
         assert main(["validate", "--config", path]) == 3
         assert "numerical diagnostics failed" in capsys.readouterr().err
 
+    def test_overflowing_frame_phase_is_diagnostic(self, tmp_path, capsys):
+        # tau ~ 6e60 rad/s times t0 ~ 1e259 s overflows, so the states would be NaN.
+        path = write_config(tmp_path, {"model": {"coupling_g": "1e-100 Hz",
+                                                 "tau_over_g": 1e160}})
+        assert main(["validate", "--config", path]) == 3
+        assert "frame trajectory is not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["noise.gamma_over_2pi", "noise.gamma_phi_over_2pi",
+                                     "sweep.gamma_max_over_2pi",
+                                     "sweep.gamma_phi_max_over_2pi"])
+    def test_angular_rate_overflow_is_config_error(self, tmp_path, capsys, key):
+        path = write_config(tmp_path, nested(key, 1e308))
+        assert main(["epr", "--config", path]) == 2
+        assert f"{key}: 2 pi x 1e+308 overflows" in capsys.readouterr().err
+
     def test_vanishing_detuning_bound_is_infinite(self, tmp_path, capsys):
         # With a zero threshold, g/tau ~ 4e284 squares past the float range.
         path = write_config(tmp_path, {"model": {"dispersive_threshold": 0,
@@ -455,8 +468,30 @@ class TestSpaceDimensionBound:
             assert err.value.path == "model"
 
 
+class TestSweepGridBound:
+    @pytest.mark.parametrize(
+        "points, accepted",
+        [((197, 198), True), ((198, 198), False), ((10**12, 1), False)],
+    )
+    def test_grid_is_bounded_before_allocation(self, points, accepted):
+        raw = {"sweep": {"gamma_points": points[0], "gamma_phi_points": points[1]}}
+        assert accepted == (points[0] * points[1] * MIN_EPR_STEPS <= MAX_RK4_STEPS)
+        if accepted:
+            assert config_from_dict(raw).sweep_gamma_axis.size == points[0]
+        else:
+            with pytest.raises(ConfigError) as err:
+                config_from_dict(raw)
+            assert err.value.path == "sweep"
+            assert "sweep.gamma_points" in err.value.reason
+            assert "sweep.gamma_phi_points" in err.value.reason
+
+
 def any_float():
     return st.floats(allow_nan=False, allow_infinity=False)
+
+
+def any_rate():
+    return any_float() | any_float().map(lambda x: f"{x!r} GHz")
 
 
 # Every value a model leaf accepts, extremes included.  photon_cutoff skips
@@ -465,8 +500,7 @@ def any_float():
 MODEL_OVERRIDES = st.fixed_dictionaries({}, optional={
     "n_qubits": st.integers(-2, 13) | st.integers(13, 10**30),
     "photon_cutoff": st.integers(-2, 8) | st.integers(MAX_SPACE_DIM // 4, 10**30),
-    "coupling_g": st.just("from-device") | any_float()
-    | any_float().map(lambda x: f"{x!r} GHz"),
+    "coupling_g": st.just("from-device") | any_rate(),
     "tau_over_g": any_float(),
     "dispersive_threshold": any_float(),
 })
@@ -478,3 +512,33 @@ MODEL_OVERRIDES = st.fixed_dictionaries({}, optional={
 def test_every_model_override_exits_with_a_documented_code(tmp_path_factory, command, model):
     path = write_config(tmp_path_factory.mktemp("cfg"), {"model": model})
     assert main([command, "--config", path]) in (0, 2, 3, 4)
+
+
+def any_count():
+    return st.integers(-2, 300) | st.integers(300, 10**30)
+
+
+# Every value a noise or sweep leaf accepts, extremes included.
+NOISE_SWEEP_OVERRIDES = st.fixed_dictionaries({}, optional={
+    "noise": st.fixed_dictionaries({}, optional={
+        "gamma_over_2pi": any_rate(),
+        "gamma_phi_over_2pi": any_rate(),
+    }),
+    "sweep": st.fixed_dictionaries({}, optional={
+        "gamma_max_over_2pi": any_rate(),
+        "gamma_phi_max_over_2pi": any_rate(),
+        "gamma_points": any_count(),
+        "gamma_phi_points": any_count(),
+    }),
+})
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw=NOISE_SWEEP_OVERRIDES)
+def test_every_noise_and_sweep_override_exits_cleanly(tmp_path_factory, raw):
+    path = write_config(tmp_path_factory.mktemp("cfg"), raw)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["device", "--config", path])
+    assert code in (0, 2, 3, 4)
+    assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []

@@ -21,7 +21,6 @@ from dotbus.hamiltonians import (
     ModelParams,
     analytic_u,
     destroy,
-    h_cavity,
     h_double_dot,
     h_effective,
     h_interaction,
@@ -31,17 +30,10 @@ from dotbus.hamiltonians import (
 from dotbus.protocols import _frame_trajectory
 
 
-class TestCavity:
-    def test_single_photon(self):
-        assert np.array_equal(h_cavity(1.0, 1), np.diag([0.0, 1.0]).astype(complex))
-
-    def test_trace_identity(self):
-        n, omega = 7, 3.5
-        assert np.trace(h_cavity(omega, n)).real == pytest.approx(omega * n * (n + 1) / 2)
-
-    def test_proportional_to_number_operator(self):
+class TestDestroy:
+    def test_number_operator_is_diagonal(self):
         a = destroy(4)
-        assert np.max(np.abs(h_cavity(2.0, 4) - 2.0 * a.conj().T @ a)) < 1e-14
+        assert np.max(np.abs(a.conj().T @ a - np.diag(np.arange(5.0)))) < 1e-14
 
 
 class TestDoubleDot:

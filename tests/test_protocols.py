@@ -11,10 +11,14 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dotbus.algebra import PureState, partial_trace
 from dotbus.dynamics import NoiseSpec
 from dotbus.hamiltonians import ModelParams, analytic_u
 from dotbus.protocols import (
+    _frame_trajectory,
     decoherence_sweep,
     dispersive_validity,
     epr_generation,
@@ -192,9 +196,55 @@ class TestSelectiveCoupling:
             fid = abs(amps[active[0]] + 1j * amps[active[1]]) ** 2 / 2
             assert report.active_pair_fidelity == pytest.approx(fid, abs=1e-10)
 
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_full_space_reference(self, data):
+        n = data.draw(st.integers(3, 5))
+        couplings = data.draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n))
+        tau = data.draw(st.floats(5.0, 50.0)) * couplings[0]
+        p = ModelParams(n, couplings, (tau,) * n, photon_cutoff=data.draw(st.integers(1, 5)))
+        ratio = data.draw(st.floats(2.0, 20.0))
+        active = tuple(data.draw(st.permutations(range(n)))[:2])
+        report = selective_coupling_check(p, active=active, spectator_ratio=ratio)
+        max_dev, final_dev, fid = selective_reference(p, active, ratio)
+        assert report.spectator_max_deviation == pytest.approx(max_dev, abs=1e-14)
+        assert report.spectator_final_deviation == pytest.approx(final_dev, abs=1e-14)
+        assert report.active_pair_fidelity == pytest.approx(fid, abs=1e-14)
+
     def test_requires_spectator(self):
         with pytest.raises(ValueError):
             selective_coupling_check(paper_model())
+
+
+def selective_reference(p, active, ratio, samples=400):
+    """(max, final) spectator excitation and pair fidelity of the spectator check.
+
+    Full-space route: the dense frame trajectory, |psi><psi| traced down to the
+    pair with partial_trace and swapped into ``active`` order, and each
+    spectator's excitation summed out of the full probability table.
+    """
+    n, dims = p.n_qubits, p.space.dims
+    tau = p.detunings_tau[0]
+    taus = [tau if j in active else ratio * tau for j in range(n)]
+    full = ModelParams(n, p.couplings_g, taus, p.photon_cutoff)
+    psi0 = np.zeros(full.space.dim, dtype=complex)
+    psi0[(p.photon_cutoff + 1) * 2 ** (n - 1 - active[0])] = 1.0  # qubit active[0] excited
+    times = np.linspace(0.0, gate_time_t0(p.couplings_g[0] ** 2 / tau), samples + 1)
+    states = _frame_trajectory(full, psi0, times)
+
+    rho = partial_trace(PureState(full.space, states[-1]).density_matrix(), sorted(active))
+    rho = rho.matrix.reshape(2, 2, 2, 2)
+    if active[0] > active[1]:
+        rho = rho.transpose(1, 0, 3, 2)
+    target = epr_target().amplitudes
+    fid = float(np.real(target.conj() @ rho.reshape(4, 4) @ target))
+
+    probs = np.abs(states.reshape(len(times), *dims)) ** 2
+    excitation = np.zeros(len(times))
+    for j in set(range(n)) - set(active):
+        for t in range(len(times)):
+            excitation[t] += probs[t].take(1, axis=j).sum()
+    return float(np.max(excitation)), float(excitation[-1]), fid
 
 
 class TestDecoherenceSweep:

@@ -7,8 +7,12 @@ config `{}` and on the first three seeded inputs (seed 7) of each benchmark
 workload, drawn by `perfbench/workloads.py` of this checkout.  For every
 config and command it stores stdout, stderr, the exit code and every file
 the run wrote (`out`, `out.resolved.json`) under OUTDIR/<config>/<command>/,
-with the output path masked as `<OUT>`.  dotbus is imported from SRC
-(default: `src/` of this checkout), so one checkout can snapshot another:
+with the output path masked as `<OUT>`.  For `{}` and the `bus-check`
+inputs it also stores, under OUTDIR/<config>/selective/, the `repr` of every
+float that `protocols.selective_coupling_check` reports for n = 3..7: the
+benchmark times that library protocol, and no command runs it.  dotbus is
+imported from SRC (default: `src/` of this checkout), so one checkout can
+snapshot another:
 
     python3 tools/cli_snapshot.py /tmp/new
     python3 tools/cli_snapshot.py /tmp/old --src /path/to/other/checkout/src
@@ -44,28 +48,47 @@ def configs() -> dict[str, dict]:
     return out
 
 
+# Run as `python -c SELECTIVE CONFIG_JSON` against the dotbus under test.
+SELECTIVE = """
+import dataclasses, json, sys
+from dotbus.config import config_from_dict
+from dotbus.protocols import selective_coupling_check
+raw = json.loads(sys.argv[1])
+for n in range(3, 8):
+    model = config_from_dict({**raw, "model": {**raw.get("model", {}), "n_qubits": n}}).model
+    report = selective_coupling_check(model)
+    for field in dataclasses.fields(report):
+        print(f"n={n} {field.name} = {getattr(report, field.name)!r}")
+"""
+
+
+def record(dest: Path, argv: list[str], env: dict, out: Path | None = None) -> None:
+    """Run ``argv`` and store its stdout, stderr and exit code under ``dest``."""
+    dest.mkdir(parents=True)
+    run = subprocess.run(argv, capture_output=True, text=True, env=env)
+    for stream, text in (("stdout", run.stdout), ("stderr", run.stderr)):
+        (dest / stream).write_text(text.replace(str(out), "<OUT>") if out else text)
+    (dest / "exit_code").write_text(f"{run.returncode}\n")
+    print(f"{dest.parent.name}/{dest.name}: exit {run.returncode}", flush=True)
+
+
 def snapshot(src: Path, outdir: Path) -> None:
     env = {**os.environ, "PYTHONPATH": str(src)}
     for name, config in configs().items():
         for command in COMMANDS:
             dest = outdir / name / command
-            dest.mkdir(parents=True)
             with tempfile.TemporaryDirectory() as work:
                 cfg = Path(work) / "config.json"
                 cfg.write_text(json.dumps(config))
                 out = Path(work) / "out"
-                run = subprocess.run(
-                    [sys.executable, "-m", "dotbus.cli", command, "--config", str(cfg),
-                     "--out", str(out)],
-                    capture_output=True, text=True, env=env,
-                )
-                (dest / "stdout").write_text(run.stdout.replace(str(out), "<OUT>"))
-                (dest / "stderr").write_text(run.stderr.replace(str(out), "<OUT>"))
-                (dest / "exit_code").write_text(f"{run.returncode}\n")
+                record(dest, [sys.executable, "-m", "dotbus.cli", command, "--config", str(cfg),
+                              "--out", str(out)], env, out)
                 for written in Path(work).iterdir():
                     if written != cfg:
                         (dest / written.name).write_bytes(written.read_bytes())
-            print(f"{name}/{command}: exit {run.returncode}", flush=True)
+        if name == "default" or name.startswith("bus-check"):
+            record(outdir / name / "selective",
+                   [sys.executable, "-c", SELECTIVE, json.dumps(config)], env)
 
 
 def main() -> None:
