@@ -111,14 +111,12 @@ def cmd_epr(cfg: RunConfig, out, args) -> int:
         result = report.result
         with open(out, "w") as fh:
             fh.write("t,fidelity,trace,min_eig\n")
-            for t, rho, tr_dev, min_eig in zip(
-                result.times,
-                result.states,
-                result.diagnostics["trace_dev"],
-                result.diagnostics["min_eig"],
+            traces = np.trace(result.states, axis1=1, axis2=2).real
+            for t, rho, trace, min_eig in zip(
+                result.times, result.states, traces, result.diagnostics["min_eig"]
             ):
                 fid = float(np.real(target.amplitudes.conj() @ rho @ target.amplitudes))
-                fh.write(f"{t:.10e},{fid:.10e},{1.0 + tr_dev:.10e},{min_eig:.10e}\n")
+                fh.write(f"{t:.10e},{fid:.10e},{trace:.10e},{min_eig:.10e}\n")
         _write_resolved(cfg, out)
     return EXIT_OK
 

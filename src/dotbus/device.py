@@ -37,6 +37,11 @@ class TlrParams:
                 raise ValueError(f"{name} must be strictly positive")
         if self.wiring_capacitance < 0:
             raise ValueError("wiring_capacitance must be nonnegative")
+        # Positive factors can still multiply to zero; the formulas divide by both products.
+        lfc = self.length * math.sqrt(self.inductance_per_length * self.capacitance_per_length)
+        if self.total_capacitance == 0 or lfc == 0:
+            raise ValueError("length x capacitance_per_length or length x sqrt("
+                             "inductance_per_length x capacitance_per_length) underflows to zero")
         if self.wiring_epsilon >= MAX_WIRING_EPSILON:
             raise ValueError(
                 f"wiring capacitor ratio {self.wiring_epsilon:.3g} exceeds the "

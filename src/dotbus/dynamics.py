@@ -1,9 +1,11 @@
 """Time-evolution engines: Schrodinger RK4 and a dense Lindblad integrator.
 
-Both integrators use fixed-step classical 4th-order Runge-Kutta.  Nothing is
-renormalized along the way: norm and trace drift are measured diagnostics,
-and a run whose diagnostics leave tolerance is rejected loudly rather than
-silently patched up.
+Both integrators run one fixed-step classical 4th-order Runge-Kutta stepper,
+`_rk4`, which owns the stability guard and the snapshot schedule and hands
+each snapshot to its caller as soon as it is made.  Nothing is renormalized
+along the way: norm and trace drift are measured diagnostics, and a run stops
+with DiagnosticError at the first snapshot whose diagnostics leave tolerance,
+rather than being silently patched up or stepped on into overflow.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -110,6 +112,39 @@ def _check_stability(dt: float, scale: float, duration: float) -> None:
         )
 
 
+def _rk4(
+    generator: Callable[[float], np.ndarray],
+    y: np.ndarray,
+    grid: TimeGrid,
+    scale: float,
+    record_every: int,
+) -> Iterator[tuple[float, np.ndarray]]:
+    """Fixed-step RK4 for dy/dt = generator(t) @ y, yielding (t, y) snapshots.
+
+    Yields the initial state, then the state after every ``record_every``-th
+    step and after the last, at t_start + (step + 1) dt; the caller checks
+    each one before the next step runs.  ``generator`` is called at the
+    midpoint and end of each step, the end value serving as the next start.
+    ``scale`` bounds its norm for the stability guard.
+    """
+    dt = grid.dt
+    _check_stability(dt, scale, grid.t_end - grid.t_start)
+    yield grid.t_start, y
+    g_left = generator(grid.t_start)
+    for step in range(grid.steps):
+        t = grid.t_start + step * dt
+        g_mid = generator(t + 0.5 * dt)
+        g_right = generator(t + dt)
+        k1 = g_left @ y
+        k2 = g_mid @ (y + 0.5 * dt * k1)
+        k3 = g_mid @ (y + 0.5 * dt * k2)
+        k4 = g_right @ (y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        g_left = g_right
+        if (step + 1) % record_every == 0 or step == grid.steps - 1:
+            yield grid.t_start + (step + 1) * dt, y
+
+
 def propagate_schrodinger(
     h_of_t: Callable[[float], np.ndarray],
     psi0: PureState,
@@ -118,41 +153,22 @@ def propagate_schrodinger(
 ) -> SimResult:
     """RK4 integration of d psi/dt = -i H(t) psi.
 
-    No renormalization is applied; the recorded norm drift must stay below
-    1e-6 over the whole run or the result is rejected.
+    No renormalization is applied; a snapshot whose norm drifts by more than
+    1e-6 stops the run with DiagnosticError.
     """
-    dt = grid.dt
-    duration = grid.t_end - grid.t_start
     sample_ts = np.linspace(grid.t_start, grid.t_end, 9)
     h_scale = max(np.linalg.norm(h_of_t(t), 2) for t in sample_ts)
-    _check_stability(dt, h_scale, duration)
-
     psi = psi0.amplitudes.copy()
-    times = [grid.t_start]
-    states = [psi.copy()]
-    drifts = [0.0]
-
-    h_left = h_of_t(grid.t_start)
-    for step in range(grid.steps):
-        t = grid.t_start + step * dt
-        h_mid = h_of_t(t + 0.5 * dt)
-        h_right = h_of_t(t + dt)
-        k1 = -1j * (h_left @ psi)
-        k2 = -1j * (h_mid @ (psi + 0.5 * dt * k1))
-        k3 = -1j * (h_mid @ (psi + 0.5 * dt * k2))
-        k4 = -1j * (h_right @ (psi + dt * k3))
-        psi = psi + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        h_left = h_right
-        if (step + 1) % record_every == 0 or step == grid.steps - 1:
-            times.append(t + dt)
-            states.append(psi.copy())
-            drifts.append(abs(np.linalg.norm(psi) - 1.0))
-
-    result = SimResult(np.array(times), states, {"norm_drift": np.array(drifts)})
-    worst = float(np.max(result.diagnostics["norm_drift"]))
-    if worst > NORM_DRIFT_TOL:
-        raise DiagnosticError(f"norm drift {worst:.3g} exceeds {NORM_DRIFT_TOL}")
-    return result
+    times, states, drifts = [], [], []
+    for t, psi in _rk4(lambda t: -1j * h_of_t(t), psi, grid, h_scale, record_every):
+        drift = abs(np.linalg.norm(psi) - 1.0)
+        if drift > NORM_DRIFT_TOL:
+            raise DiagnosticError(f"norm drift {drift:.3g} exceeds {NORM_DRIFT_TOL} "
+                                  f"at t = {t:.6g}")
+        times.append(t)
+        states.append(psi)
+        drifts.append(drift)
+    return SimResult(np.array(times), states, {"norm_drift": np.array(drifts)})
 
 
 @lru_cache(maxsize=8)
@@ -232,64 +248,40 @@ def integrate_lindblad(
     """RK4 integration of the master equation, with per-snapshot health checks.
 
     Internally steps the vectorized generator (one matrix, four matvecs per
-    step); `lindblad_rhs` defines the same map element-wise.  Any snapshot
-    with |trace - 1| > 1e-8, hermiticity defect > 1e-10 or an eigenvalue
-    below -1e-8 aborts the run with DiagnosticError.
+    step); `lindblad_rhs` defines the same map element-wise.  The first
+    snapshot with |trace - 1| > 1e-8, hermiticity defect > 1e-10 or an
+    eigenvalue below -1e-8 stops the run with DiagnosticError.
     """
     h_eff = np.asarray(h_eff, dtype=complex)
     d = h_eff.shape[0]
-    dt = grid.dt
-    duration = grid.t_end - grid.t_start
     scale = np.linalg.norm(h_eff, 2) + noise.total_rate
-    _check_stability(dt, scale, duration)
-
     liou = build_liouvillian(h_eff, noise)
     vec = rho0.matrix.reshape(-1).astype(complex)
 
-    times = [grid.t_start]
-    states = [vec.reshape(d, d).copy()]
-    trace_dev = [abs(np.trace(states[0]).real - 1.0)]
-    herm_dev = [hermiticity_defect(states[0])]
-    min_eigs = [float(np.linalg.eigvalsh(states[0])[0])]
-
-    def check(idx: int) -> None:
+    times, states, rows = [], [], []
+    for t, vec in _rk4(lambda _: liou, vec, grid, scale, record_every):
+        rho = vec.reshape(d, d)
+        trace_dev = abs(np.trace(rho).real - 1.0)
+        herm_dev = hermiticity_defect(rho)
+        min_eig = float(np.linalg.eigvalsh(rho)[0])
         breaches = []
-        if trace_dev[idx] > TRACE_DRIFT_TOL:
-            breaches.append(f"|trace-1| = {trace_dev[idx]:.3g}")
-        if herm_dev[idx] > HERM_DRIFT_TOL:
-            breaches.append(f"hermiticity defect = {herm_dev[idx]:.3g}")
-        if min_eigs[idx] < MIN_EIG_TOL:
-            breaches.append(f"min eigenvalue = {min_eigs[idx]:.3g}")
+        if trace_dev > TRACE_DRIFT_TOL:
+            breaches.append(f"|trace-1| = {trace_dev:.3g}")
+        if herm_dev > HERM_DRIFT_TOL:
+            breaches.append(f"hermiticity defect = {herm_dev:.3g}")
+        if min_eig < MIN_EIG_TOL:
+            breaches.append(f"min eigenvalue = {min_eig:.3g}")
         if breaches:
             raise DiagnosticError(
-                f"density-matrix diagnostics failed at t = {times[idx]:.6g}: "
-                + "; ".join(breaches)
+                f"density-matrix diagnostics failed at t = {t:.6g}: " + "; ".join(breaches)
             )
+        times.append(t)
+        states.append(rho)
+        rows.append((trace_dev, herm_dev, min_eig))
 
-    check(0)
-    for step in range(grid.steps):
-        k1 = liou @ vec
-        k2 = liou @ (vec + 0.5 * dt * k1)
-        k3 = liou @ (vec + 0.5 * dt * k2)
-        k4 = liou @ (vec + dt * k3)
-        vec = vec + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if (step + 1) % record_every == 0 or step == grid.steps - 1:
-            rho = vec.reshape(d, d).copy()
-            times.append(grid.t_start + (step + 1) * dt)
-            states.append(rho)
-            trace_dev.append(abs(np.trace(rho).real - 1.0))
-            herm_dev.append(hermiticity_defect(rho))
-            min_eigs.append(float(np.linalg.eigvalsh(rho)[0]))
-            check(len(times) - 1)
-
+    trace_dev, herm_dev, min_eig = np.array(rows).T
     return SimResult(
-        np.array(times),
-        states,
-        {
-            "trace_dev": np.array(trace_dev),
-            "herm_dev": np.array(herm_dev),
-            "min_eig": np.array(min_eigs),
-        },
+        np.array(times), states, {"trace_dev": trace_dev, "herm_dev": herm_dev, "min_eig": min_eig}
     )
 
 

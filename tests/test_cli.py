@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dotbus import cli
 from dotbus.cli import main
 from dotbus.config import (
     _UNITS,
@@ -18,7 +19,7 @@ from dotbus.config import (
     parse_config,
 )
 from dotbus.dynamics import NoiseSpec, default_step_count
-from dotbus.protocols import MAX_RK4_STEPS, MIN_EPR_STEPS, gate_time_t0
+from dotbus.protocols import MAX_RK4_STEPS, MIN_EPR_STEPS, epr_generation, gate_time_t0
 
 
 def write_config(tmp_path, data, name="run.json"):
@@ -247,6 +248,18 @@ class TestCliEpr:
         assert float(last[1]) > 1 - 1e-6
         assert float(last[2]) == pytest.approx(1.0, abs=1e-8)
 
+    def test_trace_column_is_the_trace(self, tmp_path, monkeypatch):
+        # A state whose trace is below 1 must read below 1 in the CSV.
+        def shrunk(*args, **kwargs):
+            report = epr_generation(*args, **kwargs)
+            report.result.states[-1] = 0.9 * report.result.states[-1]
+            return report
+
+        monkeypatch.setattr(cli, "epr_generation", shrunk)
+        out_file = tmp_path / "epr.csv"
+        assert main(["epr", "--config", write_config(tmp_path, {}), "--out", str(out_file)]) == 0
+        assert out_file.read_text().splitlines()[-1].split(",")[2] == "9.0000000000e-01"
+
 
 class TestCliSweep:
     def small_sweep(self, tmp_path, name="run.json"):
@@ -415,6 +428,18 @@ class TestCliErrors:
         assert main(["device", "--config", str(path)]) == 2
         assert "malformed JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["device", "epr", "validate"])
+    @pytest.mark.parametrize(
+        "tlr",
+        [{"length": 1e-320}, {"inductance_per_length": 1e-320},
+         {"capacitance_per_length": 1e-320}, {"length": 1e-200, "capacitance_per_length": 1e-200}],
+    )
+    def test_underflowing_resonator_is_config_error(self, tmp_path, capsys, command, tlr):
+        # Each factor is positive, but L C or L sqrt(F C) underflows to zero.
+        path = write_config(tmp_path, {"device": {"tlr": tlr}})
+        assert main([command, "--config", path]) == 2
+        assert "device.tlr: " in capsys.readouterr().err
+
     def test_eigensolver_failure_is_diagnostic(self, tmp_path, capsys):
         # tau ~ 6e209 rad/s: the squared matrix entries overflow inside the eigensolver.
         path = write_config(tmp_path, {"model": {"tau_over_g": 1e200}})
@@ -533,12 +558,42 @@ NOISE_SWEEP_OVERRIDES = st.fixed_dictionaries({}, optional={
 })
 
 
-@settings(max_examples=150, deadline=None)
-@given(raw=NOISE_SWEEP_OVERRIDES)
-def test_every_noise_and_sweep_override_exits_cleanly(tmp_path_factory, raw):
+def assert_exits_cleanly(tmp_path_factory, command, raw):
+    """``command`` on ``raw`` ends in a documented exit code, with no RuntimeWarning."""
     path = write_config(tmp_path_factory.mktemp("cfg"), raw)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = main(["device", "--config", path])
+        code = main([command, "--config", path])
     assert code in (0, 2, 3, 4)
     assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw=NOISE_SWEEP_OVERRIDES)
+def test_every_noise_and_sweep_override_exits_cleanly(tmp_path_factory, raw):
+    assert_exits_cleanly(tmp_path_factory, "device", raw)
+
+
+def any_quantity(kind):
+    """Any finite float, subnormals included, bare or with a unit ``kind`` accepts."""
+    units = list(_UNITS[kind])
+    if not units:
+        return any_float()
+    with_unit = st.tuples(any_float(), st.sampled_from(units)).map(lambda p: f"{p[0]!r} {p[1]}")
+    return any_float() | with_unit
+
+
+# Every value a device leaf accepts, extremes included.
+DEVICE_OVERRIDES = st.fixed_dictionaries({}, optional={
+    group: st.fixed_dictionaries({}, optional={
+        key: any_quantity(kind) for key, (_, kind) in leaves.items()
+    })
+    for group, leaves in SCHEMA["device"].items()
+})
+
+
+@pytest.mark.parametrize("command", ["device", "validate"])
+@settings(max_examples=150, deadline=None)
+@given(device=DEVICE_OVERRIDES)
+def test_every_device_override_exits_cleanly(tmp_path_factory, command, device):
+    assert_exits_cleanly(tmp_path_factory, command, {"device": device})

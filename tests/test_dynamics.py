@@ -1,6 +1,7 @@
 """Integrators against exponential, analytic-decay and superoperator oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -196,6 +197,16 @@ class TestIntegrateLindblad:
         h = np.triu(np.ones((4, 4), dtype=complex))
         with pytest.raises(DiagnosticError):
             integrate_lindblad(h, pure_rho(1), NoiseSpec.none(2), TimeGrid(0, 2.0, 200))
+
+    def test_run_stops_at_the_first_unhealthy_snapshot(self):
+        # Stepping on past the breach would overflow long before t = 1000.
+        h = np.diag([0, 0, 0.9j, 0])
+        psi = PureState(TWO_QUBITS, np.array([0, 1, 1, 0]) / math.sqrt(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DiagnosticError, match=r"at t = 0\.01: "):
+                integrate_lindblad(h, psi.density_matrix(), NoiseSpec.none(2),
+                                   TimeGrid(0, 1000, 100000))
 
 
 class TestFourthOrderScaling:

@@ -3,8 +3,10 @@
     python3 tools/cli_snapshot.py OUTDIR [--src SRC]
 
 Runs `device`, `epr`, `sweep` and `validate` with `--out` on the empty
-config `{}` and on the first three seeded inputs (seed 7) of each benchmark
-workload, drawn by `perfbench/workloads.py` of this checkout.  For every
+config `{}`, on the first three seeded inputs (seed 7) of each benchmark
+workload, drawn by `perfbench/workloads.py` of this checkout, and on one
+config per documented failure exit (`FAILURES`, one for each exit-code
+bullet of the README plus an underflowing resonator).  For every
 config and command it stores stdout, stderr, the exit code and every file
 the run wrote (`out`, `out.resolved.json`) under OUTDIR/<config>/<command>/,
 with the output path masked as `<OUT>`.  For `{}` and the `bus-check`
@@ -35,8 +37,24 @@ COMMANDS = ("device", "epr", "sweep", "validate")
 SEED = 7
 PER_WORKLOAD = 3
 
+# One input per failure case the README lists, in its order.  A string is
+# written to the config file as it is, not as JSON.
+FAILURES = {
+    "fail-nonfinite": {"noise": {"gamma_phi_over_2pi": "inf"}},
+    "fail-rate-overflow": {"noise": {"gamma_over_2pi": 1e308}},
+    "fail-sweep-grid": {"sweep": {"gamma_points": 198, "gamma_phi_points": 198}},
+    "fail-bad-json": "{",
+    "fail-space-dim": {"model": {"n_qubits": 9, "photon_cutoff": 6}},
+    "fail-lambda-underflow": {"model": {"coupling_g": "1e-300 Hz"}},
+    "fail-tlr-underflow": {"device": {"tlr": {"length": 1e-320}}},
+    "fail-not-dispersive": {"model": {"tau_over_g": 2}},
+    "fail-step-budget": {"model": {"coupling_g": "1 Hz", "tau_over_g": 1e301}},
+    "fail-eigensolver": {"model": {"tau_over_g": 1e200}},
+    "fail-frame-overflow": {"model": {"coupling_g": "1e-100 Hz", "tau_over_g": 1e160}},
+}
 
-def configs() -> dict[str, dict]:
+
+def configs() -> dict[str, dict | str]:
     sys.path.insert(0, str(ROOT / "perfbench"))
     sys.dont_write_bytecode = True  # leave perfbench/ as it is
     import workloads
@@ -45,7 +63,7 @@ def configs() -> dict[str, dict]:
     for name in workloads.WORKLOADS:
         for k, inp in enumerate(itertools.islice(workloads.inputs(name, SEED), PER_WORKLOAD)):
             out[f"{name}-{k}"] = inp.config
-    return out
+    return {**out, **FAILURES}
 
 
 # Run as `python -c SELECTIVE CONFIG_JSON` against the dotbus under test.
@@ -79,7 +97,7 @@ def snapshot(src: Path, outdir: Path) -> None:
             dest = outdir / name / command
             with tempfile.TemporaryDirectory() as work:
                 cfg = Path(work) / "config.json"
-                cfg.write_text(json.dumps(config))
+                cfg.write_text(config if isinstance(config, str) else json.dumps(config))
                 out = Path(work) / "out"
                 record(dest, [sys.executable, "-m", "dotbus.cli", command, "--config", str(cfg),
                               "--out", str(out)], env, out)
