@@ -2,10 +2,10 @@
 
 Everything downstream (Hamiltonian builders, propagators, protocol-level
 reports) is written against the handful of primitives in this module:
-Kronecker products, operator embedding, Hermitian matrix exponentials,
-partial traces, fidelities and the Wootters concurrence.  All operators are
-plain dense complex ``numpy`` arrays; dimensions stay small (a few hundred
-at most), so no sparse machinery is used anywhere.
+validated states, operator embedding, fidelities and the Wootters
+concurrence.  All operators are plain dense complex ``numpy`` arrays;
+dimensions stay small (a few thousand at most), so no sparse machinery is
+used anywhere.
 
 Conventions: hbar = 1, energies are angular frequencies (rad/s), times are
 seconds.  Qubit basis |0> = (1, 0), |1> = (0, 1), sigma^+ = |1><0|.
@@ -114,11 +114,6 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", mat)
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; dimensions multiply."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def embed(space: HilbertSpace, *factors: tuple[int, np.ndarray]) -> np.ndarray:
     """Lift a product of single-subsystem operators to the full space.
 
@@ -139,43 +134,6 @@ def embed(space: HilbertSpace, *factors: tuple[int, np.ndarray]) -> np.ndarray:
             )
         local[at] = local[at] @ op if at in local else op
     return reduce(np.kron, [local.get(i, identity(d)) for i, d in enumerate(space.dims)])
-
-
-def expm_propagator(h: np.ndarray, t: float) -> np.ndarray:
-    """Unitary exp(-i t H) of a Hermitian generator, via eigendecomposition.
-
-    Exact up to the eigensolver, which is preferable to a truncated series
-    for Hermitian input.  Raises if ``h`` is not Hermitian within 1e-10.
-    """
-    h = np.asarray(h, dtype=complex)
-    if hermiticity_defect(h) > HERMITIAN_TOL:
-        raise ValueError("generator is not Hermitian within tolerance")
-    evals, evecs = np.linalg.eigh(h)
-    phases = np.exp(-1j * evals * t)
-    return (evecs * phases) @ evecs.conj().T
-
-
-def _partial_trace_matrix(mat: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:
-    n = len(dims)
-    reshaped = mat.reshape(dims + dims)
-    remaining = list(dims)
-    for idx in sorted(set(range(n)) - set(keep), reverse=True):
-        reshaped = np.trace(reshaped, axis1=idx, axis2=idx + len(remaining))
-        del remaining[idx]
-    d = prod(remaining)
-    return reshaped.reshape(d, d)
-
-
-def partial_trace(rho: DensityMatrix, keep: tuple[int, ...] | list[int] | set[int]) -> DensityMatrix:
-    """Trace out every subsystem not in ``keep``; preserves trace and Hermiticity."""
-    keep = tuple(sorted(set(int(k) for k in keep)))
-    if not keep:
-        raise ValueError("keep set must be nonempty")
-    if any(k < 0 or k >= rho.space.n_subsystems for k in keep):
-        raise ValueError(f"keep indices {keep} out of range for {rho.space.dims}")
-    reduced = _partial_trace_matrix(rho.matrix, rho.space.dims, keep)
-    reduced = 0.5 * (reduced + reduced.conj().T)  # scrub roundoff asymmetry
-    return DensityMatrix(HilbertSpace(tuple(rho.space.dims[k] for k in keep)), reduced)
 
 
 def fidelity(state: PureState | DensityMatrix, target: PureState) -> float:
@@ -202,7 +160,7 @@ def concurrence(rho: DensityMatrix) -> float:
     """
     if rho.space.dim != 4:
         raise ValueError("concurrence is defined for a 4-dimensional two-qubit state")
-    yy = kron(SIGMA_Y, SIGMA_Y)
+    yy = np.kron(SIGMA_Y, SIGMA_Y)
     r = rho.matrix @ yy @ rho.matrix.conj() @ yy
     evals = np.linalg.eigvals(r).real
     if np.min(evals) < EIG_FLOOR:

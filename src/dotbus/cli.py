@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -57,9 +58,26 @@ def _fmt_freq(omega: float) -> str:
     return f"{omega:.6e} rad/s"
 
 
-def _write_resolved(cfg: RunConfig, out_path: str) -> None:
-    with open(out_path + ".resolved.json", "w") as fh:
-        fh.write(cfg.dump_json())
+def _write_outputs(cfg: RunConfig, out: str, text: str) -> None:
+    """Write ``text`` to ``out`` and the resolved config to ``<out>.resolved.json``.
+
+    Both are written in full to ``<path>.tmp`` beside their targets before
+    either is moved into place with os.replace, so a write that fails leaves
+    neither output and no temporary file behind.  An existing ``<path>.tmp``,
+    say from a killed run, is left alone and fails the write.
+    """
+    staged = []
+    try:
+        for path, content in ((out, text), (out + ".resolved.json", cfg.dump_json())):
+            with open(path + ".tmp", "x") as fh:
+                staged.append(path)
+                fh.write(content)
+        for path in staged:
+            os.replace(path + ".tmp", path)
+    finally:
+        for path in staged:
+            if os.path.exists(path + ".tmp"):
+                os.remove(path + ".tmp")
 
 
 def cmd_device(cfg: RunConfig, out, args) -> int:
@@ -85,9 +103,7 @@ def cmd_device(cfg: RunConfig, out, args) -> int:
     ]
     print("\n".join(lines))
     if out:
-        with open(out, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        _write_resolved(cfg, out)
+        _write_outputs(cfg, out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -109,15 +125,14 @@ def cmd_epr(cfg: RunConfig, out, args) -> int:
     if out:
         target = epr_target()
         result = report.result
-        with open(out, "w") as fh:
-            fh.write("t,fidelity,trace,min_eig\n")
-            traces = np.trace(result.states, axis1=1, axis2=2).real
-            for t, rho, trace, min_eig in zip(
-                result.times, result.states, traces, result.diagnostics["min_eig"]
-            ):
-                fid = float(np.real(target.amplitudes.conj() @ rho @ target.amplitudes))
-                fh.write(f"{t:.10e},{fid:.10e},{trace:.10e},{min_eig:.10e}\n")
-        _write_resolved(cfg, out)
+        rows = ["t,fidelity,trace,min_eig\n"]
+        traces = np.trace(result.states, axis1=1, axis2=2).real
+        for t, rho, trace, min_eig in zip(
+            result.times, result.states, traces, result.diagnostics["min_eig"]
+        ):
+            fid = float(np.real(target.amplitudes.conj() @ rho @ target.amplitudes))
+            rows.append(f"{t:.10e},{fid:.10e},{trace:.10e},{min_eig:.10e}\n")
+        _write_outputs(cfg, out, "".join(rows))
     return EXIT_OK
 
 
@@ -131,10 +146,8 @@ def cmd_sweep(cfg: RunConfig, out, args) -> int:
                 "%.10e,%.10e,%.10e"
                 % (gamma / (2e6 * math.pi), gamma_phi / (2e6 * math.pi), sweep.error_grid[i, j])
             )
-    with open(out, "w") as fh:
-        fh.write("gamma_over_2pi_MHz,gamma_phi_over_2pi_MHz,error_D\n")
-        fh.write("\n".join(rows) + "\n")
-    _write_resolved(cfg, out)
+    _write_outputs(cfg, out, "gamma_over_2pi_MHz,gamma_phi_over_2pi_MHz,error_D\n"
+                   + "\n".join(rows) + "\n")
     print(f"wrote {len(rows)} sweep rows to {out}")
     print(
         f"reference operating point gamma/2pi = {REFERENCE_POINT_MHZ[0]} MHz, "
@@ -163,9 +176,7 @@ def cmd_validate(cfg: RunConfig, out, args) -> int:
         ok = ok and passed
     print("\n".join(lines))
     if out:
-        with open(out, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        _write_resolved(cfg, out)
+        _write_outputs(cfg, out, "\n".join(lines) + "\n")
     if not ok:
         failing = ", ".join(name for name, passed, _ in checks if not passed)
         print(f"validation failed: {failing}", file=sys.stderr)

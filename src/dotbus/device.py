@@ -100,10 +100,7 @@ def bare_frequency(tlr: TlrParams) -> float:
 
 def renormalized_frequency(tlr: TlrParams) -> float:
     """Mode frequency shifted down by the wiring capacitor: w0 (1 - 2 C0/LC)."""
-    eps = tlr.wiring_epsilon
-    if eps >= MAX_WIRING_EPSILON:
-        raise ValueError("wiring ratio too large for the perturbative renormalization")
-    return bare_frequency(tlr) * (1.0 - 2.0 * eps)
+    return bare_frequency(tlr) * (1.0 - 2.0 * tlr.wiring_epsilon)
 
 
 def phase_shift(tlr: TlrParams) -> float:

@@ -1,10 +1,12 @@
-"""Time-evolution engines: Schrodinger RK4 and a dense Lindblad integrator.
+"""Time evolution: the dense Lindblad integrator of the two-qubit register.
 
-Both integrators run one fixed-step classical 4th-order Runge-Kutta stepper,
-`_rk4`, which owns the stability guard and the snapshot schedule and hands
-each snapshot to its caller as soon as it is made.  Nothing is renormalized
-along the way: norm and trace drift are measured diagnostics, and a run stops
-with DiagnosticError at the first snapshot whose diagnostics leave tolerance,
+`integrate_lindblad` steps the vectorized master equation with one
+fixed-step classical 4th-order Runge-Kutta stepper, `_rk4`, which owns the
+stability guard and the snapshot schedule and hands each snapshot to its
+caller as soon as it is made (`reference.propagate_schrodinger` runs the same
+stepper).  Nothing is renormalized along the way: trace, Hermiticity and the
+smallest eigenvalue are measured diagnostics, and a run stops with
+DiagnosticError at the first snapshot whose diagnostics leave tolerance,
 rather than being silently patched up or stepped on into overflow.
 """
 
@@ -17,13 +19,11 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .algebra import (SIGMA_MINUS, SIGMA_Z, DensityMatrix, HilbertSpace, PureState, embed,
-                      fidelity, hermiticity_defect)
+from .algebra import (HERMITIAN_TOL, SIGMA_MINUS, SIGMA_Z, DensityMatrix, HilbertSpace, embed,
+                      hermiticity_defect)
 
 STABILITY_LIMIT = 0.1        # max allowed dt * ||generator||
-NORM_DRIFT_TOL = 1e-6
 TRACE_DRIFT_TOL = 1e-8
-HERM_DRIFT_TOL = 1e-10
 MIN_EIG_TOL = -1e-8
 
 
@@ -145,32 +145,6 @@ def _rk4(
             yield grid.t_start + (step + 1) * dt, y
 
 
-def propagate_schrodinger(
-    h_of_t: Callable[[float], np.ndarray],
-    psi0: PureState,
-    grid: TimeGrid,
-    record_every: int = 1,
-) -> SimResult:
-    """RK4 integration of d psi/dt = -i H(t) psi.
-
-    No renormalization is applied; a snapshot whose norm drifts by more than
-    1e-6 stops the run with DiagnosticError.
-    """
-    sample_ts = np.linspace(grid.t_start, grid.t_end, 9)
-    h_scale = max(np.linalg.norm(h_of_t(t), 2) for t in sample_ts)
-    psi = psi0.amplitudes.copy()
-    times, states, drifts = [], [], []
-    for t, psi in _rk4(lambda t: -1j * h_of_t(t), psi, grid, h_scale, record_every):
-        drift = abs(np.linalg.norm(psi) - 1.0)
-        if drift > NORM_DRIFT_TOL:
-            raise DiagnosticError(f"norm drift {drift:.3g} exceeds {NORM_DRIFT_TOL} "
-                                  f"at t = {t:.6g}")
-        times.append(t)
-        states.append(psi)
-        drifts.append(drift)
-    return SimResult(np.array(times), states, {"norm_drift": np.array(drifts)})
-
-
 @lru_cache(maxsize=8)
 def _qubit_channel_ops(n_qubits: int):
     """(sigma_z_i, sigma_i^-) pairs on the n-qubit register."""
@@ -198,32 +172,8 @@ def _channels(noise: NoiseSpec):
     return out
 
 
-def lindblad_rhs(rho: np.ndarray, h_eff: np.ndarray, noise: NoiseSpec) -> np.ndarray:
-    """Right-hand side of the two-qubit master equation.
-
-    d rho/dt = -i[H, rho]
-             + sum_i (gamma_phi_i / 2) (sigma_zi rho sigma_zi - rho)
-             + sum_i (gamma_i / 4) (sigma_i^- rho sigma_i^+
-                                    - {sigma_i^+ sigma_i^-, rho} / 2)
-    """
-    rho = np.asarray(rho, dtype=complex)
-    h_eff = np.asarray(h_eff, dtype=complex)
-    dim = 2 ** noise.n_qubits
-    if rho.shape != (dim, dim) or h_eff.shape != (dim, dim):
-        raise ValueError(
-            f"expected {dim}x{dim} operators for {noise.n_qubits} qubits, "
-            f"got rho {rho.shape} and H {h_eff.shape}"
-        )
-    drho = -1j * (h_eff @ rho - rho @ h_eff)
-    for rate, l_op in _channels(noise):
-        ld = l_op.conj().T
-        ldl = ld @ l_op
-        drho += rate * (l_op @ rho @ ld - 0.5 * (ldl @ rho + rho @ ldl))
-    return drho
-
-
 def build_liouvillian(h_eff: np.ndarray, noise: NoiseSpec) -> np.ndarray:
-    """Same generator as `lindblad_rhs`, as a d^2 x d^2 matrix on row-major vec(rho)."""
+    """`reference.lindblad_rhs` as a d^2 x d^2 matrix on row-major vec(rho)."""
     h_eff = np.asarray(h_eff, dtype=complex)
     d = h_eff.shape[0]
     eye = np.eye(d, dtype=complex)
@@ -248,9 +198,8 @@ def integrate_lindblad(
     """RK4 integration of the master equation, with per-snapshot health checks.
 
     Internally steps the vectorized generator (one matrix, four matvecs per
-    step); `lindblad_rhs` defines the same map element-wise.  The first
-    snapshot with |trace - 1| > 1e-8, hermiticity defect > 1e-10 or an
-    eigenvalue below -1e-8 stops the run with DiagnosticError.
+    step).  The first snapshot with |trace - 1| > 1e-8, hermiticity defect
+    > 1e-10 or an eigenvalue below -1e-8 stops the run with DiagnosticError.
     """
     h_eff = np.asarray(h_eff, dtype=complex)
     d = h_eff.shape[0]
@@ -267,7 +216,7 @@ def integrate_lindblad(
         breaches = []
         if trace_dev > TRACE_DRIFT_TOL:
             breaches.append(f"|trace-1| = {trace_dev:.3g}")
-        if herm_dev > HERM_DRIFT_TOL:
+        if herm_dev > HERMITIAN_TOL:
             breaches.append(f"hermiticity defect = {herm_dev:.3g}")
         if min_eig < MIN_EIG_TOL:
             breaches.append(f"min eigenvalue = {min_eig:.3g}")
@@ -283,8 +232,3 @@ def integrate_lindblad(
     return SimResult(
         np.array(times), states, {"trace_dev": trace_dev, "herm_dev": herm_dev, "min_eig": min_eig}
     )
-
-
-def error_probability(rho_final: DensityMatrix, target: PureState) -> float:
-    """1 - <target| rho |target>, the infidelity with the intended pure state."""
-    return 1.0 - fidelity(rho_final, target)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import HilbertSpace, SIGMA_MINUS, SIGMA_PLUS, embed
-from .device import DotParams, HBAR
 
 DEFAULT_PHOTON_CUTOFF = 5
 DEFAULT_DISPERSIVE_THRESHOLD = 5.0
@@ -83,72 +82,6 @@ def destroy(cutoff_n: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, cutoff_n + 1, dtype=float)), k=1).astype(complex)
 
 
-def h_double_dot(dot: DotParams) -> np.ndarray:
-    """Three-level double-dot Hamiltonian in rad/s.
-
-    Ordered basis {(1,1)T0, (1,1)S, (0,2)S}: diagonal (E_T, E_S, -eps) with
-    tunneling T_C mixing the two singlets.  DotParams carries joules; the
-    matrix is returned divided by hbar.
-    """
-    h = np.zeros((3, 3), dtype=complex)
-    h[0, 0] = dot.triplet_energy
-    h[1, 1] = dot.singlet_energy
-    h[2, 2] = -dot.bias_epsilon
-    h[1, 2] = h[2, 1] = dot.tunneling
-    return h / HBAR
-
-
-def h_interaction(t: float, p: ModelParams) -> np.ndarray:
-    """Time-dependent exchange coupling between each qubit and the cavity mode.
-
-    sum_j g_j (e^{-i tau_j t} a^dagger sigma_j^- + e^{+i tau_j t} a sigma_j^+);
-    Hermitian at every t.  At t = 0 with one qubit this is the plain
-    Jaynes-Cummings interaction g (a sigma^+ + a^dagger sigma^-).
-    """
-    space, cav = p.space, p.n_qubits
-    adag = destroy(p.photon_cutoff).conj().T
-    h = np.zeros((space.dim, space.dim), dtype=complex)
-    for j, (g, tau) in enumerate(zip(p.couplings_g, p.detunings_tau)):
-        term = g * np.exp(-1j * tau * t) * embed(space, (cav, adag), (j, SIGMA_MINUS))
-        h += term + term.conj().T
-    return h
-
-
-def h_effective(p: ModelParams) -> np.ndarray:
-    """Second-order dispersive Hamiltonian on n qubits + cavity.
-
-    lambda * sum_{i,j} (sigma_j^+ sigma_i^- a a^dagger - sigma_j^- sigma_i^+
-    a^dagger a), written out literally including the i = j terms, which
-    produce the single-qubit Stark/Lamb diagonal shifts.  Requires identical
-    couplings/detunings and a dispersive ratio above the configured threshold.
-    """
-    if not p.identical:
-        raise ValueError("effective Hamiltonian assumes identical couplings and detunings")
-    if not p.is_dispersive:
-        raise ValueError(
-            f"detuning/coupling ratio below dispersive threshold {p.dispersive_threshold}"
-        )
-    space, cav = p.space, p.n_qubits
-    a = destroy(p.photon_cutoff)
-    adag = a.conj().T
-    h = np.zeros((space.dim, space.dim), dtype=complex)
-    for j in range(p.n_qubits):
-        for i in range(p.n_qubits):
-            h += (embed(space, (j, SIGMA_PLUS), (i, SIGMA_MINUS), (cav, a), (cav, adag))
-                  - embed(space, (j, SIGMA_MINUS), (i, SIGMA_PLUS), (cav, adag), (cav, a)))
-    return p.lam * h
-
-
-def total_excitation(p: ModelParams) -> np.ndarray:
-    """Conserved excitation number sum_j sigma_j^+ sigma_j^- + a^dagger a."""
-    space, cav = p.space, p.n_qubits
-    a = destroy(p.photon_cutoff)
-    n = embed(space, (cav, a.conj().T), (cav, a))
-    for j in range(p.n_qubits):
-        n += embed(space, (j, SIGMA_PLUS), (j, SIGMA_MINUS))
-    return n
-
-
 def h_reduced_two_qubit(lam: float) -> np.ndarray:
     """Vacuum-sector two-qubit Hamiltonian on the register {|00>, |01>, |10>, |11>}.
 
@@ -191,10 +124,10 @@ def rotating_frame_generator(p: ModelParams) -> np.ndarray:
 def static_frame_hamiltonian(p: ModelParams) -> np.ndarray:
     """Time-independent Hamiltonian A + V equivalent to the rotating interaction.
 
-    The explicit time dependence of `h_interaction` is a frame artifact:
-    H(t) = e^{iAt} V e^{-iAt} with A the diagonal detuning generator and
-    V = sum_j g_j (a sigma_j^+ + a^dagger sigma_j^-).  The exact propagator
-    therefore factorizes as U(t) = e^{iAt} e^{-i(A+V)t}.
+    The explicit time dependence of the interaction (`reference.h_interaction`)
+    is a frame artifact: H(t) = e^{iAt} V e^{-iAt} with A the diagonal detuning
+    generator and V = sum_j g_j (a sigma_j^+ + a^dagger sigma_j^-).  The exact
+    propagator therefore factorizes as U(t) = e^{iAt} e^{-i(A+V)t}.
     """
     space, cav = p.space, p.n_qubits
     adag = destroy(p.photon_cutoff).conj().T

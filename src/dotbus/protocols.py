@@ -26,7 +26,6 @@ from .dynamics import (
     SimResult,
     TimeGrid,
     default_step_count,
-    error_probability,
     integrate_lindblad,
 )
 from .hamiltonians import (
@@ -109,12 +108,11 @@ def epr_generation(
     rho0 = DensityMatrix(TWO_QUBIT_SPACE, np.diag([0, 0, 1, 0]))  # |10><10|
     result = integrate_lindblad(h20, rho0, noise, grid, record_every=record_every)
     rho_final = DensityMatrix(TWO_QUBIT_SPACE, result.final)
-    target = epr_target()
-    fid = fidelity(rho_final, target)
+    fid = fidelity(rho_final, epr_target())
     return EprReport(
         t0=grid.t_end,
         fidelity=fid,
-        error_d=error_probability(rho_final, target),
+        error_d=1.0 - fid,
         concurrence=concurrence(rho_final),
         result=result,
     )
@@ -161,7 +159,7 @@ def _pair_run(p: ModelParams, active: tuple[int, int], lam: float,
     final = PureState(p.space, states[-1]).amplitudes.reshape(dims)
 
     # |psi><psi| on the pair only, never on the full space.  As in
-    # algebra.partial_trace, the traced subsystems go last-first, each summed
+    # reference.partial_trace, the traced subsystems go last-first, each summed
     # term by term in index order, and the roundoff asymmetry is scrubbed, so
     # both give the same bits.
     pair = np.moveaxis(final, active, (0, 1)).reshape(4, *np.delete(dims, active))

@@ -1,0 +1,183 @@
+"""Dense reference forms of the model, kept only as what the tests check against.
+
+The production modules run faster or narrower equivalents of everything here;
+none of them imports this module, and ``import dotbus`` does not load it.
+
+- `h_double_dot`: the double-dot level matrix; `device.mixing_angle` and
+  `device.singlet_splitting` are its closed-form singlet eigenvectors and gap.
+- `h_interaction`, `h_effective`, `total_excitation`: the paper's n-qubit
+  interaction, its second-order dispersive form and the conserved excitation
+  number, on the full qubit-cavity space.  The static-frame run
+  `protocols._frame_trajectory` and `hamiltonians.h_reduced_two_qubit` are
+  checked against them.
+- `expm_propagator`, `partial_trace`: exact propagation and reduction of dense
+  states; the RK4 order checks and `protocols._pair_run` are checked against
+  them.
+- `lindblad_rhs`: the master equation element-wise, with the rates of
+  `dynamics._channels`; `dynamics.build_liouvillian` is checked against it.
+- `propagate_schrodinger`: RK4 on -iH(t) through the production stepper
+  `dynamics._rk4`, so the order checks exercise that stepper.
+"""
+
+from __future__ import annotations
+
+from math import prod
+from typing import Callable
+
+import numpy as np
+
+from .algebra import (HERMITIAN_TOL, SIGMA_MINUS, SIGMA_PLUS, DensityMatrix, HilbertSpace,
+                      PureState, embed, hermiticity_defect)
+from .device import HBAR, DotParams
+from .dynamics import DiagnosticError, NoiseSpec, SimResult, TimeGrid, _channels, _rk4
+from .hamiltonians import ModelParams, destroy
+
+NORM_DRIFT_TOL = 1e-6
+
+
+def h_double_dot(dot: DotParams) -> np.ndarray:
+    """Three-level double-dot Hamiltonian in rad/s.
+
+    Ordered basis {(1,1)T0, (1,1)S, (0,2)S}: diagonal (E_T, E_S, -eps) with
+    tunneling T_C mixing the two singlets.  DotParams carries joules; the
+    matrix is returned divided by hbar.
+    """
+    h = np.zeros((3, 3), dtype=complex)
+    h[0, 0] = dot.triplet_energy
+    h[1, 1] = dot.singlet_energy
+    h[2, 2] = -dot.bias_epsilon
+    h[1, 2] = h[2, 1] = dot.tunneling
+    return h / HBAR
+
+
+def h_interaction(t: float, p: ModelParams) -> np.ndarray:
+    """Time-dependent exchange coupling between each qubit and the cavity mode.
+
+    sum_j g_j (e^{-i tau_j t} a^dagger sigma_j^- + e^{+i tau_j t} a sigma_j^+);
+    Hermitian at every t.  At t = 0 with one qubit this is the plain
+    Jaynes-Cummings interaction g (a sigma^+ + a^dagger sigma^-).
+    """
+    space, cav = p.space, p.n_qubits
+    adag = destroy(p.photon_cutoff).conj().T
+    h = np.zeros((space.dim, space.dim), dtype=complex)
+    for j, (g, tau) in enumerate(zip(p.couplings_g, p.detunings_tau)):
+        term = g * np.exp(-1j * tau * t) * embed(space, (cav, adag), (j, SIGMA_MINUS))
+        h += term + term.conj().T
+    return h
+
+
+def h_effective(p: ModelParams) -> np.ndarray:
+    """Second-order dispersive Hamiltonian on n qubits + cavity.
+
+    lambda * sum_{i,j} (sigma_j^+ sigma_i^- a a^dagger - sigma_j^- sigma_i^+
+    a^dagger a), written out literally including the i = j terms, which
+    produce the single-qubit Stark/Lamb diagonal shifts.  Requires identical
+    couplings/detunings and a dispersive ratio above the configured threshold.
+    """
+    if not p.identical:
+        raise ValueError("effective Hamiltonian assumes identical couplings and detunings")
+    if not p.is_dispersive:
+        raise ValueError(
+            f"detuning/coupling ratio below dispersive threshold {p.dispersive_threshold}"
+        )
+    space, cav = p.space, p.n_qubits
+    a = destroy(p.photon_cutoff)
+    adag = a.conj().T
+    h = np.zeros((space.dim, space.dim), dtype=complex)
+    for j in range(p.n_qubits):
+        for i in range(p.n_qubits):
+            h += (embed(space, (j, SIGMA_PLUS), (i, SIGMA_MINUS), (cav, a), (cav, adag))
+                  - embed(space, (j, SIGMA_MINUS), (i, SIGMA_PLUS), (cav, adag), (cav, a)))
+    return p.lam * h
+
+
+def total_excitation(p: ModelParams) -> np.ndarray:
+    """Conserved excitation number sum_j sigma_j^+ sigma_j^- + a^dagger a."""
+    space, cav = p.space, p.n_qubits
+    a = destroy(p.photon_cutoff)
+    n = embed(space, (cav, a.conj().T), (cav, a))
+    for j in range(p.n_qubits):
+        n += embed(space, (j, SIGMA_PLUS), (j, SIGMA_MINUS))
+    return n
+
+
+def expm_propagator(h: np.ndarray, t: float) -> np.ndarray:
+    """Unitary exp(-i t H) of a Hermitian generator, via eigendecomposition.
+
+    Exact up to the eigensolver, which is preferable to a truncated series
+    for Hermitian input.  Raises if ``h`` is not Hermitian within 1e-10.
+    """
+    h = np.asarray(h, dtype=complex)
+    if hermiticity_defect(h) > HERMITIAN_TOL:
+        raise ValueError("generator is not Hermitian within tolerance")
+    evals, evecs = np.linalg.eigh(h)
+    phases = np.exp(-1j * evals * t)
+    return (evecs * phases) @ evecs.conj().T
+
+
+def partial_trace(rho: DensityMatrix, keep: tuple[int, ...] | list[int] | set[int]) -> DensityMatrix:
+    """Trace out every subsystem not in ``keep``; preserves trace and Hermiticity."""
+    keep = tuple(sorted(set(int(k) for k in keep)))
+    if not keep:
+        raise ValueError("keep set must be nonempty")
+    if any(k < 0 or k >= rho.space.n_subsystems for k in keep):
+        raise ValueError(f"keep indices {keep} out of range for {rho.space.dims}")
+    dims = rho.space.dims
+    reduced = rho.matrix.reshape(dims + dims)
+    remaining = list(dims)
+    for idx in sorted(set(range(len(dims))) - set(keep), reverse=True):
+        reduced = np.trace(reduced, axis1=idx, axis2=idx + len(remaining))
+        del remaining[idx]
+    reduced = reduced.reshape(prod(remaining), prod(remaining))
+    reduced = 0.5 * (reduced + reduced.conj().T)  # scrub roundoff asymmetry
+    return DensityMatrix(HilbertSpace(tuple(remaining)), reduced)
+
+
+def lindblad_rhs(rho: np.ndarray, h_eff: np.ndarray, noise: NoiseSpec) -> np.ndarray:
+    """Right-hand side of the two-qubit master equation.
+
+    d rho/dt = -i[H, rho]
+             + sum_i (gamma_phi_i / 2) (sigma_zi rho sigma_zi - rho)
+             + sum_i (gamma_i / 4) (sigma_i^- rho sigma_i^+
+                                    - {sigma_i^+ sigma_i^-, rho} / 2)
+    """
+    rho = np.asarray(rho, dtype=complex)
+    h_eff = np.asarray(h_eff, dtype=complex)
+    dim = 2 ** noise.n_qubits
+    if rho.shape != (dim, dim) or h_eff.shape != (dim, dim):
+        raise ValueError(
+            f"expected {dim}x{dim} operators for {noise.n_qubits} qubits, "
+            f"got rho {rho.shape} and H {h_eff.shape}"
+        )
+    drho = -1j * (h_eff @ rho - rho @ h_eff)
+    for rate, l_op in _channels(noise):
+        ld = l_op.conj().T
+        ldl = ld @ l_op
+        drho += rate * (l_op @ rho @ ld - 0.5 * (ldl @ rho + rho @ ldl))
+    return drho
+
+
+def propagate_schrodinger(
+    h_of_t: Callable[[float], np.ndarray],
+    psi0: PureState,
+    grid: TimeGrid,
+    record_every: int = 1,
+) -> SimResult:
+    """RK4 integration of d psi/dt = -i H(t) psi.
+
+    No renormalization is applied; a snapshot whose norm drifts by more than
+    1e-6 stops the run with DiagnosticError.
+    """
+    sample_ts = np.linspace(grid.t_start, grid.t_end, 9)
+    h_scale = max(np.linalg.norm(h_of_t(t), 2) for t in sample_ts)
+    psi = psi0.amplitudes.copy()
+    times, states, drifts = [], [], []
+    for t, psi in _rk4(lambda t: -1j * h_of_t(t), psi, grid, h_scale, record_every):
+        drift = abs(np.linalg.norm(psi) - 1.0)
+        if drift > NORM_DRIFT_TOL:
+            raise DiagnosticError(f"norm drift {drift:.3g} exceeds {NORM_DRIFT_TOL} "
+                                  f"at t = {t:.6g}")
+        times.append(t)
+        states.append(psi)
+        drifts.append(drift)
+    return SimResult(np.array(times), states, {"norm_drift": np.array(drifts)})

@@ -21,11 +21,12 @@ from dotbus.device import (
     decay_kappa,
     singlet_splitting,
 )
-from dotbus.dynamics import NoiseSpec, TimeGrid, integrate_lindblad, propagate_schrodinger
-from dotbus.algebra import HilbertSpace, PureState, expm_propagator
+from dotbus.dynamics import NoiseSpec, TimeGrid, integrate_lindblad
+from dotbus.algebra import HilbertSpace, PureState
 from dotbus.dynamics import build_liouvillian
 from dotbus.hamiltonians import ModelParams, analytic_u, h_reduced_two_qubit
 from dotbus.protocols import decoherence_sweep, dispersive_validity, epr_generation
+from dotbus.reference import expm_propagator, propagate_schrodinger
 
 G = 2 * math.pi * 100e6
 MODEL = ModelParams.uniform(2, G, 10 * G)

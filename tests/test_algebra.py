@@ -10,19 +10,16 @@ from dotbus.algebra import (
     DensityMatrix,
     HilbertSpace,
     PureState,
-    SIGMA_MINUS,
     SIGMA_PLUS,
     SIGMA_X,
     SIGMA_Z,
     concurrence,
     embed,
-    expm_propagator,
     fidelity,
     identity,
-    kron,
-    partial_trace,
 )
 from dotbus.hamiltonians import destroy, h_reduced_two_qubit
+from dotbus.reference import expm_propagator, partial_trace
 
 
 def random_density(rng, dims):
@@ -33,35 +30,13 @@ def random_density(rng, dims):
     return DensityMatrix(HilbertSpace(tuple(dims)), rho)
 
 
-class TestKron:
-    def test_identity(self):
-        assert np.array_equal(kron(identity(2), identity(2)), identity(4))
-
-    def test_sigma_z_with_identity(self):
-        assert np.array_equal(kron(SIGMA_Z, identity(2)), np.diag([1, 1, -1, -1]).astype(complex))
-
-    def test_raising_lowering_single_entry(self):
-        # Expanded by hand: the only nonzero entry maps |01> to |10>.
-        m = kron(SIGMA_PLUS, SIGMA_MINUS)
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[2, 1] = 1.0
-        assert np.array_equal(m, expected)
-
-    def test_associativity(self):
-        rng = np.random.default_rng(1)
-        a, b, c = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3))
-        left = kron(kron(a, b), c)
-        right = kron(a, kron(b, c))
-        assert np.max(np.abs(left - right)) < 1e-14
-
-
 class TestEmbed:
     def test_single_subsystem(self):
         assert np.array_equal(embed(HilbertSpace((2,)), (0, SIGMA_X)), SIGMA_X)
 
     def test_second_of_two(self):
         assert np.array_equal(
-            embed(HilbertSpace((2, 2)), (1, SIGMA_Z)), kron(identity(2), SIGMA_Z)
+            embed(HilbertSpace((2, 2)), (1, SIGMA_Z)), np.kron(identity(2), SIGMA_Z)
         )
 
     def test_annihilation_number_consistency(self):
@@ -137,7 +112,7 @@ class TestPartialTrace:
         rng = np.random.default_rng(4)
         rho_a = random_density(rng, (2,))
         rho_b = random_density(rng, (3,))
-        joint = DensityMatrix(HilbertSpace((2, 3)), kron(rho_a.matrix, rho_b.matrix))
+        joint = DensityMatrix(HilbertSpace((2, 3)), np.kron(rho_a.matrix, rho_b.matrix))
         reduced = partial_trace(joint, {0})
         assert np.max(np.abs(reduced.matrix - rho_a.matrix)) < 1e-12
 

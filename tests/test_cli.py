@@ -1,9 +1,11 @@
 """Configuration parsing and the command-line entry points."""
 
+import errno
 import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -303,6 +305,42 @@ class TestCliSweep:
         assert "i/o error" in capsys.readouterr().err
 
 
+class TestAtomicOutput:
+    @pytest.mark.parametrize("failing", [0, 1])
+    @pytest.mark.parametrize("command", ["device", "epr", "sweep", "validate"])
+    def test_failed_write_leaves_no_file(self, tmp_path, capsys, monkeypatch, command, failing):
+        # The disk fills up halfway through the output (0) or the resolved config (1).
+        opened = []
+
+        def filling_open(path, *args, **kwargs):
+            fh = open(path, *args, **kwargs)
+            opened.append(path)
+            if len(opened) == failing + 1:
+                def write_half(text):
+                    fh.buffer.write(text[: len(text) // 2].encode())
+                    raise OSError(errno.ENOSPC, "No space left on device", path)
+                fh.write = write_half
+            return fh
+
+        monkeypatch.setattr(cli, "open", filling_open, raising=False)
+        path = write_config(tmp_path, {"model": {"coupling_g": "100 MHz"},
+                                       "sweep": {"gamma_points": 2, "gamma_phi_points": 2}})
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--out", str(out)]) == 4
+        assert "No space left on device" in capsys.readouterr().err
+        assert len(opened) == failing + 1
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+    def test_leftover_temporary_file_is_not_overwritten(self, tmp_path, capsys):
+        path = write_config(tmp_path, {})
+        leftover = tmp_path / "out.tmp"
+        leftover.write_text("from a killed run\n")
+        assert main(["device", "--config", path, "--out", str(tmp_path / "out")]) == 4
+        assert "out.tmp" in capsys.readouterr().err
+        assert leftover.read_text() == "from a killed run\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.tmp", "run.json"]
+
+
 class TestCliValidate:
     def test_dispersive_point_passes(self, tmp_path, capsys):
         path = write_config(tmp_path, {"model": {"coupling_g": "100 MHz"}})
@@ -440,18 +478,28 @@ class TestCliErrors:
         assert main([command, "--config", path]) == 2
         assert "device.tlr: " in capsys.readouterr().err
 
-    def test_eigensolver_failure_is_diagnostic(self, tmp_path, capsys):
-        # tau ~ 6e209 rad/s: the squared matrix entries overflow inside the eigensolver.
-        path = write_config(tmp_path, {"model": {"tau_over_g": 1e200}})
+    def test_eigensolver_failure_is_diagnostic(self, tmp_path, capsys, monkeypatch):
+        # No known config makes eigh fail to converge, so the failure is injected.
+        def not_converging(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", not_converging)
+        path = write_config(tmp_path, {})
         assert main(["validate", "--config", path]) == 3
-        assert "numerical diagnostics failed" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "numerical diagnostics failed: Eigenvalues did not converge\n"
+        )
 
     def test_overflowing_frame_phase_is_diagnostic(self, tmp_path, capsys):
-        # tau ~ 6e60 rad/s times t0 ~ 1e259 s overflows, so the states would be NaN.
-        path = write_config(tmp_path, {"model": {"coupling_g": "1e-100 Hz",
-                                                 "tau_over_g": 1e160}})
-        assert main(["validate", "--config", path]) == 3
-        assert "frame trajectory is not finite" in capsys.readouterr().err
+        for model in (
+            # tau ~ 6e60 rad/s times t0 ~ 1e259 s overflows, so the states would be NaN.
+            {"coupling_g": "1e-100 Hz", "tau_over_g": 1e160},
+            # A phase energy of 1.2e209 rad/s times t0 = 1.3e191 s overflows too.
+            {"tau_over_g": 1e200},
+        ):
+            path = write_config(tmp_path, {"model": model})
+            assert main(["validate", "--config", path]) == 3
+            assert "frame trajectory is not finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["noise.gamma_over_2pi", "noise.gamma_phi_over_2pi",
                                      "sweep.gamma_max_over_2pi",

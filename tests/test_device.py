@@ -18,6 +18,7 @@ from dotbus.device import (
     renormalized_frequency,
     singlet_splitting,
 )
+from dotbus.reference import h_double_dot
 
 PAPER_TLR = dict(length=0.01, inductance_per_length=4e-7, capacitance_per_length=2.5e-10)
 
@@ -89,10 +90,8 @@ class TestDecayKappa:
 
 
 def singlet_block(dot):
-    """2x2 singlet Hamiltonian in the {(1,1)S, (0,2)S} basis, joules."""
-    return np.array(
-        [[0.0, dot.tunneling], [dot.tunneling, -dot.bias_epsilon]]
-    )
+    """Singlet block of `reference.h_double_dot`, basis {(1,1)S, (0,2)S}, joules."""
+    return (h_double_dot(dot) * HBAR)[1:, 1:].real
 
 
 class TestMixingAngle:
@@ -126,6 +125,20 @@ class TestMixingAngle:
 
 
 class TestSingletSplitting:
+    def test_random_parameters_match_the_level_matrix(self):
+        # The gap is the singlet block's eigenvalue splitting, and the mixing
+        # angle rotates (1,1)S into the upper singlet eigenstate.
+        rng = np.random.default_rng(8)
+        for _ in range(1000):
+            tc = 10.0 ** rng.uniform(-25, -22)
+            dot = DotParams(bias_epsilon=rng.uniform(-5, 5) * tc, tunneling=tc,
+                            total_capacitance=1e-15)
+            evals, evecs = np.linalg.eigh(singlet_block(dot))
+            assert evals[1] - evals[0] == pytest.approx(singlet_splitting(dot), rel=1e-12)
+            theta = mixing_angle(dot)
+            overlap = evecs[:, 1] @ [math.cos(theta), math.sin(theta)]
+            assert abs(overlap) == pytest.approx(1.0, abs=1e-12)
+
     def test_resonant_gap(self):
         dot = DotParams(bias_epsilon=0.0, tunneling=2e-24, total_capacitance=1e-15)
         assert singlet_splitting(dot) == pytest.approx(4e-24)

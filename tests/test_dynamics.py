@@ -6,31 +6,20 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dotbus.algebra import (
-    DensityMatrix,
-    HilbertSpace,
-    PureState,
-    expm_propagator,
-    fidelity,
-)
+from dotbus.algebra import DensityMatrix, HilbertSpace, PureState, fidelity
 from dotbus.dynamics import (
     DiagnosticError,
     NoiseSpec,
     TimeGrid,
     build_liouvillian,
     default_step_count,
-    error_probability,
     integrate_lindblad,
-    lindblad_rhs,
-    propagate_schrodinger,
 )
-from dotbus.hamiltonians import (
-    ModelParams,
-    analytic_u,
-    h_interaction,
-    h_reduced_two_qubit,
-)
+from dotbus.hamiltonians import ModelParams, analytic_u, h_reduced_two_qubit
+from dotbus.reference import expm_propagator, h_interaction, lindblad_rhs, propagate_schrodinger
 
 TWO_QUBITS = HilbertSpace((2, 2))
 
@@ -138,6 +127,40 @@ class TestLindbladRhs:
             lindblad_rhs(np.eye(2) / 2, np.zeros((2, 2)), NoiseSpec.none(2))
 
 
+RATES = st.tuples(*[st.floats(0.0, 5.0)] * 2)
+
+
+class TestLiouvillianProperties:
+    """build_liouvillian for a random Hermitian H and random non-negative rates."""
+
+    @staticmethod
+    def draw_generator(data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        h = data.draw(st.floats(0.0, 5.0)) * (a + a.conj().T)
+        noise = NoiseSpec(data.draw(RATES), data.draw(RATES))
+        return rng, build_liouvillian(h, noise)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_trace_preserving(self, data):
+        # d tr(rho)/dt = vec(1) . L vec(rho) vanishes for every rho.
+        _, liou = self.draw_generator(data)
+        defect = np.max(np.abs(np.eye(4).reshape(-1) @ liou))
+        assert defect <= 1e-12 * np.linalg.norm(liou)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_positivity_preserving(self, data):
+        rng, liou = self.draw_generator(data)
+        rank = data.draw(st.integers(1, 4))
+        a = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+        rho = a @ a.conj().T / np.trace(a @ a.conj().T).real
+        t = data.draw(st.floats(0.0, 3.0))
+        evolved = (scipy.linalg.expm(liou * t) @ rho.reshape(-1)).reshape(4, 4)
+        assert np.linalg.eigvalsh(evolved)[0] >= -1e-12
+
+
 class TestIntegrateLindblad:
     def test_noiseless_matches_closed_form_unitary(self):
         lam = 2 * math.pi * 10e6
@@ -240,18 +263,20 @@ class TestFourthOrderScaling:
 
 
 class TestErrorProbability:
+    """The error probability D that epr_generation reports, 1 - fidelity."""
+
     def test_target_state(self):
         target = PureState(TWO_QUBITS, np.array([0, 1, -1j, 0]) / math.sqrt(2))
-        assert error_probability(target.density_matrix(), target) == pytest.approx(0.0, abs=1e-12)
+        assert 1 - fidelity(target.density_matrix(), target) == pytest.approx(0.0, abs=1e-12)
 
     def test_orthogonal_state(self):
         target = PureState(TWO_QUBITS, [0, 1, 0, 0])
-        assert error_probability(pure_rho(2), target) == pytest.approx(1.0)
+        assert 1 - fidelity(pure_rho(2), target) == pytest.approx(1.0)
 
     def test_maximally_mixed(self):
         target = PureState(TWO_QUBITS, np.array([0, 1, -1j, 0]) / math.sqrt(2))
         mixed = DensityMatrix(TWO_QUBITS, np.eye(4, dtype=complex) / 4)
-        assert error_probability(mixed, target) == pytest.approx(0.75)
+        assert 1 - fidelity(mixed, target) == pytest.approx(0.75)
 
 
 def test_default_step_count():

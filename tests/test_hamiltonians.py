@@ -16,18 +16,16 @@ from dotbus.algebra import (
     identity,
 )
 from dotbus.device import DotParams, HBAR
-from dotbus.dynamics import TimeGrid, propagate_schrodinger
-from dotbus.hamiltonians import (
-    ModelParams,
-    analytic_u,
-    destroy,
+from dotbus.dynamics import TimeGrid
+from dotbus.hamiltonians import ModelParams, analytic_u, destroy, h_reduced_two_qubit
+from dotbus.protocols import _frame_trajectory
+from dotbus.reference import (
     h_double_dot,
     h_effective,
     h_interaction,
-    h_reduced_two_qubit,
+    propagate_schrodinger,
     total_excitation,
 )
-from dotbus.protocols import _frame_trajectory
 
 
 class TestDestroy:

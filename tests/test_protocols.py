@@ -14,7 +14,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dotbus.algebra import PureState, partial_trace
+from dotbus.algebra import PureState
 from dotbus.dynamics import NoiseSpec
 from dotbus.hamiltonians import ModelParams, analytic_u
 from dotbus.protocols import (
@@ -26,6 +26,7 @@ from dotbus.protocols import (
     gate_time_t0,
     selective_coupling_check,
 )
+from dotbus.reference import partial_trace
 
 G_PAPER = 2 * math.pi * 100e6       # coupling, rad/s
 TAU_PAPER = 10 * G_PAPER

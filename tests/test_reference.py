@@ -1,0 +1,51 @@
+"""dotbus.reference stays out of the production path: no module imports it."""
+
+import ast
+import subprocess
+import sys
+from pathlib import Path
+
+import dotbus
+
+PACKAGE = Path(dotbus.__file__).resolve().parent
+
+
+def imports_reference(node: ast.AST) -> bool:
+    """Whether ``node``, in a module of the dotbus package, imports dotbus.reference."""
+    if isinstance(node, ast.Import):
+        return any(alias.name == "dotbus.reference" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        base = ".".join(filter(None, ["dotbus" if node.level else "", node.module or ""]))
+        return base == "dotbus.reference" or (
+            base == "dotbus" and any(alias.name == "reference" for alias in node.names)
+        )
+    return False
+
+
+def test_no_production_module_imports_reference():
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "reference.py")
+    assert {p.stem for p in modules} >= {"algebra", "cli", "dynamics", "protocols"}
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text()))
+        if imports_reference(node)
+    ]
+    assert offenders == []
+
+
+def test_import_boundary_check_sees_every_form():
+    for source in ("from .reference import h_effective", "from . import reference",
+                   "import dotbus.reference", "from dotbus import reference",
+                   "from dotbus.reference import partial_trace"):
+        assert imports_reference(ast.parse(source).body[0]), source
+    for source in ("from .dynamics import _rk4", "import reference_data",
+                   "from reference import x"):
+        assert not imports_reference(ast.parse(source).body[0]), source
+
+
+def test_import_dotbus_leaves_reference_unloaded():
+    code = "import sys, dotbus; print('dotbus.reference' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         cwd=PACKAGE.parent, check=True)
+    assert run.stdout.strip() == "False"

@@ -49,6 +49,8 @@ FAILURES = {
     "fail-tlr-underflow": {"device": {"tlr": {"length": 1e-320}}},
     "fail-not-dispersive": {"model": {"tau_over_g": 2}},
     "fail-step-budget": {"model": {"coupling_g": "1 Hz", "tau_over_g": 1e301}},
+    # No known config makes the eigensolver fail; this one overflows the frame
+    # phase like the next.  The key stays so snapshot directory names stay put.
     "fail-eigensolver": {"model": {"tau_over_g": 1e200}},
     "fail-frame-overflow": {"model": {"coupling_g": "1e-100 Hz", "tau_over_g": 1e160}},
 }
