@@ -80,7 +80,7 @@ def _write_outputs(cfg: RunConfig, out: str, text: str) -> None:
                 os.remove(path + ".tmp")
 
 
-def cmd_device(cfg: RunConfig, out, args) -> int:
+def cmd_device(cfg: RunConfig, out) -> int:
     tlr, dot, coupler = cfg.tlr, cfg.dot, cfg.coupler
     w0 = bare_frequency(tlr)
     w = renormalized_frequency(tlr)
@@ -107,7 +107,7 @@ def cmd_device(cfg: RunConfig, out, args) -> int:
     return EXIT_OK
 
 
-def cmd_epr(cfg: RunConfig, out, args) -> int:
+def cmd_epr(cfg: RunConfig, out) -> int:
     record_every = 1 if out else None
     report = epr_generation(cfg.model, cfg.noise, record_every=record_every)
     gamma_mhz = cfg.noise.relaxation[0] / (2e6 * math.pi)
@@ -136,7 +136,7 @@ def cmd_epr(cfg: RunConfig, out, args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(cfg: RunConfig, out, args) -> int:
+def cmd_sweep(cfg: RunConfig, out) -> int:
     out = out or "sweep.csv"
     sweep = decoherence_sweep(cfg.model, cfg.sweep_gamma_axis, cfg.sweep_gamma_phi_axis)
     rows = []
@@ -156,7 +156,7 @@ def cmd_sweep(cfg: RunConfig, out, args) -> int:
     return EXIT_OK
 
 
-def cmd_validate(cfg: RunConfig, out, args) -> int:
+def cmd_validate(cfg: RunConfig, out) -> int:
     report = dispersive_validity(cfg.model)
     checks = [
         ("full_vs_effective_fidelity",
@@ -226,7 +226,7 @@ def main(argv=None) -> int:
                 print(f"validation failed: tau/g = {ratio:.6g} is below the dispersive "
                       f"threshold {model.dispersive_threshold:.6g}", file=sys.stderr)
                 return EXIT_DIAGNOSTIC
-        return _COMMANDS[args.command](cfg, args.out, args)
+        return _COMMANDS[args.command](cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

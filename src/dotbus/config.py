@@ -233,7 +233,7 @@ def config_from_dict(raw: dict) -> RunConfig:
             f"MAX_SPACE_DIM = {MAX_SPACE_DIM} (n_qubits = {n}, photon_cutoff = {cutoff})",
         )
     model = _build(
-        "model", ModelParams, n, (g,) * n, (m["tau_over_g"] * g,) * n,
+        "model", ModelParams, (g,) * n, (m["tau_over_g"] * g,) * n,
         cutoff, m["dispersive_threshold"],
     )
     lam = _build("model", lambda: model.lam)

@@ -19,12 +19,10 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .algebra import (HERMITIAN_TOL, SIGMA_MINUS, SIGMA_Z, DensityMatrix, HilbertSpace, embed,
-                      hermiticity_defect)
+from .algebra import (EIG_FLOOR, HERMITIAN_TOL, SIGMA_MINUS, SIGMA_Z, TRACE_TOL, DensityMatrix,
+                      HilbertSpace, embed, hermiticity_defect)
 
 STABILITY_LIMIT = 0.1        # max allowed dt * ||generator||
-TRACE_DRIFT_TOL = 1e-8
-MIN_EIG_TOL = -1e-8
 
 
 class DiagnosticError(RuntimeError):
@@ -33,19 +31,20 @@ class DiagnosticError(RuntimeError):
 
 @dataclass(frozen=True)
 class TimeGrid:
-    t_start: float
+    """``steps`` equal steps from t = 0 to ``t_end``."""
+
     t_end: float
     steps: int
 
     def __post_init__(self):
-        if self.t_end <= self.t_start:
-            raise ValueError("t_end must exceed t_start")
+        if self.t_end <= 0:
+            raise ValueError("t_end must be positive")
         if self.steps < 1:
             raise ValueError("steps must be at least 1")
 
     @property
     def dt(self) -> float:
-        return (self.t_end - self.t_start) / self.steps
+        return self.t_end / self.steps
 
 
 @dataclass(frozen=True)
@@ -98,20 +97,6 @@ class SimResult:
         return self.states[-1]
 
 
-def default_step_count(duration: float, h_norm: float, rate_sum: float = 0.0) -> int:
-    """Fixed-step default: 40 steps per unit of generator action."""
-    return max(1, math.ceil(40.0 * duration * max(h_norm, rate_sum)))
-
-
-def _check_stability(dt: float, scale: float, duration: float) -> None:
-    if dt * scale >= STABILITY_LIMIT:
-        needed = math.ceil(duration * scale / (STABILITY_LIMIT * 0.5)) + 1
-        raise ValueError(
-            f"step size too large: dt*||H|| = {dt * scale:.3g} >= {STABILITY_LIMIT}; "
-            f"use at least {needed} steps"
-        )
-
-
 def _rk4(
     generator: Callable[[float], np.ndarray],
     y: np.ndarray,
@@ -122,17 +107,22 @@ def _rk4(
     """Fixed-step RK4 for dy/dt = generator(t) @ y, yielding (t, y) snapshots.
 
     Yields the initial state, then the state after every ``record_every``-th
-    step and after the last, at t_start + (step + 1) dt; the caller checks
+    step and after the last, at t = (step + 1) dt; the caller checks
     each one before the next step runs.  ``generator`` is called at the
     midpoint and end of each step, the end value serving as the next start.
     ``scale`` bounds its norm for the stability guard.
     """
     dt = grid.dt
-    _check_stability(dt, scale, grid.t_end - grid.t_start)
-    yield grid.t_start, y
-    g_left = generator(grid.t_start)
+    if dt * scale >= STABILITY_LIMIT:
+        needed = math.ceil(grid.t_end * scale / (STABILITY_LIMIT * 0.5)) + 1
+        raise ValueError(
+            f"step size too large: dt*||H|| = {dt * scale:.3g} >= {STABILITY_LIMIT}; "
+            f"use at least {needed} steps"
+        )
+    yield 0.0, y
+    g_left = generator(0.0)
     for step in range(grid.steps):
-        t = grid.t_start + step * dt
+        t = step * dt
         g_mid = generator(t + 0.5 * dt)
         g_right = generator(t + dt)
         k1 = g_left @ y
@@ -142,7 +132,7 @@ def _rk4(
         y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         g_left = g_right
         if (step + 1) % record_every == 0 or step == grid.steps - 1:
-            yield grid.t_start + (step + 1) * dt, y
+            yield (step + 1) * dt, y
 
 
 @lru_cache(maxsize=8)
@@ -198,8 +188,9 @@ def integrate_lindblad(
     """RK4 integration of the master equation, with per-snapshot health checks.
 
     Internally steps the vectorized generator (one matrix, four matvecs per
-    step).  The first snapshot with |trace - 1| > 1e-8, hermiticity defect
-    > 1e-10 or an eigenvalue below -1e-8 stops the run with DiagnosticError.
+    step).  The first snapshot that `DensityMatrix` would refuse, with
+    |trace - 1| > TRACE_TOL, hermiticity defect > HERMITIAN_TOL or an
+    eigenvalue below EIG_FLOOR, stops the run with DiagnosticError.
     """
     h_eff = np.asarray(h_eff, dtype=complex)
     d = h_eff.shape[0]
@@ -214,11 +205,11 @@ def integrate_lindblad(
         herm_dev = hermiticity_defect(rho)
         min_eig = float(np.linalg.eigvalsh(rho)[0])
         breaches = []
-        if trace_dev > TRACE_DRIFT_TOL:
+        if trace_dev > TRACE_TOL:
             breaches.append(f"|trace-1| = {trace_dev:.3g}")
         if herm_dev > HERMITIAN_TOL:
             breaches.append(f"hermiticity defect = {herm_dev:.3g}")
-        if min_eig < MIN_EIG_TOL:
+        if min_eig < EIG_FLOOR:
             breaches.append(f"min eigenvalue = {min_eig:.3g}")
         if breaches:
             raise DiagnosticError(

@@ -22,13 +22,12 @@ DEFAULT_DISPERSIVE_THRESHOLD = 5.0
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Simulation-level parameters: couplings, detunings, cutoff, qubit count.
+    """Simulation-level parameters: per-qubit couplings and detunings, cutoff.
 
     Couplings may be zero (a decoupled qubit); detunings may be zero (resonant
     operation) but the dispersive machinery then refuses to run.
     """
 
-    n_qubits: int
     couplings_g: tuple[float, ...]
     detunings_tau: tuple[float, ...]
     photon_cutoff: int = DEFAULT_PHOTON_CUTOFF
@@ -39,8 +38,8 @@ class ModelParams:
         object.__setattr__(self, "detunings_tau", tuple(float(t) for t in self.detunings_tau))
         if self.n_qubits < 1:
             raise ValueError("n_qubits must be at least 1")
-        if len(self.couplings_g) != self.n_qubits or len(self.detunings_tau) != self.n_qubits:
-            raise ValueError("couplings_g and detunings_tau must have length n_qubits")
+        if len(self.detunings_tau) != self.n_qubits:
+            raise ValueError("couplings_g and detunings_tau must have equal length")
         if any(g < 0 for g in self.couplings_g):
             raise ValueError("couplings must be nonnegative")
         if self.photon_cutoff < 1:
@@ -49,7 +48,11 @@ class ModelParams:
     @classmethod
     def uniform(cls, n_qubits: int, g: float, tau: float,
                 photon_cutoff: int = DEFAULT_PHOTON_CUTOFF) -> "ModelParams":
-        return cls(n_qubits, (g,) * n_qubits, (tau,) * n_qubits, photon_cutoff)
+        return cls((g,) * n_qubits, (tau,) * n_qubits, photon_cutoff)
+
+    @property
+    def n_qubits(self) -> int:
+        return len(self.couplings_g)
 
     @property
     def identical(self) -> bool:
@@ -113,25 +116,22 @@ def analytic_u(lam: float, t: float) -> np.ndarray:
     return u
 
 
-def rotating_frame_generator(p: ModelParams) -> np.ndarray:
-    """Diagonal of the frame generator A = sum_j tau_j sigma_j^+ sigma_j^-."""
-    a = np.zeros(p.space.dim, dtype=complex)
-    for j, tau in enumerate(p.detunings_tau):
-        a += tau * np.diagonal(embed(p.space, (j, SIGMA_PLUS), (j, SIGMA_MINUS)))
-    return a
-
-
 def static_frame_hamiltonian(p: ModelParams) -> np.ndarray:
     """Time-independent Hamiltonian A + V equivalent to the rotating interaction.
 
     The explicit time dependence of the interaction (`reference.h_interaction`)
     is a frame artifact: H(t) = e^{iAt} V e^{-iAt} with A the diagonal detuning
     generator and V = sum_j g_j (a sigma_j^+ + a^dagger sigma_j^-).  The exact
-    propagator therefore factorizes as U(t) = e^{iAt} e^{-i(A+V)t}.
+    propagator therefore factorizes as U(t) = e^{iAt} e^{-i(A+V)t}.  V has a
+    zero diagonal, so the diagonal of the result is A = sum_j tau_j sigma_j^+
+    sigma_j^-: tau_j on every basis state with qubit j excited.
     """
     space, cav = p.space, p.n_qubits
     adag = destroy(p.photon_cutoff).conj().T
-    h = np.diag(rotating_frame_generator(p))
+    a_diag = np.zeros(space.dims)
+    for j, tau in enumerate(p.detunings_tau):
+        a_diag[(slice(None),) * j + (1,)] += tau
+    h = np.diag(a_diag.reshape(-1).astype(complex))
     for j, g in enumerate(p.couplings_g):
         r = embed(space, (cav, adag), (j, SIGMA_MINUS))
         h += g * (r + r.conj().T)

@@ -13,34 +13,20 @@ from functools import reduce
 
 import numpy as np
 
-from .algebra import (
-    DensityMatrix,
-    HilbertSpace,
-    PureState,
-    concurrence,
-    fidelity,
-)
-from .dynamics import (
-    DiagnosticError,
-    NoiseSpec,
-    SimResult,
-    TimeGrid,
-    default_step_count,
-    integrate_lindblad,
-)
-from .hamiltonians import (
-    ModelParams,
-    analytic_u,
-    h_reduced_two_qubit,
-    rotating_frame_generator,
-    static_frame_hamiltonian,
-)
+from .algebra import DensityMatrix, HilbertSpace, PureState, concurrence, fidelity
+from .dynamics import DiagnosticError, NoiseSpec, SimResult, TimeGrid, integrate_lindblad
+from .hamiltonians import ModelParams, analytic_u, h_reduced_two_qubit, static_frame_hamiltonian
 
 TWO_QUBIT_SPACE = HilbertSpace((2, 2))
 MIN_EPR_STEPS = 256
 # RK4 steps one epr run or one whole sweep (steps x grid points) may take;
 # the default 21x21 sweep takes 441 x 256 = 112,896.
 MAX_RK4_STEPS = 10_000_000
+FRAME_SAMPLES = 400  # intervals of [0, t0] at which _pair_run records mean levels
+# Largest frame phase tau x t0 = (pi/4)(tau/g)^2, in rad, for `validate`.  Its
+# roundoff grows like eps x tau x t0 and reaches the cavity check's margin
+# 8 (g/tau)^2 near 1e8 rad (tools/precision_scan.py); at 1e7 it is under 1e-3 of it.
+MAX_FRAME_PHASE = 1e7
 
 
 class StepBudgetError(ValueError):
@@ -70,11 +56,15 @@ class EprReport:
 
 def _epr_grid(lam: float, noise: NoiseSpec, steps: int | None = None,
               runs: int = 1) -> TimeGrid:
-    """Time grid of one EPR run; refuses if ``runs`` such runs exceed the step budget."""
+    """Time grid of one EPR run; refuses if ``runs`` such runs exceed the step budget.
+
+    By default 40 steps per unit of noise action t0 x (total rate), at least
+    MIN_EPR_STEPS (the Hamiltonian's action t0 x 2 lam = pi/2 asks for 20 pi).
+    """
     t0 = gate_time_t0(lam)
     if steps is None:
         try:
-            steps = max(MIN_EPR_STEPS, default_step_count(t0, 2.0 * lam, noise.total_rate))
+            steps = max(MIN_EPR_STEPS, math.ceil(40.0 * t0 * noise.total_rate))
         except OverflowError:  # the step count overflows a float
             steps = math.inf
     if steps * runs > MAX_RK4_STEPS:
@@ -82,7 +72,7 @@ def _epr_grid(lam: float, noise: NoiseSpec, steps: int | None = None,
             f"{runs} run(s) x {steps} steps = {steps * runs} RK4 steps exceed the budget "
             f"of {MAX_RK4_STEPS}"
         )
-    return TimeGrid(0.0, t0, steps)
+    return TimeGrid(t0, steps)
 
 
 def epr_generation(
@@ -127,7 +117,7 @@ def _frame_trajectory(p: ModelParams, psi0: np.ndarray, times: np.ndarray) -> np
     """
     h = static_frame_hamiltonian(p)
     evals, evecs = np.linalg.eigh(h)
-    a_diag = np.real(rotating_frame_generator(p))
+    a_diag = np.real(np.diag(h))  # the frame generator A; V has a zero diagonal
     energy = float(max(np.max(np.abs(evals)), np.max(np.abs(a_diag))))
     duration = float(np.max(np.abs(times)))
     if not math.isfinite(energy * duration):  # bounds every phase below
@@ -142,19 +132,19 @@ def _frame_trajectory(p: ModelParams, psi0: np.ndarray, times: np.ndarray) -> np
     return (frame * prop).T
 
 
-def _pair_run(p: ModelParams, active: tuple[int, int], lam: float,
-              samples: int) -> tuple[DensityMatrix, np.ndarray]:
+def _pair_run(p: ModelParams, active: tuple[int, int],
+              lam: float) -> tuple[DensityMatrix, np.ndarray]:
     """Excite qubit ``active[0]`` in the vacuum and evolve it exactly to t0 = pi/(4 lam).
 
     Returns the two-qubit state of the pair at t0, with ``active[0]`` as the
     first qubit, and the mean level <n_k>(t) of every subsystem on
-    ``samples + 1`` equally spaced times: shape (n_qubits + 1, samples + 1),
+    FRAME_SAMPLES + 1 equally spaced times, shape (n_qubits + 1, FRAME_SAMPLES + 1):
     the excitation probability of each qubit, then the cavity's photon number.
     """
     dims = p.space.dims
     psi0 = np.zeros(dims, dtype=complex)
     psi0[tuple(int(k == active[0]) for k in range(len(dims)))] = 1.0
-    times = np.linspace(0.0, gate_time_t0(lam), samples + 1)
+    times = np.linspace(0.0, gate_time_t0(lam), FRAME_SAMPLES + 1)
     states = _frame_trajectory(p, psi0.reshape(-1), times)
     final = PureState(p.space, states[-1]).amplitudes.reshape(dims)
 
@@ -186,7 +176,7 @@ class DispersiveReport:
     cutoff_shift: float
 
 
-def dispersive_validity(p: ModelParams, samples: int = 400) -> DispersiveReport:
+def dispersive_validity(p: ModelParams) -> DispersiveReport:
     """Compare the full qubit-cavity dynamics against the effective model.
 
     Propagates |10> x |vacuum> for the entangling time under the full model,
@@ -203,13 +193,21 @@ def dispersive_validity(p: ModelParams, samples: int = 400) -> DispersiveReport:
         )
     g, tau = p.couplings_g[0], p.detunings_tau[0]
     lam = p.lam
-    rho_full, levels = _pair_run(p, (0, 1), lam, samples)
-    rho_next, _ = _pair_run(replace(p, photon_cutoff=p.photon_cutoff + 1), (0, 1), lam, samples)
+    t0 = gate_time_t0(lam)
+    rho_full, levels = _pair_run(p, (0, 1), lam)  # refuses a phase that overflows first
+    if tau * t0 > MAX_FRAME_PHASE:
+        raise DiagnosticError(
+            f"tau/g = {tau / g:.6g} is past the precision bound: the frame phase tau x t0 = "
+            f"{tau * t0:.3g} rad exceeds {MAX_FRAME_PHASE:.3g} rad (tau/g = "
+            f"{math.sqrt(4.0 * MAX_FRAME_PHASE / math.pi):.6g}), past which roundoff sets "
+            "the readings"
+        )
+    rho_next, _ = _pair_run(replace(p, photon_cutoff=p.photon_cutoff + 1), (0, 1), lam)
     cutoff_shift = float(np.max(np.abs(rho_full.matrix - rho_next.matrix)))
 
     # The effective model conserves photon number, so from the vacuum it is the
     # reduced two-qubit exchange; column 2 of its propagator is the image of |10>.
-    phi_eff = analytic_u(lam, gate_time_t0(lam))[:, 2]
+    phi_eff = analytic_u(lam, t0)[:, 2]
     fid = float(np.real(phi_eff.conj() @ rho_full.matrix @ phi_eff))
 
     return DispersiveReport(
@@ -234,7 +232,6 @@ def selective_coupling_check(
     p: ModelParams,
     active: tuple[int, int] = (0, 1),
     spectator_ratio: float = 10.0,
-    samples: int = 400,
 ) -> SelectiveCouplingReport:
     """Run the entangler on two target qubits while spectators sit far detuned.
 
@@ -253,7 +250,7 @@ def selective_coupling_check(
         for j in range(p.n_qubits)
     )
     rho_active, levels = _pair_run(replace(p, detunings_tau=detunings), active,
-                                   g * g / tau_active, samples)
+                                   g * g / tau_active)
     excitation = np.delete(levels[:-1], active, axis=0).sum(axis=0)  # spectators only
 
     return SelectiveCouplingReport(
@@ -275,7 +272,6 @@ class SweepResult:
     gamma_axis: np.ndarray
     gamma_phi_axis: np.ndarray
     error_grid: np.ndarray
-    params: ModelParams
 
     def __post_init__(self):
         if self.error_grid.shape != (len(self.gamma_axis), len(self.gamma_phi_axis)):
@@ -306,4 +302,4 @@ def decoherence_sweep(p: ModelParams, gamma_axis, gamma_phi_axis) -> SweepResult
         for j, gamma_phi in enumerate(gamma_phi_axis):
             noise = NoiseSpec.uniform(2, gamma, gamma_phi)
             grid[i, j] = epr_generation(p, noise, steps=steps).error_d
-    return SweepResult(gamma_axis, gamma_phi_axis, grid, p)
+    return SweepResult(gamma_axis, gamma_phi_axis, grid)

@@ -168,7 +168,7 @@ def propagate_schrodinger(
     No renormalization is applied; a snapshot whose norm drifts by more than
     1e-6 stops the run with DiagnosticError.
     """
-    sample_ts = np.linspace(grid.t_start, grid.t_end, 9)
+    sample_ts = np.linspace(0.0, grid.t_end, 9)
     h_scale = max(np.linalg.norm(h_of_t(t), 2) for t in sample_ts)
     psi = psi0.amplitudes.copy()
     times, states, drifts = [], [], []

@@ -160,7 +160,7 @@ def test_criterion_5_integrator_order_and_diagnostics():
     exact_psi = expm_propagator(h, t) @ psi0.amplitudes
     schro_err = []
     for steps in step_ladder:
-        r = propagate_schrodinger(lambda _: h, psi0, TimeGrid(0, t, steps),
+        r = propagate_schrodinger(lambda _: h, psi0, TimeGrid(t, steps),
                                   record_every=steps)
         schro_err.append(float(np.max(np.abs(r.final - exact_psi))))
 
@@ -169,7 +169,7 @@ def test_criterion_5_integrator_order_and_diagnostics():
     lind_err = []
     diag = None
     for steps in step_ladder:
-        r = integrate_lindblad(h, rho0, noise, TimeGrid(0, t, steps))
+        r = integrate_lindblad(h, rho0, noise, TimeGrid(t, steps))
         lind_err.append(float(np.max(np.abs(r.final - exact_rho))))
         diag = r.diagnostics
 

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dotbus import cli
@@ -20,8 +20,16 @@ from dotbus.config import (
     config_from_dict,
     parse_config,
 )
-from dotbus.dynamics import NoiseSpec, default_step_count
-from dotbus.protocols import MAX_RK4_STEPS, MIN_EPR_STEPS, epr_generation, gate_time_t0
+from dotbus.dynamics import NoiseSpec
+from dotbus.protocols import (
+    MAX_FRAME_PHASE,
+    MAX_RK4_STEPS,
+    MIN_EPR_STEPS,
+    StepBudgetError,
+    _epr_grid,
+    epr_generation,
+    gate_time_t0,
+)
 
 
 def write_config(tmp_path, data, name="run.json"):
@@ -424,7 +432,7 @@ class TestCliErrors:
             gammas, gamma_phis = cfg.sweep_gamma_axis, cfg.sweep_gamma_phi_axis
             noise = NoiseSpec.uniform(2, max(gammas), max(gamma_phis))
             runs = len(gammas) * len(gamma_phis)
-        total = runs * default_step_count(gate_time_t0(lam), 2.0 * lam, noise.total_rate)
+        total = runs * max(MIN_EPR_STEPS, math.ceil(40.0 * gate_time_t0(lam) * noise.total_rate))
         assert total > MAX_RK4_STEPS
         path = write_config(tmp_path, raw)
         out = tmp_path / "out.csv"
@@ -500,6 +508,14 @@ class TestCliErrors:
             path = write_config(tmp_path, {"model": model})
             assert main(["validate", "--config", path]) == 3
             assert "frame trajectory is not finite" in capsys.readouterr().err
+
+    def test_validate_past_the_precision_bound_is_diagnostic(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"model": {"tau_over_g": 1e6}})
+        assert main(["validate", "--config", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tau/g = 1e+06 is past the precision bound" in captured.err
+        assert f"exceeds {MAX_FRAME_PHASE:.3g} rad (tau/g = 3568.25)" in captured.err
 
     @pytest.mark.parametrize("key", ["noise.gamma_over_2pi", "noise.gamma_phi_over_2pi",
                                      "sweep.gamma_max_over_2pi",
@@ -606,12 +622,12 @@ NOISE_SWEEP_OVERRIDES = st.fixed_dictionaries({}, optional={
 })
 
 
-def assert_exits_cleanly(tmp_path_factory, command, raw):
+def assert_exits_cleanly(tmp_path_factory, command, raw, *options):
     """``command`` on ``raw`` ends in a documented exit code, with no RuntimeWarning."""
     path = write_config(tmp_path_factory.mktemp("cfg"), raw)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = main([command, "--config", path])
+        code = main([command, "--config", path, *options])
     assert code in (0, 2, 3, 4)
     assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
@@ -620,6 +636,37 @@ def assert_exits_cleanly(tmp_path_factory, command, raw):
 @given(raw=NOISE_SWEEP_OVERRIDES)
 def test_every_noise_and_sweep_override_exits_cleanly(tmp_path_factory, raw):
     assert_exits_cleanly(tmp_path_factory, "device", raw)
+
+
+def step_total(raw, command):
+    """RK4 steps ``command`` would take on ``raw``: inf past the budget, 0 for a bad config."""
+    try:
+        cfg = config_from_dict(raw)
+    except ConfigError:
+        return 0
+    if command == "epr":
+        noise, runs = cfg.noise, 1
+    else:
+        gammas, gamma_phis = cfg.sweep_gamma_axis, cfg.sweep_gamma_phi_axis
+        noise = NoiseSpec.uniform(2, max(gammas), max(gamma_phis))
+        runs = len(gammas) * len(gamma_phis)
+    try:
+        return _epr_grid(cfg.model.lam, noise, runs=runs).steps * runs
+    except StepBudgetError:
+        return math.inf
+
+
+@pytest.mark.parametrize("command", ["epr", "sweep"])
+@settings(max_examples=150, deadline=None)
+@given(raw=NOISE_SWEEP_OVERRIDES)
+def test_every_noise_and_sweep_override_runs_cleanly(tmp_path_factory, command, raw):
+    if command == "sweep":  # a 3 x 3 grid unless the draw sets its own
+        raw = {**raw, "sweep": {"gamma_points": 3, "gamma_phi_points": 3, **raw.get("sweep", {})}}
+    # Runs that fit the budget but take over 2e4 steps are slow, not failures;
+    # refusals over the budget stay in.
+    assume(not 2e4 < step_total(raw, command) <= MAX_RK4_STEPS)
+    out = tmp_path_factory.mktemp("out") / "out.csv"
+    assert_exits_cleanly(tmp_path_factory, command, raw, "--out", str(out))
 
 
 def any_quantity(kind):

@@ -15,7 +15,6 @@ from dotbus.dynamics import (
     NoiseSpec,
     TimeGrid,
     build_liouvillian,
-    default_step_count,
     integrate_lindblad,
 )
 from dotbus.hamiltonians import ModelParams, analytic_u, h_reduced_two_qubit
@@ -39,7 +38,7 @@ class TestSchrodinger:
         space = HilbertSpace((2, 3))
         psi0 = basis_state(space, 2)
         h = np.zeros((space.dim, space.dim), dtype=complex)
-        result = propagate_schrodinger(lambda t: h, psi0, TimeGrid(0, 1.0, 10))
+        result = propagate_schrodinger(lambda t: h, psi0, TimeGrid(1.0, 10))
         assert np.array_equal(result.final, psi0.amplitudes)
 
     def test_constant_hamiltonian_matches_exponential(self):
@@ -49,7 +48,7 @@ class TestSchrodinger:
         t = 2.0
         errors = []
         for steps in (200, 400):
-            result = propagate_schrodinger(lambda _: h, psi0, TimeGrid(0, t, steps),
+            result = propagate_schrodinger(lambda _: h, psi0, TimeGrid(t, steps),
                                            record_every=steps)
             exact = expm_propagator(h, t) @ psi0.amplitudes
             errors.append(np.max(np.abs(result.final - exact)))
@@ -62,7 +61,7 @@ class TestSchrodinger:
         psi0 = basis_state(p.space, p.photon_cutoff + 1)  # |1> x |0_cav>
         t = math.pi / g
         result = propagate_schrodinger(
-            lambda tt: h_interaction(tt, p), psi0, TimeGrid(0, t, 2000),
+            lambda tt: h_interaction(tt, p), psi0, TimeGrid(t, 2000),
             record_every=2000,
         )
         final = PureState(p.space, result.final / np.linalg.norm(result.final))
@@ -72,14 +71,14 @@ class TestSchrodinger:
         h = 100.0 * h_reduced_two_qubit(1.0)
         psi0 = basis_state(TWO_QUBITS, 1)
         with pytest.raises(ValueError, match="steps"):
-            propagate_schrodinger(lambda _: h, psi0, TimeGrid(0, 10.0, 5))
+            propagate_schrodinger(lambda _: h, psi0, TimeGrid(10.0, 5))
 
     def test_norm_drift_breach_rejected(self):
         # A non-Hermitian generator leaks norm; the integrator must refuse it.
         decay = -0.5j * np.eye(4, dtype=complex)
         psi0 = basis_state(TWO_QUBITS, 0)
         with pytest.raises(DiagnosticError):
-            propagate_schrodinger(lambda _: decay, psi0, TimeGrid(0, 1.0, 100))
+            propagate_schrodinger(lambda _: decay, psi0, TimeGrid(1.0, 100))
 
 
 class TestLindbladRhs:
@@ -130,15 +129,20 @@ class TestLindbladRhs:
 RATES = st.tuples(*[st.floats(0.0, 5.0)] * 2)
 
 
+def random_model(data):
+    """A seeded generator, a random Hermitian 4x4 H and random non-negative rates."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    h = data.draw(st.floats(0.0, 5.0)) * (a + a.conj().T)
+    return rng, h, NoiseSpec(data.draw(RATES), data.draw(RATES))
+
+
 class TestLiouvillianProperties:
     """build_liouvillian for a random Hermitian H and random non-negative rates."""
 
     @staticmethod
     def draw_generator(data):
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        h = data.draw(st.floats(0.0, 5.0)) * (a + a.conj().T)
-        noise = NoiseSpec(data.draw(RATES), data.draw(RATES))
+        rng, h, noise = random_model(data)
         return rng, build_liouvillian(h, noise)
 
     @settings(max_examples=100, deadline=None)
@@ -161,13 +165,34 @@ class TestLiouvillianProperties:
         assert np.linalg.eigvalsh(evolved)[0] >= -1e-12
 
 
+class TestAcceptedSnapshots:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_every_accepted_snapshot_is_a_density_matrix(self, data):
+        # The run's health checks are those of DensityMatrix: a snapshot it
+        # keeps always validates, even with RK4 steps near the stability limit.
+        rng, h, noise = random_model(data)
+        rank = data.draw(st.integers(1, 4))
+        a = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+        rho0 = DensityMatrix(TWO_QUBITS, a @ a.conj().T / np.trace(a @ a.conj().T).real)
+        t = data.draw(st.floats(0.05, 1.0))
+        scale = np.linalg.norm(h, 2) + noise.total_rate
+        steps = max(1, math.ceil(t * scale / data.draw(st.floats(0.02, 0.099))))
+        try:
+            result = integrate_lindblad(h, rho0, noise, TimeGrid(t, steps))
+        except DiagnosticError:
+            return
+        for rho in result.states:
+            DensityMatrix(TWO_QUBITS, rho)
+
+
 class TestIntegrateLindblad:
     def test_noiseless_matches_closed_form_unitary(self):
         lam = 2 * math.pi * 10e6
         t0 = math.pi / (4 * lam)
         h = h_reduced_two_qubit(lam)
         result = integrate_lindblad(
-            h, pure_rho(1), NoiseSpec.none(2), TimeGrid(0, t0, 400), record_every=400
+            h, pure_rho(1), NoiseSpec.none(2), TimeGrid(t0, 400), record_every=400
         )
         u = analytic_u(lam, t0)
         psi = u @ np.array([0, 1, 0, 0], dtype=complex)
@@ -190,7 +215,7 @@ class TestIntegrateLindblad:
         )
         t = 1.3
         result = integrate_lindblad(noise=noise, h_eff=h, rho0=rho0,
-                                    grid=TimeGrid(0, t, 800), record_every=800)
+                                    grid=TimeGrid(t, 800), record_every=800)
         expected = 0.5 * math.exp(-(g1 + g2) * t)
         assert abs(result.final[1, 2]) == pytest.approx(expected, rel=1e-8)
 
@@ -200,14 +225,14 @@ class TestIntegrateLindblad:
         noise = NoiseSpec((g1, 0.0), (0.0, 0.0))
         h = np.zeros((4, 4), dtype=complex)
         t = 2.0
-        result = integrate_lindblad(h, pure_rho(2), noise, TimeGrid(0, t, 800),
+        result = integrate_lindblad(h, pure_rho(2), noise, TimeGrid(t, 800),
                                     record_every=800)
         assert result.final[2, 2].real == pytest.approx(math.exp(-g1 * t / 4), rel=1e-8)
 
     def test_diagnostics_recorded(self):
         h = h_reduced_two_qubit(1.0)
         result = integrate_lindblad(
-            h, pure_rho(1), NoiseSpec.uniform(2, 0.05, 0.1), TimeGrid(0, 1.0, 100)
+            h, pure_rho(1), NoiseSpec.uniform(2, 0.05, 0.1), TimeGrid(1.0, 100)
         )
         diag = result.diagnostics
         assert len(diag["trace_dev"]) == len(result.times)
@@ -219,7 +244,7 @@ class TestIntegrateLindblad:
         # A non-Hermitian generator destroys the Hermiticity of rho.
         h = np.triu(np.ones((4, 4), dtype=complex))
         with pytest.raises(DiagnosticError):
-            integrate_lindblad(h, pure_rho(1), NoiseSpec.none(2), TimeGrid(0, 2.0, 200))
+            integrate_lindblad(h, pure_rho(1), NoiseSpec.none(2), TimeGrid(2.0, 200))
 
     def test_run_stops_at_the_first_unhealthy_snapshot(self):
         # Stepping on past the breach would overflow long before t = 1000.
@@ -229,7 +254,7 @@ class TestIntegrateLindblad:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(DiagnosticError, match=r"at t = 0\.01: "):
                 integrate_lindblad(h, psi.density_matrix(), NoiseSpec.none(2),
-                                   TimeGrid(0, 1000, 100000))
+                                   TimeGrid(1000, 100000))
 
 
 class TestFourthOrderScaling:
@@ -240,7 +265,7 @@ class TestFourthOrderScaling:
         exact = expm_propagator(h, t) @ psi0.amplitudes
         errors = []
         for steps in (100, 200, 400, 800, 1600):  # a 16x span of dt
-            result = propagate_schrodinger(lambda _: h, psi0, TimeGrid(0, t, steps),
+            result = propagate_schrodinger(lambda _: h, psi0, TimeGrid(t, steps),
                                            record_every=steps)
             errors.append(np.max(np.abs(result.final - exact)))
         for coarse, fine in zip(errors, errors[1:]):
@@ -255,7 +280,7 @@ class TestFourthOrderScaling:
         exact = (scipy.linalg.expm(liou * t) @ rho0.matrix.reshape(-1)).reshape(4, 4)
         errors = []
         for steps in (100, 200, 400, 800, 1600):
-            result = integrate_lindblad(h, rho0, noise, TimeGrid(0, t, steps),
+            result = integrate_lindblad(h, rho0, noise, TimeGrid(t, steps),
                                         record_every=steps)
             errors.append(np.max(np.abs(result.final - exact)))
         for coarse, fine in zip(errors, errors[1:]):
@@ -278,8 +303,3 @@ class TestErrorProbability:
         mixed = DensityMatrix(TWO_QUBITS, np.eye(4, dtype=complex) / 4)
         assert 1 - fidelity(mixed, target) == pytest.approx(0.75)
 
-
-def test_default_step_count():
-    assert default_step_count(1.0, 10.0) == 400
-    assert default_step_count(1.0, 0.0, 5.0) == 200
-    assert default_step_count(1e-9, 0.0, 0.0) == 1

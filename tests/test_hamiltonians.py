@@ -17,7 +17,13 @@ from dotbus.algebra import (
 )
 from dotbus.device import DotParams, HBAR
 from dotbus.dynamics import TimeGrid
-from dotbus.hamiltonians import ModelParams, analytic_u, destroy, h_reduced_two_qubit
+from dotbus.hamiltonians import (
+    ModelParams,
+    analytic_u,
+    destroy,
+    h_reduced_two_qubit,
+    static_frame_hamiltonian,
+)
 from dotbus.protocols import _frame_trajectory
 from dotbus.reference import (
     h_double_dot,
@@ -26,6 +32,19 @@ from dotbus.reference import (
     propagate_schrodinger,
     total_excitation,
 )
+
+
+class TestModelParams:
+    def test_qubit_count_is_the_register_length(self):
+        assert ModelParams((1.0, 2.0, 0.5), (10.0, 20.0, 5.0)).n_qubits == 3
+
+    def test_empty_register_names_n_qubits(self):
+        with pytest.raises(ValueError, match="n_qubits must be at least 1"):
+            ModelParams((), ())
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="equal length"):
+            ModelParams((1.0, 1.0), (10.0,))
 
 
 class TestDestroy:
@@ -61,7 +80,7 @@ class TestDoubleDot:
 
 class TestInteraction:
     def test_zero_coupling(self):
-        p = ModelParams(2, (0.0, 0.0), (10.0, 10.0), photon_cutoff=3)
+        p = ModelParams((0.0, 0.0), (10.0, 10.0), photon_cutoff=3)
         for t in (0.0, 0.3, 2.1):
             assert np.max(np.abs(h_interaction(t, p))) == 0.0
 
@@ -104,7 +123,7 @@ class TestEffective:
             h_effective(p)
 
     def test_non_identical_rejected(self):
-        p = ModelParams(2, (1.0, 1.0), (10.0, 12.0))
+        p = ModelParams((1.0, 1.0), (10.0, 12.0))
         with pytest.raises(ValueError):
             h_effective(p)
 
@@ -174,6 +193,19 @@ class TestAnalyticU:
         assert abs(abs(u[3, 3]) - 1.0) < 1e-14
 
 
+class TestStaticFrame:
+    def test_diagonal_is_the_frame_generator(self):
+        # Spectator case: qubit 3 parked at ten times the active detuning, and
+        # every coupling different.  V = sum_j g_j (a sigma_j^+ + h.c.) has a
+        # zero diagonal, so the diagonal is A = sum_j tau_j n_j, bit for bit.
+        p = ModelParams((1.0, 0.7, 1.3), (10.0, 10.0, 100.0), photon_cutoff=3)
+        a = sum(tau * embed(p.space, (j, SIGMA_PLUS), (j, SIGMA_MINUS))
+                for j, tau in enumerate(p.detunings_tau))
+        h = static_frame_hamiltonian(p)
+        assert np.array_equal(np.diag(h), np.diag(a))
+        assert hermiticity_defect(h) == 0.0
+
+
 class TestFramePropagator:
     def test_matches_direct_time_dependent_integration(self):
         # The factorized propagator must agree with brute-force RK4 of the
@@ -183,7 +215,7 @@ class TestFramePropagator:
         psi0_vec = np.zeros(p.space.dim, dtype=complex)
         psi0_vec[2 * (p.photon_cutoff + 1)] = 1.0  # |10> x |0_cav>
         psi0 = PureState(p.space, psi0_vec)
-        grid = TimeGrid(0.0, t_final, 4000)
+        grid = TimeGrid(t_final, 4000)
         rk4 = propagate_schrodinger(lambda t: h_interaction(t, p), psi0, grid,
                                     record_every=grid.steps)
         exact = _frame_trajectory(p, psi0_vec, np.array([t_final]))[0]

@@ -15,9 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dotbus.algebra import PureState
-from dotbus.dynamics import NoiseSpec
+from dotbus.dynamics import DiagnosticError, NoiseSpec
 from dotbus.hamiltonians import ModelParams, analytic_u
 from dotbus.protocols import (
+    FRAME_SAMPLES,
+    MIN_EPR_STEPS,
+    _epr_grid,
     _frame_trajectory,
     decoherence_sweep,
     dispersive_validity,
@@ -120,6 +123,17 @@ class TestEprGeneration:
             epr_generation(ModelParams.uniform(3, G_PAPER, TAU_PAPER), NoiseSpec.none(2))
 
 
+def test_epr_grid_step_count():
+    # t0 = pi/(4 lam) = 1: 40 steps per unit of noise action, at least MIN_EPR_STEPS.
+    lam = math.pi / 4
+    assert _epr_grid(lam, NoiseSpec((5.0, 0.0), (5.0, 0.0))).steps == 400
+    assert _epr_grid(lam, NoiseSpec.uniform(2, 1.0, 1.5)).steps == MIN_EPR_STEPS  # not 200
+    assert _epr_grid(lam, NoiseSpec.none(2), steps=7).steps == 7
+    # The Hamiltonian's own 40 t0 x 2 lam = 20 pi steps never set the count.
+    for lam in 10.0 ** np.arange(-30.0, 31.0, 3.0):
+        assert _epr_grid(lam, NoiseSpec.none(2)).steps == MIN_EPR_STEPS
+
+
 class TestDispersiveValidity:
     @pytest.mark.parametrize("ratio", [5.0, 10.0, 20.0, 50.0, 100.0])
     def test_matches_sector_oracle(self, ratio):
@@ -153,10 +167,18 @@ class TestDispersiveValidity:
         with pytest.raises(ValueError):
             dispersive_validity(ModelParams.uniform(2, 1.0, 3.0))
 
+    def test_precision_bound(self):
+        # The frame phase (pi/4)(tau/g)^2 crosses MAX_FRAME_PHASE = 1e7 rad
+        # between tau/g = 3568 and 3569.
+        report = dispersive_validity(ModelParams.uniform(2, 1.0, 3568.0))
+        assert report.max_cavity_occupation < report.cavity_bound
+        with pytest.raises(DiagnosticError, match="tau/g = 3569 is past the precision bound"):
+            dispersive_validity(ModelParams.uniform(2, 1.0, 3569.0))
+
 
 class TestSelectiveCoupling:
     def test_decoupled_spectator_is_untouched(self):
-        p = ModelParams(3, (1.0, 1.0, 0.0), (10.0, 10.0, 10.0), photon_cutoff=4)
+        p = ModelParams((1.0, 1.0, 0.0), (10.0, 10.0, 10.0), photon_cutoff=4)
         report = selective_coupling_check(p, spectator_ratio=10.0)
         assert report.spectator_max_deviation == pytest.approx(0.0, abs=1e-20)
         assert report.active_pair_fidelity > 0.95
@@ -180,8 +202,7 @@ class TestSelectiveCoupling:
         p = ModelParams.uniform(3, g, tau, photon_cutoff=4)
         t0 = gate_time_t0(g * g / tau)
         for active in [(0, 1), (1, 0), (2, 0)]:
-            report = selective_coupling_check(p, active=active, spectator_ratio=ratio,
-                                              samples=400)
+            report = selective_coupling_check(p, active=active, spectator_ratio=ratio)
             taus = [tau if j in active else ratio * tau for j in range(3)] + [0.0]
             h = np.diag(taus).astype(complex)
             for i in range(3):
@@ -203,7 +224,7 @@ class TestSelectiveCoupling:
         n = data.draw(st.integers(3, 5))
         couplings = data.draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n))
         tau = data.draw(st.floats(5.0, 50.0)) * couplings[0]
-        p = ModelParams(n, couplings, (tau,) * n, photon_cutoff=data.draw(st.integers(1, 5)))
+        p = ModelParams(couplings, (tau,) * n, photon_cutoff=data.draw(st.integers(1, 5)))
         ratio = data.draw(st.floats(2.0, 20.0))
         active = tuple(data.draw(st.permutations(range(n)))[:2])
         report = selective_coupling_check(p, active=active, spectator_ratio=ratio)
@@ -217,7 +238,7 @@ class TestSelectiveCoupling:
             selective_coupling_check(paper_model())
 
 
-def selective_reference(p, active, ratio, samples=400):
+def selective_reference(p, active, ratio):
     """(max, final) spectator excitation and pair fidelity of the spectator check.
 
     Full-space route: the dense frame trajectory, |psi><psi| traced down to the
@@ -227,10 +248,10 @@ def selective_reference(p, active, ratio, samples=400):
     n, dims = p.n_qubits, p.space.dims
     tau = p.detunings_tau[0]
     taus = [tau if j in active else ratio * tau for j in range(n)]
-    full = ModelParams(n, p.couplings_g, taus, p.photon_cutoff)
+    full = ModelParams(p.couplings_g, taus, p.photon_cutoff)
     psi0 = np.zeros(full.space.dim, dtype=complex)
     psi0[(p.photon_cutoff + 1) * 2 ** (n - 1 - active[0])] = 1.0  # qubit active[0] excited
-    times = np.linspace(0.0, gate_time_t0(p.couplings_g[0] ** 2 / tau), samples + 1)
+    times = np.linspace(0.0, gate_time_t0(p.couplings_g[0] ** 2 / tau), FRAME_SAMPLES + 1)
     states = _frame_trajectory(full, psi0, times)
 
     rho = partial_trace(PureState(full.space, states[-1]).density_matrix(), sorted(active))

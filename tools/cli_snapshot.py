@@ -53,6 +53,9 @@ FAILURES = {
     # phase like the next.  The key stays so snapshot directory names stay put.
     "fail-eigensolver": {"model": {"tau_over_g": 1e200}},
     "fail-frame-overflow": {"model": {"coupling_g": "1e-100 Hz", "tau_over_g": 1e160}},
+    # Noiseless, so that `epr` takes 256 steps rather than 446,916.
+    "fail-precision": {"model": {"tau_over_g": 1e6},
+                       "noise": {"gamma_over_2pi": 0, "gamma_phi_over_2pi": 0}},
 }
 
 
