@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import reduce
 
 import numpy as np
 
@@ -25,7 +24,7 @@ MAX_RK4_STEPS = 10_000_000
 FRAME_SAMPLES = 400  # intervals of [0, t0] at which _pair_run records mean levels
 # Largest frame phase tau x t0 = (pi/4)(tau/g)^2, in rad, for `validate`.  Its
 # roundoff grows like eps x tau x t0 and reaches the cavity check's margin
-# 8 (g/tau)^2 near 1e8 rad (tools/precision_scan.py); at 1e7 it is under 1e-3 of it.
+# 8 (g/tau)^2 from 2.5e8 rad up (tools/precision_scan.py); below 1e7 it is within 1.1e-3 of it.
 MAX_FRAME_PHASE = 1e7
 
 
@@ -52,6 +51,12 @@ class EprReport:
     error_d: float
     concurrence: float
     result: SimResult
+
+
+def _require_dispersive(p: ModelParams) -> None:
+    """Refuse a model whose tau/g is below its dispersive threshold."""
+    if not p.is_dispersive:
+        raise ValueError(f"detuning/coupling ratio below dispersive threshold {p.dispersive_threshold}")
 
 
 def _epr_grid(lam: float, noise: NoiseSpec, steps: int | None = None,
@@ -85,11 +90,14 @@ def epr_generation(
 
     Reports fidelity against the entangled target, the error probability
     D = 1 - fidelity, and the Wootters concurrence of the final state.
+    Refuses a model below its dispersive threshold, where that Hamiltonian
+    does not hold.
     """
     if p.n_qubits != 2:
         raise ValueError("entangled-pair generation targets exactly two qubits")
     if noise.n_qubits != 2:
         raise ValueError("noise spec must cover two qubits")
+    _require_dispersive(p)
     lam = p.lam
     h20 = h_reduced_two_qubit(lam)
     grid = _epr_grid(lam, noise, steps)
@@ -108,28 +116,31 @@ def epr_generation(
     )
 
 
-def _frame_trajectory(p: ModelParams, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Exact states of the time-dependent interaction at the given times.
+def _sector_run(p: ModelParams, start: int, t_end: float) -> np.ndarray:
+    """Exact amplitudes of the one-excitation run from qubit ``start`` excited in the vacuum.
 
-    Diagonalizes the equivalent static-frame Hamiltonian once, then applies
-    the frame phases; returns an array of shape (len(times), dim).  Raises
-    DiagnosticError if a phase overflows, which would make the states NaN.
+    The interaction conserves excitation number, so the run stays on n + 1
+    states: qubit j excited in the vacuum (full-space index (N+1) 2^(n-1-j))
+    for each j, then all qubits down with one photon (index 1).  Diagonalizes
+    that block of the static-frame Hamiltonian once and applies the frame
+    phases.  Returns the amplitudes of those states, in that order, on
+    FRAME_SAMPLES + 1 equally spaced times of [0, t_end].  Raises
+    DiagnosticError if a phase overflows, which would make them NaN.
     """
-    h = static_frame_hamiltonian(p)
+    n = p.n_qubits
+    sector = [(p.photon_cutoff + 1) * 2 ** (n - 1 - j) for j in range(n)] + [1]
+    h = static_frame_hamiltonian(p)[np.ix_(sector, sector)]
     evals, evecs = np.linalg.eigh(h)
     a_diag = np.real(np.diag(h))  # the frame generator A; V has a zero diagonal
-    energy = float(max(np.max(np.abs(evals)), np.max(np.abs(a_diag))))
-    duration = float(np.max(np.abs(times)))
-    if not math.isfinite(energy * duration):  # bounds every phase below
+    energy = max(abs(float(e)) for e in (*evals, *a_diag))
+    if not math.isfinite(energy * t_end):  # bounds every phase below
         raise DiagnosticError(
             f"frame trajectory is not finite: the phase energy x time = {energy:.3g} rad/s "
-            f"x {duration:.3g} s overflows a float"
+            f"x {t_end:.3g} s overflows a float"
         )
-    c0 = evecs.conj().T @ psi0
-    # (dim, nt) phases for both the propagation and the frame rotation
-    prop = evecs @ (np.exp(-1j * np.outer(evals, times)) * c0[:, None])
-    frame = np.exp(1j * np.outer(a_diag, times))
-    return (frame * prop).T
+    times = np.linspace(0.0, t_end, FRAME_SAMPLES + 1)
+    prop = (np.exp(-1j * np.outer(times, evals)) * evecs[start].conj()) @ evecs.T
+    return np.exp(1j * np.outer(times, a_diag)) * prop
 
 
 def _pair_run(p: ModelParams, active: tuple[int, int],
@@ -141,32 +152,18 @@ def _pair_run(p: ModelParams, active: tuple[int, int],
     FRAME_SAMPLES + 1 equally spaced times, shape (n_qubits + 1, FRAME_SAMPLES + 1):
     the excitation probability of each qubit, then the cavity's photon number.
     """
-    dims = p.space.dims
-    psi0 = np.zeros(dims, dtype=complex)
-    psi0[tuple(int(k == active[0]) for k in range(len(dims)))] = 1.0
-    times = np.linspace(0.0, gate_time_t0(lam), FRAME_SAMPLES + 1)
-    states = _frame_trajectory(p, psi0.reshape(-1), times)
-    final = PureState(p.space, states[-1]).amplitudes.reshape(dims)
-
-    # |psi><psi| on the pair only, never on the full space.  As in
-    # reference.partial_trace, the traced subsystems go last-first, each summed
-    # term by term in index order, and the roundoff asymmetry is scrubbed, so
-    # both give the same bits.
-    pair = np.moveaxis(final, active, (0, 1)).reshape(4, *np.delete(dims, active))
-    rho = pair[:, None] * pair.conj()[None, :]
-    while rho.ndim > 2:
-        rho = reduce(np.add, np.moveaxis(rho, -1, 0))
-    rho = 0.5 * (rho + rho.conj().T)
-
-    probs = np.abs(states.reshape(len(times), *dims)) ** 2
-    levels = np.array([
-        probs.sum(axis=tuple(a for a in range(1, probs.ndim) if a != k + 1)) @ np.arange(d)
-        for k, d in enumerate(dims)
-    ])
-    return DensityMatrix(TWO_QUBIT_SPACE, rho), levels
+    amps = _sector_run(p, active[0], gate_time_t0(lam))
+    final = PureState(HilbertSpace((p.n_qubits + 1,)), amps[-1]).amplitudes
+    c_a, c_b = final[list(active)]
+    rho = np.zeros((4, 4), dtype=complex)  # |10> is active[0] excited, |01> active[1]
+    rho[0, 0] = np.sum(np.abs(np.delete(final, active)) ** 2)
+    rho[1, 1], rho[2, 2] = abs(c_b) ** 2, abs(c_a) ** 2
+    rho[2, 1] = c_a * c_b.conjugate()
+    rho[1, 2] = rho[2, 1].conjugate()
+    return DensityMatrix(TWO_QUBIT_SPACE, rho), np.abs(amps.T) ** 2
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class DispersiveReport:
     tau_over_g: float
     fidelity_full_vs_effective: float
@@ -182,15 +179,13 @@ def dispersive_validity(p: ModelParams) -> DispersiveReport:
     Propagates |10> x |vacuum> for the entangling time under the full model,
     traces the cavity, and reports the overlap with |10> evolved by the reduced
     model that `epr_generation` runs, plus the peak cavity occupation of the
-    full run.  ``cutoff_shift`` is the change of the reduced final state when
-    the photon cutoff is raised by one.
+    full run.  ``cutoff_shift`` is the change of the pair state when the photon
+    cutoff is raised by one: 0.0, as the run never holds two photons, unless
+    the sector is read from the wrong entries.
     """
     if p.n_qubits != 2:
         raise ValueError("dispersive validation is a two-qubit comparison")
-    if not p.is_dispersive:
-        raise ValueError(
-            f"detuning/coupling ratio below dispersive threshold {p.dispersive_threshold}"
-        )
+    _require_dispersive(p)
     g, tau = p.couplings_g[0], p.detunings_tau[0]
     lam = p.lam
     t0 = gate_time_t0(lam)
@@ -220,7 +215,7 @@ def dispersive_validity(p: ModelParams) -> DispersiveReport:
     )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SelectiveCouplingReport:
     spectator_ratio: float
     spectator_max_deviation: float

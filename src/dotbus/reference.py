@@ -7,12 +7,15 @@ none of them imports this module, and ``import dotbus`` does not load it.
   `device.singlet_splitting` are its closed-form singlet eigenvectors and gap.
 - `h_interaction`, `h_effective`, `total_excitation`: the paper's n-qubit
   interaction, its second-order dispersive form and the conserved excitation
-  number, on the full qubit-cavity space.  The static-frame run
-  `protocols._frame_trajectory` and `hamiltonians.h_reduced_two_qubit` are
-  checked against them.
+  number, on the full qubit-cavity space.  The one-excitation run
+  `protocols._sector_run`, the dense run `_frame_trajectory` and
+  `hamiltonians.h_reduced_two_qubit` are checked against them.
+- `_frame_trajectory`: the static-frame run over the whole space, one dense
+  eigendecomposition of `hamiltonians.static_frame_hamiltonian` and the frame
+  phases; the spectator check's sector run is checked against it.
 - `expm_propagator`, `partial_trace`: exact propagation and reduction of dense
-  states; the RK4 order checks and `protocols._pair_run` are checked against
-  them.
+  states; the RK4 order checks and the pair state that `protocols._pair_run`
+  writes in closed form are checked against them.
 - `lindblad_rhs`: the master equation element-wise, with the rates of
   `dynamics._channels`; `dynamics.build_liouvillian` is checked against it.
 - `propagate_schrodinger`: RK4 on -iH(t) through the production stepper
@@ -30,7 +33,7 @@ from .algebra import (HERMITIAN_TOL, SIGMA_MINUS, SIGMA_PLUS, DensityMatrix, Hil
                       PureState, embed, hermiticity_defect)
 from .device import HBAR, DotParams
 from .dynamics import DiagnosticError, NoiseSpec, SimResult, TimeGrid, _channels, _rk4
-from .hamiltonians import ModelParams, destroy
+from .hamiltonians import ModelParams, destroy, static_frame_hamiltonian
 
 NORM_DRIFT_TOL = 1e-6
 
@@ -99,6 +102,22 @@ def total_excitation(p: ModelParams) -> np.ndarray:
     for j in range(p.n_qubits):
         n += embed(space, (j, SIGMA_PLUS), (j, SIGMA_MINUS))
     return n
+
+
+def _frame_trajectory(p: ModelParams, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Exact states of the time-dependent interaction at the given times.
+
+    Diagonalizes the equivalent static-frame Hamiltonian once, then applies
+    the frame phases; returns an array of shape (len(times), dim).
+    """
+    h = static_frame_hamiltonian(p)
+    evals, evecs = np.linalg.eigh(h)
+    a_diag = np.real(np.diag(h))  # the frame generator A; V has a zero diagonal
+    c0 = evecs.conj().T @ psi0
+    # (dim, nt) phases for both the propagation and the frame rotation
+    prop = evecs @ (np.exp(-1j * np.outer(evals, times)) * c0[:, None])
+    frame = np.exp(1j * np.outer(a_diag, times))
+    return (frame * prop).T
 
 
 def expm_propagator(h: np.ndarray, t: float) -> np.ndarray:

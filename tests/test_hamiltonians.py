@@ -24,8 +24,8 @@ from dotbus.hamiltonians import (
     h_reduced_two_qubit,
     static_frame_hamiltonian,
 )
-from dotbus.protocols import _frame_trajectory
 from dotbus.reference import (
+    _frame_trajectory,
     h_double_dot,
     h_effective,
     h_interaction,

@@ -7,7 +7,9 @@ the oracles for the full-model comparisons below.
 """
 
 import math
+from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.linalg
@@ -15,13 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dotbus.algebra import PureState
-from dotbus.dynamics import DiagnosticError, NoiseSpec
+from dotbus.dynamics import DiagnosticError, NoiseSpec, TimeGrid
 from dotbus.hamiltonians import ModelParams, analytic_u
 from dotbus.protocols import (
     FRAME_SAMPLES,
     MIN_EPR_STEPS,
     _epr_grid,
-    _frame_trajectory,
+    _sector_run,
     decoherence_sweep,
     dispersive_validity,
     epr_generation,
@@ -29,12 +31,13 @@ from dotbus.protocols import (
     gate_time_t0,
     selective_coupling_check,
 )
-from dotbus.reference import partial_trace
+from dotbus.reference import _frame_trajectory, h_interaction, partial_trace, propagate_schrodinger
 
 G_PAPER = 2 * math.pi * 100e6       # coupling, rad/s
 TAU_PAPER = 10 * G_PAPER
 GAMMA_PAPER = 2 * math.pi * 0.2e6
 GAMMA_PHI_PAPER = 2 * math.pi * 0.5e6
+EPS = np.finfo(float).eps
 
 
 def paper_model(cutoff=5):
@@ -121,6 +124,14 @@ class TestEprGeneration:
     def test_wrong_qubit_count_rejected(self):
         with pytest.raises(ValueError):
             epr_generation(ModelParams.uniform(3, G_PAPER, TAU_PAPER), NoiseSpec.none(2))
+
+    def test_below_threshold_rejected(self):
+        # The reduced model is the dispersive limit; at tau/g = 2 it does not hold.
+        p = ModelParams.uniform(2, G_PAPER, 2 * G_PAPER)
+        with pytest.raises(ValueError, match="below dispersive threshold 5.0"):
+            epr_generation(p, NoiseSpec.none(2))
+        with pytest.raises(ValueError, match="below dispersive threshold 5.0"):
+            decoherence_sweep(p, [0.0], [0.0])
 
 
 def test_epr_grid_step_count():
@@ -221,39 +232,77 @@ class TestSelectiveCoupling:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_matches_full_space_reference(self, data):
-        n = data.draw(st.integers(3, 5))
-        couplings = data.draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n))
-        tau = data.draw(st.floats(5.0, 50.0)) * couplings[0]
-        p = ModelParams(couplings, (tau,) * n, photon_cutoff=data.draw(st.integers(1, 5)))
-        ratio = data.draw(st.floats(2.0, 20.0))
-        active = tuple(data.draw(st.permutations(range(n)))[:2])
+        # The read-out: production's own sector amplitudes, embedded in the
+        # full space, read with partial_trace and the full probability table.
+        p, active, ratio = draw_spectator_check(data)
+        full, t0 = spectator_model(p, active, ratio)
+        states = embed_sector(full, _sector_run(full, active[0], t0))
         report = selective_coupling_check(p, active=active, spectator_ratio=ratio)
-        max_dev, final_dev, fid = selective_reference(p, active, ratio)
+        max_dev, final_dev, fid = selective_reference(full, active, states)
         assert report.spectator_max_deviation == pytest.approx(max_dev, abs=1e-14)
         assert report.spectator_final_deviation == pytest.approx(final_dev, abs=1e-14)
         assert report.active_pair_fidelity == pytest.approx(fid, abs=1e-14)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_agrees_with_dense_run(self, data):
+        # The dense static-frame run over the whole space.  Against a 40-digit
+        # solution, its amplitudes were off by up to 6.7 eps x tau_max x t0 and
+        # the sector run's by up to 2.7 (1,500 draws), and the reports move by
+        # at most twice the amplitudes: 2 (6.7 + 2.7) < 20.
+        p, active, ratio = draw_spectator_check(data)
+        full, t0 = spectator_model(p, active, ratio)
+        psi0 = embed_sector(full, np.eye(full.n_qubits + 1)[active[0]][None])[0]
+        times = np.linspace(0.0, t0, FRAME_SAMPLES + 1)
+        report = selective_coupling_check(p, active=active, spectator_ratio=ratio)
+        max_dev, final_dev, fid = selective_reference(full, active,
+                                                      _frame_trajectory(full, psi0, times))
+        bound = 20 * EPS * max(full.detunings_tau) * t0
+        assert abs(report.spectator_max_deviation - max_dev) <= bound
+        assert abs(report.spectator_final_deviation - final_dev) <= bound
+        assert abs(report.active_pair_fidelity - fid) <= bound
 
     def test_requires_spectator(self):
         with pytest.raises(ValueError):
             selective_coupling_check(paper_model())
 
 
-def selective_reference(p, active, ratio):
-    """(max, final) spectator excitation and pair fidelity of the spectator check.
+def draw_spectator_check(data):
+    """A spectator check: n = 3..5 non-uniform couplings, tau/g 5..50, any ordered pair."""
+    n = data.draw(st.integers(3, 5))
+    couplings = data.draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n))
+    tau = data.draw(st.floats(5.0, 50.0)) * couplings[0]
+    p = ModelParams(couplings, (tau,) * n, photon_cutoff=data.draw(st.integers(1, 5)))
+    ratio = data.draw(st.floats(2.0, 20.0))
+    active = tuple(data.draw(st.permutations(range(n)))[:2])
+    return p, active, ratio
 
-    Full-space route: the dense frame trajectory, |psi><psi| traced down to the
-    pair with partial_trace and swapped into ``active`` order, and each
-    spectator's excitation summed out of the full probability table.
+
+def spectator_model(p, active, ratio):
+    """The model the spectator check runs (spectators at ratio x tau) and its t0."""
+    g, tau = p.couplings_g[0], p.detunings_tau[0]
+    taus = [tau if j in active else ratio * tau for j in range(p.n_qubits)]
+    return ModelParams(p.couplings_g, taus, p.photon_cutoff), gate_time_t0(g * g / tau)
+
+
+def embed_sector(p, amps):
+    """Full-space states from one-excitation amplitudes (qubit 0..n-1 excited, then photon)."""
+    n = p.n_qubits
+    states = np.zeros((len(amps), p.space.dim), dtype=complex)
+    # Qubit j excited in the vacuum, qubit j the 2^(n-1-j) bit above the cavity;
+    # all qubits down with one photon is index 1.
+    states[:, [(p.photon_cutoff + 1) * 2 ** (n - 1 - j) for j in range(n)] + [1]] = amps
+    return states
+
+
+def selective_reference(full, active, states):
+    """(max, final) spectator excitation and pair fidelity read from full-space states.
+
+    |psi><psi| at the last time traced down to the pair with partial_trace and
+    swapped into ``active`` order, and each spectator's excitation summed out
+    of the full probability table.
     """
-    n, dims = p.n_qubits, p.space.dims
-    tau = p.detunings_tau[0]
-    taus = [tau if j in active else ratio * tau for j in range(n)]
-    full = ModelParams(p.couplings_g, taus, p.photon_cutoff)
-    psi0 = np.zeros(full.space.dim, dtype=complex)
-    psi0[(p.photon_cutoff + 1) * 2 ** (n - 1 - active[0])] = 1.0  # qubit active[0] excited
-    times = np.linspace(0.0, gate_time_t0(p.couplings_g[0] ** 2 / tau), FRAME_SAMPLES + 1)
-    states = _frame_trajectory(full, psi0, times)
-
+    n, dims = full.n_qubits, full.space.dims
     rho = partial_trace(PureState(full.space, states[-1]).density_matrix(), sorted(active))
     rho = rho.matrix.reshape(2, 2, 2, 2)
     if active[0] > active[1]:
@@ -261,12 +310,78 @@ def selective_reference(p, active, ratio):
     target = epr_target().amplitudes
     fid = float(np.real(target.conj() @ rho.reshape(4, 4) @ target))
 
-    probs = np.abs(states.reshape(len(times), *dims)) ** 2
-    excitation = np.zeros(len(times))
+    probs = np.abs(states.reshape(len(states), *dims)) ** 2
+    excitation = np.zeros(len(states))
     for j in set(range(n)) - set(active):
-        for t in range(len(times)):
+        for t in range(len(states)):
             excitation[t] += probs[t].take(1, axis=j).sum()
     return float(np.max(excitation)), float(excitation[-1]), fid
+
+
+def mp_sector_run(p, start, times, dps=40):
+    """_sector_run's amplitudes at ``times``, from a `dps`-digit eigendecomposition."""
+    with mp.workdps(dps):
+        n = p.n_qubits
+        h = mp.zeros(n + 1, n + 1)
+        for j, (g, tau) in enumerate(zip(p.couplings_g, p.detunings_tau)):
+            h[j, j] = tau
+            h[j, n] = h[n, j] = g
+        evals, evecs = mp.eigsy(h)
+        # c_m(t) = e^{i A_m t} sum_k w_mk e^{-i E_k t}, with real w_mk = Q_mk Q_start,k
+        w = [[evecs[m, k] * evecs[start, k] for k in range(n + 1)] for m in range(n + 1)]
+        frame = list(p.detunings_tau) + [0.0]
+        amps = np.empty((len(times), n + 1), dtype=complex)
+        for i, t in enumerate(times):
+            t = mp.mpf(t)  # the float sample time, exactly
+            cos, sin = zip(*(mp.cos_sin(e * t) for e in evals))
+            for m in range(n + 1):
+                amp = mp.expj(frame[m] * t) * mp.mpc(mp.fdot(w[m], cos), -mp.fdot(w[m], sin))
+                amps[i, m] = complex(amp)
+    return amps
+
+
+class TestSectorRun:
+    def test_matches_direct_time_dependent_integration(self):
+        # RK4 of the explicitly time-dependent interaction over the full space,
+        # recorded at every sample time of the sector run.
+        p = ModelParams((1.0, 0.7, 1.3), (10.0, 10.0, 30.0), photon_cutoff=2)
+        t_end, per_sample = 2.0, 4
+        amps = _sector_run(p, 1, t_end)
+        psi0 = PureState(p.space, embed_sector(p, amps[:1])[0])
+        grid = TimeGrid(t_end, FRAME_SAMPLES * per_sample)
+        rk4 = propagate_schrodinger(lambda t: h_interaction(t, p), psi0, grid,
+                                    record_every=per_sample)
+        assert np.max(np.abs(np.array(rk4.states) - embed_sector(p, amps))) < 1e-8
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_high_precision_solution(self, data):
+        # Roundoff grows with the largest frame phase tau_max x t0; over 5,000
+        # draws the worst error was 2.8 eps x tau_max x t0.  Every tenth sample
+        # time, the last one included.
+        p, active, ratio = draw_spectator_check(data)
+        full, t0 = spectator_model(p, active, ratio)
+        times = np.linspace(0.0, t0, FRAME_SAMPLES + 1)[::10]
+        amps = _sector_run(full, active[0], t0)[::10]
+        error = np.max(np.abs(amps - mp_sector_run(full, active[0], times)))
+        assert error <= 4 * EPS * max(full.detunings_tau) * t0
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_reports_do_not_depend_on_the_cutoff(data):
+    # From one excitation the run never holds two photons, so every cutoff
+    # >= 1 gives the same sector matrix and the same reports, bit for bit.
+    cutoffs = (1, 3, 5, 8)
+    g = data.draw(st.floats(0.5, 2.0))
+    p = ModelParams.uniform(2, g, data.draw(st.floats(6.0, 50.0)) * g)
+    reports = [dispersive_validity(replace(p, photon_cutoff=c)) for c in cutoffs]
+    assert all(r == reports[0] for r in reports)
+    assert reports[0].cutoff_shift == 0.0
+    p, active, ratio = draw_spectator_check(data)
+    reports = [selective_coupling_check(replace(p, photon_cutoff=c), active, ratio)
+               for c in cutoffs]
+    assert all(r == reports[0] for r in reports)
 
 
 class TestDecoherenceSweep:
