@@ -165,9 +165,6 @@ def cmd_validate(cfg: RunConfig, out) -> int:
         ("max_cavity_occupation",
          report.max_cavity_occupation < report.cavity_bound,
          f"{report.max_cavity_occupation:.3e} (bound {report.cavity_bound:.3e})"),
-        ("photon_cutoff_convergence",
-         report.cutoff_shift < 1e-6,
-         f"{report.cutoff_shift:.3e} (threshold < 1e-6)"),
     ]
     lines = [f"tau/g = {report.tau_over_g:.6g}"]
     ok = True

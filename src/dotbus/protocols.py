@@ -68,8 +68,9 @@ def _epr_grid(lam: float, noise: NoiseSpec, steps: int | None = None,
     """
     t0 = gate_time_t0(lam)
     if steps is None:
-        try:
-            steps = max(MIN_EPR_STEPS, math.ceil(40.0 * t0 * noise.total_rate))
+        rate = noise.total_rate
+        try:  # without noise, 40 t0 may overflow, and inf x 0 is NaN
+            steps = max(MIN_EPR_STEPS, math.ceil(40.0 * t0 * rate if rate else 0.0))
         except OverflowError:  # the step count overflows a float
             steps = math.inf
     if steps * runs > MAX_RK4_STEPS:
@@ -170,7 +171,6 @@ class DispersiveReport:
     infidelity: float
     max_cavity_occupation: float
     cavity_bound: float
-    cutoff_shift: float
 
 
 def dispersive_validity(p: ModelParams) -> DispersiveReport:
@@ -179,9 +179,7 @@ def dispersive_validity(p: ModelParams) -> DispersiveReport:
     Propagates |10> x |vacuum> for the entangling time under the full model,
     traces the cavity, and reports the overlap with |10> evolved by the reduced
     model that `epr_generation` runs, plus the peak cavity occupation of the
-    full run.  ``cutoff_shift`` is the change of the pair state when the photon
-    cutoff is raised by one: 0.0, as the run never holds two photons, unless
-    the sector is read from the wrong entries.
+    full run.
     """
     if p.n_qubits != 2:
         raise ValueError("dispersive validation is a two-qubit comparison")
@@ -197,8 +195,6 @@ def dispersive_validity(p: ModelParams) -> DispersiveReport:
             f"{math.sqrt(4.0 * MAX_FRAME_PHASE / math.pi):.6g}), past which roundoff sets "
             "the readings"
         )
-    rho_next, _ = _pair_run(replace(p, photon_cutoff=p.photon_cutoff + 1), (0, 1), lam)
-    cutoff_shift = float(np.max(np.abs(rho_full.matrix - rho_next.matrix)))
 
     # The effective model conserves photon number, so from the vacuum it is the
     # reduced two-qubit exchange; column 2 of its propagator is the image of |10>.
@@ -211,7 +207,6 @@ def dispersive_validity(p: ModelParams) -> DispersiveReport:
         infidelity=1.0 - fid,
         max_cavity_occupation=float(np.max(levels[-1])),
         cavity_bound=4.0 * (g / tau) * (g / tau),  # inf, not OverflowError, for tiny tau
-        cutoff_shift=cutoff_shift,
     )
 
 
@@ -261,7 +256,8 @@ class SweepResult:
     """Error-probability grid over relaxation and dephasing axes.
 
     ``error_grid[i, j]`` is the generation error at relaxation rate
-    ``gamma_axis[i]`` and dephasing rate ``gamma_phi_axis[j]``.
+    ``gamma_axis[i]`` and dephasing rate ``gamma_phi_axis[j]``.  A value
+    outside [0, 1] is a numerical failure and raises DiagnosticError.
     """
 
     gamma_axis: np.ndarray
@@ -272,7 +268,10 @@ class SweepResult:
         if self.error_grid.shape != (len(self.gamma_axis), len(self.gamma_phi_axis)):
             raise ValueError("grid shape does not match axes")
         if np.any(self.error_grid < 0) or np.any(self.error_grid > 1):
-            raise ValueError("error probabilities must lie in [0, 1]")
+            raise DiagnosticError(
+                f"error probabilities must lie in [0, 1]; the grid spans "
+                f"[{np.min(self.error_grid):.3g}, {np.max(self.error_grid):.3g}]"
+            )
 
 
 def decoherence_sweep(p: ModelParams, gamma_axis, gamma_phi_axis) -> SweepResult:

@@ -4,23 +4,25 @@ import errno
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dotbus import cli
+from dotbus import cli, protocols
 from dotbus.cli import main
 from dotbus.config import (
     _UNITS,
-    MAX_SPACE_DIM,
+    MAX_QUBITS,
     SCHEMA,
     ConfigError,
     config_from_dict,
     parse_config,
 )
-from dotbus.dynamics import NoiseSpec
+from dotbus.dynamics import STABILITY_LIMIT, NoiseSpec
+from dotbus.hamiltonians import h_reduced_two_qubit
 from dotbus.protocols import (
     MAX_FRAME_PHASE,
     MAX_RK4_STEPS,
@@ -42,8 +44,6 @@ class TestConfigDefaults:
     def test_empty_config_uses_defaults(self):
         cfg = config_from_dict({})
         assert cfg.model.n_qubits == 2
-        assert cfg.model.photon_cutoff == 5
-        assert cfg.normalized["model"]["photon_cutoff"] == 5
         assert cfg.tlr.length == 0.01
         assert cfg.noise.relaxation[0] == pytest.approx(2 * math.pi * 0.2e6)
         assert cfg.noise.dephasing[0] == pytest.approx(2 * math.pi * 0.5e6)
@@ -145,9 +145,8 @@ ZERO_DEFAULT_RANGES = {
 }
 
 
-# Integer leaves are drawn from 1..40, except n_qubits: 2**6 x (40 + 1) = 2624
-# keeps every draw within MAX_SPACE_DIM.
-INT_RANGES = {"model.n_qubits": (1, 6)}
+# Integer leaves are drawn from 1..40, except n_qubits, which stops at MAX_QUBITS.
+INT_RANGES = {"model.n_qubits": (1, MAX_QUBITS)}
 
 
 def leaf_values(path, default, kind):
@@ -215,7 +214,7 @@ class TestCliDevice:
         assert main(["device", "--config", path, "--out", str(out_file)]) == 0
         assert out_file.exists()
         resolved = json.loads((tmp_path / "device.txt.resolved.json").read_text())
-        assert resolved["model"]["photon_cutoff"] == 5
+        assert resolved == config_from_dict({}).dump()
 
 
 class TestCliEpr:
@@ -354,7 +353,7 @@ class TestCliValidate:
         path = write_config(tmp_path, {"model": {"coupling_g": "100 MHz"}})
         assert main(["validate", "--config", path]) == 0
         out = capsys.readouterr().out
-        assert out.count("[PASS]") == 3
+        assert out.count("[PASS]") == 2
         assert "[FAIL]" not in out
 
     def test_marginal_detuning_fails_named_check(self, tmp_path, capsys):
@@ -426,12 +425,7 @@ class TestCliErrors:
         raw = {"model": {"tau_over_g": 1e9}}
         cfg = config_from_dict(raw)
         lam = cfg.model.lam
-        if command == "epr":
-            noise, runs = cfg.noise, 1
-        else:
-            gammas, gamma_phis = cfg.sweep_gamma_axis, cfg.sweep_gamma_phi_axis
-            noise = NoiseSpec.uniform(2, max(gammas), max(gamma_phis))
-            runs = len(gammas) * len(gamma_phis)
+        noise, runs = sized_runs(cfg, command)
         total = runs * max(MIN_EPR_STEPS, math.ceil(40.0 * gate_time_t0(lam) * noise.total_rate))
         assert total > MAX_RK4_STEPS
         path = write_config(tmp_path, raw)
@@ -444,8 +438,11 @@ class TestCliErrors:
     @pytest.mark.parametrize("command", ["device", "epr", "validate"])
     @pytest.mark.parametrize(
         "model",
-        [{"coupling_g": "1e-300 Hz"}, {"tau_over_g": 1e300}, {"coupling_g": "1e200 GHz"}],
-        ids=["lambda-underflows", "lambda-underflows-by-ratio", "lambda-overflows"],
+        [{"coupling_g": "1e-300 Hz"}, {"tau_over_g": 1e300}, {"coupling_g": "1e200 GHz"},
+         # lambda = 1.26e308 is finite, but 4 lambda overflows, so t0 = pi/(4 lambda) is 0.
+         {"coupling_g": "1e153 Hz", "tau_over_g": 5e-155, "dispersive_threshold": 0}],
+        ids=["lambda-underflows", "lambda-underflows-by-ratio", "lambda-overflows",
+             "gate-time-underflows"],
     )
     def test_lambda_out_of_range_is_config_error(self, tmp_path, capsys, command, model):
         path = write_config(tmp_path, {"model": model})
@@ -455,13 +452,19 @@ class TestCliErrors:
         assert "model.coupling_g" in err and "model.tau_over_g" in err
 
     @pytest.mark.parametrize("command", ["device", "epr", "sweep", "validate"])
-    @pytest.mark.parametrize("model", [{"n_qubits": 10**9}, {"photon_cutoff": 10**6}])
+    @pytest.mark.parametrize("model", [{"n_qubits": 10**9}, {"n_qubits": MAX_QUBITS + 1}])
     def test_space_dimension_bound_is_config_error(self, tmp_path, capsys, command, model):
         path = write_config(tmp_path, {"model": model})
         assert main([command, "--config", path]) == 2
-        err = capsys.readouterr().err
-        assert "model.n_qubits" in err and "model.photon_cutoff" in err
-        assert str(MAX_SPACE_DIM) in err
+        assert (f"model.n_qubits: {model['n_qubits']} qubits exceed MAX_QUBITS = {MAX_QUBITS}"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["device", "epr", "sweep", "validate"])
+    def test_photon_cutoff_is_unknown_key(self, tmp_path, capsys, command):
+        # The one-excitation runs hold at most one photon, so no cutoff is read.
+        path = write_config(tmp_path, {"model": {"photon_cutoff": 5}})
+        assert main([command, "--config", path]) == 2
+        assert "model.photon_cutoff: unknown key" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "text",
@@ -497,6 +500,21 @@ class TestCliErrors:
         assert capsys.readouterr().err == (
             "numerical diagnostics failed: Eigenvalues did not converge\n"
         )
+
+    def test_error_probability_out_of_range_is_diagnostic(self, tmp_path, capsys, monkeypatch):
+        # No known config gives a D outside [0, 1], so a negative one is injected.
+        def negative(*args, **kwargs):
+            return replace(epr_generation(*args, **kwargs), error_d=-1e-12)
+
+        monkeypatch.setattr(protocols, "epr_generation", negative)
+        path = write_config(tmp_path, {"sweep": {"gamma_points": 2, "gamma_phi_points": 2}})
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--config", path, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "numerical diagnostics failed: error probabilities must lie in [0, 1]; "
+            "the grid spans [-1e-12, -1e-12]\n"
+        )
+        assert list(tmp_path.iterdir()) == [tmp_path / "run.json"]
 
     def test_overflowing_frame_phase_is_diagnostic(self, tmp_path, capsys):
         for model in (
@@ -541,20 +559,16 @@ class TestCliErrors:
 
 
 class TestSpaceDimensionBound:
-    @pytest.mark.parametrize(
-        "n_qubits, cutoff, accepted",
-        [(9, 5, True), (9, 6, False), (2, 767, True), (2, 768, False),
-         (11, 1, False), (12, 1, False), (13, 1, False)],
-    )
-    def test_bound_is_inclusive(self, n_qubits, cutoff, accepted):
-        raw = {"model": {"n_qubits": n_qubits, "photon_cutoff": cutoff}}
-        assert accepted == (2**n_qubits * (cutoff + 1) <= MAX_SPACE_DIM)
+    @pytest.mark.parametrize("n_qubits, accepted", [(9, True), (10, False), (10**30, False)])
+    def test_bound_is_inclusive(self, n_qubits, accepted):
+        raw = {"model": {"n_qubits": n_qubits}}
+        assert accepted == (n_qubits <= MAX_QUBITS)
         if accepted:
-            assert config_from_dict(raw).model.space.dim <= MAX_SPACE_DIM
+            assert config_from_dict(raw).model.n_qubits == n_qubits
         else:
             with pytest.raises(ConfigError) as err:
                 config_from_dict(raw)
-            assert err.value.path == "model"
+            assert err.value.path == "model.n_qubits"
 
 
 class TestSweepGridBound:
@@ -583,12 +597,9 @@ def any_rate():
     return any_float() | any_float().map(lambda x: f"{x!r} GHz")
 
 
-# Every value a model leaf accepts, extremes included.  photon_cutoff skips
-# 9..767: those are valid but make validate diagonalise up to 3072 x 3072
-# matrices, which is slow, not a failure; from 768 on the size bound refuses.
+# Every value a model leaf accepts, extremes included.
 MODEL_OVERRIDES = st.fixed_dictionaries({}, optional={
     "n_qubits": st.integers(-2, 13) | st.integers(13, 10**30),
-    "photon_cutoff": st.integers(-2, 8) | st.integers(MAX_SPACE_DIM // 4, 10**30),
     "coupling_g": st.just("from-device") | any_rate(),
     "tau_over_g": any_float(),
     "dispersive_threshold": any_float(),
@@ -638,18 +649,24 @@ def test_every_noise_and_sweep_override_exits_cleanly(tmp_path_factory, raw):
     assert_exits_cleanly(tmp_path_factory, "device", raw)
 
 
+def sized_runs(cfg, command):
+    """(noise, runs) that set the step count of ``command``.
+
+    One run at the config's noise for epr; every grid point at the largest rates for sweep.
+    """
+    if command == "epr":
+        return cfg.noise, 1
+    gammas, gamma_phis = cfg.sweep_gamma_axis, cfg.sweep_gamma_phi_axis
+    return NoiseSpec.uniform(2, max(gammas), max(gamma_phis)), len(gammas) * len(gamma_phis)
+
+
 def step_total(raw, command):
     """RK4 steps ``command`` would take on ``raw``: inf past the budget, 0 for a bad config."""
     try:
         cfg = config_from_dict(raw)
     except ConfigError:
         return 0
-    if command == "epr":
-        noise, runs = cfg.noise, 1
-    else:
-        gammas, gamma_phis = cfg.sweep_gamma_axis, cfg.sweep_gamma_phi_axis
-        noise = NoiseSpec.uniform(2, max(gammas), max(gamma_phis))
-        runs = len(gammas) * len(gamma_phis)
+    noise, runs = sized_runs(cfg, command)
     try:
         return _epr_grid(cfg.model.lam, noise, runs=runs).steps * runs
     except StepBudgetError:
@@ -667,6 +684,66 @@ def test_every_noise_and_sweep_override_runs_cleanly(tmp_path_factory, command, 
     assume(not 2e4 < step_total(raw, command) <= MAX_RK4_STEPS)
     out = tmp_path_factory.mktemp("out") / "out.csv"
     assert_exits_cleanly(tmp_path_factory, command, raw, "--out", str(out))
+
+
+def power_of_ten(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+def any_accepted_rate():
+    return st.just(0) | power_of_ten(-300, 300)
+
+
+# lambda = g^2/tau over the whole accepted range and beyond (the threshold 0
+# lets tau/g go below 1), and rates from 0 to past the step budget.
+LAMBDA_AND_RATES = st.fixed_dictionaries({
+    "model": st.fixed_dictionaries({
+        "coupling_g": power_of_ten(-165, 160).map(lambda g: f"{g!r} Hz"),
+        "tau_over_g": power_of_ten(-320, 308),
+        "dispersive_threshold": st.just(0),
+    }),
+    "noise": st.fixed_dictionaries({
+        "gamma_over_2pi": any_accepted_rate(),
+        "gamma_phi_over_2pi": any_accepted_rate(),
+    }),
+    "sweep": st.fixed_dictionaries({
+        "gamma_max_over_2pi": any_accepted_rate(),
+        "gamma_phi_max_over_2pi": any_accepted_rate(),
+        "gamma_points": st.integers(1, 30),
+        "gamma_phi_points": st.integers(1, 30),
+    }),
+})
+
+
+def at_lambda(coupling_g, tau_over_g):
+    """A noiseless config at this coupling and ratio, so no run is over the step budget."""
+    return {"model": {"coupling_g": coupling_g, "tau_over_g": tau_over_g,
+                      "dispersive_threshold": 0},
+            "noise": {"gamma_over_2pi": 0, "gamma_phi_over_2pi": 0},
+            "sweep": {"gamma_max_over_2pi": 0, "gamma_phi_max_over_2pi": 0}}
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=LAMBDA_AND_RATES)
+@example(raw=at_lambda("1e153 Hz", 1.3993731196391059e-154))  # largest lambda, 4.49e307
+@example(raw=at_lambda("1e-150 Hz", 6.283185307179586e158))  # lambda = 1e-308
+def test_no_accepted_run_reaches_the_step_size_guard(raw):
+    # _rk4 raises a ValueError, which the CLI does not map to an exit code,
+    # when dt x (||h20||_2 + total rate) >= STABILITY_LIMIT.  With _epr_grid's
+    # step count that product is (pi/2 + t0 x total rate) / steps <= 0.031,
+    # for an epr run and for a sweep's worst point alike.
+    try:
+        cfg = config_from_dict(raw)
+    except ConfigError:
+        assume(False)
+    lam = cfg.model.lam
+    h_norm = np.linalg.norm(h_reduced_two_qubit(lam), 2)
+    for noise, runs in (sized_runs(cfg, "epr"), sized_runs(cfg, "sweep")):
+        try:
+            dt = _epr_grid(lam, noise, runs=runs).dt
+        except StepBudgetError:  # refused with exit 3 before any step
+            continue
+        assert dt * (h_norm + noise.total_rate) < STABILITY_LIMIT
 
 
 def any_quantity(kind):

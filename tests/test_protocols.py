@@ -140,8 +140,9 @@ def test_epr_grid_step_count():
     assert _epr_grid(lam, NoiseSpec((5.0, 0.0), (5.0, 0.0))).steps == 400
     assert _epr_grid(lam, NoiseSpec.uniform(2, 1.0, 1.5)).steps == MIN_EPR_STEPS  # not 200
     assert _epr_grid(lam, NoiseSpec.none(2), steps=7).steps == 7
-    # The Hamiltonian's own 40 t0 x 2 lam = 20 pi steps never set the count.
-    for lam in 10.0 ** np.arange(-30.0, 31.0, 3.0):
+    # The Hamiltonian's own 40 t0 x 2 lam = 20 pi steps never set the count,
+    # not even where 40 t0 overflows (lam below 1.75e-307).
+    for lam in 10.0 ** np.arange(-308.0, 308.0, 4.0):
         assert _epr_grid(lam, NoiseSpec.none(2)).steps == MIN_EPR_STEPS
 
 
@@ -162,7 +163,6 @@ class TestDispersiveValidity:
         report = dispersive_validity(paper_model())
         assert report.fidelity_full_vs_effective >= 0.95
         assert report.max_cavity_occupation < report.cavity_bound
-        assert report.cutoff_shift < 1e-6
 
     def test_cavity_stays_nearly_empty(self):
         # Exact bound from the one-excitation sector: the symmetric qubit
@@ -377,7 +377,6 @@ def test_reports_do_not_depend_on_the_cutoff(data):
     p = ModelParams.uniform(2, g, data.draw(st.floats(6.0, 50.0)) * g)
     reports = [dispersive_validity(replace(p, photon_cutoff=c)) for c in cutoffs]
     assert all(r == reports[0] for r in reports)
-    assert reports[0].cutoff_shift == 0.0
     p, active, ratio = draw_spectator_check(data)
     reports = [selective_coupling_check(replace(p, photon_cutoff=c), active, ratio)
                for c in cutoffs]

@@ -44,7 +44,8 @@ FAILURES = {
     "fail-rate-overflow": {"noise": {"gamma_over_2pi": 1e308}},
     "fail-sweep-grid": {"sweep": {"gamma_points": 198, "gamma_phi_points": 198}},
     "fail-bad-json": "{",
-    "fail-space-dim": {"model": {"n_qubits": 9, "photon_cutoff": 6}},
+    "fail-photon-cutoff": {"model": {"photon_cutoff": 5}},
+    "fail-space-dim": {"model": {"n_qubits": 10}},
     "fail-lambda-underflow": {"model": {"coupling_g": "1e-300 Hz"}},
     "fail-tlr-underflow": {"device": {"tlr": {"length": 1e-320}}},
     "fail-not-dispersive": {"model": {"tau_over_g": 2}},
