@@ -31,6 +31,7 @@ from .device import (
     renormalized_frequency,
 )
 from .dynamics import DiagnosticError
+from .hamiltonians import DISPERSIVE_THRESHOLD
 from .protocols import (
     StepBudgetError,
     decoherence_sweep,
@@ -221,7 +222,7 @@ def main(argv=None) -> int:
             if not model.is_dispersive:
                 ratio = model.detunings_tau[0] / model.couplings_g[0]
                 print(f"validation failed: tau/g = {ratio:.6g} is below the dispersive "
-                      f"threshold {model.dispersive_threshold:.6g}", file=sys.stderr)
+                      f"threshold {DISPERSIVE_THRESHOLD:.6g}", file=sys.stderr)
                 return EXIT_DIAGNOSTIC
         return _COMMANDS[args.command](cfg, args.out)
     except ConfigError as exc:

@@ -109,8 +109,6 @@ SCHEMA = {
             "bias": (0.0, "energy"),
             "tunneling": (20e-6 * EV_TO_JOULE, "energy"),
             "total_capacitance": (1e-15, "capacitance"),
-            "triplet_energy": (0.0, "energy"),
-            "singlet_energy": (0.0, "energy"),
         },
         "coupler": {
             "coupling_capacitance": (2.5e-16, "capacitance"),
@@ -121,7 +119,6 @@ SCHEMA = {
         "n_qubits": (2, "int"),
         "coupling_g": ("from-device", "frequency"),
         "tau_over_g": (10.0, "dimensionless"),
-        "dispersive_threshold": (5.0, "dimensionless"),
     },
     "noise": {
         "gamma_over_2pi": (0.2e6, "frequency"),
@@ -208,10 +205,7 @@ def config_from_dict(raw: dict) -> RunConfig:
         )
     tlr = _build("device.tlr", TlrParams, **t)
     d = tree["device"]["dot"]
-    dot = _build(
-        "device.dot", DotParams, d["bias"], d["tunneling"], d["total_capacitance"],
-        d["triplet_energy"], d["singlet_energy"],
-    )
+    dot = _build("device.dot", DotParams, d["bias"], d["tunneling"], d["total_capacitance"])
     coupler = _build("device.coupler", CouplerParams, **tree["device"]["coupler"])
     _build("device.coupler", coupler.validate_against, tlr)
 
@@ -227,10 +221,7 @@ def config_from_dict(raw: dict) -> RunConfig:
     n = m["n_qubits"]
     if n > MAX_QUBITS:
         raise ConfigError("model.n_qubits", f"{n} qubits exceed MAX_QUBITS = {MAX_QUBITS}")
-    model = _build(
-        "model", ModelParams, (g,) * n, (m["tau_over_g"] * g,) * n,
-        dispersive_threshold=m["dispersive_threshold"],
-    )
+    model = _build("model", ModelParams, (g,) * n, (m["tau_over_g"] * g,) * n)
     lam = _build("model", lambda: model.lam)
     if not (0 < lam < math.inf and 0 < gate_time_t0(lam) < math.inf):
         raise ConfigError(

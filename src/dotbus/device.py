@@ -60,13 +60,11 @@ class TlrParams:
 
 @dataclass(frozen=True)
 class DotParams:
-    """Double-dot molecule: bias, interdot tunneling, capacitance, level energies (J)."""
+    """Double-dot molecule: bias and interdot tunneling (J), total capacitance (F)."""
 
     bias_epsilon: float
     tunneling: float
     total_capacitance: float
-    triplet_energy: float = 0.0
-    singlet_energy: float = 0.0
 
     def __post_init__(self):
         if self.tunneling <= 0:
@@ -116,6 +114,7 @@ def decay_kappa(tlr: TlrParams) -> float:
 def mixing_angle(dot: DotParams) -> float:
     """Rotation angle diagonalizing the singlet block [[0, Tc], [Tc, -eps]].
 
+    The (1,1) singlet is the energy zero and the (0,2) singlet sits at -eps.
     Convention: theta = atan2(2 Tc, eps) / 2, so cos(theta) >= 0, the angle is
     pi/4 at zero bias and falls to 0 as eps >> Tc.
     """
@@ -125,6 +124,7 @@ def mixing_angle(dot: DotParams) -> float:
 def singlet_splitting(dot: DotParams) -> float:
     """Energy gap between the mixed singlet eigenstates: sqrt(eps^2 + 4 Tc^2), J.
 
+    Same singlet block as `mixing_angle`, with the (1,1) singlet at zero.
     First-order insensitive to bias fluctuations at eps = 0 (the sweet spot).
     """
     return math.hypot(dot.bias_epsilon, 2.0 * dot.tunneling)

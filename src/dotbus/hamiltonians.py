@@ -17,7 +17,8 @@ import numpy as np
 from .algebra import HilbertSpace, SIGMA_MINUS, SIGMA_PLUS, embed
 
 DEFAULT_PHOTON_CUTOFF = 5
-DEFAULT_DISPERSIVE_THRESHOLD = 5.0
+# Smallest tau/g at which the dispersive (effective) model is run.
+DISPERSIVE_THRESHOLD = 5.0
 
 
 @dataclass(frozen=True)
@@ -31,7 +32,6 @@ class ModelParams:
     couplings_g: tuple[float, ...]
     detunings_tau: tuple[float, ...]
     photon_cutoff: int = DEFAULT_PHOTON_CUTOFF
-    dispersive_threshold: float = DEFAULT_DISPERSIVE_THRESHOLD
 
     def __post_init__(self):
         object.__setattr__(self, "couplings_g", tuple(float(g) for g in self.couplings_g))
@@ -61,7 +61,7 @@ class ModelParams:
     @property
     def is_dispersive(self) -> bool:
         return all(
-            g > 0 and abs(tau) / g >= self.dispersive_threshold
+            g > 0 and abs(tau) / g >= DISPERSIVE_THRESHOLD
             for g, tau in zip(self.couplings_g, self.detunings_tau)
         )
 

@@ -14,7 +14,8 @@ import numpy as np
 
 from .algebra import DensityMatrix, HilbertSpace, PureState, concurrence, fidelity
 from .dynamics import DiagnosticError, NoiseSpec, SimResult, TimeGrid, integrate_lindblad
-from .hamiltonians import ModelParams, analytic_u, h_reduced_two_qubit, static_frame_hamiltonian
+from .hamiltonians import (DISPERSIVE_THRESHOLD, ModelParams, analytic_u, h_reduced_two_qubit,
+                           static_frame_hamiltonian)
 
 TWO_QUBIT_SPACE = HilbertSpace((2, 2))
 MIN_EPR_STEPS = 256
@@ -54,9 +55,9 @@ class EprReport:
 
 
 def _require_dispersive(p: ModelParams) -> None:
-    """Refuse a model whose tau/g is below its dispersive threshold."""
+    """Refuse a model whose tau/g is below DISPERSIVE_THRESHOLD."""
     if not p.is_dispersive:
-        raise ValueError(f"detuning/coupling ratio below dispersive threshold {p.dispersive_threshold}")
+        raise ValueError(f"detuning/coupling ratio below dispersive threshold {DISPERSIVE_THRESHOLD}")
 
 
 def _epr_grid(lam: float, noise: NoiseSpec, steps: int | None = None,
@@ -198,8 +199,7 @@ def dispersive_validity(p: ModelParams) -> DispersiveReport:
 
     # The effective model conserves photon number, so from the vacuum it is the
     # reduced two-qubit exchange; column 2 of its propagator is the image of |10>.
-    phi_eff = analytic_u(lam, t0)[:, 2]
-    fid = float(np.real(phi_eff.conj() @ rho_full.matrix @ phi_eff))
+    fid = fidelity(rho_full, PureState(TWO_QUBIT_SPACE, analytic_u(lam, t0)[:, 2]))
 
     return DispersiveReport(
         tau_over_g=tau / g,
@@ -234,6 +234,8 @@ def selective_coupling_check(
         raise ValueError("selective-coupling check needs at least one spectator qubit")
     if len(set(active)) != 2:
         raise ValueError("exactly two distinct active qubits required")
+    if not all(0 <= j < p.n_qubits for j in active):
+        raise ValueError(f"active qubits {active} must lie in range({p.n_qubits})")
     g, tau_active = p.couplings_g[0], p.detunings_tau[0]
     detunings = tuple(
         tau_active if j in active else spectator_ratio * tau_active

@@ -33,21 +33,24 @@ from .algebra import (HERMITIAN_TOL, SIGMA_MINUS, SIGMA_PLUS, DensityMatrix, Hil
                       PureState, embed, hermiticity_defect)
 from .device import HBAR, DotParams
 from .dynamics import DiagnosticError, NoiseSpec, SimResult, TimeGrid, _channels, _rk4
-from .hamiltonians import ModelParams, destroy, static_frame_hamiltonian
+from .hamiltonians import DISPERSIVE_THRESHOLD, ModelParams, destroy, static_frame_hamiltonian
 
 NORM_DRIFT_TOL = 1e-6
 
 
-def h_double_dot(dot: DotParams) -> np.ndarray:
+def h_double_dot(dot: DotParams, triplet_energy: float = 0.0,
+                 singlet_energy: float = 0.0) -> np.ndarray:
     """Three-level double-dot Hamiltonian in rad/s.
 
     Ordered basis {(1,1)T0, (1,1)S, (0,2)S}: diagonal (E_T, E_S, -eps) with
-    tunneling T_C mixing the two singlets.  DotParams carries joules; the
-    matrix is returned divided by hbar.
+    tunneling T_C mixing the two singlets.  The level energies E_T and E_S
+    are joules like DotParams; at their default 0 the (1,1) singlet is the
+    energy zero that `device.mixing_angle` takes.  The matrix is returned
+    divided by hbar.
     """
     h = np.zeros((3, 3), dtype=complex)
-    h[0, 0] = dot.triplet_energy
-    h[1, 1] = dot.singlet_energy
+    h[0, 0] = triplet_energy
+    h[1, 1] = singlet_energy
     h[2, 2] = -dot.bias_epsilon
     h[1, 2] = h[2, 1] = dot.tunneling
     return h / HBAR
@@ -75,13 +78,13 @@ def h_effective(p: ModelParams) -> np.ndarray:
     lambda * sum_{i,j} (sigma_j^+ sigma_i^- a a^dagger - sigma_j^- sigma_i^+
     a^dagger a), written out literally including the i = j terms, which
     produce the single-qubit Stark/Lamb diagonal shifts.  Requires identical
-    couplings/detunings and a dispersive ratio above the configured threshold.
+    couplings/detunings and a dispersive ratio of at least DISPERSIVE_THRESHOLD.
     """
     if not p.identical:
         raise ValueError("effective Hamiltonian assumes identical couplings and detunings")
     if not p.is_dispersive:
         raise ValueError(
-            f"detuning/coupling ratio below dispersive threshold {p.dispersive_threshold}"
+            f"detuning/coupling ratio below dispersive threshold {DISPERSIVE_THRESHOLD}"
         )
     space, cav = p.space, p.n_qubits
     a = destroy(p.photon_cutoff)

@@ -139,8 +139,6 @@ def test_wrong_type_reports_exact_leaf_path(path, bad):
 ZERO_DEFAULT_RANGES = {
     "device.tlr.wiring_capacitance": (0.0, 5e-14),  # C0/LC stays below 0.1
     "device.dot.bias": (-1e-23, 1e-23),
-    "device.dot.triplet_energy": (-1e-23, 1e-23),
-    "device.dot.singlet_energy": (-1e-23, 1e-23),
     "device.coupler.position": (0.0, 5e-3),  # on the shortest drawn line
 }
 
@@ -409,7 +407,7 @@ class TestCliErrors:
         path = write_config(tmp_path, {"model": {"tau_over_g": 2}})
         assert main(["validate", "--config", path]) == 3
         err = capsys.readouterr().err
-        assert "dispersive threshold" in err
+        assert "tau/g = 2 is below the dispersive threshold 5" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["epr", "sweep"])
@@ -440,7 +438,7 @@ class TestCliErrors:
         "model",
         [{"coupling_g": "1e-300 Hz"}, {"tau_over_g": 1e300}, {"coupling_g": "1e200 GHz"},
          # lambda = 1.26e308 is finite, but 4 lambda overflows, so t0 = pi/(4 lambda) is 0.
-         {"coupling_g": "1e153 Hz", "tau_over_g": 5e-155, "dispersive_threshold": 0}],
+         {"coupling_g": "1e153 Hz", "tau_over_g": 5e-155}],
         ids=["lambda-underflows", "lambda-underflows-by-ratio", "lambda-overflows",
              "gate-time-underflows"],
     )
@@ -465,6 +463,15 @@ class TestCliErrors:
         path = write_config(tmp_path, {"model": {"photon_cutoff": 5}})
         assert main([command, "--config", path]) == 2
         assert "model.photon_cutoff: unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["device", "epr", "sweep", "validate"])
+    @pytest.mark.parametrize("key", ["device.dot.triplet_energy", "device.dot.singlet_energy",
+                                     "model.dispersive_threshold"])
+    def test_removed_key_is_unknown_key(self, tmp_path, capsys, command, key):
+        # No result read the dot level energies; the threshold is DISPERSIVE_THRESHOLD.
+        path = write_config(tmp_path, nested(key, 0))
+        assert main([command, "--config", path]) == 2
+        assert f"{key}: unknown key" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "text",
@@ -543,13 +550,6 @@ class TestCliErrors:
         assert main(["epr", "--config", path]) == 2
         assert f"{key}: 2 pi x 1e+308 overflows" in capsys.readouterr().err
 
-    def test_vanishing_detuning_bound_is_infinite(self, tmp_path, capsys):
-        # With a zero threshold, g/tau ~ 4e284 squares past the float range.
-        path = write_config(tmp_path, {"model": {"dispersive_threshold": 0,
-                                                 "tau_over_g": 2.7e-285}})
-        assert main(["validate", "--config", path]) == 3
-        assert "(bound inf)" in capsys.readouterr().out
-
     @pytest.mark.parametrize("command", ["epr", "sweep"])
     def test_step_count_past_float_range_is_over_budget(self, tmp_path, capsys, command):
         # lambda = g/1e301 with g/2pi = 1 Hz: 40 t0 x rate overflows to inf.
@@ -602,16 +602,7 @@ MODEL_OVERRIDES = st.fixed_dictionaries({}, optional={
     "n_qubits": st.integers(-2, 13) | st.integers(13, 10**30),
     "coupling_g": st.just("from-device") | any_rate(),
     "tau_over_g": any_float(),
-    "dispersive_threshold": any_float(),
 })
-
-
-@pytest.mark.parametrize("command", ["device", "validate"])
-@settings(max_examples=150, deadline=None)
-@given(model=MODEL_OVERRIDES)
-def test_every_model_override_exits_with_a_documented_code(tmp_path_factory, command, model):
-    path = write_config(tmp_path_factory.mktemp("cfg"), {"model": model})
-    assert main([command, "--config", path]) in (0, 2, 3, 4)
 
 
 def any_count():
@@ -673,17 +664,36 @@ def step_total(raw, command):
         return math.inf
 
 
+def assert_runs_cleanly(tmp_path_factory, command, raw):
+    """``command --out`` on ``raw`` exits cleanly; a sweep runs 3 x 3 unless ``raw`` sets its grid."""
+    if command == "sweep":
+        raw = {**raw, "sweep": {"gamma_points": 3, "gamma_phi_points": 3, **raw.get("sweep", {})}}
+    if command in ("epr", "sweep"):
+        # Runs that fit the budget but take over 2e4 steps are slow, not failures;
+        # refusals over the budget stay in.
+        assume(not 2e4 < step_total(raw, command) <= MAX_RK4_STEPS)
+    out = tmp_path_factory.mktemp("out") / "out.csv"
+    assert_exits_cleanly(tmp_path_factory, command, raw, "--out", str(out))
+
+
 @pytest.mark.parametrize("command", ["epr", "sweep"])
 @settings(max_examples=150, deadline=None)
 @given(raw=NOISE_SWEEP_OVERRIDES)
 def test_every_noise_and_sweep_override_runs_cleanly(tmp_path_factory, command, raw):
-    if command == "sweep":  # a 3 x 3 grid unless the draw sets its own
-        raw = {**raw, "sweep": {"gamma_points": 3, "gamma_phi_points": 3, **raw.get("sweep", {})}}
-    # Runs that fit the budget but take over 2e4 steps are slow, not failures;
-    # refusals over the budget stay in.
-    assume(not 2e4 < step_total(raw, command) <= MAX_RK4_STEPS)
-    out = tmp_path_factory.mktemp("out") / "out.csv"
-    assert_exits_cleanly(tmp_path_factory, command, raw, "--out", str(out))
+    assert_runs_cleanly(tmp_path_factory, command, raw)
+
+
+@pytest.mark.parametrize("command", ["device", "validate", "epr", "sweep"])
+@settings(max_examples=150, deadline=None)
+@given(model=MODEL_OVERRIDES, noiseless=st.booleans())
+# The largest lambda at tau/g = DISPERSIVE_THRESHOLD: g^2 is still finite.
+@example(model={"coupling_g": "2.1e153 Hz", "tau_over_g": 5}, noiseless=True)
+def test_every_model_override_exits_with_a_documented_code(tmp_path_factory, command, model,
+                                                           noiseless):
+    raw = {"model": model}
+    if noiseless:  # so that no lambda is refused for its step count
+        raw["noise"] = {"gamma_over_2pi": 0, "gamma_phi_over_2pi": 0}
+    assert_runs_cleanly(tmp_path_factory, command, raw)
 
 
 def power_of_ten(lo, hi):
@@ -694,13 +704,13 @@ def any_accepted_rate():
     return st.just(0) | power_of_ten(-300, 300)
 
 
-# lambda = g^2/tau over the whole accepted range and beyond (the threshold 0
-# lets tau/g go below 1), and rates from 0 to past the step budget.
+# lambda = g^2/tau over the whole range config_from_dict accepts and beyond
+# (it does not check tau/g against the dispersive threshold, so tau/g goes
+# below 1), and rates from 0 to past the step budget.
 LAMBDA_AND_RATES = st.fixed_dictionaries({
     "model": st.fixed_dictionaries({
         "coupling_g": power_of_ten(-165, 160).map(lambda g: f"{g!r} Hz"),
         "tau_over_g": power_of_ten(-320, 308),
-        "dispersive_threshold": st.just(0),
     }),
     "noise": st.fixed_dictionaries({
         "gamma_over_2pi": any_accepted_rate(),
@@ -717,8 +727,7 @@ LAMBDA_AND_RATES = st.fixed_dictionaries({
 
 def at_lambda(coupling_g, tau_over_g):
     """A noiseless config at this coupling and ratio, so no run is over the step budget."""
-    return {"model": {"coupling_g": coupling_g, "tau_over_g": tau_over_g,
-                      "dispersive_threshold": 0},
+    return {"model": {"coupling_g": coupling_g, "tau_over_g": tau_over_g},
             "noise": {"gamma_over_2pi": 0, "gamma_phi_over_2pi": 0},
             "sweep": {"gamma_max_over_2pi": 0, "gamma_phi_max_over_2pi": 0}}
 
@@ -769,3 +778,61 @@ DEVICE_OVERRIDES = st.fixed_dictionaries({}, optional={
 @given(device=DEVICE_OVERRIDES)
 def test_every_device_override_exits_cleanly(tmp_path_factory, command, device):
     assert_exits_cleanly(tmp_path_factory, command, {"device": device})
+
+
+# Each leaf is changed from this base, one at a time.  Its bias is not zero,
+# since at zero bias theta = pi/4 whatever the tunneling.
+LEAF_BASE = {"device": {"dot": {"bias": "10 ueV"}},
+             "sweep": {"gamma_points": 3, "gamma_phi_points": 3}}
+LEAF_CHANGES = {
+    "device.tlr.length": "11 mm",
+    "device.tlr.inductance_per_length": "0.44 uH/m",
+    "device.tlr.capacitance_per_length": "275 pF/m",
+    "device.tlr.wiring_capacitance": "0.1 pF",
+    "device.tlr.quality_factor": 2e5,
+    "device.dot.bias": "11 ueV",
+    "device.dot.tunneling": "22 ueV",
+    "device.dot.total_capacitance": "1.1 fF",
+    "device.coupler.coupling_capacitance": "0.3 fF",
+    "device.coupler.position": "1 mm",
+    "model.n_qubits": 3,
+    "model.coupling_g": "100 MHz",
+    "model.tau_over_g": 20,
+    "noise.gamma_over_2pi": "0.3 MHz",
+    "noise.gamma_phi_over_2pi": "0.6 MHz",
+    "sweep.gamma_max_over_2pi": "2 MHz",
+    "sweep.gamma_phi_max_over_2pi": "2 MHz",
+    "sweep.gamma_points": 2,
+    "sweep.gamma_phi_points": 2,
+}
+
+
+def command_outputs(tmp_path, capsys, raw):
+    """Exit code, stdout, stderr and ``--out`` file of every command on ``raw``."""
+    path = write_config(tmp_path, raw)
+    out = tmp_path / "out"
+    outputs = {}
+    for command in ("device", "epr", "sweep", "validate"):
+        code = main([command, "--config", path, "--out", str(out)])
+        written = out.read_bytes() if out.exists() else None
+        out.unlink(missing_ok=True)
+        # It echoes the config back, so it would show any leaf, read or not.
+        (tmp_path / "out.resolved.json").unlink(missing_ok=True)
+        outputs[command] = (code, *capsys.readouterr(), written)
+    return outputs
+
+
+def test_every_schema_leaf_changes_an_output(tmp_path, capsys):
+    assert set(LEAF_CHANGES) == {path for path, _ in schema_leaves()}
+    base = command_outputs(tmp_path, capsys, LEAF_BASE)
+    unread = []
+    for path, value in LEAF_CHANGES.items():
+        raw = json.loads(json.dumps(LEAF_BASE))
+        *groups, leaf = path.split(".")
+        node = raw
+        for group in groups:
+            node = node.setdefault(group, {})
+        node[leaf] = value
+        if command_outputs(tmp_path, capsys, raw) == base:
+            unread.append(path)
+    assert unread == []

@@ -55,9 +55,8 @@ class TestDestroy:
 
 class TestDoubleDot:
     def test_matrix_structure(self):
-        dot = DotParams(bias_epsilon=3e-24, tunneling=2e-24, total_capacitance=1e-15,
-                        triplet_energy=5e-25, singlet_energy=1e-25)
-        h = h_double_dot(dot) * HBAR
+        dot = DotParams(bias_epsilon=3e-24, tunneling=2e-24, total_capacitance=1e-15)
+        h = h_double_dot(dot, triplet_energy=5e-25, singlet_energy=1e-25) * HBAR
         expected = np.array(
             [[5e-25, 0, 0], [0, 1e-25, 2e-24], [0, 2e-24, -3e-24]], dtype=complex
         )

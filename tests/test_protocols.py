@@ -266,6 +266,14 @@ class TestSelectiveCoupling:
         with pytest.raises(ValueError):
             selective_coupling_check(paper_model())
 
+    # (0, -1) would pair qubit 0 with the photon amplitude, (-3, 1) would read
+    # qubit 1 twice, and (0, 3) would index past the sector.
+    @pytest.mark.parametrize("active", [(0, -1), (-3, 1), (0, 3)])
+    def test_active_pair_outside_the_register_is_refused(self, active):
+        p = ModelParams.uniform(3, 1.0, 10.0)
+        with pytest.raises(ValueError, match=r"active qubits .* must lie in range\(3\)"):
+            selective_coupling_check(p, active=active)
+
 
 def draw_spectator_check(data):
     """A spectator check: n = 3..5 non-uniform couplings, tau/g 5..50, any ordered pair."""

@@ -45,6 +45,7 @@ FAILURES = {
     "fail-sweep-grid": {"sweep": {"gamma_points": 198, "gamma_phi_points": 198}},
     "fail-bad-json": "{",
     "fail-photon-cutoff": {"model": {"photon_cutoff": 5}},
+    "fail-dispersive-threshold": {"model": {"dispersive_threshold": 0}},
     "fail-space-dim": {"model": {"n_qubits": 10}},
     "fail-lambda-underflow": {"model": {"coupling_g": "1e-300 Hz"}},
     "fail-tlr-underflow": {"device": {"tlr": {"length": 1e-320}}},
