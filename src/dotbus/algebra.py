@@ -35,9 +35,12 @@ def identity(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=complex)
 
 
-def hermiticity_defect(a: np.ndarray) -> float:
-    """max |A - A^dagger|, the amount by which A fails to be Hermitian."""
-    return float(np.max(np.abs(a - a.conj().T)))
+def hermiticity_defect(a: np.ndarray) -> float | np.ndarray:
+    """max |A - A^dagger|, the amount by which A fails to be Hermitian.
+
+    A stack of matrices (last two axes) gives one defect per matrix.
+    """
+    return abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
 
 
 @dataclass(frozen=True)

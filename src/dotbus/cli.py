@@ -9,7 +9,7 @@ Subcommands:
 Exit codes: 0 success, 2 configuration error, 3 numerical-diagnostic or
 threshold failure, 4 I/O error.  All outputs are deterministic for a fixed
 config; CSV files are byte-stable across runs.  ``--threads`` is accepted and
-ignored: the sweep runs serially.
+ignored: the sweep steps every grid point at once in one process.
 """
 
 from __future__ import annotations
@@ -204,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to JSON run configuration")
         p.add_argument("--out", default=None, help="output file path")
         p.add_argument("--threads", type=int, default=None,
-                       help="accepted and ignored; the sweep runs serially")
+                       help="accepted and ignored; the sweep steps all grid points at once")
     return parser
 
 

@@ -3,11 +3,13 @@
 `integrate_lindblad` steps the vectorized master equation with one
 fixed-step classical 4th-order Runge-Kutta stepper, `_rk4`, which owns the
 stability guard and the snapshot schedule and hands each snapshot to its
-caller as soon as it is made (`reference.propagate_schrodinger` runs the same
-stepper).  Nothing is renormalized along the way: trace, Hermiticity and the
-smallest eigenvalue are measured diagnostics, and a run stops with
-DiagnosticError at the first snapshot whose diagnostics leave tolerance,
-rather than being silently patched up or stepped on into overflow.
+caller as soon as it is made (`reference.propagate_schrodinger` and
+`protocols.decoherence_sweep`, which steps a whole stack of generators at
+once, run the same stepper).  Nothing is renormalized along the way: trace,
+Hermiticity and the smallest eigenvalue are measured diagnostics, and
+`_check_snapshot` stops a run with DiagnosticError at the first snapshot whose
+diagnostics leave tolerance, rather than letting it be silently patched up or
+stepped on into overflow.
 """
 
 from __future__ import annotations
@@ -110,7 +112,8 @@ def _rk4(
     step and after the last, at t = (step + 1) dt; the caller checks
     each one before the next step runs.  ``generator`` is called at the
     midpoint and end of each step, the end value serving as the next start.
-    ``scale`` bounds its norm for the stability guard.
+    ``scale`` bounds its norm for the stability guard.  A stack of generators,
+    shape (points, n, n), steps a stack of states, shape (points, n, 1), at once.
     """
     dt = grid.dt
     if dt * scale >= STABILITY_LIMIT:
@@ -178,6 +181,42 @@ def build_liouvillian(h_eff: np.ndarray, noise: NoiseSpec) -> np.ndarray:
     return liou
 
 
+def _check_snapshot(rho: np.ndarray, t: float, point: Callable[[int], str] | None = None):
+    """(|trace - 1|, Hermiticity defect, smallest eigenvalue) of the snapshot ``rho`` at ``t``.
+
+    ``rho`` is one density matrix, giving one value each, or a stack of them,
+    giving one array entry per matrix.  The first matrix that `DensityMatrix`
+    would refuse, with a non-finite entry, |trace - 1| > TRACE_TOL, a
+    Hermiticity defect > HERMITIAN_TOL or an eigenvalue below EIG_FLOOR,
+    raises DiagnosticError; ``point(k)`` names the k-th matrix of a stack.
+    """
+    trace_dev = abs(rho.trace(axis1=-2, axis2=-1).real - 1.0)
+    herm_dev = hermiticity_defect(rho)  # not finite where rho has a non-finite entry
+    try:  # .T[0] is the smallest eigenvalue of each matrix, a scalar for one
+        min_eig = np.linalg.eigvalsh(rho).T[0]
+    except np.linalg.LinAlgError:  # one non-finite matrix fails the whole stack
+        finite = np.isfinite(herm_dev)[..., None, None]
+        min_eig = np.linalg.eigvalsh(np.where(finite, rho, 0.0)).T[0]
+    # A NaN fails every comparison, so a non-finite value is a breach too.
+    bad = ~((trace_dev <= TRACE_TOL) & (herm_dev <= HERMITIAN_TOL) & (min_eig >= EIG_FLOOR))
+    if np.count_nonzero(bad):
+        k = int(np.flatnonzero(bad)[0])
+        tr, herm, eig = (np.ravel(x)[k] for x in (trace_dev, herm_dev, min_eig))
+        if not np.isfinite(herm):
+            breaches = ["non-finite entries"]
+        else:
+            breaches = [f"|trace-1| = {tr:.3g}"] if tr > TRACE_TOL else []
+            if herm > HERMITIAN_TOL:
+                breaches.append(f"hermiticity defect = {herm:.3g}")
+            if eig < EIG_FLOOR:
+                breaches.append(f"min eigenvalue = {eig:.3g}")
+        where = f", {point(k)}" if point else ""
+        raise DiagnosticError(
+            f"density-matrix diagnostics failed at t = {t:.6g}{where}: " + "; ".join(breaches)
+        )
+    return trace_dev, herm_dev, min_eig
+
+
 def integrate_lindblad(
     h_eff: np.ndarray,
     rho0: DensityMatrix,
@@ -188,9 +227,8 @@ def integrate_lindblad(
     """RK4 integration of the master equation, with per-snapshot health checks.
 
     Internally steps the vectorized generator (one matrix, four matvecs per
-    step).  The first snapshot that `DensityMatrix` would refuse, with
-    |trace - 1| > TRACE_TOL, hermiticity defect > HERMITIAN_TOL or an
-    eigenvalue below EIG_FLOOR, stops the run with DiagnosticError.
+    step).  The first snapshot that `DensityMatrix` would refuse stops the
+    run with DiagnosticError (`_check_snapshot`).
     """
     h_eff = np.asarray(h_eff, dtype=complex)
     d = h_eff.shape[0]
@@ -201,23 +239,9 @@ def integrate_lindblad(
     times, states, rows = [], [], []
     for t, vec in _rk4(lambda _: liou, vec, grid, scale, record_every):
         rho = vec.reshape(d, d)
-        trace_dev = abs(np.trace(rho).real - 1.0)
-        herm_dev = hermiticity_defect(rho)
-        min_eig = float(np.linalg.eigvalsh(rho)[0])
-        breaches = []
-        if trace_dev > TRACE_TOL:
-            breaches.append(f"|trace-1| = {trace_dev:.3g}")
-        if herm_dev > HERMITIAN_TOL:
-            breaches.append(f"hermiticity defect = {herm_dev:.3g}")
-        if min_eig < EIG_FLOOR:
-            breaches.append(f"min eigenvalue = {min_eig:.3g}")
-        if breaches:
-            raise DiagnosticError(
-                f"density-matrix diagnostics failed at t = {t:.6g}: " + "; ".join(breaches)
-            )
+        rows.append(_check_snapshot(rho, t))
         times.append(t)
         states.append(rho)
-        rows.append((trace_dev, herm_dev, min_eig))
 
     trace_dev, herm_dev, min_eig = np.array(rows).T
     return SimResult(

@@ -13,15 +13,24 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .algebra import DensityMatrix, HilbertSpace, PureState, concurrence, fidelity
-from .dynamics import DiagnosticError, NoiseSpec, SimResult, TimeGrid, integrate_lindblad
+from .dynamics import (DiagnosticError, NoiseSpec, SimResult, TimeGrid, _check_snapshot, _rk4,
+                       build_liouvillian, integrate_lindblad)
 from .hamiltonians import (DISPERSIVE_THRESHOLD, ModelParams, analytic_u, h_reduced_two_qubit,
                            static_frame_hamiltonian)
 
 TWO_QUBIT_SPACE = HilbertSpace((2, 2))
+_EPR_START = np.diag([0.0, 0.0, 1.0, 0.0])  # |10><10|, where pair generation starts
 MIN_EPR_STEPS = 256
 # RK4 steps one epr run or one whole sweep (steps x grid points) may take;
 # the default 21x21 sweep takes 441 x 256 = 112,896.
 MAX_RK4_STEPS = 10_000_000
+# Row-major vec(rho) indices of rho_{00,00}, rho_{01,01}, rho_{01,10}, rho_{10,01} and
+# rho_{10,10}.  Every part of the Liouvillian maps these five entries among
+# themselves, so a run from |10><10| leaves every other entry exactly 0.
+PAIR_BLOCK = [0, 5, 6, 9, 10]
+# Sweep points whose states one snapshot check takes at a time, which bounds
+# the check's temporaries; a whole grid's would add to the sweep's peak memory.
+CHECK_POINTS = 64
 FRAME_SAMPLES = 400  # intervals of [0, t0] at which _pair_run records mean levels
 # Largest frame phase tau x t0 = (pi/4)(tau/g)^2, in rad, for `validate`.  Its
 # roundoff grows like eps x tau x t0 and reaches the cavity check's margin
@@ -60,6 +69,13 @@ def _require_dispersive(p: ModelParams) -> None:
         raise ValueError(f"detuning/coupling ratio below dispersive threshold {DISPERSIVE_THRESHOLD}")
 
 
+def _require_dispersive_pair(p: ModelParams) -> None:
+    """Refuse a model that is not one dispersive qubit pair."""
+    if p.n_qubits != 2:
+        raise ValueError("entangled-pair generation targets exactly two qubits")
+    _require_dispersive(p)
+
+
 def _epr_grid(lam: float, noise: NoiseSpec, steps: int | None = None,
               runs: int = 1) -> TimeGrid:
     """Time grid of one EPR run; refuses if ``runs`` such runs exceed the step budget.
@@ -95,17 +111,15 @@ def epr_generation(
     Refuses a model below its dispersive threshold, where that Hamiltonian
     does not hold.
     """
-    if p.n_qubits != 2:
-        raise ValueError("entangled-pair generation targets exactly two qubits")
+    _require_dispersive_pair(p)
     if noise.n_qubits != 2:
         raise ValueError("noise spec must cover two qubits")
-    _require_dispersive(p)
     lam = p.lam
     h20 = h_reduced_two_qubit(lam)
     grid = _epr_grid(lam, noise, steps)
     if record_every is None:
         record_every = grid.steps
-    rho0 = DensityMatrix(TWO_QUBIT_SPACE, np.diag([0, 0, 1, 0]))  # |10><10|
+    rho0 = DensityMatrix(TWO_QUBIT_SPACE, _EPR_START)
     result = integrate_lindblad(h20, rho0, noise, grid, record_every=record_every)
     rho_final = DensityMatrix(TWO_QUBIT_SPACE, result.final)
     fid = fidelity(rho_final, epr_target())
@@ -276,11 +290,51 @@ class SweepResult:
             )
 
 
+def _sweep_errors(p: ModelParams, gammas: np.ndarray, gamma_phis: np.ndarray) -> np.ndarray:
+    """D = 1 - fidelity of the EPR run at every point (gammas[k], gamma_phis[k]), all at once.
+
+    The Liouvillian is linear in the rates, L = L_H + gamma L_rel + gamma_phi
+    L_deph, so its three parts are built once and each point steps its own
+    5 x 5 generator on the PAIR_BLOCK entries of vec(rho).  Every point takes
+    the step count and stability guard of the worst one.  The snapshots that
+    `epr_generation` checks, t = 0 and t0, are checked the same way, and a
+    DiagnosticError names the first grid point that fails.
+    """
+    lam = p.lam
+    worst = NoiseSpec.uniform(2, float(np.max(gammas)), float(np.max(gamma_phis)))
+    grid = _epr_grid(lam, worst, runs=gammas.size)
+    h20, no_h = h_reduced_two_qubit(lam), np.zeros((4, 4))
+    block = np.ix_(PAIR_BLOCK, PAIR_BLOCK)
+    parts = np.array([  # L_H, L_rel and L_deph, one row each
+        build_liouvillian(h, noise)[block].reshape(-1)
+        for h, noise in ((h20, NoiseSpec.none(2)), (no_h, NoiseSpec.uniform(2, 1.0, 0.0)),
+                         (no_h, NoiseSpec.uniform(2, 0.0, 1.0)))
+    ])
+    rates = np.stack([np.ones_like(gammas), gammas, gamma_phis], axis=1)
+    generators = (rates @ parts).reshape(-1, 5, 5)  # L_H + gamma L_rel + gamma_phi L_deph
+    start = np.broadcast_to(_EPR_START.reshape(-1)[PAIR_BLOCK, None], (gammas.size, 5, 1))
+
+    def point(k: int) -> str:
+        return (f"gamma/2pi = {gammas[k] / (2e6 * math.pi):.6g} MHz, "
+                f"gamma_phi/2pi = {gamma_phis[k] / (2e6 * math.pi):.6g} MHz")
+
+    vec = np.zeros((gammas.size, 16), dtype=complex)
+    rho = vec.reshape(-1, 4, 4)  # a view: every snapshot is scattered into vec
+    scale = np.linalg.norm(h20, 2) + worst.total_rate
+    for t, y in _rk4(lambda _: generators, start, grid, scale, grid.steps):
+        vec[:, PAIR_BLOCK] = y[..., 0]
+        for lo in range(0, gammas.size, CHECK_POINTS):
+            _check_snapshot(rho[lo:lo + CHECK_POINTS], t, lambda k, lo=lo: point(lo + k))
+    target = epr_target().amplitudes
+    return 1.0 - np.real(target.conj() @ rho @ target)
+
+
 def decoherence_sweep(p: ModelParams, gamma_axis, gamma_phi_axis) -> SweepResult:
     """Generation error D over a (gamma, gamma_phi) grid.
 
     Every grid point shares the same step count (sized for the largest rates)
-    so the output is a pure function of the inputs.
+    so the output is a pure function of the inputs.  All points are stepped
+    together (`_sweep_errors`).
     """
     gamma_axis = np.asarray(gamma_axis, dtype=float)
     gamma_phi_axis = np.asarray(gamma_phi_axis, dtype=float)
@@ -288,14 +342,8 @@ def decoherence_sweep(p: ModelParams, gamma_axis, gamma_phi_axis) -> SweepResult
         raise ValueError("sweep axes must be nonempty")
     if np.any(gamma_axis < 0) or np.any(gamma_phi_axis < 0):
         raise ValueError("noise rates must be nonnegative")
+    _require_dispersive_pair(p)
 
-    lam = p.lam
-    worst = NoiseSpec.uniform(2, float(np.max(gamma_axis)), float(np.max(gamma_phi_axis)))
-    steps = _epr_grid(lam, worst, runs=gamma_axis.size * gamma_phi_axis.size).steps
-
-    grid = np.empty((gamma_axis.size, gamma_phi_axis.size))
-    for i, gamma in enumerate(gamma_axis):
-        for j, gamma_phi in enumerate(gamma_phi_axis):
-            noise = NoiseSpec.uniform(2, gamma, gamma_phi)
-            grid[i, j] = epr_generation(p, noise, steps=steps).error_d
-    return SweepResult(gamma_axis, gamma_phi_axis, grid)
+    gammas, gamma_phis = np.meshgrid(gamma_axis, gamma_phi_axis, indexing="ij")
+    errors = _sweep_errors(p, gammas.ravel(), gamma_phis.ravel())
+    return SweepResult(gamma_axis, gamma_phi_axis, errors.reshape(gammas.shape))

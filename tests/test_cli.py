@@ -4,7 +4,6 @@ import errno
 import json
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -510,10 +509,12 @@ class TestCliErrors:
 
     def test_error_probability_out_of_range_is_diagnostic(self, tmp_path, capsys, monkeypatch):
         # No known config gives a D outside [0, 1], so a negative one is injected.
-        def negative(*args, **kwargs):
-            return replace(epr_generation(*args, **kwargs), error_d=-1e-12)
+        sweep_errors = protocols._sweep_errors
 
-        monkeypatch.setattr(protocols, "epr_generation", negative)
+        def negative(*args, **kwargs):
+            return np.full_like(sweep_errors(*args, **kwargs), -1e-12)
+
+        monkeypatch.setattr(protocols, "_sweep_errors", negative)
         path = write_config(tmp_path, {"sweep": {"gamma_points": 2, "gamma_phi_points": 2}})
         out = tmp_path / "out.csv"
         assert main(["sweep", "--config", path, "--out", str(out)]) == 3
@@ -691,6 +692,10 @@ def test_every_noise_and_sweep_override_runs_cleanly(tmp_path_factory, command, 
 def test_every_model_override_exits_with_a_documented_code(tmp_path_factory, command, model,
                                                            noiseless):
     raw = {"model": model}
+    if command in cli._TWO_QUBIT_COMMANDS:
+        # They refuse every n_qubits but 2 (test_qubit_count_mismatch_is_config_error),
+        # so a drawn n_qubits would mostly test that refusal, not the lambda range.
+        raw["model"] = {**model, "n_qubits": 2}
     if noiseless:  # so that no lambda is refused for its step count
         raw["noise"] = {"gamma_over_2pi": 0, "gamma_phi_over_2pi": 0}
     assert_runs_cleanly(tmp_path_factory, command, raw)

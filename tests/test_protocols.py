@@ -16,14 +16,18 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dotbus import protocols
 from dotbus.algebra import PureState
-from dotbus.dynamics import DiagnosticError, NoiseSpec, TimeGrid
-from dotbus.hamiltonians import ModelParams, analytic_u
+from dotbus.dynamics import DiagnosticError, NoiseSpec, TimeGrid, build_liouvillian
+from dotbus.hamiltonians import ModelParams, analytic_u, h_reduced_two_qubit
 from dotbus.protocols import (
     FRAME_SAMPLES,
     MIN_EPR_STEPS,
+    PAIR_BLOCK,
+    StepBudgetError,
     _epr_grid,
     _sector_run,
+    _sweep_errors,
     decoherence_sweep,
     dispersive_validity,
     epr_generation,
@@ -418,3 +422,104 @@ class TestDecoherenceSweep:
     def test_empty_axis_rejected(self):
         with pytest.raises(ValueError):
             decoherence_sweep(paper_model(), [], [0.0])
+
+
+def power_of_ten(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+def any_rate():
+    return st.just(0.0) | power_of_ten(-300, 300)
+
+
+class TestBatchedSweep:
+    """The sweep steps every grid point at once on the PAIR_BLOCK entries of vec(rho)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(lam=power_of_ten(-300, 300), relaxation=st.tuples(any_rate(), any_rate()),
+           dephasing=st.tuples(any_rate(), any_rate()))
+    def test_every_liouvillian_part_keeps_the_pair_block(self, lam, relaxation, dephasing):
+        # Per-qubit rates, drawn apart and sometimes 0: the block holds for
+        # non-uniform noise too, not only for the uniform noise the sweep runs.
+        outside = [k for k in range(16) if k not in PAIR_BLOCK]
+        no_h = np.zeros((4, 4))
+        for h, noise in ((h_reduced_two_qubit(lam), NoiseSpec.none(2)),
+                         (no_h, NoiseSpec(relaxation, (0.0, 0.0))),
+                         (no_h, NoiseSpec((0.0, 0.0), dephasing))):
+            leaving = build_liouvillian(h, noise)[np.ix_(outside, PAIR_BLOCK)]
+            assert np.all(leaving == 0.0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_matches_serial_epr_generation_at_every_point(self, data):
+        g = 2 * math.pi * data.draw(st.floats(5e6, 1e9))
+        p = ModelParams.uniform(2, g, data.draw(st.floats(5.0, 100.0)) * g)
+        rates = st.lists(st.floats(0.0, 5.0), min_size=0, max_size=2)
+        # Axes start at 0, so the grid holds a noiseless row and column.
+        gamma_axis = p.lam * np.array([0.0, *data.draw(rates)])
+        gamma_phi_axis = p.lam * np.array([0.0, *data.draw(rates)])
+        worst = NoiseSpec.uniform(2, max(gamma_axis), max(gamma_phi_axis))
+        steps = _epr_grid(p.lam, worst, runs=gamma_axis.size * gamma_phi_axis.size).steps
+        # The errors before SweepResult's [0, 1] check: at a few hundred steps
+        # the noiseless D can be -2.2e-16, in the serial run as well.
+        gammas, gamma_phis = np.meshgrid(gamma_axis, gamma_phi_axis, indexing="ij")
+        errors = _sweep_errors(p, gammas.ravel(), gamma_phis.ravel())
+        for gamma, gamma_phi, error in zip(gammas.ravel(), gamma_phis.ravel(), errors):
+            serial = epr_generation(p, NoiseSpec.uniform(2, gamma, gamma_phi), steps=steps)
+            assert abs(error - serial.error_d) <= 1e-12
+
+    def test_step_budget_counts_every_grid_point(self):
+        # 200 x 196 points x 256 steps = 10,035,200 RK4 steps, past MAX_RK4_STEPS.
+        with pytest.raises(StepBudgetError, match="^39200 run"):
+            decoherence_sweep(paper_model(), np.zeros(200), np.zeros(196))
+
+    @staticmethod
+    def spoil_trace(y):
+        y[4] += 1e-6
+
+    @staticmethod
+    def spoil_hermiticity(y):
+        y[2] += 1e-6  # rho_{01,10} without its conjugate rho_{10,01}
+
+    @staticmethod
+    def spoil_positivity(y):
+        y[[0, 4]] += [-0.5, 0.5]  # rho_{00,00} < 0, which nothing couples to, trace kept
+
+    @staticmethod
+    def spoil_finiteness(y):
+        y[0] = np.nan
+
+    @pytest.mark.parametrize("snapshot, t", [(0, "0"), (1, "1e-08")])
+    @pytest.mark.parametrize("spoil, breach", [
+        ("spoil_trace", "|trace-1| = 1e-06"),
+        ("spoil_hermiticity", "hermiticity defect = 1e-06"),
+        ("spoil_positivity", "min eigenvalue = -"),
+        ("spoil_finiteness", "non-finite entries"),
+    ])
+    # 2 x 3 points, spoiled at (1, 0) and (1, 1); 30 x 3 points, spoiled at (21, 1)
+    # and (23, 1), past the first CHECK_POINTS = 64 points that one check takes.
+    @pytest.mark.parametrize("gamma_points, spoiled, name", [
+        (2, (3, 4), "gamma/2pi = 0.5 MHz, gamma_phi/2pi = 0 MHz"),
+        (30, (64, 70), "gamma/2pi = 10.5 MHz, gamma_phi/2pi = 0.25 MHz"),
+    ])
+    def test_bad_snapshot_names_the_first_failing_grid_point(
+            self, monkeypatch, snapshot, t, spoil, breach, gamma_points, spoiled, name):
+        rk4 = protocols._rk4
+
+        def spoiled_rk4(*args):
+            for n, (time, y) in enumerate(rk4(*args)):
+                if n == snapshot:
+                    y = y.copy()
+                    for k in spoiled:
+                        getattr(self, spoil)(y[k, :, 0])
+                yield time, y
+
+        monkeypatch.setattr(protocols, "_rk4", spoiled_rk4)
+        p = ModelParams.uniform(2, 2 * math.pi * 100e6, 2 * math.pi * 800e6)  # t0 = 10 ns
+        mhz = 2e6 * math.pi
+        with pytest.raises(DiagnosticError) as err:
+            decoherence_sweep(p, mhz * 0.5 * np.arange(gamma_points),
+                              mhz * np.array([0.0, 0.25, 1.0]))
+        assert str(err.value).startswith(
+            f"density-matrix diagnostics failed at t = {t}, {name}: {breach}"
+        )
