@@ -124,14 +124,15 @@ def cmd_epr(cfg: RunConfig, out) -> int:
         f"this run: D = {report.error_d:.4%}"
     )
     if out:
-        target = epr_target()
+        target = epr_target().amplitudes
+        bra = target.conj()
         result = report.result
         rows = ["t,fidelity,trace,min_eig\n"]
         traces = np.trace(result.states, axis1=1, axis2=2).real
         for t, rho, trace, min_eig in zip(
             result.times, result.states, traces, result.diagnostics["min_eig"]
         ):
-            fid = float(np.real(target.amplitudes.conj() @ rho @ target.amplitudes))
+            fid = (bra @ rho @ target).real
             rows.append(f"{t:.10e},{fid:.10e},{trace:.10e},{min_eig:.10e}\n")
         _write_outputs(cfg, out, "".join(rows))
     return EXIT_OK

@@ -1,15 +1,12 @@
-"""Time evolution: the dense Lindblad integrator of the two-qubit register.
+"""Time evolution: the Lindblad integrator of the two-qubit register.
 
-`integrate_lindblad` steps the vectorized master equation with one
-fixed-step classical 4th-order Runge-Kutta stepper, `_rk4`, which owns the
-stability guard and the snapshot schedule and hands each snapshot to its
-caller as soon as it is made (`reference.propagate_schrodinger` and
-`protocols.decoherence_sweep`, which steps a whole stack of generators at
-once, run the same stepper).  Nothing is renormalized along the way: trace,
-Hermiticity and the smallest eigenvalue are measured diagnostics, and
-`_check_snapshot` stops a run with DiagnosticError at the first snapshot whose
-diagnostics leave tolerance, rather than letting it be silently patched up or
-stepped on into overflow.
+One engine, `_evolve`, runs every master-equation integration: `integrate_lindblad`
+is its one-point call, and `protocols.decoherence_sweep` steps a stack of points.
+It steps only the entries of row-major vec(rho) that the generators reach from
+rho0 (`_support`) with `_rk4`, the one fixed-step RK4 stepper.  Nothing is
+renormalized: `_check_snapshot` measures trace, Hermiticity and the smallest
+eigenvalue and stops a run at the first snapshot out of tolerance, before it
+steps into overflow.
 """
 
 from __future__ import annotations
@@ -25,6 +22,9 @@ from .algebra import (EIG_FLOOR, HERMITIAN_TOL, SIGMA_MINUS, SIGMA_Z, TRACE_TOL,
                       HilbertSpace, embed, hermiticity_defect)
 
 STABILITY_LIMIT = 0.1        # max allowed dt * ||generator||
+# Points of a stacked run whose states one snapshot check takes at a time,
+# which bounds the check's temporaries; a whole stack's would add to peak memory.
+CHECK_POINTS = 64
 
 
 class DiagnosticError(RuntimeError):
@@ -217,33 +217,55 @@ def _check_snapshot(rho: np.ndarray, t: float, point: Callable[[int], str] | Non
     return trace_dev, herm_dev, min_eig
 
 
-def integrate_lindblad(
-    h_eff: np.ndarray,
-    rho0: DensityMatrix,
-    noise: NoiseSpec,
-    grid: TimeGrid,
-    record_every: int = 1,
-) -> SimResult:
-    """RK4 integration of the master equation, with per-snapshot health checks.
+def _support(parts: np.ndarray, rho0: np.ndarray) -> np.ndarray:
+    """Row-major vec(rho) indices, ascending, that ``parts`` reach from ``rho0``'s nonzero entries.
 
-    Internally steps the vectorized generator (one matrix, four matvecs per
-    step).  The first snapshot that `DensityMatrix` would refuse stops the
-    run with DiagnosticError (`_check_snapshot`).
+    With P the parts' joint nonzero pattern, (1 + P)^(d^2) holds every path of
+    up to d^2 steps, so a run from ``rho0`` under any sum of rates times parts
+    leaves every entry outside these exactly 0.
     """
-    h_eff = np.asarray(h_eff, dtype=complex)
-    d = h_eff.shape[0]
+    pattern = np.any(parts != 0, axis=0)
+    reach = np.linalg.matrix_power(pattern | np.eye(len(pattern), dtype=bool), len(pattern))
+    return np.flatnonzero(reach @ (rho0.reshape(-1) != 0))
+
+
+def _evolve(parts: np.ndarray, rates: np.ndarray, rho0: np.ndarray, grid: TimeGrid, scale: float,
+            record_every: int, point: Callable[[int], str] | None = None) -> Iterator[tuple]:
+    """RK4 run of the generator sum_c rates[..., c] parts[c] on row-major vec(rho), from ``rho0``.
+
+    Rates of shape (C,) give one run; rates of shape (points, C) one run per
+    row, stepped at once and checked CHECK_POINTS points at a time, ``point(k)``
+    naming the k-th.  Only the `_support` entries are stepped.  Yields (t,
+    snapshot, its diagnostics, None for a stack) once the snapshot passes its
+    check; every snapshot is one buffer, shape rates.shape[:-1] + (d, d).
+    """
+    d, points = rho0.shape[-1], rates.shape[:-1]
+    support = _support(parts, rho0)
+    blocks = parts[:, support[:, None], support].reshape(len(parts), -1)
+    generators = (rates @ blocks).reshape(points + (support.size,) * 2)
+    start = np.broadcast_to(rho0.reshape(-1)[support, None], points + (support.size, 1))
+    shape, size = points + (d, d), math.prod(points) * d * d
+    flat = (np.arange(0, size, d * d)[:, None] + support).ravel()  # where y's entries go
+    vec = np.zeros(size, dtype=complex)  # the entries off the support stay 0
+    rho = vec.reshape(shape)
+    for t, y in _rk4(lambda _: generators, start, grid, scale, record_every):
+        vec[flat] = y.ravel()
+        if points:
+            for lo in range(0, len(rho), CHECK_POINTS):
+                _check_snapshot(rho[lo:lo + CHECK_POINTS], t, lambda k, lo=lo: point(lo + k))
+        yield t, rho, None if points else _check_snapshot(rho, t)
+
+
+def integrate_lindblad(h_eff: np.ndarray, rho0: DensityMatrix, noise: NoiseSpec, grid: TimeGrid,
+                       record_every: int = 1) -> SimResult:
+    """RK4 integration of the master equation: one `_evolve` run of its Liouvillian.
+
+    The first snapshot that `DensityMatrix` would refuse stops the run with
+    DiagnosticError (`_check_snapshot`).
+    """
     scale = np.linalg.norm(h_eff, 2) + noise.total_rate
-    liou = build_liouvillian(h_eff, noise)
-    vec = rho0.matrix.reshape(-1).astype(complex)
-
-    times, states, rows = [], [], []
-    for t, vec in _rk4(lambda _: liou, vec, grid, scale, record_every):
-        rho = vec.reshape(d, d)
-        rows.append(_check_snapshot(rho, t))
-        times.append(t)
-        states.append(rho)
-
-    trace_dev, herm_dev, min_eig = np.array(rows).T
-    return SimResult(
-        np.array(times), states, {"trace_dev": trace_dev, "herm_dev": herm_dev, "min_eig": min_eig}
-    )
+    run = _evolve(build_liouvillian(h_eff, noise)[None], np.ones(1), rho0.matrix, grid, scale,
+                  record_every)
+    times, states, rows = zip(*((t, rho.copy(), row) for t, rho, row in run))
+    diagnostics = dict(zip(("trace_dev", "herm_dev", "min_eig"), np.array(rows).T))
+    return SimResult(np.array(times), list(states), diagnostics)

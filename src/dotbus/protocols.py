@@ -12,8 +12,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import DensityMatrix, HilbertSpace, PureState, concurrence, fidelity
-from .dynamics import (DiagnosticError, NoiseSpec, SimResult, TimeGrid, _check_snapshot, _rk4,
+from .algebra import TRACE_TOL, DensityMatrix, HilbertSpace, PureState, concurrence, fidelity
+from .dynamics import (DiagnosticError, NoiseSpec, SimResult, TimeGrid, _evolve,
                        build_liouvillian, integrate_lindblad)
 from .hamiltonians import (DISPERSIVE_THRESHOLD, ModelParams, analytic_u, h_reduced_two_qubit,
                            static_frame_hamiltonian)
@@ -24,13 +24,6 @@ MIN_EPR_STEPS = 256
 # RK4 steps one epr run or one whole sweep (steps x grid points) may take;
 # the default 21x21 sweep takes 441 x 256 = 112,896.
 MAX_RK4_STEPS = 10_000_000
-# Row-major vec(rho) indices of rho_{00,00}, rho_{01,01}, rho_{01,10}, rho_{10,01} and
-# rho_{10,10}.  Every part of the Liouvillian maps these five entries among
-# themselves, so a run from |10><10| leaves every other entry exactly 0.
-PAIR_BLOCK = [0, 5, 6, 9, 10]
-# Sweep points whose states one snapshot check takes at a time, which bounds
-# the check's temporaries; a whole grid's would add to the sweep's peak memory.
-CHECK_POINTS = 64
 FRAME_SAMPLES = 400  # intervals of [0, t0] at which _pair_run records mean levels
 # Largest frame phase tau x t0 = (pi/4)(tau/g)^2, in rad, for `validate`.  Its
 # roundoff grows like eps x tau x t0 and reaches the cavity check's margin
@@ -76,20 +69,18 @@ def _require_dispersive_pair(p: ModelParams) -> None:
     _require_dispersive(p)
 
 
-def _epr_grid(lam: float, noise: NoiseSpec, steps: int | None = None,
-              runs: int = 1) -> TimeGrid:
+def _epr_grid(lam: float, noise: NoiseSpec, runs: int = 1) -> TimeGrid:
     """Time grid of one EPR run; refuses if ``runs`` such runs exceed the step budget.
 
-    By default 40 steps per unit of noise action t0 x (total rate), at least
+    40 steps per unit of noise action t0 x (total rate), at least
     MIN_EPR_STEPS (the Hamiltonian's action t0 x 2 lam = pi/2 asks for 20 pi).
     """
     t0 = gate_time_t0(lam)
-    if steps is None:
-        rate = noise.total_rate
-        try:  # without noise, 40 t0 may overflow, and inf x 0 is NaN
-            steps = max(MIN_EPR_STEPS, math.ceil(40.0 * t0 * rate if rate else 0.0))
-        except OverflowError:  # the step count overflows a float
-            steps = math.inf
+    rate = noise.total_rate
+    try:  # without noise, 40 t0 may overflow, and inf x 0 is NaN
+        steps = max(MIN_EPR_STEPS, math.ceil(40.0 * t0 * rate if rate else 0.0))
+    except OverflowError:  # the step count overflows a float
+        steps = math.inf
     if steps * runs > MAX_RK4_STEPS:
         raise StepBudgetError(
             f"{runs} run(s) x {steps} steps = {steps * runs} RK4 steps exceed the budget "
@@ -98,12 +89,7 @@ def _epr_grid(lam: float, noise: NoiseSpec, steps: int | None = None,
     return TimeGrid(t0, steps)
 
 
-def epr_generation(
-    p: ModelParams,
-    noise: NoiseSpec,
-    steps: int | None = None,
-    record_every: int | None = None,
-) -> EprReport:
+def epr_generation(p: ModelParams, noise: NoiseSpec, record_every: int | None = None) -> EprReport:
     """Evolve |10> under the vacuum-sector Hamiltonian with noise for t0.
 
     Reports fidelity against the entangled target, the error probability
@@ -116,7 +102,7 @@ def epr_generation(
         raise ValueError("noise spec must cover two qubits")
     lam = p.lam
     h20 = h_reduced_two_qubit(lam)
-    grid = _epr_grid(lam, noise, steps)
+    grid = _epr_grid(lam, noise)
     if record_every is None:
         record_every = grid.steps
     rho0 = DensityMatrix(TWO_QUBIT_SPACE, _EPR_START)
@@ -272,8 +258,10 @@ class SweepResult:
     """Error-probability grid over relaxation and dephasing axes.
 
     ``error_grid[i, j]`` is the generation error at relaxation rate
-    ``gamma_axis[i]`` and dephasing rate ``gamma_phi_axis[j]``.  A value
-    outside [0, 1] is a numerical failure and raises DiagnosticError.
+    ``gamma_axis[i]`` and dephasing rate ``gamma_phi_axis[j]``.  A value more
+    than TRACE_TOL outside [0, 1] is a numerical failure and raises
+    DiagnosticError; roundoff within it, such as a noiseless D of -2.2e-16, is
+    kept as computed.
     """
 
     gamma_axis: np.ndarray
@@ -283,9 +271,9 @@ class SweepResult:
     def __post_init__(self):
         if self.error_grid.shape != (len(self.gamma_axis), len(self.gamma_phi_axis)):
             raise ValueError("grid shape does not match axes")
-        if np.any(self.error_grid < 0) or np.any(self.error_grid > 1):
+        if np.any(self.error_grid < -TRACE_TOL) or np.any(self.error_grid > 1 + TRACE_TOL):
             raise DiagnosticError(
-                f"error probabilities must lie in [0, 1]; the grid spans "
+                f"error probabilities must lie in [0, 1] within {TRACE_TOL:g}; the grid spans "
                 f"[{np.min(self.error_grid):.3g}, {np.max(self.error_grid):.3g}]"
             )
 
@@ -294,37 +282,26 @@ def _sweep_errors(p: ModelParams, gammas: np.ndarray, gamma_phis: np.ndarray) ->
     """D = 1 - fidelity of the EPR run at every point (gammas[k], gamma_phis[k]), all at once.
 
     The Liouvillian is linear in the rates, L = L_H + gamma L_rel + gamma_phi
-    L_deph, so its three parts are built once and each point steps its own
-    5 x 5 generator on the PAIR_BLOCK entries of vec(rho).  Every point takes
-    the step count and stability guard of the worst one.  The snapshots that
-    `epr_generation` checks, t = 0 and t0, are checked the same way, and a
+    L_deph, so `_evolve` steps one generator per point from its three parts,
+    all with the step count and stability guard of the worst point.  It checks
+    the snapshots at t = 0 and t0, as `epr_generation` does, and a
     DiagnosticError names the first grid point that fails.
     """
-    lam = p.lam
     worst = NoiseSpec.uniform(2, float(np.max(gammas)), float(np.max(gamma_phis)))
-    grid = _epr_grid(lam, worst, runs=gammas.size)
-    h20, no_h = h_reduced_two_qubit(lam), np.zeros((4, 4))
-    block = np.ix_(PAIR_BLOCK, PAIR_BLOCK)
-    parts = np.array([  # L_H, L_rel and L_deph, one row each
-        build_liouvillian(h, noise)[block].reshape(-1)
-        for h, noise in ((h20, NoiseSpec.none(2)), (no_h, NoiseSpec.uniform(2, 1.0, 0.0)),
-                         (no_h, NoiseSpec.uniform(2, 0.0, 1.0)))
-    ])
+    grid = _epr_grid(p.lam, worst, runs=gammas.size)
+    h20, no_h = h_reduced_two_qubit(p.lam), np.zeros((4, 4))
+    parts = np.array([build_liouvillian(h, noise) for h, noise in (  # L_H, L_rel and L_deph
+        (h20, NoiseSpec.none(2)), (no_h, NoiseSpec.uniform(2, 1.0, 0.0)),
+        (no_h, NoiseSpec.uniform(2, 0.0, 1.0)))])
     rates = np.stack([np.ones_like(gammas), gammas, gamma_phis], axis=1)
-    generators = (rates @ parts).reshape(-1, 5, 5)  # L_H + gamma L_rel + gamma_phi L_deph
-    start = np.broadcast_to(_EPR_START.reshape(-1)[PAIR_BLOCK, None], (gammas.size, 5, 1))
 
     def point(k: int) -> str:
         return (f"gamma/2pi = {gammas[k] / (2e6 * math.pi):.6g} MHz, "
                 f"gamma_phi/2pi = {gamma_phis[k] / (2e6 * math.pi):.6g} MHz")
 
-    vec = np.zeros((gammas.size, 16), dtype=complex)
-    rho = vec.reshape(-1, 4, 4)  # a view: every snapshot is scattered into vec
     scale = np.linalg.norm(h20, 2) + worst.total_rate
-    for t, y in _rk4(lambda _: generators, start, grid, scale, grid.steps):
-        vec[:, PAIR_BLOCK] = y[..., 0]
-        for lo in range(0, gammas.size, CHECK_POINTS):
-            _check_snapshot(rho[lo:lo + CHECK_POINTS], t, lambda k, lo=lo: point(lo + k))
+    for _, rho, _ in _evolve(parts, rates, _EPR_START, grid, scale, grid.steps, point):
+        pass  # every snapshot is checked; the last is the state at t0
     target = epr_target().amplitudes
     return 1.0 - np.real(target.conj() @ rho @ target)
 

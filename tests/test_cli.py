@@ -508,21 +508,34 @@ class TestCliErrors:
         )
 
     def test_error_probability_out_of_range_is_diagnostic(self, tmp_path, capsys, monkeypatch):
-        # No known config gives a D outside [0, 1], so a negative one is injected.
+        # No known config gives a D more than TRACE_TOL outside [0, 1], so one is injected.
         sweep_errors = protocols._sweep_errors
 
         def negative(*args, **kwargs):
-            return np.full_like(sweep_errors(*args, **kwargs), -1e-12)
+            return np.full_like(sweep_errors(*args, **kwargs), -1e-6)
 
         monkeypatch.setattr(protocols, "_sweep_errors", negative)
         path = write_config(tmp_path, {"sweep": {"gamma_points": 2, "gamma_phi_points": 2}})
         out = tmp_path / "out.csv"
         assert main(["sweep", "--config", path, "--out", str(out)]) == 3
         assert capsys.readouterr().err == (
-            "numerical diagnostics failed: error probabilities must lie in [0, 1]; "
-            "the grid spans [-1e-12, -1e-12]\n"
+            "numerical diagnostics failed: error probabilities must lie in [0, 1] within 1e-09; "
+            "the grid spans [-1e-06, -1e-06]\n"
         )
         assert list(tmp_path.iterdir()) == [tmp_path / "run.json"]
+
+    def test_roundoff_negative_error_probability_is_written(self, tmp_path):
+        # 45 MHz maxima take 575 RK4 steps, at which the noiseless corner's
+        # D = 1 - F reads -2.2e-16: roundoff within TRACE_TOL, not a failure.
+        path = write_config(tmp_path, {"sweep": {
+            "gamma_points": 2, "gamma_phi_points": 2,
+            "gamma_max_over_2pi": "45 MHz", "gamma_phi_max_over_2pi": "45 MHz",
+        }})
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--config", path, "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 4
+        assert rows[0].startswith("0.0000000000e+00,0.0000000000e+00,-")
 
     def test_overflowing_frame_phase_is_diagnostic(self, tmp_path, capsys):
         for model in (
@@ -598,11 +611,17 @@ def any_rate():
     return any_float() | any_float().map(lambda x: f"{x!r} GHz")
 
 
-# Every value a model leaf accepts, extremes included.
+def power_of_ten(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+# Every value a model leaf accepts, extremes included.  Positive couplings (g^2
+# finite) and ratios are drawn as often as any float, so that most runs get past
+# the config to a lambda.
 MODEL_OVERRIDES = st.fixed_dictionaries({}, optional={
     "n_qubits": st.integers(-2, 13) | st.integers(13, 10**30),
-    "coupling_g": st.just("from-device") | any_rate(),
-    "tau_over_g": any_float(),
+    "coupling_g": st.just("from-device") | power_of_ten(-150, 150) | any_rate(),
+    "tau_over_g": power_of_ten(0, 8) | any_float(),
 })
 
 
@@ -699,10 +718,6 @@ def test_every_model_override_exits_with_a_documented_code(tmp_path_factory, com
     if noiseless:  # so that no lambda is refused for its step count
         raw["noise"] = {"gamma_over_2pi": 0, "gamma_phi_over_2pi": 0}
     assert_runs_cleanly(tmp_path_factory, command, raw)
-
-
-def power_of_ten(lo, hi):
-    return st.floats(lo, hi).map(lambda e: 10.0**e)
 
 
 def any_accepted_rate():

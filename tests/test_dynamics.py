@@ -14,6 +14,8 @@ from dotbus.dynamics import (
     DiagnosticError,
     NoiseSpec,
     TimeGrid,
+    _evolve,
+    _support,
     build_liouvillian,
     integrate_lindblad,
 )
@@ -184,6 +186,51 @@ class TestAcceptedSnapshots:
             return
         for rho in result.states:
             DensityMatrix(TWO_QUBITS, rho)
+
+
+class TestDerivedSupport:
+    """Runs step only the entries of vec(rho) that the generator reaches from rho0."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_the_exponential_with_exact_zeros_off_the_support(self, data):
+        rng, h, noise = random_model(data)
+        if data.draw(st.booleans()):  # |01> <-> |10> exchange only: a sparse support
+            h = h_reduced_two_qubit(data.draw(st.floats(0.1, 5.0))) + np.diag(rng.normal(size=4))
+        rows = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True))
+        a = np.zeros((4, 4), dtype=complex)  # rho0 lives on the drawn rows and columns
+        a[rows] = rng.normal(size=(len(rows), 4)) + 1j * rng.normal(size=(len(rows), 4))
+        rho0 = a @ a.conj().T / np.trace(a @ a.conj().T).real
+        t = 1.0
+        scale = np.linalg.norm(h, 2) + noise.total_rate
+        steps = math.ceil(t * scale / 0.005) + 1  # coarser steps can dip an eigenvalue < EIG_FLOOR
+        result = integrate_lindblad(h, DensityMatrix(TWO_QUBITS, rho0), noise,
+                                    TimeGrid(t, steps), record_every=steps)
+        liou = build_liouvillian(h, noise)
+        exact = scipy.linalg.expm(liou * t) @ rho0.reshape(-1)
+        final = result.final.reshape(-1)
+        # RK4's global error is below t scale (dt scale)^4 for a unit-trace state.
+        assert np.max(np.abs(final - exact)) <= t * scale * (t * scale / steps) ** 4 + 1e-14
+        outside = np.setdiff1d(np.arange(16), _support(liou[None], rho0))
+        assert np.all(final[outside] == 0.0)
+
+    @settings(max_examples=50, deadline=None)
+    @given(rates=st.lists(st.tuples(st.floats(0.01, 5.0), st.floats(0.0, 5.0)),
+                          min_size=1, max_size=6))
+    def test_a_noiseless_point_in_a_stack_keeps_rho_00_00_at_zero(self, rates):
+        # Only relaxation reaches rho_{00,00} from |10><10|; the noiseless
+        # point's generator carries 0 x L_rel there, which is exactly 0.
+        no_h = np.zeros((4, 4))
+        parts = np.array([build_liouvillian(h, noise) for h, noise in (
+            (h_reduced_two_qubit(1.0), NoiseSpec.none(2)),
+            (no_h, NoiseSpec.uniform(2, 1.0, 0.0)),
+            (no_h, NoiseSpec.uniform(2, 0.0, 1.0)),
+        )])
+        stack = np.array([(1.0, 0.0, 0.0)] + [(1.0, g, g_phi) for g, g_phi in rates])
+        rho0 = np.diag([0.0, 0.0, 1.0, 0.0])
+        for _, rho, _ in _evolve(parts, stack, rho0, TimeGrid(math.pi / 4, 400), 12.0, 50, str):
+            assert rho[0, 0, 0] == 0.0
+        assert np.all(rho[1:, 0, 0].real > 0.0)  # at t0, where relaxation does reach it
 
 
 class TestIntegrateLindblad:

@@ -16,14 +16,15 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dotbus import protocols
-from dotbus.algebra import PureState
-from dotbus.dynamics import DiagnosticError, NoiseSpec, TimeGrid, build_liouvillian
+from dotbus import dynamics, protocols
+from dotbus.algebra import DensityMatrix, PureState, fidelity
+from dotbus.dynamics import (DiagnosticError, NoiseSpec, TimeGrid, _support, build_liouvillian,
+                             integrate_lindblad)
 from dotbus.hamiltonians import ModelParams, analytic_u, h_reduced_two_qubit
 from dotbus.protocols import (
     FRAME_SAMPLES,
     MIN_EPR_STEPS,
-    PAIR_BLOCK,
+    TWO_QUBIT_SPACE,
     StepBudgetError,
     _epr_grid,
     _sector_run,
@@ -143,7 +144,6 @@ def test_epr_grid_step_count():
     lam = math.pi / 4
     assert _epr_grid(lam, NoiseSpec((5.0, 0.0), (5.0, 0.0))).steps == 400
     assert _epr_grid(lam, NoiseSpec.uniform(2, 1.0, 1.5)).steps == MIN_EPR_STEPS  # not 200
-    assert _epr_grid(lam, NoiseSpec.none(2), steps=7).steps == 7
     # The Hamiltonian's own 40 t0 x 2 lam = 20 pi steps never set the count,
     # not even where 40 t0 overflows (lam below 1.75e-307).
     for lam in 10.0 ** np.arange(-308.0, 308.0, 4.0):
@@ -433,25 +433,30 @@ def any_rate():
 
 
 class TestBatchedSweep:
-    """The sweep steps every grid point at once on the PAIR_BLOCK entries of vec(rho)."""
+    """The sweep steps every grid point at once on the vec(rho) entries |10><10| reaches."""
 
     @settings(max_examples=200, deadline=None)
-    @given(lam=power_of_ten(-300, 300), relaxation=st.tuples(any_rate(), any_rate()),
+    @given(lam=power_of_ten(-300, 300),
+           relaxation=st.tuples(any_rate(), any_rate()).filter(any),
            dephasing=st.tuples(any_rate(), any_rate()))
-    def test_every_liouvillian_part_keeps_the_pair_block(self, lam, relaxation, dephasing):
-        # Per-qubit rates, drawn apart and sometimes 0: the block holds for
-        # non-uniform noise too, not only for the uniform noise the sweep runs.
-        outside = [k for k in range(16) if k not in PAIR_BLOCK]
+    def test_support_from_the_start_is_the_five_pair_entries(self, lam, relaxation, dephasing):
+        # Per-qubit rates, drawn apart and sometimes 0: the support is the same
+        # for non-uniform noise too, not only for the uniform noise the sweep runs.
         no_h = np.zeros((4, 4))
-        for h, noise in ((h_reduced_two_qubit(lam), NoiseSpec.none(2)),
-                         (no_h, NoiseSpec(relaxation, (0.0, 0.0))),
-                         (no_h, NoiseSpec((0.0, 0.0), dephasing))):
-            leaving = build_liouvillian(h, noise)[np.ix_(outside, PAIR_BLOCK)]
-            assert np.all(leaving == 0.0)
+        parts = np.array([build_liouvillian(h, noise) for h, noise in (
+            (h_reduced_two_qubit(lam), NoiseSpec.none(2)),
+            (no_h, NoiseSpec(relaxation, (0.0, 0.0))),
+            (no_h, NoiseSpec((0.0, 0.0), dephasing)),
+        )])
+        support = _support(parts, protocols._EPR_START)
+        # rho_{00,00}, rho_{01,01}, rho_{01,10}, rho_{10,01} and rho_{10,10}, row-major
+        assert support.tolist() == [0, 5, 6, 9, 10]
+        outside = np.setdiff1d(np.arange(16), support)
+        assert np.all(parts[:, outside[:, None], support] == 0.0)
 
     @settings(max_examples=25, deadline=None)
     @given(st.data())
-    def test_matches_serial_epr_generation_at_every_point(self, data):
+    def test_matches_a_serial_run_at_every_point(self, data):
         g = 2 * math.pi * data.draw(st.floats(5e6, 1e9))
         p = ModelParams.uniform(2, g, data.draw(st.floats(5.0, 100.0)) * g)
         rates = st.lists(st.floats(0.0, 5.0), min_size=0, max_size=2)
@@ -459,14 +464,17 @@ class TestBatchedSweep:
         gamma_axis = p.lam * np.array([0.0, *data.draw(rates)])
         gamma_phi_axis = p.lam * np.array([0.0, *data.draw(rates)])
         worst = NoiseSpec.uniform(2, max(gamma_axis), max(gamma_phi_axis))
-        steps = _epr_grid(p.lam, worst, runs=gamma_axis.size * gamma_phi_axis.size).steps
+        grid = _epr_grid(p.lam, worst, runs=gamma_axis.size * gamma_phi_axis.size)
+        rho0 = DensityMatrix(TWO_QUBIT_SPACE, protocols._EPR_START)
         # The errors before SweepResult's [0, 1] check: at a few hundred steps
         # the noiseless D can be -2.2e-16, in the serial run as well.
         gammas, gamma_phis = np.meshgrid(gamma_axis, gamma_phi_axis, indexing="ij")
         errors = _sweep_errors(p, gammas.ravel(), gamma_phis.ravel())
         for gamma, gamma_phi, error in zip(gammas.ravel(), gamma_phis.ravel(), errors):
-            serial = epr_generation(p, NoiseSpec.uniform(2, gamma, gamma_phi), steps=steps)
-            assert abs(error - serial.error_d) <= 1e-12
+            serial = integrate_lindblad(h_reduced_two_qubit(p.lam), rho0,
+                                        NoiseSpec.uniform(2, gamma, gamma_phi), grid)
+            serial_d = 1.0 - fidelity(DensityMatrix(TWO_QUBIT_SPACE, serial.final), epr_target())
+            assert abs(error - serial_d) <= 1e-12
 
     def test_step_budget_counts_every_grid_point(self):
         # 200 x 196 points x 256 steps = 10,035,200 RK4 steps, past MAX_RK4_STEPS.
@@ -497,14 +505,14 @@ class TestBatchedSweep:
         ("spoil_finiteness", "non-finite entries"),
     ])
     # 2 x 3 points, spoiled at (1, 0) and (1, 1); 30 x 3 points, spoiled at (21, 1)
-    # and (23, 1), past the first CHECK_POINTS = 64 points that one check takes.
+    # and (23, 1), past the first dynamics.CHECK_POINTS = 64 points that one check takes.
     @pytest.mark.parametrize("gamma_points, spoiled, name", [
         (2, (3, 4), "gamma/2pi = 0.5 MHz, gamma_phi/2pi = 0 MHz"),
         (30, (64, 70), "gamma/2pi = 10.5 MHz, gamma_phi/2pi = 0.25 MHz"),
     ])
     def test_bad_snapshot_names_the_first_failing_grid_point(
             self, monkeypatch, snapshot, t, spoil, breach, gamma_points, spoiled, name):
-        rk4 = protocols._rk4
+        rk4 = dynamics._rk4
 
         def spoiled_rk4(*args):
             for n, (time, y) in enumerate(rk4(*args)):
@@ -514,7 +522,7 @@ class TestBatchedSweep:
                         getattr(self, spoil)(y[k, :, 0])
                 yield time, y
 
-        monkeypatch.setattr(protocols, "_rk4", spoiled_rk4)
+        monkeypatch.setattr(dynamics, "_rk4", spoiled_rk4)
         p = ModelParams.uniform(2, 2 * math.pi * 100e6, 2 * math.pi * 800e6)  # t0 = 10 ns
         mhz = 2e6 * math.pi
         with pytest.raises(DiagnosticError) as err:

@@ -6,7 +6,8 @@ Runs `device`, `epr`, `sweep` and `validate` with `--out` on the empty
 config `{}`, on the first three seeded inputs (seed 7) of each benchmark
 workload, drawn by `perfbench/workloads.py` of this checkout, and on one
 config per documented failure exit (`FAILURES`, one for each exit-code
-bullet of the README plus an underflowing resonator).  For every
+bullet of the README plus an underflowing resonator) and on the named edge
+cases of `EDGE_CASES`.  For every
 config and command it stores stdout, stderr, the exit code and every file
 the run wrote (`out`, `out.resolved.json`) under OUTDIR/<config>/<command>/,
 with the output path masked as `<OUT>`.  For `{}` and the `bus-check`
@@ -61,6 +62,16 @@ FAILURES = {
 }
 
 
+# Inputs on the edge of a documented behaviour.
+EDGE_CASES = {
+    # 575 RK4 steps, at which the noiseless corner's D reads -2.2e-16: roundoff
+    # within algebra.TRACE_TOL of [0, 1], written as computed.
+    "edge-roundoff-negative-d": {"sweep": {"gamma_points": 2, "gamma_phi_points": 2,
+                                           "gamma_max_over_2pi": "45 MHz",
+                                           "gamma_phi_max_over_2pi": "45 MHz"}},
+}
+
+
 def configs() -> dict[str, dict | str]:
     sys.path.insert(0, str(ROOT / "perfbench"))
     sys.dont_write_bytecode = True  # leave perfbench/ as it is
@@ -70,7 +81,7 @@ def configs() -> dict[str, dict | str]:
     for name in workloads.WORKLOADS:
         for k, inp in enumerate(itertools.islice(workloads.inputs(name, SEED), PER_WORKLOAD)):
             out[f"{name}-{k}"] = inp.config
-    return {**out, **FAILURES}
+    return {**out, **FAILURES, **EDGE_CASES}
 
 
 # Run as `python -c SELECTIVE CONFIG_JSON` against the dotbus under test.
