@@ -3,14 +3,18 @@
 One engine, `_evolve`, runs every master-equation integration: `integrate_lindblad`
 is its one-point call, and `protocols.decoherence_sweep` steps a stack of points.
 It steps only the entries of row-major vec(rho) that the generators reach from
-rho0 (`_support`) with `_rk4`, the one fixed-step RK4 stepper.  Nothing is
-renormalized: `_check_snapshot` measures trace, Hermiticity and the smallest
-eigenvalue and stops a run at the first snapshot out of tolerance, before it
-steps into overflow.
+rho0 (`_support`) with `_rk4`, the fixed-step RK4 stepper.  Its generators are
+constant, so every RK4 step applies one matrix S, and `_rk4` advances each
+snapshot interval of n steps with S^n.  `_rk4_step` holds the stage formula
+that forms S, which the reference Schroedinger integrator takes once per step.
+Nothing is renormalized: `_check_snapshot` measures trace, Hermiticity and the
+smallest eigenvalue and stops a run at the first snapshot out of tolerance,
+before it steps into overflow.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -22,8 +26,9 @@ from .algebra import (EIG_FLOOR, HERMITIAN_TOL, SIGMA_MINUS, SIGMA_Z, TRACE_TOL,
                       HilbertSpace, embed, hermiticity_defect)
 
 STABILITY_LIMIT = 0.1        # max allowed dt * ||generator||
-# Points of a stacked run whose states one snapshot check takes at a time,
-# which bounds the check's temporaries; a whole stack's would add to peak memory.
+# Points of a stacked run whose states one snapshot check, and whose step
+# matrices one power, takes at a time, which bounds their temporaries; a whole
+# stack's would add to peak memory.
 CHECK_POINTS = 64
 
 
@@ -99,21 +104,12 @@ class SimResult:
         return self.states[-1]
 
 
-def _rk4(
-    generator: Callable[[float], np.ndarray],
-    y: np.ndarray,
-    grid: TimeGrid,
-    scale: float,
-    record_every: int,
-) -> Iterator[tuple[float, np.ndarray]]:
-    """Fixed-step RK4 for dy/dt = generator(t) @ y, yielding (t, y) snapshots.
+def _snapshot_steps(grid: TimeGrid, scale: float, record_every: int) -> Iterator[int]:
+    """Step counts at which a run records a snapshot: 0, every ``record_every``-th and the last.
 
-    Yields the initial state, then the state after every ``record_every``-th
-    step and after the last, at t = (step + 1) dt; the caller checks
-    each one before the next step runs.  ``generator`` is called at the
-    midpoint and end of each step, the end value serving as the next start.
-    ``scale`` bounds its norm for the stability guard.  A stack of generators,
-    shape (points, n, n), steps a stack of states, shape (points, n, 1), at once.
+    First the stability guard: ``scale`` bounds the generator's norm, and a
+    step with dt x scale >= STABILITY_LIMIT raises ValueError naming a step
+    count that passes.
     """
     dt = grid.dt
     if dt * scale >= STABILITY_LIMIT:
@@ -122,20 +118,61 @@ def _rk4(
             f"step size too large: dt*||H|| = {dt * scale:.3g} >= {STABILITY_LIMIT}; "
             f"use at least {needed} steps"
         )
+    return itertools.chain(range(0, grid.steps, record_every), [grid.steps])
+
+
+def _rk4_step(a_left: np.ndarray, a_mid: np.ndarray, a_right: np.ndarray,
+              y: np.ndarray) -> np.ndarray:
+    """One RK4 step of dy/dt = G(t) y, given a = dt x G at the step's start, midpoint and end.
+
+    Each ``a`` is scaled by dt before any product is formed, so no power of G
+    alone under- or overflows where the step itself does not.  For a constant
+    generator, with ``y`` the identity, this is the step matrix
+    S = I + a (I + a/2 (I + a/3 (I + a/4))).
+    """
+    k1 = a_left @ y
+    k2 = a_mid @ (y + 0.5 * k1)
+    k3 = a_mid @ (y + 0.5 * k2)
+    k4 = a_right @ (y + k3)
+    return y + (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+
+
+def _rk4(
+    generator: np.ndarray,
+    y: np.ndarray,
+    grid: TimeGrid,
+    scale: float,
+    record_every: int,
+) -> Iterator[tuple[float, np.ndarray]]:
+    """Fixed-step RK4 for dy/dt = generator @ y, generator constant, yielding (t, y) snapshots.
+
+    Yields the initial state, then the state after every ``record_every``-th
+    step and after the last, at t = steps x dt (`_snapshot_steps`, which also
+    holds the stability guard); the caller checks each one before the next
+    interval runs.  Every RK4 step applies the same matrix S (`_rk4_step`),
+    so an interval of n steps is one product with S^n, raised by repeated
+    squaring, ``CHECK_POINTS`` generators at a time to bound the temporaries.
+    A stack of generators, shape (points, n, n), steps a stack of states,
+    shape (points, n, 1), at once.
+    """
+    snapshots = _snapshot_steps(grid, scale, record_every)
+    done = next(snapshots)
     yield 0.0, y
-    g_left = generator(0.0)
-    for step in range(grid.steps):
-        t = step * dt
-        g_mid = generator(t + 0.5 * dt)
-        g_right = generator(t + dt)
-        k1 = g_left @ y
-        k2 = g_mid @ (y + 0.5 * dt * k1)
-        k3 = g_mid @ (y + 0.5 * dt * k2)
-        k4 = g_right @ (y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        g_left = g_right
-        if (step + 1) % record_every == 0 or step == grid.steps - 1:
-            yield (step + 1) * dt, y
+    # Interval lengths: the full ones, and a shorter last one if steps leave a remainder.
+    lengths = {min(record_every, grid.steps), grid.steps % record_every} - {0}
+    stack = generator.reshape((-1,) + generator.shape[-2:])
+    powers = {n: np.empty_like(stack) for n in lengths}
+    eye = np.eye(stack.shape[-1])
+    for lo in range(0, len(stack), CHECK_POINTS):
+        a = grid.dt * stack[lo:lo + CHECK_POINTS]
+        step = _rk4_step(a, a, a, eye)
+        for n, power in powers.items():
+            power[lo:lo + CHECK_POINTS] = np.linalg.matrix_power(step, n)
+    powers = {n: power.reshape(generator.shape) for n, power in powers.items()}
+    for mark in snapshots:
+        y = powers[mark - done] @ y
+        done = mark
+        yield mark * grid.dt, y
 
 
 @lru_cache(maxsize=8)
@@ -237,7 +274,8 @@ def _evolve(parts: np.ndarray, rates: np.ndarray, rho0: np.ndarray, grid: TimeGr
     row, stepped at once and checked CHECK_POINTS points at a time, ``point(k)``
     naming the k-th.  Only the `_support` entries are stepped.  Yields (t,
     snapshot, its diagnostics, None for a stack) once the snapshot passes its
-    check; every snapshot is one buffer, shape rates.shape[:-1] + (d, d).
+    check.  A stack's snapshots share one buffer, shape rates.shape[:-1] + (d, d),
+    which the next snapshot overwrites; a single run's are each a new (d, d) array.
     """
     d, points = rho0.shape[-1], rates.shape[:-1]
     support = _support(parts, rho0)
@@ -246,9 +284,11 @@ def _evolve(parts: np.ndarray, rates: np.ndarray, rho0: np.ndarray, grid: TimeGr
     start = np.broadcast_to(rho0.reshape(-1)[support, None], points + (support.size, 1))
     shape, size = points + (d, d), math.prod(points) * d * d
     flat = (np.arange(0, size, d * d)[:, None] + support).ravel()  # where y's entries go
-    vec = np.zeros(size, dtype=complex)  # the entries off the support stay 0
-    rho = vec.reshape(shape)
-    for t, y in _rk4(lambda _: generators, start, grid, scale, record_every):
+    vec = None
+    for t, y in _rk4(generators, start, grid, scale, record_every):
+        if vec is None or not points:  # a stack reuses one buffer; one run's snapshots are kept
+            vec = np.zeros(size, dtype=complex)  # the entries off the support stay 0
+            rho = vec.reshape(shape)
         vec[flat] = y.ravel()
         if points:
             for lo in range(0, len(rho), CHECK_POINTS):
@@ -266,6 +306,6 @@ def integrate_lindblad(h_eff: np.ndarray, rho0: DensityMatrix, noise: NoiseSpec,
     scale = np.linalg.norm(h_eff, 2) + noise.total_rate
     run = _evolve(build_liouvillian(h_eff, noise)[None], np.ones(1), rho0.matrix, grid, scale,
                   record_every)
-    times, states, rows = zip(*((t, rho.copy(), row) for t, rho, row in run))
+    times, states, rows = zip(*run)
     diagnostics = dict(zip(("trace_dev", "herm_dev", "min_eig"), np.array(rows).T))
     return SimResult(np.array(times), list(states), diagnostics)

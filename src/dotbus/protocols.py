@@ -21,8 +21,11 @@ from .hamiltonians import (DISPERSIVE_THRESHOLD, ModelParams, analytic_u, h_redu
 TWO_QUBIT_SPACE = HilbertSpace((2, 2))
 _EPR_START = np.diag([0.0, 0.0, 1.0, 0.0])  # |10><10|, where pair generation starts
 MIN_EPR_STEPS = 256
-# RK4 steps one epr run or one whole sweep (steps x grid points) may take;
-# the default 21x21 sweep takes 441 x 256 = 112,896.
+# RK4 steps one epr run or one whole sweep (steps x grid points) may model;
+# the default 21x21 sweep models 441 x 256 = 112,896.  `dynamics._rk4` applies
+# them as powers of each point's step matrix, so the work grows with the points
+# and the snapshots, not the steps; the budget still counts modelled steps and
+# stays at its value, so that no exit code moves.
 MAX_RK4_STEPS = 10_000_000
 FRAME_SAMPLES = 400  # intervals of [0, t0] at which _pair_run records mean levels
 # Largest frame phase tau x t0 = (pi/4)(tau/g)^2, in rad, for `validate`.  Its
@@ -77,8 +80,10 @@ def _epr_grid(lam: float, noise: NoiseSpec, runs: int = 1) -> TimeGrid:
     """
     t0 = gate_time_t0(lam)
     rate = noise.total_rate
-    try:  # without noise, 40 t0 may overflow, and inf x 0 is NaN
-        steps = max(MIN_EPR_STEPS, math.ceil(40.0 * t0 * rate if rate else 0.0))
+    # The action t0 x rate first: 40 t0 alone overflows for lambda below 1.75e-307,
+    # where a small rate still asks for few steps.  Without noise, inf x 0 is NaN.
+    try:
+        steps = max(MIN_EPR_STEPS, math.ceil(40.0 * (t0 * rate) if rate else 0.0))
     except OverflowError:  # the step count overflows a float
         steps = math.inf
     if steps * runs > MAX_RK4_STEPS:

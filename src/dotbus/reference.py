@@ -18,8 +18,11 @@ none of them imports this module, and ``import dotbus`` does not load it.
   writes in closed form are checked against them.
 - `lindblad_rhs`: the master equation element-wise, with the rates of
   `dynamics._channels`; `dynamics.build_liouvillian` is checked against it.
-- `propagate_schrodinger`: RK4 on -iH(t) through the production stepper
-  `dynamics._rk4`, so the order checks exercise that stepper.
+- `propagate_schrodinger`: RK4 on -iH(t), one `dynamics._rk4_step` per step
+  under the stability guard and snapshot schedule of
+  `dynamics._snapshot_steps`.  The production stepper `dynamics._rk4` forms
+  its step matrix with the same `_rk4_step`, so the order checks exercise the
+  stage formula that production runs.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ import numpy as np
 from .algebra import (HERMITIAN_TOL, SIGMA_MINUS, SIGMA_PLUS, DensityMatrix, HilbertSpace,
                       PureState, embed, hermiticity_defect)
 from .device import HBAR, DotParams
-from .dynamics import DiagnosticError, NoiseSpec, SimResult, TimeGrid, _channels, _rk4
+from .dynamics import (DiagnosticError, NoiseSpec, SimResult, TimeGrid, _channels, _rk4_step,
+                       _snapshot_steps)
 from .hamiltonians import DISPERSIVE_THRESHOLD, ModelParams, destroy, static_frame_hamiltonian
 
 NORM_DRIFT_TOL = 1e-6
@@ -187,19 +191,33 @@ def propagate_schrodinger(
 ) -> SimResult:
     """RK4 integration of d psi/dt = -i H(t) psi.
 
-    No renormalization is applied; a snapshot whose norm drifts by more than
-    1e-6 stops the run with DiagnosticError.
+    Takes one `dynamics._rk4_step` per step, on the stability guard and
+    snapshot schedule of `dynamics._snapshot_steps`.  No renormalization is
+    applied; a snapshot whose norm drifts by more than 1e-6 stops the run
+    with DiagnosticError.
     """
     sample_ts = np.linspace(0.0, grid.t_end, 9)
     h_scale = max(np.linalg.norm(h_of_t(t), 2) for t in sample_ts)
+    dt = grid.dt
+
+    def a(t: float) -> np.ndarray:  # dt x the generator -iH(t)
+        return -1j * dt * h_of_t(t)
+
     psi = psi0.amplitudes.copy()
     times, states, drifts = [], [], []
-    for t, psi in _rk4(lambda t: -1j * h_of_t(t), psi, grid, h_scale, record_every):
+    done, a_left = 0, a(0.0)
+    for mark in _snapshot_steps(grid, h_scale, record_every):
+        for step in range(done, mark):
+            t = step * dt
+            a_right = a(t + dt)
+            psi = _rk4_step(a_left, a(t + 0.5 * dt), a_right, psi)
+            a_left = a_right
+        done = mark
         drift = abs(np.linalg.norm(psi) - 1.0)
         if drift > NORM_DRIFT_TOL:
             raise DiagnosticError(f"norm drift {drift:.3g} exceeds {NORM_DRIFT_TOL} "
-                                  f"at t = {t:.6g}")
-        times.append(t)
+                                  f"at t = {mark * dt:.6g}")
+        times.append(mark * dt)
         states.append(psi)
         drifts.append(drift)
     return SimResult(np.array(times), states, {"norm_drift": np.array(drifts)})

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,12 +10,15 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dotbus import dynamics
 from dotbus.algebra import DensityMatrix, HilbertSpace, PureState, fidelity
 from dotbus.dynamics import (
+    STABILITY_LIMIT,
     DiagnosticError,
     NoiseSpec,
     TimeGrid,
     _evolve,
+    _rk4,
     _support,
     build_liouvillian,
     integrate_lindblad,
@@ -302,6 +306,51 @@ class TestIntegrateLindblad:
             with pytest.raises(DiagnosticError, match=r"at t = 0\.01: "):
                 integrate_lindblad(h, psi.density_matrix(), NoiseSpec.none(2),
                                    TimeGrid(1000, 100000))
+
+
+def per_stage_rk4(generator, y, grid, record_every):
+    """The stepper before step matrices: four stages at every step of a constant generator."""
+    dt = grid.dt
+    yield 0.0, y
+    for step in range(grid.steps):
+        k1 = generator @ y
+        k2 = generator @ (y + 0.5 * dt * k1)
+        k3 = generator @ (y + 0.5 * dt * k2)
+        k4 = generator @ (y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if (step + 1) % record_every == 0 or step == grid.steps - 1:
+            yield (step + 1) * dt, y
+
+
+class TestStepMatrixStepper:
+    """_rk4 applies powers of the RK4 step matrix; the per-stage recurrence is its oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_the_per_stage_recurrence(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        points, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
+        shape = (points,) if data.draw(st.booleans()) or points > 1 else ()
+        a, b = (rng.normal(size=shape + (n, n)) + 1j * rng.normal(size=shape + (n, n))
+                for _ in range(2))
+        # -iH - c B^dagger B, with H Hermitian: a damped, hence stable, generator
+        generator = (-1j * (a + a.conj().swapaxes(-1, -2))
+                     - data.draw(st.floats(0.0, 1.0)) * b.conj().swapaxes(-1, -2) @ b)
+        scale = max(np.linalg.norm(g, 2) for g in generator.reshape(-1, n, n))
+        steps = data.draw(st.integers(1, 600))
+        record_every = data.draw(st.integers(1, steps))
+        dt_scale = data.draw(st.floats(1e-3, 0.99 * STABILITY_LIMIT))
+        grid = TimeGrid(steps * dt_scale / scale, steps)
+        y0 = rng.normal(size=shape + (n, 1)) + 1j * rng.normal(size=shape + (n, 1))
+        # Chunks smaller than the stack, so powers are formed across chunk edges.
+        with mock.patch.object(dynamics, "CHECK_POINTS", data.draw(st.integers(1, 5))):
+            new = list(_rk4(generator, y0, grid, scale, record_every))
+        old = list(per_stage_rk4(generator, y0, grid, record_every))
+        assert [t for t, _ in new] == [t for t, _ in old]
+        for (_, y_new), (_, y_old) in zip(new, old):
+            # Each side rounds O(n eps ||y||) per step; 3,000 draws reached 0.54 steps n eps ||y||.
+            norm = max(np.max(np.abs(y0)), np.max(np.abs(y_old)))
+            assert np.max(np.abs(y_new - y_old)) <= 2 * steps * n * np.finfo(float).eps * norm
 
 
 class TestFourthOrderScaling:

@@ -424,6 +424,25 @@ class TestDecoherenceSweep:
             decoherence_sweep(paper_model(), [], [0.0])
 
 
+def test_errors_do_not_depend_on_the_scale_of_lambda():
+    # lambda = 1e-308, 1 and 1.26e153 span what the config accepts; lambda t0 =
+    # pi/4 at each, and rates in units of lambda give the same D.  A step matrix
+    # formed from G G before scaling by dt underflows to 0 at the low end.
+    models = [ModelParams.uniform(2, g, ratio * g) for g, ratio in (
+        (2 * math.pi * 1e-150, 6.283185307179586e158), (10.0, 10.0), (2 * math.pi * 2e153, 10.0))]
+    errors = []
+    for p in models:
+        lam = p.lam
+        errors.append([epr_generation(p, NoiseSpec.uniform(2, gamma * lam, gamma_phi * lam)).error_d
+                       for gamma, gamma_phi in ((0.0, 0.0), (0.1, 0.2))])
+        # Its (0, 0) point is noiseless; the other three carry one or both rates.
+        errors[-1] += decoherence_sweep(p, lam * np.array([0.0, 0.1]),
+                                        lam * np.array([0.0, 0.2])).error_grid.ravel().tolist()
+    assert [p.lam for p in models] == pytest.approx([1e-308, 1.0, 1.2566370614359172e153])
+    assert np.max(np.abs(np.array(errors) - errors[1])) <= 1e-13
+    assert errors[1][1] > 0.05  # the noisy points do see the noise
+
+
 def power_of_ten(lo, hi):
     return st.floats(lo, hi).map(lambda e: 10.0**e)
 

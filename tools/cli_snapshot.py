@@ -69,6 +69,22 @@ EDGE_CASES = {
     "edge-roundoff-negative-d": {"sweep": {"gamma_points": 2, "gamma_phi_points": 2,
                                            "gamma_max_over_2pi": "45 MHz",
                                            "gamma_phi_max_over_2pi": "45 MHz"}},
+    # lambda = 1e-308, the low end of the accepted range, where dt x G is of
+    # order 1e-3 but G G underflows: the RK4 step matrix must scale by dt first.
+    "edge-lambda-1e-308": {"model": {"coupling_g": "1e-150 Hz",
+                                     "tau_over_g": 6.283185307179586e158},
+                           "noise": {"gamma_over_2pi": 0, "gamma_phi_over_2pi": 0},
+                           "sweep": {"gamma_points": 2, "gamma_phi_points": 2,
+                                     "gamma_max_over_2pi": 0, "gamma_phi_max_over_2pi": 0}},
+    # The same lambda with rates 0.1 lambda and 0.2 lambda: 40 t0 alone
+    # overflows, so the step count must form the noise action t0 x rate first.
+    "edge-lambda-1e-308-noisy": {"model": {"coupling_g": "1e-150 Hz",
+                                           "tau_over_g": 6.283185307179586e158},
+                                 "noise": {"gamma_over_2pi": 1.59154943091893e-310,
+                                           "gamma_phi_over_2pi": 3.1830988618379e-310},
+                                 "sweep": {"gamma_points": 2, "gamma_phi_points": 2,
+                                           "gamma_max_over_2pi": 1.59154943091893e-310,
+                                           "gamma_phi_max_over_2pi": 3.1830988618379e-310}},
 }
 
 
