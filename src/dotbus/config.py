@@ -27,8 +27,9 @@ from .dynamics import NoiseSpec
 from .hamiltonians import ModelParams
 from .protocols import MAX_RK4_STEPS, MIN_EPR_STEPS, gate_time_t0
 
-# Most qubits a config may ask for.  The one-excitation block is still read off
-# the dense static-frame matrix, 2**9 x 6 = 3072 wide at nine qubits.
+# Most qubits a config may ask for.  No production array grows with 2**n: the
+# one-excitation block is (n + 1) x (n + 1).  The bound stays at nine so that
+# no exit code or message moves until one is stated from measured time.
 MAX_QUBITS = 9
 
 

@@ -1,9 +1,14 @@
 """Hamiltonian builders for n double-dot qubits coupled to a resonator mode.
 
-Every operator, full-space or reduced, uses one ordering: the tensor order
-[qubit 1, ..., qubit n, cavity] with row-major Kronecker products, built by
-`algebra.embed`.  Qubit 1 is the slowest index, so the two-qubit register
-reads {|00>, |01>, |10>, |11>} with |q1 q2> at index 2 q1 + q2.
+Production never forms the 2^n (N+1)-dimensional qubit-cavity space.  The
+exact interaction conserves excitation number, so a run from one excited
+qubit in the vacuum stays on n + 1 states, and `sector_hamiltonian` builds
+that block from g_j and tau_j alone; no photon cutoff enters.  The
+two-qubit register uses the tensor order [qubit 1, qubit 2] with row-major
+Kronecker products, built by `algebra.embed`: qubit 1 is the slowest index,
+so it reads {|00>, |01>, |10>, |11>} with |q1 q2> at index 2 q1 + q2.  The
+dense full-space forms, in the same order with the cavity last, are the
+test references in `dotbus.reference`.
 
 hbar = 1 throughout: all matrix elements are angular frequencies.
 """
@@ -16,14 +21,13 @@ import numpy as np
 
 from .algebra import HilbertSpace, SIGMA_MINUS, SIGMA_PLUS, embed
 
-DEFAULT_PHOTON_CUTOFF = 5
 # Smallest tau/g at which the dispersive (effective) model is run.
 DISPERSIVE_THRESHOLD = 5.0
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Simulation-level parameters: per-qubit couplings and detunings, cutoff.
+    """Simulation-level parameters: per-qubit couplings and detunings.
 
     Couplings may be zero (a decoupled qubit); detunings may be zero (resonant
     operation) but the dispersive machinery then refuses to run.
@@ -31,7 +35,6 @@ class ModelParams:
 
     couplings_g: tuple[float, ...]
     detunings_tau: tuple[float, ...]
-    photon_cutoff: int = DEFAULT_PHOTON_CUTOFF
 
     def __post_init__(self):
         object.__setattr__(self, "couplings_g", tuple(float(g) for g in self.couplings_g))
@@ -42,13 +45,10 @@ class ModelParams:
             raise ValueError("couplings_g and detunings_tau must have equal length")
         if any(g < 0 for g in self.couplings_g):
             raise ValueError("couplings must be nonnegative")
-        if self.photon_cutoff < 1:
-            raise ValueError("photon_cutoff must be at least 1")
 
     @classmethod
-    def uniform(cls, n_qubits: int, g: float, tau: float,
-                photon_cutoff: int = DEFAULT_PHOTON_CUTOFF) -> "ModelParams":
-        return cls((g,) * n_qubits, (tau,) * n_qubits, photon_cutoff)
+    def uniform(cls, n_qubits: int, g: float, tau: float) -> "ModelParams":
+        return cls((g,) * n_qubits, (tau,) * n_qubits)
 
     @property
     def n_qubits(self) -> int:
@@ -74,15 +74,6 @@ class ModelParams:
         if tau == 0:
             raise ValueError("lambda is undefined at zero detuning")
         return g * g / tau
-
-    @property
-    def space(self) -> HilbertSpace:
-        return HilbertSpace((2,) * self.n_qubits + (self.photon_cutoff + 1,))
-
-
-def destroy(cutoff_n: int) -> np.ndarray:
-    """Truncated annihilation operator on a (N+1)-dimensional Fock space."""
-    return np.diag(np.sqrt(np.arange(1, cutoff_n + 1, dtype=float)), k=1).astype(complex)
 
 
 def h_reduced_two_qubit(lam: float) -> np.ndarray:
@@ -116,23 +107,19 @@ def analytic_u(lam: float, t: float) -> np.ndarray:
     return u
 
 
-def static_frame_hamiltonian(p: ModelParams) -> np.ndarray:
-    """Time-independent Hamiltonian A + V equivalent to the rotating interaction.
+def sector_hamiltonian(p: ModelParams) -> np.ndarray:
+    """One-excitation block of the time-independent Hamiltonian A + V.
 
     The explicit time dependence of the interaction (`reference.h_interaction`)
-    is a frame artifact: H(t) = e^{iAt} V e^{-iAt} with A the diagonal detuning
-    generator and V = sum_j g_j (a sigma_j^+ + a^dagger sigma_j^-).  The exact
-    propagator therefore factorizes as U(t) = e^{iAt} e^{-i(A+V)t}.  V has a
-    zero diagonal, so the diagonal of the result is A = sum_j tau_j sigma_j^+
-    sigma_j^-: tau_j on every basis state with qubit j excited.
+    is a frame artifact: H(t) = e^{iAt} V e^{-iAt} with A = sum_j tau_j
+    sigma_j^+ sigma_j^- and V = sum_j g_j (a sigma_j^+ + a^dagger sigma_j^-),
+    so the exact propagator factorizes as U(t) = e^{iAt} e^{-i(A+V)t}.  A + V
+    conserves excitation number; on its one-excitation states (qubit j
+    excited in the vacuum for each j, then all qubits down with one photon)
+    it is diag(tau_1, ..., tau_n, 0) with g_j sqrt(1) = g_j between qubit j
+    and the photon.  The diagonal is the frame generator A, since V has none.
     """
-    space, cav = p.space, p.n_qubits
-    adag = destroy(p.photon_cutoff).conj().T
-    a_diag = np.zeros(space.dims)
-    for j, tau in enumerate(p.detunings_tau):
-        a_diag[(slice(None),) * j + (1,)] += tau
-    h = np.diag(a_diag.reshape(-1).astype(complex))
-    for j, g in enumerate(p.couplings_g):
-        r = embed(space, (cav, adag), (j, SIGMA_MINUS))
-        h += g * (r + r.conj().T)
+    n = p.n_qubits
+    h = np.diag(np.array([*p.detunings_tau, 0.0], dtype=complex))
+    h[:n, n] = h[n, :n] = p.couplings_g
     return h

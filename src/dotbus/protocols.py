@@ -16,7 +16,7 @@ from .algebra import TRACE_TOL, DensityMatrix, HilbertSpace, PureState, concurre
 from .dynamics import (DiagnosticError, NoiseSpec, SimResult, TimeGrid, _evolve,
                        build_liouvillian, integrate_lindblad)
 from .hamiltonians import (DISPERSIVE_THRESHOLD, ModelParams, analytic_u, h_reduced_two_qubit,
-                           static_frame_hamiltonian)
+                           sector_hamiltonian)
 
 TWO_QUBIT_SPACE = HilbertSpace((2, 2))
 _EPR_START = np.diag([0.0, 0.0, 1.0, 0.0])  # |10><10|, where pair generation starts
@@ -127,18 +127,15 @@ def _sector_run(p: ModelParams, start: int, t_end: float) -> np.ndarray:
     """Exact amplitudes of the one-excitation run from qubit ``start`` excited in the vacuum.
 
     The interaction conserves excitation number, so the run stays on n + 1
-    states: qubit j excited in the vacuum (full-space index (N+1) 2^(n-1-j))
-    for each j, then all qubits down with one photon (index 1).  Diagonalizes
-    that block of the static-frame Hamiltonian once and applies the frame
-    phases.  Returns the amplitudes of those states, in that order, on
+    states: qubit j excited in the vacuum for each j, then all qubits down
+    with one photon.  Diagonalizes `sector_hamiltonian` once and applies the
+    frame phases.  Returns the amplitudes of those states, in that order, on
     FRAME_SAMPLES + 1 equally spaced times of [0, t_end].  Raises
     DiagnosticError if a phase overflows, which would make them NaN.
     """
-    n = p.n_qubits
-    sector = [(p.photon_cutoff + 1) * 2 ** (n - 1 - j) for j in range(n)] + [1]
-    h = static_frame_hamiltonian(p)[np.ix_(sector, sector)]
+    h = sector_hamiltonian(p)
     evals, evecs = np.linalg.eigh(h)
-    a_diag = np.real(np.diag(h))  # the frame generator A; V has a zero diagonal
+    a_diag = np.real(np.diag(h))  # the frame generator A = (tau_1, ..., tau_n, 0)
     energy = max(abs(float(e)) for e in (*evals, *a_diag))
     if not math.isfinite(energy * t_end):  # bounds every phase below
         raise DiagnosticError(

@@ -5,14 +5,22 @@ none of them imports this module, and ``import dotbus`` does not load it.
 
 - `h_double_dot`: the double-dot level matrix; `device.mixing_angle` and
   `device.singlet_splitting` are its closed-form singlet eigenvectors and gap.
+- `full_space`, `destroy`: the qubit-cavity space [qubit 1, ..., qubit n,
+  cavity] truncated at N photons, and the annihilation operator on its
+  (N + 1)-dimensional Fock factor.  Every dense builder below takes the
+  cutoff N as an explicit argument; production has no cutoff, since a run
+  from one excitation never holds two photons.
 - `h_interaction`, `h_effective`, `total_excitation`: the paper's n-qubit
   interaction, its second-order dispersive form and the conserved excitation
   number, on the full qubit-cavity space.  The one-excitation run
   `protocols._sector_run`, the dense run `_frame_trajectory` and
   `hamiltonians.h_reduced_two_qubit` are checked against them.
+- `static_frame_hamiltonian`: the time-independent A + V over the whole
+  space; its one-excitation rows and columns are the block that
+  `hamiltonians.sector_hamiltonian` builds directly.
 - `_frame_trajectory`: the static-frame run over the whole space, one dense
-  eigendecomposition of `hamiltonians.static_frame_hamiltonian` and the frame
-  phases; the spectator check's sector run is checked against it.
+  eigendecomposition of `static_frame_hamiltonian` and the frame phases; the
+  spectator check's sector run is checked against it.
 - `expm_propagator`, `partial_trace`: exact propagation and reduction of dense
   states; the RK4 order checks and the pair state that `protocols._pair_run`
   writes in closed form are checked against them.
@@ -37,9 +45,21 @@ from .algebra import (HERMITIAN_TOL, SIGMA_MINUS, SIGMA_PLUS, DensityMatrix, Hil
 from .device import HBAR, DotParams
 from .dynamics import (DiagnosticError, NoiseSpec, SimResult, TimeGrid, _channels, _rk4_step,
                        _snapshot_steps)
-from .hamiltonians import DISPERSIVE_THRESHOLD, ModelParams, destroy, static_frame_hamiltonian
+from .hamiltonians import DISPERSIVE_THRESHOLD, ModelParams
 
 NORM_DRIFT_TOL = 1e-6
+
+
+def full_space(p: ModelParams, cutoff: int) -> HilbertSpace:
+    """The n qubits and the cavity mode truncated at ``cutoff`` photons."""
+    if cutoff < 1:
+        raise ValueError("photon cutoff must be at least 1")
+    return HilbertSpace((2,) * p.n_qubits + (cutoff + 1,))
+
+
+def destroy(cutoff: int) -> np.ndarray:
+    """Truncated annihilation operator on a (N+1)-dimensional Fock space."""
+    return np.diag(np.sqrt(np.arange(1, cutoff + 1, dtype=float)), k=1).astype(complex)
 
 
 def h_double_dot(dot: DotParams, triplet_energy: float = 0.0,
@@ -60,15 +80,15 @@ def h_double_dot(dot: DotParams, triplet_energy: float = 0.0,
     return h / HBAR
 
 
-def h_interaction(t: float, p: ModelParams) -> np.ndarray:
+def h_interaction(t: float, p: ModelParams, cutoff: int) -> np.ndarray:
     """Time-dependent exchange coupling between each qubit and the cavity mode.
 
     sum_j g_j (e^{-i tau_j t} a^dagger sigma_j^- + e^{+i tau_j t} a sigma_j^+);
     Hermitian at every t.  At t = 0 with one qubit this is the plain
     Jaynes-Cummings interaction g (a sigma^+ + a^dagger sigma^-).
     """
-    space, cav = p.space, p.n_qubits
-    adag = destroy(p.photon_cutoff).conj().T
+    space, cav = full_space(p, cutoff), p.n_qubits
+    adag = destroy(cutoff).conj().T
     h = np.zeros((space.dim, space.dim), dtype=complex)
     for j, (g, tau) in enumerate(zip(p.couplings_g, p.detunings_tau)):
         term = g * np.exp(-1j * tau * t) * embed(space, (cav, adag), (j, SIGMA_MINUS))
@@ -76,7 +96,7 @@ def h_interaction(t: float, p: ModelParams) -> np.ndarray:
     return h
 
 
-def h_effective(p: ModelParams) -> np.ndarray:
+def h_effective(p: ModelParams, cutoff: int) -> np.ndarray:
     """Second-order dispersive Hamiltonian on n qubits + cavity.
 
     lambda * sum_{i,j} (sigma_j^+ sigma_i^- a a^dagger - sigma_j^- sigma_i^+
@@ -90,8 +110,8 @@ def h_effective(p: ModelParams) -> np.ndarray:
         raise ValueError(
             f"detuning/coupling ratio below dispersive threshold {DISPERSIVE_THRESHOLD}"
         )
-    space, cav = p.space, p.n_qubits
-    a = destroy(p.photon_cutoff)
+    space, cav = full_space(p, cutoff), p.n_qubits
+    a = destroy(cutoff)
     adag = a.conj().T
     h = np.zeros((space.dim, space.dim), dtype=complex)
     for j in range(p.n_qubits):
@@ -101,23 +121,45 @@ def h_effective(p: ModelParams) -> np.ndarray:
     return p.lam * h
 
 
-def total_excitation(p: ModelParams) -> np.ndarray:
+def total_excitation(p: ModelParams, cutoff: int) -> np.ndarray:
     """Conserved excitation number sum_j sigma_j^+ sigma_j^- + a^dagger a."""
-    space, cav = p.space, p.n_qubits
-    a = destroy(p.photon_cutoff)
+    space, cav = full_space(p, cutoff), p.n_qubits
+    a = destroy(cutoff)
     n = embed(space, (cav, a.conj().T), (cav, a))
     for j in range(p.n_qubits):
         n += embed(space, (j, SIGMA_PLUS), (j, SIGMA_MINUS))
     return n
 
 
-def _frame_trajectory(p: ModelParams, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
+def static_frame_hamiltonian(p: ModelParams, cutoff: int) -> np.ndarray:
+    """Time-independent Hamiltonian A + V equivalent to the rotating interaction.
+
+    H(t) = e^{iAt} V e^{-iAt} (`h_interaction`) with A the diagonal detuning
+    generator and V = sum_j g_j (a sigma_j^+ + a^dagger sigma_j^-), so the
+    exact propagator factorizes as U(t) = e^{iAt} e^{-i(A+V)t}.  V has a zero
+    diagonal, so the diagonal of the result is A = sum_j tau_j sigma_j^+
+    sigma_j^-: tau_j on every basis state with qubit j excited.
+    """
+    space, cav = full_space(p, cutoff), p.n_qubits
+    adag = destroy(cutoff).conj().T
+    a_diag = np.zeros(space.dims)
+    for j, tau in enumerate(p.detunings_tau):
+        a_diag[(slice(None),) * j + (1,)] += tau
+    h = np.diag(a_diag.reshape(-1).astype(complex))
+    for j, g in enumerate(p.couplings_g):
+        r = embed(space, (cav, adag), (j, SIGMA_MINUS))
+        h += g * (r + r.conj().T)
+    return h
+
+
+def _frame_trajectory(p: ModelParams, cutoff: int, psi0: np.ndarray,
+                      times: np.ndarray) -> np.ndarray:
     """Exact states of the time-dependent interaction at the given times.
 
     Diagonalizes the equivalent static-frame Hamiltonian once, then applies
     the frame phases; returns an array of shape (len(times), dim).
     """
-    h = static_frame_hamiltonian(p)
+    h = static_frame_hamiltonian(p, cutoff)
     evals, evecs = np.linalg.eigh(h)
     a_diag = np.real(np.diag(h))  # the frame generator A; V has a zero diagonal
     c0 = evecs.conj().T @ psi0

@@ -6,7 +6,6 @@ to see them inline) and then asserts every clause at the stated tolerance.
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import scipy.linalg
@@ -27,7 +26,7 @@ from dotbus.algebra import HilbertSpace, PureState
 from dotbus.dynamics import build_liouvillian
 from dotbus.hamiltonians import ModelParams, analytic_u, h_reduced_two_qubit
 from dotbus.protocols import decoherence_sweep, dispersive_validity, epr_generation, gate_time_t0
-from dotbus.reference import (_frame_trajectory, expm_propagator, partial_trace,
+from dotbus.reference import (_frame_trajectory, expm_propagator, full_space, partial_trace,
                               propagate_schrodinger)
 
 G = 2 * math.pi * 100e6
@@ -113,11 +112,11 @@ def test_criterion_3_decoherence_sweep():
 
 def dense_pair_state(p, cutoff, t):
     """Pair state at ``t`` from |10> x |vacuum>, run over the whole space at ``cutoff``."""
-    p = replace(p, photon_cutoff=cutoff)
-    psi0 = np.zeros(p.space.dim, dtype=complex)
+    space = full_space(p, cutoff)
+    psi0 = np.zeros(space.dim, dtype=complex)
     psi0[2 * (cutoff + 1)] = 1.0
-    psi = _frame_trajectory(p, psi0, np.array([t]))[0]
-    return partial_trace(PureState(p.space, psi).density_matrix(), (0, 1)).matrix
+    psi = _frame_trajectory(p, cutoff, psi0, np.array([t]))[0]
+    return partial_trace(PureState(space, psi).density_matrix(), (0, 1)).matrix
 
 
 def test_criterion_4_dispersive_validity():

@@ -18,8 +18,8 @@ from dotbus.algebra import (
     fidelity,
     identity,
 )
-from dotbus.hamiltonians import destroy, h_reduced_two_qubit
-from dotbus.reference import expm_propagator, partial_trace
+from dotbus.hamiltonians import h_reduced_two_qubit
+from dotbus.reference import destroy, expm_propagator, partial_trace
 
 
 def random_density(rng, dims):

@@ -24,7 +24,8 @@ from dotbus.dynamics import (
     integrate_lindblad,
 )
 from dotbus.hamiltonians import ModelParams, analytic_u, h_reduced_two_qubit
-from dotbus.reference import expm_propagator, h_interaction, lindblad_rhs, propagate_schrodinger
+from dotbus.reference import (expm_propagator, full_space, h_interaction, lindblad_rhs,
+                              propagate_schrodinger)
 
 TWO_QUBITS = HilbertSpace((2, 2))
 
@@ -63,14 +64,15 @@ class TestSchrodinger:
 
     def test_resonant_vacuum_rabi_return(self):
         g = 1.0
-        p = ModelParams.uniform(1, g, 0.0, photon_cutoff=5)
-        psi0 = basis_state(p.space, p.photon_cutoff + 1)  # |1> x |0_cav>
+        p, cutoff = ModelParams.uniform(1, g, 0.0), 5
+        space = full_space(p, cutoff)
+        psi0 = basis_state(space, cutoff + 1)  # |1> x |0_cav>
         t = math.pi / g
         result = propagate_schrodinger(
-            lambda tt: h_interaction(tt, p), psi0, TimeGrid(t, 2000),
+            lambda tt: h_interaction(tt, p, cutoff), psi0, TimeGrid(t, 2000),
             record_every=2000,
         )
-        final = PureState(p.space, result.final / np.linalg.norm(result.final))
+        final = PureState(space, result.final / np.linalg.norm(result.final))
         assert fidelity(final, psi0) > 1 - 1e-6
 
     def test_stability_guard_names_required_steps(self):

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dotbus.algebra import (
     HilbertSpace,
@@ -17,19 +19,16 @@ from dotbus.algebra import (
 )
 from dotbus.device import DotParams, HBAR
 from dotbus.dynamics import TimeGrid
-from dotbus.hamiltonians import (
-    ModelParams,
-    analytic_u,
-    destroy,
-    h_reduced_two_qubit,
-    static_frame_hamiltonian,
-)
+from dotbus.hamiltonians import ModelParams, analytic_u, h_reduced_two_qubit, sector_hamiltonian
 from dotbus.reference import (
     _frame_trajectory,
+    destroy,
+    full_space,
     h_double_dot,
     h_effective,
     h_interaction,
     propagate_schrodinger,
+    static_frame_hamiltonian,
     total_excitation,
 )
 
@@ -79,74 +78,73 @@ class TestDoubleDot:
 
 class TestInteraction:
     def test_zero_coupling(self):
-        p = ModelParams((0.0, 0.0), (10.0, 10.0), photon_cutoff=3)
+        p = ModelParams((0.0, 0.0), (10.0, 10.0))
         for t in (0.0, 0.3, 2.1):
-            assert np.max(np.abs(h_interaction(t, p))) == 0.0
+            assert np.max(np.abs(h_interaction(t, p, 3))) == 0.0
 
     def test_reduces_to_jaynes_cummings_at_t0(self):
         g = 1.3
-        p = ModelParams.uniform(1, g, 10.0, photon_cutoff=4)
+        p = ModelParams.uniform(1, g, 10.0)
         space = HilbertSpace((2, 5))
         a = destroy(4)
         jc = g * (embed(space, (1, a), (0, SIGMA_PLUS))
                   + embed(space, (1, a.conj().T), (0, SIGMA_MINUS)))
-        assert np.max(np.abs(h_interaction(0.0, p) - jc)) < 1e-13
+        assert np.max(np.abs(h_interaction(0.0, p, 4) - jc)) < 1e-13
 
     def test_hermitian_at_random_times(self):
-        p = ModelParams.uniform(2, 1.0, 7.0, photon_cutoff=3)
+        p = ModelParams.uniform(2, 1.0, 7.0)
         rng = np.random.default_rng(8)
         for t in rng.uniform(-5, 5, size=100):
-            assert hermiticity_defect(h_interaction(t, p)) < 1e-13
+            assert hermiticity_defect(h_interaction(t, p, 3)) < 1e-13
 
 
 class TestEffective:
     def test_vacuum_sector_matches_reduced(self):
-        p = ModelParams.uniform(2, 1.0, 10.0, photon_cutoff=4)
-        h = h_effective(p)
-        dim_cav = p.photon_cutoff + 1
-        vac = [b * dim_cav for b in range(4)]  # qubit basis x |0_cav>
+        p = ModelParams.uniform(2, 1.0, 10.0)
+        h = h_effective(p, 4)
+        vac = [b * 5 for b in range(4)]  # qubit basis x |0_cav>, 5 Fock levels
         block = h[np.ix_(vac, vac)]
         assert np.max(np.abs(block - h_reduced_two_qubit(p.lam))) < 1e-12
 
     def test_ground_vacuum_is_dark(self):
         p = ModelParams.uniform(2, 1.0, 10.0)
-        assert abs(h_effective(p)[0, 0]) < 1e-13
+        assert abs(h_effective(p, 5)[0, 0]) < 1e-13
 
     def test_hermitian(self):
-        p = ModelParams.uniform(3, 0.9, 11.0, photon_cutoff=2)
-        assert hermiticity_defect(h_effective(p)) < 1e-13
+        p = ModelParams.uniform(3, 0.9, 11.0)
+        assert hermiticity_defect(h_effective(p, 2)) < 1e-13
 
     def test_non_dispersive_rejected(self):
         p = ModelParams.uniform(2, 1.0, 2.0)
         with pytest.raises(ValueError):
-            h_effective(p)
+            h_effective(p, 5)
 
     def test_non_identical_rejected(self):
         p = ModelParams((1.0, 1.0), (10.0, 12.0))
         with pytest.raises(ValueError):
-            h_effective(p)
+            h_effective(p, 5)
 
     def test_commutes_with_photon_number(self):
         # Photon number is conserved, so a run from the vacuum never leaves it.
-        p = ModelParams.uniform(2, 1.0, 10.0, photon_cutoff=4)
-        h = h_effective(p)
-        n_cav = embed(p.space, (2, destroy(4).conj().T), (2, destroy(4)))
+        p = ModelParams.uniform(2, 1.0, 10.0)
+        h = h_effective(p, 4)
+        n_cav = embed(full_space(p, 4), (2, destroy(4).conj().T), (2, destroy(4)))
         assert np.max(np.abs(h @ n_cav - n_cav @ h)) < 1e-12
 
 
 class TestExcitationConservation:
     def test_interaction_commutes(self):
-        p = ModelParams.uniform(2, 1.0, 9.0, photon_cutoff=3)
-        n_exc = total_excitation(p)
+        p = ModelParams.uniform(2, 1.0, 9.0)
+        n_exc = total_excitation(p, 3)
         rng = np.random.default_rng(9)
         for t in rng.uniform(0, 3, size=10):
-            h = h_interaction(t, p)
+            h = h_interaction(t, p, 3)
             assert np.max(np.abs(h @ n_exc - n_exc @ h)) < 1e-12
 
     def test_effective_commutes(self):
-        p = ModelParams.uniform(2, 1.0, 9.0, photon_cutoff=3)
-        h = h_effective(p)
-        n_exc = total_excitation(p)
+        p = ModelParams.uniform(2, 1.0, 9.0)
+        h = h_effective(p, 3)
+        n_exc = total_excitation(p, 3)
         assert np.max(np.abs(h @ n_exc - n_exc @ h)) < 1e-12
 
 
@@ -197,32 +195,52 @@ class TestStaticFrame:
         # Spectator case: qubit 3 parked at ten times the active detuning, and
         # every coupling different.  V = sum_j g_j (a sigma_j^+ + h.c.) has a
         # zero diagonal, so the diagonal is A = sum_j tau_j n_j, bit for bit.
-        p = ModelParams((1.0, 0.7, 1.3), (10.0, 10.0, 100.0), photon_cutoff=3)
-        a = sum(tau * embed(p.space, (j, SIGMA_PLUS), (j, SIGMA_MINUS))
+        p = ModelParams((1.0, 0.7, 1.3), (10.0, 10.0, 100.0))
+        a = sum(tau * embed(full_space(p, 3), (j, SIGMA_PLUS), (j, SIGMA_MINUS))
                 for j, tau in enumerate(p.detunings_tau))
-        h = static_frame_hamiltonian(p)
+        h = static_frame_hamiltonian(p, 3)
         assert np.array_equal(np.diag(h), np.diag(a))
         assert hermiticity_defect(h) == 0.0
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_sector_block_is_the_dense_block(self, n, data):
+        # The one-excitation rows and columns of the dense matrix, at every
+        # cutoff: qubit j excited in the vacuum is index (N+1) 2^(n-1-j), since
+        # qubit j is the 2^(n-1-j) bit above the cavity, and all qubits down
+        # with one photon is index 1.  Both sides copy tau_j and g_j sqrt(1)
+        # unrounded, so the block is equal entry for entry.
+        couplings = data.draw(st.lists(st.just(0.0) | st.floats(0.0, 1e9), min_size=n, max_size=n))
+        taus = data.draw(st.lists(st.just(0.0) | st.floats(-1e10, 1e10), min_size=n, max_size=n))
+        p = ModelParams(couplings, taus)
+        block = sector_hamiltonian(p)
+        assert block.dtype == complex
+        for cutoff in range(1, 9):
+            sector = [(cutoff + 1) * 2 ** (n - 1 - j) for j in range(n)] + [1]
+            dense = static_frame_hamiltonian(p, cutoff)[np.ix_(sector, sector)]
+            assert np.array_equal(block, dense)
 
 
 class TestFramePropagator:
     def test_matches_direct_time_dependent_integration(self):
         # The factorized propagator must agree with brute-force RK4 of the
         # explicitly time-dependent interaction.
-        p = ModelParams.uniform(2, 1.0, 10.0, photon_cutoff=3)
+        p, cutoff = ModelParams.uniform(2, 1.0, 10.0), 3
         t_final = 2.0
-        psi0_vec = np.zeros(p.space.dim, dtype=complex)
-        psi0_vec[2 * (p.photon_cutoff + 1)] = 1.0  # |10> x |0_cav>
-        psi0 = PureState(p.space, psi0_vec)
+        space = full_space(p, cutoff)
+        psi0_vec = np.zeros(space.dim, dtype=complex)
+        psi0_vec[2 * (cutoff + 1)] = 1.0  # |10> x |0_cav>
+        psi0 = PureState(space, psi0_vec)
         grid = TimeGrid(t_final, 4000)
-        rk4 = propagate_schrodinger(lambda t: h_interaction(t, p), psi0, grid,
+        rk4 = propagate_schrodinger(lambda t: h_interaction(t, p, cutoff), psi0, grid,
                                     record_every=grid.steps)
-        exact = _frame_trajectory(p, psi0_vec, np.array([t_final]))[0]
+        exact = _frame_trajectory(p, cutoff, psi0_vec, np.array([t_final]))[0]
         assert np.max(np.abs(rk4.final - exact)) < 1e-8
 
     def test_unitary(self):
-        p = ModelParams.uniform(3, 0.8, 8.0, photon_cutoff=2)
-        t = np.array([1.7])
-        u = np.column_stack([_frame_trajectory(p, e, t)[0] for e in identity(p.space.dim)])
-        assert np.max(np.abs(u.conj().T @ u - identity(p.space.dim))) < 1e-10
+        p = ModelParams.uniform(3, 0.8, 8.0)
+        t, dim = np.array([1.7]), full_space(p, 2).dim
+        u = np.column_stack([_frame_trajectory(p, 2, e, t)[0] for e in identity(dim)])
+        assert np.max(np.abs(u.conj().T @ u - identity(dim))) < 1e-10
 
