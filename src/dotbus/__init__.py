@@ -7,7 +7,7 @@ decoherence sweeps.  The dense reference forms that the tests check these
 against live in `dotbus.reference`, which ``import dotbus`` does not load.
 """
 
-from .algebra import DensityMatrix, HilbertSpace, PureState, concurrence, embed, fidelity
+from .algebra import DensityMatrix, HilbertSpace, PureState, embed, fidelity
 from .device import CouplerParams, DotParams, TlrParams
 from .dynamics import DiagnosticError, NoiseSpec, SimResult, TimeGrid, integrate_lindblad
 from .hamiltonians import ModelParams, analytic_u, h_reduced_two_qubit
@@ -37,7 +37,6 @@ __all__ = [
     "TimeGrid",
     "TlrParams",
     "analytic_u",
-    "concurrence",
     "decoherence_sweep",
     "dispersive_validity",
     "embed",

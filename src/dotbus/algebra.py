@@ -2,10 +2,9 @@
 
 Everything downstream (Hamiltonian builders, propagators, protocol-level
 reports) is written against the handful of primitives in this module:
-validated states, operator embedding, fidelities and the Wootters
-concurrence.  All operators are plain dense complex ``numpy`` arrays;
-dimensions stay small (a few thousand at most), so no sparse machinery is
-used anywhere.
+validated states, operator embedding and fidelities.  All operators are
+plain dense complex ``numpy`` arrays; dimensions stay small (a few thousand
+at most), so no sparse machinery is used anywhere.
 
 Conventions: hbar = 1, energies are angular frequencies (rad/s), times are
 seconds.  Qubit basis |0> = (1, 0), |1> = (0, 1), sigma^+ = |1><0|.
@@ -25,7 +24,6 @@ TRACE_TOL = 1e-9
 EIG_FLOOR = -1e-9
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 SIGMA_PLUS = np.array([[0, 0], [1, 0]], dtype=complex)   # |1><0|
 SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|
@@ -151,24 +149,3 @@ def fidelity(state: PureState | DensityMatrix, target: PureState) -> float:
         v = target.amplitudes
         return float(np.real(v.conj() @ state.matrix @ v))
     raise TypeError(f"unsupported state type {type(state)!r}")
-
-
-def concurrence(rho: DensityMatrix) -> float:
-    """Wootters concurrence of a two-qubit density matrix.
-
-    C = max(0, l1 - l2 - l3 - l4) with l_i the square roots of the
-    eigenvalues of rho (sy x sy) rho* (sy x sy), sorted descending.
-    Eigenvalues above -1e-9 are clipped to zero (numerical noise); anything
-    more negative is rejected.
-    """
-    if rho.space.dim != 4:
-        raise ValueError("concurrence is defined for a 4-dimensional two-qubit state")
-    yy = np.kron(SIGMA_Y, SIGMA_Y)
-    r = rho.matrix @ yy @ rho.matrix.conj() @ yy
-    evals = np.linalg.eigvals(r).real
-    if np.min(evals) < EIG_FLOOR:
-        raise ValueError(f"spin-flipped product has eigenvalue {np.min(evals)!r} below tolerance")
-    lams = np.sqrt(np.clip(evals, 0.0, None))
-    lams.sort()
-    c = lams[-1] - lams[-2] - lams[-3] - lams[-4]
-    return float(max(0.0, c))

@@ -111,8 +111,8 @@ def cmd_device(cfg: RunConfig, out) -> int:
 def cmd_epr(cfg: RunConfig, out) -> int:
     record_every = 1 if out else None
     report = epr_generation(cfg.model, cfg.noise, record_every=record_every)
-    gamma_mhz = cfg.noise.relaxation[0] / (2e6 * math.pi)
-    gamma_phi_mhz = cfg.noise.dephasing[0] / (2e6 * math.pi)
+    gamma_mhz = cfg.noise.gamma / (2e6 * math.pi)
+    gamma_phi_mhz = cfg.noise.gamma_phi / (2e6 * math.pi)
     print(f"entangling time t0      = {report.t0:.6e} s")
     print(f"rates: gamma/2pi = {gamma_mhz:.6g} MHz, gamma_phi/2pi = {gamma_phi_mhz:.6g} MHz")
     print(f"fidelity to target      = {report.fidelity:.10f}")

@@ -232,10 +232,8 @@ def config_from_dict(raw: dict) -> RunConfig:
         )
 
     rates = tree["noise"]
-    noise = _build(
-        "noise", NoiseSpec.uniform,
-        2, 2.0 * math.pi * rates["gamma_over_2pi"], 2.0 * math.pi * rates["gamma_phi_over_2pi"],
-    )
+    noise = _build("noise", NoiseSpec, 2.0 * math.pi * rates["gamma_over_2pi"],
+                   2.0 * math.pi * rates["gamma_phi_over_2pi"])
 
     s = tree["sweep"]
     for key in ("gamma_points", "gamma_phi_points"):

@@ -1,9 +1,11 @@
-"""Time evolution: the Lindblad integrator of the two-qubit register.
+"""Time evolution: the Lindblad integrator of the qubit register.
 
-One engine, `_evolve`, runs every master-equation integration: `integrate_lindblad`
-is its one-point call, and `protocols.decoherence_sweep` steps a stack of points.
-It steps only the entries of row-major vec(rho) that the generators reach from
-rho0 (`_support`) with `_rk4`, the fixed-step RK4 stepper.  Its generators are
+One engine, `_evolve`, runs every master-equation integration, on the parts
+[L_H, L_rel, L_deph] of `build_liouvillian` weighted by rates [1, gamma,
+gamma_phi]: `integrate_lindblad` is its one-point call at `NoiseSpec.rates`,
+and `protocols.decoherence_sweep` steps one rate row per grid point.  It
+steps only the entries of row-major vec(rho) that the parts reach from rho0
+(`_support`) with `_rk4`, the fixed-step RK4 stepper.  Its generators are
 constant, so every RK4 step applies one matrix S, and `_rk4` advances each
 snapshot interval of n steps with S^n.  `_rk4_step` holds the stage formula
 that forms S, which the reference Schroedinger integrator takes once per step.
@@ -17,7 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterator
 
 import numpy as np
@@ -56,34 +57,21 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Per-qubit relaxation and pure-dephasing rates, rad/s."""
+    """Relaxation rate gamma and pure-dephasing rate gamma_phi, rad/s, of every qubit."""
 
-    relaxation: tuple[float, ...]
-    dephasing: tuple[float, ...]
+    gamma: float = 0.0
+    gamma_phi: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "relaxation", tuple(float(g) for g in self.relaxation))
-        object.__setattr__(self, "dephasing", tuple(float(g) for g in self.dephasing))
-        if len(self.relaxation) != len(self.dephasing):
-            raise ValueError("relaxation and dephasing lists must have equal length")
-        if any(g < 0 for g in self.relaxation + self.dephasing):
+        object.__setattr__(self, "gamma", float(self.gamma))
+        object.__setattr__(self, "gamma_phi", float(self.gamma_phi))
+        if not (self.gamma >= 0 and self.gamma_phi >= 0):  # NaN fails too
             raise ValueError("noise rates must be nonnegative")
 
     @property
-    def n_qubits(self) -> int:
-        return len(self.relaxation)
-
-    @property
-    def total_rate(self) -> float:
-        return sum(self.relaxation) + sum(self.dephasing)
-
-    @classmethod
-    def uniform(cls, n_qubits: int, gamma: float, gamma_phi: float) -> "NoiseSpec":
-        return cls((gamma,) * n_qubits, (gamma_phi,) * n_qubits)
-
-    @classmethod
-    def none(cls, n_qubits: int) -> "NoiseSpec":
-        return cls.uniform(n_qubits, 0.0, 0.0)
+    def rates(self) -> np.ndarray:
+        """The weights [1, gamma, gamma_phi] of the `build_liouvillian` parts."""
+        return np.array([1.0, self.gamma, self.gamma_phi])
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,47 +163,29 @@ def _rk4(
         yield mark * grid.dt, y
 
 
-@lru_cache(maxsize=8)
-def _qubit_channel_ops(n_qubits: int):
-    """(sigma_z_i, sigma_i^-) pairs on the n-qubit register."""
-    space = HilbertSpace((2,) * n_qubits)
-    return tuple(
-        (embed(space, (j, SIGMA_Z)), embed(space, (j, SIGMA_MINUS))) for j in range(n_qubits)
-    )
+def build_liouvillian(h_eff: np.ndarray) -> np.ndarray:
+    """The parts [L_H, L_rel, L_deph] at unit rates, shape (3, d^2, d^2) on row-major vec(rho).
 
-
-def _channels(noise: NoiseSpec):
-    """(rate, jump operator) list for the master equation exactly as modeled.
-
-    Dephasing enters as (gamma_phi/2) D[sigma_z] (identical to the
-    sigma_z rho sigma_z - rho form since sigma_z^2 = 1) and relaxation as
-    (gamma/4) D[sigma^-].  The gamma/4 prefactor is deliberate; converting to
-    the common gamma/2 convention means doubling the relaxation rates.
+    ``NoiseSpec.rates`` weights them.  L_H = -i[H, .], and each of the n qubits
+    of a 2^n x 2^n ``h_eff`` relaxes as (gamma/4) D[sigma^-] and dephases as
+    (gamma_phi/2) D[sigma_z] = (gamma_phi/2)(sigma_z rho sigma_z - rho).  The
+    gamma/4 prefactor is deliberate; the common gamma/2 convention doubles gamma.
     """
-    ops = _qubit_channel_ops(noise.n_qubits)
-    out = []
-    for (sz, sm), g_phi, g_rel in zip(ops, noise.dephasing, noise.relaxation):
-        if g_phi:
-            out.append((g_phi / 2.0, sz))
-        if g_rel:
-            out.append((g_rel / 4.0, sm))
-    return out
-
-
-def build_liouvillian(h_eff: np.ndarray, noise: NoiseSpec) -> np.ndarray:
-    """`reference.lindblad_rhs` as a d^2 x d^2 matrix on row-major vec(rho)."""
     h_eff = np.asarray(h_eff, dtype=complex)
-    d = h_eff.shape[0]
-    eye = np.eye(d, dtype=complex)
-    liou = -1j * (np.kron(h_eff, eye) - np.kron(eye, h_eff.T))
-    for rate, l_op in _channels(noise):
-        ld = l_op.conj().T
-        ldl = ld @ l_op
-        liou += rate * (
-            np.kron(l_op, l_op.conj())
-            - 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T))
-        )
-    return liou
+    d = len(h_eff)
+    n = d.bit_length() - 1
+    if n < 1 or h_eff.shape != (1 << n,) * 2:
+        raise ValueError(f"h_eff must be 2^n x 2^n for n >= 1 qubits, got shape {h_eff.shape}")
+    eye, space = np.eye(d, dtype=complex), HilbertSpace((2,) * n)
+    parts = np.zeros((3, d * d, d * d), dtype=complex)
+    parts[0] = -1j * (np.kron(h_eff, eye) - np.kron(eye, h_eff.T))
+    for j in range(n):
+        for part, rate, op in ((parts[1], 0.25, SIGMA_MINUS), (parts[2], 0.5, SIGMA_Z)):
+            l_op = embed(space, (j, op))
+            ldl = l_op.conj().T @ l_op
+            part += rate * (np.kron(l_op, l_op.conj())
+                            - 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T)))
+    return parts
 
 
 def _check_snapshot(rho: np.ndarray, t: float, point: Callable[[int], str] | None = None):
@@ -298,14 +268,16 @@ def _evolve(parts: np.ndarray, rates: np.ndarray, rho0: np.ndarray, grid: TimeGr
 
 def integrate_lindblad(h_eff: np.ndarray, rho0: DensityMatrix, noise: NoiseSpec, grid: TimeGrid,
                        record_every: int = 1) -> SimResult:
-    """RK4 integration of the master equation: one `_evolve` run of its Liouvillian.
+    """RK4 integration of the master equation of the qubits of ``h_eff``, each with ``noise``.
 
-    The first snapshot that `DensityMatrix` would refuse stops the run with
+    One `_evolve` run of the `build_liouvillian` parts at ``noise.rates``.  The
+    first snapshot that `DensityMatrix` would refuse stops the run with
     DiagnosticError (`_check_snapshot`).
     """
-    scale = np.linalg.norm(h_eff, 2) + noise.total_rate
-    run = _evolve(build_liouvillian(h_eff, noise)[None], np.ones(1), rho0.matrix, grid, scale,
-                  record_every)
+    parts = build_liouvillian(h_eff)  # refuses an h_eff that is not 2^n x 2^n
+    n_qubits = len(h_eff).bit_length() - 1
+    scale = np.linalg.norm(h_eff, 2) + n_qubits * (noise.gamma + noise.gamma_phi)
+    run = _evolve(parts, noise.rates, rho0.matrix, grid, scale, record_every)
     times, states, rows = zip(*run)
     diagnostics = dict(zip(("trace_dev", "herm_dev", "min_eig"), np.array(rows).T))
     return SimResult(np.array(times), list(states), diagnostics)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import TRACE_TOL, DensityMatrix, HilbertSpace, PureState, concurrence, fidelity
+from .algebra import TRACE_TOL, DensityMatrix, HilbertSpace, PureState, fidelity
 from .dynamics import (DiagnosticError, NoiseSpec, SimResult, TimeGrid, _evolve,
                        build_liouvillian, integrate_lindblad)
 from .hamiltonians import (DISPERSIVE_THRESHOLD, ModelParams, analytic_u, h_reduced_two_qubit,
@@ -75,11 +75,12 @@ def _require_dispersive_pair(p: ModelParams) -> None:
 def _epr_grid(lam: float, noise: NoiseSpec, runs: int = 1) -> TimeGrid:
     """Time grid of one EPR run; refuses if ``runs`` such runs exceed the step budget.
 
-    40 steps per unit of noise action t0 x (total rate), at least
-    MIN_EPR_STEPS (the Hamiltonian's action t0 x 2 lam = pi/2 asks for 20 pi).
+    40 steps per unit of noise action t0 x 2(gamma + gamma_phi), the pair's
+    total rate, at least MIN_EPR_STEPS (the Hamiltonian's action t0 x 2 lam =
+    pi/2 asks for 20 pi).
     """
     t0 = gate_time_t0(lam)
-    rate = noise.total_rate
+    rate = 2.0 * (noise.gamma + noise.gamma_phi)
     # The action t0 x rate first: 40 t0 alone overflows for lambda below 1.75e-307,
     # where a small rate still asks for few steps.  Without noise, inf x 0 is NaN.
     try:
@@ -98,13 +99,11 @@ def epr_generation(p: ModelParams, noise: NoiseSpec, record_every: int | None = 
     """Evolve |10> under the vacuum-sector Hamiltonian with noise for t0.
 
     Reports fidelity against the entangled target, the error probability
-    D = 1 - fidelity, and the Wootters concurrence of the final state.
-    Refuses a model below its dispersive threshold, where that Hamiltonian
-    does not hold.
+    D = 1 - fidelity, and the concurrence of the final state
+    (`_x_state_concurrence`).  Refuses a model below its dispersive
+    threshold, where that Hamiltonian does not hold.
     """
     _require_dispersive_pair(p)
-    if noise.n_qubits != 2:
-        raise ValueError("noise spec must cover two qubits")
     lam = p.lam
     h20 = h_reduced_two_qubit(lam)
     grid = _epr_grid(lam, noise)
@@ -118,9 +117,25 @@ def epr_generation(p: ModelParams, noise: NoiseSpec, record_every: int | None = 
         t0=grid.t_end,
         fidelity=fid,
         error_d=1.0 - fid,
-        concurrence=concurrence(rho_final),
+        concurrence=_x_state_concurrence(result.final),
         result=result,
     )
+
+
+def _x_state_concurrence(rho: np.ndarray) -> float:
+    """Wootters' concurrence of a two-qubit X state, the kind every run from |10> makes.
+
+    Its l_i are r +- |rho_{01,10}| and s +- |rho_{00,11}|, with r^2 =
+    rho_{01,01} rho_{10,10} and s^2 = rho_{00,00} rho_{11,11}, so no
+    eigenvalue is taken.  On a valid state this is 2 max(0, |rho_{01,10}| - s,
+    |rho_{00,11}| - r) (Yu and Eberly, Quantum Inf. Comput. 7, 459 (2007));
+    min and max keep Wootters' value where RK4's error lifts a coherence past
+    its bound.
+    """
+    pop = rho.diagonal().real.clip(0.0)
+    r, s = math.sqrt(pop[1] * pop[2]), math.sqrt(pop[0] * pop[3])
+    c_r, c_s = abs(rho[1, 2]), abs(rho[0, 3])
+    return float(2.0 * max(0.0, min(r, c_r) - max(s, c_s), min(s, c_s) - max(r, c_r)))
 
 
 def _sector_run(p: ModelParams, start: int, t_end: float) -> np.ndarray:
@@ -284,25 +299,24 @@ def _sweep_errors(p: ModelParams, gammas: np.ndarray, gamma_phis: np.ndarray) ->
     """D = 1 - fidelity of the EPR run at every point (gammas[k], gamma_phis[k]), all at once.
 
     The Liouvillian is linear in the rates, L = L_H + gamma L_rel + gamma_phi
-    L_deph, so `_evolve` steps one generator per point from its three parts,
-    all with the step count and stability guard of the worst point.  It checks
-    the snapshots at t = 0 and t0, as `epr_generation` does, and a
-    DiagnosticError names the first grid point that fails.
+    L_deph, so `_evolve` steps one generator per point from the three
+    `build_liouvillian` parts, all with the step count and stability guard of
+    the worst point.  It checks the snapshots at t = 0 and t0, as
+    `epr_generation` does, and a DiagnosticError names the first grid point
+    that fails.
     """
-    worst = NoiseSpec.uniform(2, float(np.max(gammas)), float(np.max(gamma_phis)))
+    worst = NoiseSpec(np.max(gammas), np.max(gamma_phis))
     grid = _epr_grid(p.lam, worst, runs=gammas.size)
-    h20, no_h = h_reduced_two_qubit(p.lam), np.zeros((4, 4))
-    parts = np.array([build_liouvillian(h, noise) for h, noise in (  # L_H, L_rel and L_deph
-        (h20, NoiseSpec.none(2)), (no_h, NoiseSpec.uniform(2, 1.0, 0.0)),
-        (no_h, NoiseSpec.uniform(2, 0.0, 1.0)))])
-    rates = np.stack([np.ones_like(gammas), gammas, gamma_phis], axis=1)
+    h20 = h_reduced_two_qubit(p.lam)
+    rows = np.stack([np.ones_like(gammas), gammas, gamma_phis], axis=1)  # NoiseSpec.rates
 
     def point(k: int) -> str:
         return (f"gamma/2pi = {gammas[k] / (2e6 * math.pi):.6g} MHz, "
                 f"gamma_phi/2pi = {gamma_phis[k] / (2e6 * math.pi):.6g} MHz")
 
-    scale = np.linalg.norm(h20, 2) + worst.total_rate
-    for _, rho, _ in _evolve(parts, rates, _EPR_START, grid, scale, grid.steps, point):
+    scale = np.linalg.norm(h20, 2) + 2.0 * (worst.gamma + worst.gamma_phi)
+    for _, rho, _ in _evolve(build_liouvillian(h20), rows, _EPR_START, grid, scale, grid.steps,
+                             point):
         pass  # every snapshot is checked; the last is the state at t0
     target = epr_target().amplitudes
     return 1.0 - np.real(target.conj() @ rho @ target)
@@ -319,7 +333,7 @@ def decoherence_sweep(p: ModelParams, gamma_axis, gamma_phi_axis) -> SweepResult
     gamma_phi_axis = np.asarray(gamma_phi_axis, dtype=float)
     if gamma_axis.size == 0 or gamma_phi_axis.size == 0:
         raise ValueError("sweep axes must be nonempty")
-    if np.any(gamma_axis < 0) or np.any(gamma_phi_axis < 0):
+    if not (np.all(gamma_axis >= 0) and np.all(gamma_phi_axis >= 0)):  # NaN fails too
         raise ValueError("noise rates must be nonnegative")
     _require_dispersive_pair(p)
 

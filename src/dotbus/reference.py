@@ -24,8 +24,15 @@ none of them imports this module, and ``import dotbus`` does not load it.
 - `expm_propagator`, `partial_trace`: exact propagation and reduction of dense
   states; the RK4 order checks and the pair state that `protocols._pair_run`
   writes in closed form are checked against them.
-- `lindblad_rhs`: the master equation element-wise, with the rates of
-  `dynamics._channels`; `dynamics.build_liouvillian` is checked against it.
+- `lindblad_rhs`: the master equation element-wise, with its own
+  relaxation and dephasing prefactors; the `dynamics.build_liouvillian`
+  parts, weighted by `NoiseSpec.rates`, are checked against it.
+- `epr_error_closed_form`: the pair run's D in closed form;
+  `protocols.epr_generation` and `protocols.decoherence_sweep` are checked
+  against it.
+- `concurrence`: Wootters' concurrence from the eigenvalues of rho rho~, at
+  50 digits; the X-state form that `protocols.epr_generation` reads is
+  checked against it.
 - `propagate_schrodinger`: RK4 on -iH(t), one `dynamics._rk4_step` per step
   under the stability guard and snapshot schedule of
   `dynamics._snapshot_steps`.  The production stepper `dynamics._rk4` forms
@@ -38,16 +45,17 @@ from __future__ import annotations
 from math import prod
 from typing import Callable
 
+import mpmath
 import numpy as np
 
-from .algebra import (HERMITIAN_TOL, SIGMA_MINUS, SIGMA_PLUS, DensityMatrix, HilbertSpace,
-                      PureState, embed, hermiticity_defect)
+from .algebra import (EIG_FLOOR, HERMITIAN_TOL, SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z, DensityMatrix,
+                      HilbertSpace, PureState, embed, hermiticity_defect)
 from .device import HBAR, DotParams
-from .dynamics import (DiagnosticError, NoiseSpec, SimResult, TimeGrid, _channels, _rk4_step,
-                       _snapshot_steps)
+from .dynamics import DiagnosticError, NoiseSpec, SimResult, TimeGrid, _rk4_step, _snapshot_steps
 from .hamiltonians import DISPERSIVE_THRESHOLD, ModelParams
 
 NORM_DRIFT_TOL = 1e-6
+SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
 
 def full_space(p: ModelParams, cutoff: int) -> HilbertSpace:
@@ -202,27 +210,73 @@ def partial_trace(rho: DensityMatrix, keep: tuple[int, ...] | list[int] | set[in
 
 
 def lindblad_rhs(rho: np.ndarray, h_eff: np.ndarray, noise: NoiseSpec) -> np.ndarray:
-    """Right-hand side of the two-qubit master equation.
+    """Right-hand side of the master equation of n qubits, each with ``noise``.
 
     d rho/dt = -i[H, rho]
-             + sum_i (gamma_phi_i / 2) (sigma_zi rho sigma_zi - rho)
-             + sum_i (gamma_i / 4) (sigma_i^- rho sigma_i^+
-                                    - {sigma_i^+ sigma_i^-, rho} / 2)
+             + sum_i (gamma_phi / 2) (sigma_zi rho sigma_zi - rho)
+             + sum_i (gamma / 4) (sigma_i^- rho sigma_i^+
+                                  - {sigma_i^+ sigma_i^-, rho} / 2)
     """
     rho = np.asarray(rho, dtype=complex)
     h_eff = np.asarray(h_eff, dtype=complex)
-    dim = 2 ** noise.n_qubits
-    if rho.shape != (dim, dim) or h_eff.shape != (dim, dim):
-        raise ValueError(
-            f"expected {dim}x{dim} operators for {noise.n_qubits} qubits, "
-            f"got rho {rho.shape} and H {h_eff.shape}"
-        )
+    n = len(h_eff).bit_length() - 1
+    if n < 1 or rho.shape != (2**n, 2**n) or h_eff.shape != rho.shape:
+        raise ValueError(f"expected 2^n x 2^n operators, got rho {rho.shape} and H {h_eff.shape}")
+    space = HilbertSpace((2,) * n)
     drho = -1j * (h_eff @ rho - rho @ h_eff)
-    for rate, l_op in _channels(noise):
-        ld = l_op.conj().T
-        ldl = ld @ l_op
-        drho += rate * (l_op @ rho @ ld - 0.5 * (ldl @ rho + rho @ ldl))
+    for j in range(n):
+        sz, sm = embed(space, (j, SIGMA_Z)), embed(space, (j, SIGMA_MINUS))
+        drho += noise.gamma_phi / 2 * (sz @ rho @ sz - rho)
+        ldl = sm.conj().T @ sm
+        drho += noise.gamma / 4 * (sm @ rho @ sm.conj().T - 0.5 * (ldl @ rho + rho @ ldl))
     return drho
+
+
+def epr_error_closed_form(lam, gamma, gamma_phi):
+    """D = 1 - <target| rho(t0) |target> of the pair run from |10>, in closed form.
+
+    From |10> the state stays on |00> and the one-excitation block span{|01>,
+    |10>}.  Both block states relax at gamma/4 and every jump leaves the
+    block, so relaxation scales it by e^{-gamma t/4}.  H is lam I plus a lam
+    exchange, and dephasing damps the |01>-|10> coherence at 2 gamma_phi, so
+    the block's Bloch vector is a damped oscillator z'' + 2 gamma_phi z' +
+    4 lam^2 z = 0.  With omega = sqrt(4 lam^2 - gamma_phi^2), imaginary past
+    gamma_phi = 2 lam, and t0 = pi/(4 lam):
+
+        D = 1 - e^{-gamma t0/4} [1 + 2 lam t0 sinc(omega t0/pi) e^{-gamma_phi t0}] / 2,
+
+    where 2 lam t0 = pi/2 and omega t0/pi = sqrt(1 - (gamma_phi/2 lam)^2)/2,
+    finite through omega = 0.  Rates broadcast as numpy arrays.
+    """
+    t0 = np.pi / (4.0 * lam)
+    gamma, gamma_phi = np.asarray(gamma, dtype=float), np.asarray(gamma_phi, dtype=float)
+    arg = np.sqrt((1.0 - (gamma_phi / (2.0 * lam)) ** 2).astype(complex)) / 2.0
+    oscillation = np.pi / 2.0 * np.sinc(arg).real * np.exp(-gamma_phi * t0)
+    return 1.0 - np.exp(-gamma * t0 / 4.0) * (1.0 + oscillation) / 2.0
+
+
+def concurrence(rho: DensityMatrix) -> float:
+    """Wootters' concurrence of a two-qubit density matrix.
+
+    C = max(0, l1 - l2 - l3 - l4) with l_i the square roots of the
+    eigenvalues of rho (sy x sy) rho* (sy x sy), sorted descending.  They
+    are found at 50 significant digits: in double precision, the
+    roundoff of an eigenvalue near 0, under its square root, would cost 1e-8
+    near a pure state.  Real parts above EIG_FLOOR are clipped to zero;
+    anything more negative is rejected.
+    """
+    if rho.space.dim != 4:
+        raise ValueError("concurrence is defined for a 4-dimensional two-qubit state")
+    with mpmath.workdps(50):
+        m = mpmath.matrix(rho.matrix.tolist())
+        yy = mpmath.matrix(np.kron(SIGMA_Y, SIGMA_Y).tolist())
+        evals = sorted(mpmath.re(e) for e in mpmath.eig(m * yy * m.conjugate() * yy,
+                                                         left=False, right=False))
+        if evals[0] < EIG_FLOOR:
+            raise ValueError(f"spin-flipped product has eigenvalue {float(evals[0])!r} "
+                             "below tolerance")
+        lams = [mpmath.sqrt(max(e, 0)) for e in evals]
+        return float(max(0, lams[3] - lams[2] - lams[1] - lams[0]))
 
 
 def propagate_schrodinger(

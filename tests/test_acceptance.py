@@ -39,7 +39,7 @@ def announce(criterion, ok, detail):
 
 def test_criterion_1_ideal_epr_generation():
     start = time.perf_counter()
-    report = epr_generation(MODEL, NoiseSpec.none(2))
+    report = epr_generation(MODEL, NoiseSpec())
     elapsed = time.perf_counter() - start
     ok = (
         report.fidelity >= 1 - 1e-8
@@ -166,7 +166,7 @@ def test_criterion_5_integrator_order_and_diagnostics():
     h = h_reduced_two_qubit(1.0)
     psi0 = PureState(space, [0, 1, 0, 0])
     rho0 = psi0.density_matrix()
-    noise = NoiseSpec.uniform(2, 0.2, 0.3)
+    noise = NoiseSpec(0.2, 0.3)
     t = 3.0
     step_ladder = (100, 200, 400, 800, 1600)  # 16x span of dt
 
@@ -177,7 +177,7 @@ def test_criterion_5_integrator_order_and_diagnostics():
                                   record_every=steps)
         schro_err.append(float(np.max(np.abs(r.final - exact_psi))))
 
-    liou = build_liouvillian(h, noise)
+    liou = np.tensordot(noise.rates, build_liouvillian(h), axes=1)
     exact_rho = (scipy.linalg.expm(liou * t) @ rho0.matrix.reshape(-1)).reshape(4, 4)
     lind_err = []
     diag = None

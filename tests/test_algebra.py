@@ -13,7 +13,6 @@ from dotbus.algebra import (
     SIGMA_PLUS,
     SIGMA_X,
     SIGMA_Z,
-    concurrence,
     embed,
     fidelity,
     identity,
@@ -157,25 +156,6 @@ class TestFidelity:
         big = PureState(HilbertSpace((2, 2)), [1, 0, 0, 0])
         with pytest.raises(ValueError):
             fidelity(big, self.zero)
-
-
-class TestConcurrence:
-    def test_entangled_pair(self):
-        psi = PureState(HilbertSpace((2, 2)), np.array([0, 1, -1j, 0]) / np.sqrt(2))
-        assert concurrence(psi.density_matrix()) == pytest.approx(1.0, abs=1e-12)
-
-    def test_product_state(self):
-        psi = PureState(HilbertSpace((2, 2)), [1, 0, 0, 0])
-        assert concurrence(psi.density_matrix()) == pytest.approx(0.0, abs=1e-12)
-
-    def test_maximally_mixed(self):
-        rho = DensityMatrix(HilbertSpace((2, 2)), identity(4) / 4)
-        assert concurrence(rho) == pytest.approx(0.0, abs=1e-12)
-
-    def test_wrong_dimension_rejected(self):
-        rho = DensityMatrix(HilbertSpace((2,)), identity(2) / 2)
-        with pytest.raises(ValueError):
-            concurrence(rho)
 
 
 class TestStateValidation:

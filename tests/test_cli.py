@@ -44,8 +44,8 @@ class TestConfigDefaults:
         cfg = config_from_dict({})
         assert cfg.model.n_qubits == 2
         assert cfg.tlr.length == 0.01
-        assert cfg.noise.relaxation[0] == pytest.approx(2 * math.pi * 0.2e6)
-        assert cfg.noise.dephasing[0] == pytest.approx(2 * math.pi * 0.5e6)
+        assert cfg.noise.gamma == pytest.approx(2 * math.pi * 0.2e6)
+        assert cfg.noise.gamma_phi == pytest.approx(2 * math.pi * 0.5e6)
 
     def test_device_coupling_near_100_mhz(self):
         g = config_from_dict({}).model.couplings_g[0] / (2 * math.pi)
@@ -74,7 +74,7 @@ class TestUnitStrings:
 
     def test_frequency_units(self):
         cfg = config_from_dict({"noise": {"gamma_over_2pi": "0.2 MHz"}})
-        assert cfg.noise.relaxation[0] == pytest.approx(2 * math.pi * 0.2e6)
+        assert cfg.noise.gamma == pytest.approx(2 * math.pi * 0.2e6)
 
     def test_bad_unit_reports_path(self):
         with pytest.raises(ConfigError) as err:
@@ -423,7 +423,8 @@ class TestCliErrors:
         cfg = config_from_dict(raw)
         lam = cfg.model.lam
         noise, runs = sized_runs(cfg, command)
-        total = runs * max(MIN_EPR_STEPS, math.ceil(40.0 * gate_time_t0(lam) * noise.total_rate))
+        rate = 2 * (noise.gamma + noise.gamma_phi)
+        total = runs * max(MIN_EPR_STEPS, math.ceil(40.0 * gate_time_t0(lam) * rate))
         assert total > MAX_RK4_STEPS
         path = write_config(tmp_path, raw)
         out = tmp_path / "out.csv"
@@ -668,7 +669,7 @@ def sized_runs(cfg, command):
     if command == "epr":
         return cfg.noise, 1
     gammas, gamma_phis = cfg.sweep_gamma_axis, cfg.sweep_gamma_phi_axis
-    return NoiseSpec.uniform(2, max(gammas), max(gamma_phis)), len(gammas) * len(gamma_phis)
+    return NoiseSpec(max(gammas), max(gamma_phis)), len(gammas) * len(gamma_phis)
 
 
 def step_total(raw, command):
@@ -772,7 +773,7 @@ def test_no_accepted_run_reaches_the_step_size_guard(raw):
             dt = _epr_grid(lam, noise, runs=runs).dt
         except StepBudgetError:  # refused with exit 3 before any step
             continue
-        assert dt * (h_norm + noise.total_rate) < STABILITY_LIMIT
+        assert dt * (h_norm + 2 * (noise.gamma + noise.gamma_phi)) < STABILITY_LIMIT
 
 
 def any_quantity(kind):

@@ -40,6 +40,11 @@ def pure_rho(index):
     return basis_state(TWO_QUBITS, index).density_matrix()
 
 
+def liouvillian(h, noise):
+    """The generator of a run: the build_liouvillian parts weighted by noise.rates."""
+    return np.tensordot(noise.rates, build_liouvillian(h), axes=1)
+
+
 class TestSchrodinger:
     def test_free_evolution_is_exact(self):
         space = HilbertSpace((2, 3))
@@ -93,13 +98,13 @@ class TestLindbladRhs:
     def test_closed_system_commutator(self):
         h = h_reduced_two_qubit(0.9)
         rho = pure_rho(1).matrix
-        quiet = NoiseSpec.none(2)
+        quiet = NoiseSpec()
         expected = -1j * (h @ rho - rho @ h)
         assert np.max(np.abs(lindblad_rhs(rho, h, quiet) - expected)) < 1e-14
 
     def test_trace_free(self):
         rng = np.random.default_rng(11)
-        noise = NoiseSpec((0.3, 0.7), (0.2, 0.5))
+        noise = NoiseSpec(0.3, 0.2)
         h = h_reduced_two_qubit(1.3)
         for _ in range(10):
             a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -110,17 +115,17 @@ class TestLindbladRhs:
     def test_maximally_mixed_flow(self):
         rho = np.eye(4, dtype=complex) / 4
         h = np.zeros((4, 4), dtype=complex)
-        dephasing_only = NoiseSpec((0.0, 0.0), (1.0, 2.0))
+        dephasing_only = NoiseSpec(0.0, 1.0)
         assert np.max(np.abs(lindblad_rhs(rho, h, dephasing_only))) < 1e-14
-        relaxation_only = NoiseSpec((1.0, 2.0), (0.0, 0.0))
+        relaxation_only = NoiseSpec(1.0, 0.0)
         drho = lindblad_rhs(rho, h, relaxation_only)
         assert drho[0, 0].real > 0  # population flows toward |00>
 
     def test_matches_superoperator(self):
         rng = np.random.default_rng(12)
-        noise = NoiseSpec((0.4, 0.1), (0.9, 0.3))
+        noise = NoiseSpec(0.4, 0.9)
         h = h_reduced_two_qubit(0.8)
-        liou = build_liouvillian(h, noise)
+        liou = liouvillian(h, noise)
         for _ in range(5):
             a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             rho = a @ a.conj().T
@@ -131,10 +136,51 @@ class TestLindbladRhs:
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            lindblad_rhs(np.eye(2) / 2, np.zeros((2, 2)), NoiseSpec.none(2))
+            lindblad_rhs(np.eye(2) / 2, np.zeros((4, 4)), NoiseSpec())
+        with pytest.raises(ValueError):  # not a register of qubits
+            lindblad_rhs(np.eye(3) / 3, np.zeros((3, 3)), NoiseSpec())
 
 
-RATES = st.tuples(*[st.floats(0.0, 5.0)] * 2)
+class TestParts:
+    def test_three_parts_at_unit_rates(self):
+        h = h_reduced_two_qubit(0.7)
+        parts = build_liouvillian(h)
+        assert parts.shape == (3, 16, 16)
+        rho = np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)
+        for part, h_part, noise in zip(parts, (h, 0 * h, 0 * h),
+                                       (NoiseSpec(), NoiseSpec(1.0, 0.0), NoiseSpec(0.0, 1.0))):
+            bare = lindblad_rhs(rho, h_part, noise)
+            assert np.max(np.abs((part @ rho.reshape(-1)).reshape(4, 4) - bare)) < 1e-15
+
+    @pytest.mark.parametrize("shape", [(3, 3), (1, 1), (4, 2), (6, 6)])
+    def test_a_dimension_that_is_not_a_qubit_register_is_refused(self, shape):
+        with pytest.raises(ValueError, match="2\\^n x 2\\^n"):
+            build_liouvillian(np.zeros(shape))
+        with pytest.raises(ValueError, match="2\\^n x 2\\^n"):
+            integrate_lindblad(np.zeros(shape), pure_rho(1), NoiseSpec(), TimeGrid(1.0, 10))
+
+    def test_one_qubit_relaxes_at_a_quarter_of_gamma(self):
+        rho0 = DensityMatrix(HilbertSpace((2,)), np.diag([0.0, 1.0]))
+        result = integrate_lindblad(np.zeros((2, 2)), rho0, NoiseSpec(0.8, 0.3),
+                                    TimeGrid(1.0, 400), record_every=400)
+        assert result.final[1, 1].real == pytest.approx(math.exp(-0.8 / 4), rel=1e-10)
+
+
+class TestNoiseSpec:
+    def test_two_rates_and_their_weights(self):
+        noise = NoiseSpec(0.5, 2)
+        assert (noise.gamma, noise.gamma_phi) == (0.5, 2.0)
+        assert noise.rates.tolist() == [1.0, 0.5, 2.0]
+        assert NoiseSpec().rates.tolist() == [1.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("rates", [(-1.0, 0.0), (0.0, -1e-300), (math.nan, 0.0),
+                                       (0.0, math.nan)])
+    def test_negative_or_nan_rates_are_refused(self, rates):
+        with pytest.raises(ValueError, match="noise rates must be nonnegative"):
+            NoiseSpec(*rates)
+
+
+RATE = st.floats(0.0, 5.0)
 
 
 def random_model(data):
@@ -142,7 +188,7 @@ def random_model(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     h = data.draw(st.floats(0.0, 5.0)) * (a + a.conj().T)
-    return rng, h, NoiseSpec(data.draw(RATES), data.draw(RATES))
+    return rng, h, NoiseSpec(data.draw(RATE), data.draw(RATE))
 
 
 class TestLiouvillianProperties:
@@ -151,7 +197,7 @@ class TestLiouvillianProperties:
     @staticmethod
     def draw_generator(data):
         rng, h, noise = random_model(data)
-        return rng, build_liouvillian(h, noise)
+        return rng, liouvillian(h, noise)
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -184,7 +230,7 @@ class TestAcceptedSnapshots:
         a = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
         rho0 = DensityMatrix(TWO_QUBITS, a @ a.conj().T / np.trace(a @ a.conj().T).real)
         t = data.draw(st.floats(0.05, 1.0))
-        scale = np.linalg.norm(h, 2) + noise.total_rate
+        scale = np.linalg.norm(h, 2) + 2 * (noise.gamma + noise.gamma_phi)
         steps = max(1, math.ceil(t * scale / data.draw(st.floats(0.02, 0.099))))
         try:
             result = integrate_lindblad(h, rho0, noise, TimeGrid(t, steps))
@@ -208,16 +254,15 @@ class TestDerivedSupport:
         a[rows] = rng.normal(size=(len(rows), 4)) + 1j * rng.normal(size=(len(rows), 4))
         rho0 = a @ a.conj().T / np.trace(a @ a.conj().T).real
         t = 1.0
-        scale = np.linalg.norm(h, 2) + noise.total_rate
+        scale = np.linalg.norm(h, 2) + 2 * (noise.gamma + noise.gamma_phi)
         steps = math.ceil(t * scale / 0.005) + 1  # coarser steps can dip an eigenvalue < EIG_FLOOR
         result = integrate_lindblad(h, DensityMatrix(TWO_QUBITS, rho0), noise,
                                     TimeGrid(t, steps), record_every=steps)
-        liou = build_liouvillian(h, noise)
-        exact = scipy.linalg.expm(liou * t) @ rho0.reshape(-1)
+        exact = scipy.linalg.expm(liouvillian(h, noise) * t) @ rho0.reshape(-1)
         final = result.final.reshape(-1)
         # RK4's global error is below t scale (dt scale)^4 for a unit-trace state.
         assert np.max(np.abs(final - exact)) <= t * scale * (t * scale / steps) ** 4 + 1e-14
-        outside = np.setdiff1d(np.arange(16), _support(liou[None], rho0))
+        outside = np.setdiff1d(np.arange(16), _support(build_liouvillian(h), rho0))
         assert np.all(final[outside] == 0.0)
 
     @settings(max_examples=50, deadline=None)
@@ -226,12 +271,7 @@ class TestDerivedSupport:
     def test_a_noiseless_point_in_a_stack_keeps_rho_00_00_at_zero(self, rates):
         # Only relaxation reaches rho_{00,00} from |10><10|; the noiseless
         # point's generator carries 0 x L_rel there, which is exactly 0.
-        no_h = np.zeros((4, 4))
-        parts = np.array([build_liouvillian(h, noise) for h, noise in (
-            (h_reduced_two_qubit(1.0), NoiseSpec.none(2)),
-            (no_h, NoiseSpec.uniform(2, 1.0, 0.0)),
-            (no_h, NoiseSpec.uniform(2, 0.0, 1.0)),
-        )])
+        parts = build_liouvillian(h_reduced_two_qubit(1.0))
         stack = np.array([(1.0, 0.0, 0.0)] + [(1.0, g, g_phi) for g, g_phi in rates])
         rho0 = np.diag([0.0, 0.0, 1.0, 0.0])
         for _, rho, _ in _evolve(parts, stack, rho0, TimeGrid(math.pi / 4, 400), 12.0, 50, str):
@@ -245,7 +285,7 @@ class TestIntegrateLindblad:
         t0 = math.pi / (4 * lam)
         h = h_reduced_two_qubit(lam)
         result = integrate_lindblad(
-            h, pure_rho(1), NoiseSpec.none(2), TimeGrid(t0, 400), record_every=400
+            h, pure_rho(1), NoiseSpec(), TimeGrid(t0, 400), record_every=400
         )
         u = analytic_u(lam, t0)
         psi = u @ np.array([0, 1, 0, 0], dtype=complex)
@@ -253,11 +293,11 @@ class TestIntegrateLindblad:
         assert np.max(np.abs(result.final - expected)) < 1e-8
 
     def test_pure_dephasing_coherence_decay(self):
-        # With H = 0 the |10><01| coherence obeys d/dt = -(gphi1 + gphi2);
-        # solved by hand from the dephasing form, which carries gphi/2 per
-        # qubit and a (-2) factor on a coherence flipped by both sigma_z's.
-        g1, g2 = 0.8, 0.5
-        noise = NoiseSpec((0.0, 0.0), (g1, g2))
+        # With H = 0 the |10><01| coherence obeys d/dt = -2 gphi; solved by
+        # hand from the dephasing form, which carries gphi/2 per qubit and a
+        # (-2) factor on a coherence flipped by both sigma_z's.
+        g_phi = 0.65
+        noise = NoiseSpec(0.0, g_phi)
         h = np.zeros((4, 4), dtype=complex)
         rho0 = DensityMatrix(
             TWO_QUBITS,
@@ -269,13 +309,13 @@ class TestIntegrateLindblad:
         t = 1.3
         result = integrate_lindblad(noise=noise, h_eff=h, rho0=rho0,
                                     grid=TimeGrid(t, 800), record_every=800)
-        expected = 0.5 * math.exp(-(g1 + g2) * t)
+        expected = 0.5 * math.exp(-2 * g_phi * t)
         assert abs(result.final[1, 2]) == pytest.approx(expected, rel=1e-8)
 
     def test_relaxation_population_decay(self):
         # Printed gamma/4 prefactor: population of |10> decays as exp(-g t/4).
         g1 = 0.9
-        noise = NoiseSpec((g1, 0.0), (0.0, 0.0))
+        noise = NoiseSpec(g1, 0.0)
         h = np.zeros((4, 4), dtype=complex)
         t = 2.0
         result = integrate_lindblad(h, pure_rho(2), noise, TimeGrid(t, 800),
@@ -285,7 +325,7 @@ class TestIntegrateLindblad:
     def test_diagnostics_recorded(self):
         h = h_reduced_two_qubit(1.0)
         result = integrate_lindblad(
-            h, pure_rho(1), NoiseSpec.uniform(2, 0.05, 0.1), TimeGrid(1.0, 100)
+            h, pure_rho(1), NoiseSpec(0.05, 0.1), TimeGrid(1.0, 100)
         )
         diag = result.diagnostics
         assert len(diag["trace_dev"]) == len(result.times)
@@ -297,7 +337,7 @@ class TestIntegrateLindblad:
         # A non-Hermitian generator destroys the Hermiticity of rho.
         h = np.triu(np.ones((4, 4), dtype=complex))
         with pytest.raises(DiagnosticError):
-            integrate_lindblad(h, pure_rho(1), NoiseSpec.none(2), TimeGrid(2.0, 200))
+            integrate_lindblad(h, pure_rho(1), NoiseSpec(), TimeGrid(2.0, 200))
 
     def test_run_stops_at_the_first_unhealthy_snapshot(self):
         # Stepping on past the breach would overflow long before t = 1000.
@@ -306,7 +346,7 @@ class TestIntegrateLindblad:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(DiagnosticError, match=r"at t = 0\.01: "):
-                integrate_lindblad(h, psi.density_matrix(), NoiseSpec.none(2),
+                integrate_lindblad(h, psi.density_matrix(), NoiseSpec(),
                                    TimeGrid(1000, 100000))
 
 
@@ -371,10 +411,10 @@ class TestFourthOrderScaling:
 
     def test_lindblad_step_halving(self):
         h = h_reduced_two_qubit(1.0)
-        noise = NoiseSpec.uniform(2, 0.2, 0.3)
+        noise = NoiseSpec(0.2, 0.3)
         rho0 = pure_rho(1)
         t = 3.0
-        liou = build_liouvillian(h, noise)
+        liou = liouvillian(h, noise)
         exact = (scipy.linalg.expm(liou * t) @ rho0.matrix.reshape(-1)).reshape(4, 4)
         errors = []
         for steps in (100, 200, 400, 800, 1600):

@@ -37,8 +37,8 @@ from dotbus.protocols import (
     gate_time_t0,
     selective_coupling_check,
 )
-from dotbus.reference import (_frame_trajectory, full_space, h_interaction, partial_trace,
-                              propagate_schrodinger)
+from dotbus.reference import (_frame_trajectory, concurrence, epr_error_closed_form, full_space,
+                              h_interaction, partial_trace, propagate_schrodinger)
 
 G_PAPER = 2 * math.pi * 100e6       # coupling, rad/s
 TAU_PAPER = 10 * G_PAPER
@@ -49,6 +49,11 @@ EPS = np.finfo(float).eps
 
 def paper_model():
     return ModelParams.uniform(2, G_PAPER, TAU_PAPER)
+
+
+def rate_over_lam():
+    """A rate in units of lambda, 0 to 100, through the exceptional point gamma_phi = 2 lambda."""
+    return st.sampled_from([0.0, 2.0]) | st.floats(0.0, 100.0) | st.floats(1.99, 2.01)
 
 
 def sector_oracle_two_qubits(g, tau, t):
@@ -80,20 +85,20 @@ class TestGateTime:
 
 class TestEprGeneration:
     def test_noiseless_is_exact(self):
-        report = epr_generation(paper_model(), NoiseSpec.none(2))
+        report = epr_generation(paper_model(), NoiseSpec())
         assert report.fidelity > 1 - 1e-8
         assert report.concurrence > 1 - 1e-8
         assert report.error_d == pytest.approx(1 - report.fidelity, abs=1e-12)
 
     def test_noiseless_matches_closed_form(self):
-        report = epr_generation(paper_model(), NoiseSpec.none(2))
+        report = epr_generation(paper_model(), NoiseSpec())
         lam = paper_model().lam
         psi = analytic_u(lam, report.t0) @ np.array([0, 0, 1, 0], dtype=complex)  # |10>
         closed_form = float(abs(np.vdot(epr_target().amplitudes, psi)) ** 2)
         assert abs(report.fidelity - closed_form) < 1e-8
 
     def test_reference_operating_point(self):
-        noise = NoiseSpec.uniform(2, GAMMA_PAPER, GAMMA_PHI_PAPER)
+        noise = NoiseSpec(GAMMA_PAPER, GAMMA_PHI_PAPER)
         report = epr_generation(paper_model(), noise)
         assert report.error_d < 0.05
 
@@ -101,7 +106,7 @@ class TestEprGeneration:
         # gphi * t0 >> 1: dephasing freezes the exchange (Zeno pinning at
         # |10>) and kills the off-diagonal, so the target overlap settles at
         # 1/2 up to a residual coherence of order lambda / gphi.
-        noise = NoiseSpec.uniform(2, 0.0, 2 * math.pi * 2e9)
+        noise = NoiseSpec(0.0, 2 * math.pi * 2e9)
         report = epr_generation(paper_model(), noise)
         assert report.fidelity == pytest.approx(0.5, abs=0.05)
         assert report.concurrence < 0.1
@@ -110,11 +115,11 @@ class TestEprGeneration:
         base = paper_model()
         rates = [2 * math.pi * f for f in (0.0, 0.25e6, 0.5e6, 0.75e6, 1e6)]
         d_relax = [
-            epr_generation(base, NoiseSpec.uniform(2, r, GAMMA_PHI_PAPER)).error_d
+            epr_generation(base, NoiseSpec(r, GAMMA_PHI_PAPER)).error_d
             for r in rates
         ]
         d_dephase = [
-            epr_generation(base, NoiseSpec.uniform(2, GAMMA_PAPER, r)).error_d
+            epr_generation(base, NoiseSpec(GAMMA_PAPER, r)).error_d
             for r in rates
         ]
         assert all(a < b for a, b in zip(d_relax, d_relax[1:]))
@@ -124,19 +129,34 @@ class TestEprGeneration:
         base = paper_model()
         rates = [2 * math.pi * f for f in (0.0, 0.25e6, 0.5e6, 0.75e6, 1e6)]
         conc = [
-            epr_generation(base, NoiseSpec.uniform(2, r, r)).concurrence for r in rates
+            epr_generation(base, NoiseSpec(r, r)).concurrence for r in rates
         ]
         assert all(a >= b for a, b in zip(conc, conc[1:]))
 
+    @pytest.mark.parametrize("record_every", [1, None])
+    def test_noiseless_concurrence_is_one_with_or_without_snapshots(self, record_every):
+        # Wootters' eigenvalues read 0.9999999937 here without snapshots: the
+        # roundoff of a zero eigenvalue under a square root.
+        report = epr_generation(paper_model(), NoiseSpec(), record_every=record_every)
+        assert abs(report.concurrence - 1.0) <= 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(gamma=rate_over_lam(), gamma_phi=rate_over_lam())
+    def test_concurrence_matches_wootters(self, gamma, gamma_phi):
+        p = paper_model()
+        report = epr_generation(p, NoiseSpec(gamma * p.lam, gamma_phi * p.lam))
+        rho = DensityMatrix(TWO_QUBIT_SPACE, report.result.final)
+        assert abs(report.concurrence - concurrence(rho)) <= 1e-12
+
     def test_wrong_qubit_count_rejected(self):
         with pytest.raises(ValueError):
-            epr_generation(ModelParams.uniform(3, G_PAPER, TAU_PAPER), NoiseSpec.none(2))
+            epr_generation(ModelParams.uniform(3, G_PAPER, TAU_PAPER), NoiseSpec())
 
     def test_below_threshold_rejected(self):
         # The reduced model is the dispersive limit; at tau/g = 2 it does not hold.
         p = ModelParams.uniform(2, G_PAPER, 2 * G_PAPER)
         with pytest.raises(ValueError, match="below dispersive threshold 5.0"):
-            epr_generation(p, NoiseSpec.none(2))
+            epr_generation(p, NoiseSpec())
         with pytest.raises(ValueError, match="below dispersive threshold 5.0"):
             decoherence_sweep(p, [0.0], [0.0])
 
@@ -144,12 +164,12 @@ class TestEprGeneration:
 def test_epr_grid_step_count():
     # t0 = pi/(4 lam) = 1: 40 steps per unit of noise action, at least MIN_EPR_STEPS.
     lam = math.pi / 4
-    assert _epr_grid(lam, NoiseSpec((5.0, 0.0), (5.0, 0.0))).steps == 400
-    assert _epr_grid(lam, NoiseSpec.uniform(2, 1.0, 1.5)).steps == MIN_EPR_STEPS  # not 200
+    assert _epr_grid(lam, NoiseSpec(2.5, 2.5)).steps == 400
+    assert _epr_grid(lam, NoiseSpec(1.0, 1.5)).steps == MIN_EPR_STEPS  # not 200
     # The Hamiltonian's own 40 t0 x 2 lam = 20 pi steps never set the count,
     # not even where 40 t0 overflows (lam below 1.75e-307).
     for lam in 10.0 ** np.arange(-308.0, 308.0, 4.0):
-        assert _epr_grid(lam, NoiseSpec.none(2)).steps == MIN_EPR_STEPS
+        assert _epr_grid(lam, NoiseSpec()).steps == MIN_EPR_STEPS
 
 
 class TestDispersiveValidity:
@@ -423,6 +443,44 @@ class TestDecoherenceSweep:
         with pytest.raises(ValueError):
             decoherence_sweep(paper_model(), [], [0.0])
 
+    @pytest.mark.parametrize("gamma_axis, gamma_phi_axis", [
+        ([0.0, math.nan], [0.0]), ([0.0], [math.nan]), ([-1.0], [0.0])])
+    def test_negative_or_nan_rate_rejected(self, gamma_axis, gamma_phi_axis):
+        with pytest.raises(ValueError, match="noise rates must be nonnegative"):
+            decoherence_sweep(paper_model(), gamma_axis, gamma_phi_axis)
+
+
+class TestClosedFormError:
+    """D against `reference.epr_error_closed_form`, which shares no code with the engine."""
+
+    @staticmethod
+    def model(data):
+        g = data.draw(power_of_ten(-100, 100))
+        return ModelParams.uniform(2, g, data.draw(st.floats(5.0, 100.0)) * g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_epr_generation(self, data):
+        p = self.model(data)
+        gamma, gamma_phi = (data.draw(rate_over_lam()) * p.lam for _ in range(2))
+        error = epr_generation(p, NoiseSpec(gamma, gamma_phi)).error_d
+        assert abs(error - epr_error_closed_form(p.lam, gamma, gamma_phi)) <= 1e-10
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_decoherence_sweep(self, data):
+        p = self.model(data)
+        axes = [p.lam * np.array(data.draw(st.lists(rate_over_lam(), min_size=1, max_size=4)))
+                for _ in range(2)]
+        sweep = decoherence_sweep(p, *axes)
+        exact = epr_error_closed_form(p.lam, axes[0][:, None], axes[1][None, :])
+        assert np.max(np.abs(sweep.error_grid - exact)) <= 1e-10
+
+    def test_exceptional_point_is_finite(self):
+        at = epr_error_closed_form(1.0, 0.0, 2.0)
+        near = epr_error_closed_form(1.0, 0.0, np.array([2.0 - 1e-9, 2.0 + 1e-9]))
+        assert np.isfinite(at) and np.max(np.abs(near - at)) < 1e-9
+
 
 def test_errors_do_not_depend_on_the_scale_of_lambda():
     # lambda = 1e-308, 1 and 1.26e153 span what the config accepts; lambda t0 =
@@ -433,7 +491,7 @@ def test_errors_do_not_depend_on_the_scale_of_lambda():
     errors = []
     for p in models:
         lam = p.lam
-        errors.append([epr_generation(p, NoiseSpec.uniform(2, gamma * lam, gamma_phi * lam)).error_d
+        errors.append([epr_generation(p, NoiseSpec(gamma * lam, gamma_phi * lam)).error_d
                        for gamma, gamma_phi in ((0.0, 0.0), (0.1, 0.2))])
         # Its (0, 0) point is noiseless; the other three carry one or both rates.
         errors[-1] += decoherence_sweep(p, lam * np.array([0.0, 0.1]),
@@ -447,26 +505,13 @@ def power_of_ten(lo, hi):
     return st.floats(lo, hi).map(lambda e: 10.0**e)
 
 
-def any_rate():
-    return st.just(0.0) | power_of_ten(-300, 300)
-
-
 class TestBatchedSweep:
     """The sweep steps every grid point at once on the vec(rho) entries |10><10| reaches."""
 
     @settings(max_examples=200, deadline=None)
-    @given(lam=power_of_ten(-300, 300),
-           relaxation=st.tuples(any_rate(), any_rate()).filter(any),
-           dephasing=st.tuples(any_rate(), any_rate()))
-    def test_support_from_the_start_is_the_five_pair_entries(self, lam, relaxation, dephasing):
-        # Per-qubit rates, drawn apart and sometimes 0: the support is the same
-        # for non-uniform noise too, not only for the uniform noise the sweep runs.
-        no_h = np.zeros((4, 4))
-        parts = np.array([build_liouvillian(h, noise) for h, noise in (
-            (h_reduced_two_qubit(lam), NoiseSpec.none(2)),
-            (no_h, NoiseSpec(relaxation, (0.0, 0.0))),
-            (no_h, NoiseSpec((0.0, 0.0), dephasing)),
-        )])
+    @given(lam=power_of_ten(-300, 300))
+    def test_support_from_the_start_is_the_five_pair_entries(self, lam):
+        parts = build_liouvillian(h_reduced_two_qubit(lam))
         support = _support(parts, protocols._EPR_START)
         # rho_{00,00}, rho_{01,01}, rho_{01,10}, rho_{10,01} and rho_{10,10}, row-major
         assert support.tolist() == [0, 5, 6, 9, 10]
@@ -482,7 +527,7 @@ class TestBatchedSweep:
         # Axes start at 0, so the grid holds a noiseless row and column.
         gamma_axis = p.lam * np.array([0.0, *data.draw(rates)])
         gamma_phi_axis = p.lam * np.array([0.0, *data.draw(rates)])
-        worst = NoiseSpec.uniform(2, max(gamma_axis), max(gamma_phi_axis))
+        worst = NoiseSpec(max(gamma_axis), max(gamma_phi_axis))
         grid = _epr_grid(p.lam, worst, runs=gamma_axis.size * gamma_phi_axis.size)
         rho0 = DensityMatrix(TWO_QUBIT_SPACE, protocols._EPR_START)
         # The errors before SweepResult's [0, 1] check: at a few hundred steps
@@ -491,7 +536,7 @@ class TestBatchedSweep:
         errors = _sweep_errors(p, gammas.ravel(), gamma_phis.ravel())
         for gamma, gamma_phi, error in zip(gammas.ravel(), gamma_phis.ravel(), errors):
             serial = integrate_lindblad(h_reduced_two_qubit(p.lam), rho0,
-                                        NoiseSpec.uniform(2, gamma, gamma_phi), grid)
+                                        NoiseSpec(gamma, gamma_phi), grid)
             serial_d = 1.0 - fidelity(DensityMatrix(TWO_QUBIT_SPACE, serial.final), epr_target())
             assert abs(error - serial_d) <= 1e-12
 

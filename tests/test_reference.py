@@ -1,11 +1,16 @@
-"""dotbus.reference stays out of the production path: no module imports it."""
+"""dotbus.reference stays out of the production path, and its oracles hold at known points."""
 
 import ast
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import dotbus
+from dotbus.algebra import DensityMatrix, HilbertSpace, PureState, identity
+from dotbus.reference import concurrence
 
 PACKAGE = Path(dotbus.__file__).resolve().parent
 
@@ -49,3 +54,22 @@ def test_import_dotbus_leaves_reference_unloaded():
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          cwd=PACKAGE.parent, check=True)
     assert run.stdout.strip() == "False"
+
+
+class TestConcurrence:
+    def test_entangled_pair(self):
+        psi = PureState(HilbertSpace((2, 2)), np.array([0, 1, -1j, 0]) / np.sqrt(2))
+        assert concurrence(psi.density_matrix()) == pytest.approx(1.0, abs=1e-12)
+
+    def test_product_state(self):
+        psi = PureState(HilbertSpace((2, 2)), [1, 0, 0, 0])
+        assert concurrence(psi.density_matrix()) == pytest.approx(0.0, abs=1e-12)
+
+    def test_maximally_mixed(self):
+        rho = DensityMatrix(HilbertSpace((2, 2)), identity(4) / 4)
+        assert concurrence(rho) == pytest.approx(0.0, abs=1e-12)
+
+    def test_wrong_dimension_rejected(self):
+        rho = DensityMatrix(HilbertSpace((2,)), identity(2) / 2)
+        with pytest.raises(ValueError):
+            concurrence(rho)

@@ -2,15 +2,16 @@
 
     python3 tools/cli_snapshot.py OUTDIR [--src SRC]
 
-Runs `device`, `epr`, `sweep` and `validate` with `--out` on the empty
-config `{}`, on the first three seeded inputs (seed 7) of each benchmark
-workload, drawn by `perfbench/workloads.py` of this checkout, and on one
-config per documented failure exit (`FAILURES`, one for each exit-code
-bullet of the README plus an underflowing resonator) and on the named edge
-cases of `EDGE_CASES`.  For every
-config and command it stores stdout, stderr, the exit code and every file
-the run wrote (`out`, `out.resolved.json`) under OUTDIR/<config>/<command>/,
-with the output path masked as `<OUT>`.  For `{}` and the `bus-check`
+Runs `device`, `epr`, `sweep` and `validate` with `--out`, and `epr` once
+more without it (`epr-no-out`, which keeps only the final state), on the
+empty config `{}`, on the first three seeded inputs (seed 7) of each
+benchmark workload, drawn by `perfbench/workloads.py` of this checkout, and
+on one config per documented failure exit (`FAILURES`, one for each
+exit-code bullet of the README plus an underflowing resonator) and on the
+named edge cases of `EDGE_CASES`.  For every config and command it stores
+stdout, stderr, the exit code and every file the run wrote (`out`,
+`out.resolved.json`) under OUTDIR/<config>/<command>/, with the output path
+masked as `<OUT>`.  For `{}` and the `bus-check`
 inputs it also stores, under OUTDIR/<config>/selective/, the `repr` of every
 float that `protocols.selective_coupling_check` reports for n = 3..7: the
 benchmark times that library protocol, and no command runs it.  dotbus is
@@ -132,9 +133,11 @@ def snapshot(src: Path, outdir: Path) -> None:
             with tempfile.TemporaryDirectory() as work:
                 cfg = Path(work) / "config.json"
                 cfg.write_text(config if isinstance(config, str) else json.dumps(config))
+                argv = [sys.executable, "-m", "dotbus.cli", command, "--config", str(cfg)]
+                if command == "epr":
+                    record(outdir / name / "epr-no-out", argv, env)
                 out = Path(work) / "out"
-                record(dest, [sys.executable, "-m", "dotbus.cli", command, "--config", str(cfg),
-                              "--out", str(out)], env, out)
+                record(dest, argv + ["--out", str(out)], env, out)
                 for written in Path(work).iterdir():
                     if written != cfg:
                         (dest / written.name).write_bytes(written.read_bytes())
