@@ -9,13 +9,17 @@ steps only the entries of row-major vec(rho) that the parts reach from rho0
 constant, so every RK4 step applies one matrix S, and `_rk4` advances each
 snapshot interval of n steps with S^n.  `_rk4_step` holds the stage formula
 that forms S, which the reference Schroedinger integrator takes once per step.
-Nothing is renormalized: `_check_snapshot` measures trace, Hermiticity and the
-smallest eigenvalue and stops a run at the first snapshot out of tolerance,
-before it steps into overflow.
+`_evolve` takes the snapshots in blocks of up to CHECK_POINTS matrices, scatters
+each block into one array and checks it before it steps on.  Nothing is
+renormalized: `_check_snapshot` measures trace, Hermiticity and the smallest
+eigenvalue and stops a run at the first snapshot out of tolerance, within the
+block that holds it, before it steps into overflow.  `build_liouvillian` forms
+the dissipator parts once per qubit count (`_dissipators`).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -27,9 +31,10 @@ from .algebra import (EIG_FLOOR, HERMITIAN_TOL, SIGMA_MINUS, SIGMA_Z, TRACE_TOL,
                       HilbertSpace, embed, hermiticity_defect)
 
 STABILITY_LIMIT = 0.1        # max allowed dt * ||generator||
-# Points of a stacked run whose states one snapshot check, and whose step
-# matrices one power, takes at a time, which bounds their temporaries; a whole
-# stack's would add to peak memory.
+# Matrices that one snapshot check, and step matrices that one power, takes at
+# a time, which bounds their temporaries; a whole stack's would add to peak
+# memory.  `_evolve` fills a block of snapshots with this many matrices: 64
+# snapshots of one run, one snapshot of a stack of 64 points or more.
 CHECK_POINTS = 64
 
 
@@ -78,13 +83,14 @@ class NoiseSpec:
 class SimResult:
     """Recorded trajectory: snapshot times, raw state arrays, health diagnostics.
 
-    ``states`` holds bare complex arrays (vectors for wavefunction runs,
-    matrices for density-matrix runs); wrap in PureState/DensityMatrix at the
-    point of use.  Diagnostics are parallel arrays, one entry per snapshot.
+    ``states`` is one bare complex array, one entry per snapshot: shape (T, d)
+    for wavefunction runs, (T, d, d) for density-matrix runs; wrap an entry in
+    PureState/DensityMatrix at the point of use.  Diagnostics are parallel
+    arrays, one entry per snapshot.
     """
 
     times: np.ndarray
-    states: list
+    states: np.ndarray
     diagnostics: dict
 
     @property
@@ -136,8 +142,8 @@ def _rk4(
 
     Yields the initial state, then the state after every ``record_every``-th
     step and after the last, at t = steps x dt (`_snapshot_steps`, which also
-    holds the stability guard); the caller checks each one before the next
-    interval runs.  Every RK4 step applies the same matrix S (`_rk4_step`),
+    holds the stability guard); each interval runs only when the caller asks
+    for the next snapshot.  Every RK4 step applies the same matrix S (`_rk4_step`),
     so an interval of n steps is one product with S^n, raised by repeated
     squaring, ``CHECK_POINTS`` generators at a time to bound the temporaries.
     A stack of generators, shape (points, n, n), steps a stack of states,
@@ -163,6 +169,26 @@ def _rk4(
         yield mark * grid.dt, y
 
 
+@functools.cache
+def _dissipators(n: int) -> np.ndarray:
+    """The parts [L_rel, L_deph] of n qubits at unit rates, shape (2, 4^n, 4^n), read-only.
+
+    They do not depend on the Hamiltonian, so `build_liouvillian` forms them
+    once per qubit count.
+    """
+    d = 1 << n
+    eye, space = np.eye(d, dtype=complex), HilbertSpace((2,) * n)
+    parts = np.zeros((2, d * d, d * d), dtype=complex)
+    for j in range(n):
+        for part, rate, op in ((parts[0], 0.25, SIGMA_MINUS), (parts[1], 0.5, SIGMA_Z)):
+            l_op = embed(space, (j, op))
+            ldl = l_op.conj().T @ l_op
+            part += rate * (np.kron(l_op, l_op.conj())
+                            - 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T)))
+    parts.flags.writeable = False
+    return parts
+
+
 def build_liouvillian(h_eff: np.ndarray) -> np.ndarray:
     """The parts [L_H, L_rel, L_deph] at unit rates, shape (3, d^2, d^2) on row-major vec(rho).
 
@@ -170,32 +196,29 @@ def build_liouvillian(h_eff: np.ndarray) -> np.ndarray:
     of a 2^n x 2^n ``h_eff`` relaxes as (gamma/4) D[sigma^-] and dephases as
     (gamma_phi/2) D[sigma_z] = (gamma_phi/2)(sigma_z rho sigma_z - rho).  The
     gamma/4 prefactor is deliberate; the common gamma/2 convention doubles gamma.
+    The last two are copies of the `_dissipators` of n qubits.
     """
     h_eff = np.asarray(h_eff, dtype=complex)
     d = len(h_eff)
     n = d.bit_length() - 1
     if n < 1 or h_eff.shape != (1 << n,) * 2:
         raise ValueError(f"h_eff must be 2^n x 2^n for n >= 1 qubits, got shape {h_eff.shape}")
-    eye, space = np.eye(d, dtype=complex), HilbertSpace((2,) * n)
-    parts = np.zeros((3, d * d, d * d), dtype=complex)
+    eye = np.eye(d, dtype=complex)
+    parts = np.empty((3, d * d, d * d), dtype=complex)
     parts[0] = -1j * (np.kron(h_eff, eye) - np.kron(eye, h_eff.T))
-    for j in range(n):
-        for part, rate, op in ((parts[1], 0.25, SIGMA_MINUS), (parts[2], 0.5, SIGMA_Z)):
-            l_op = embed(space, (j, op))
-            ldl = l_op.conj().T @ l_op
-            part += rate * (np.kron(l_op, l_op.conj())
-                            - 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T)))
+    parts[1:] = _dissipators(n)
     return parts
 
 
-def _check_snapshot(rho: np.ndarray, t: float, point: Callable[[int], str] | None = None):
-    """(|trace - 1|, Hermiticity defect, smallest eigenvalue) of the snapshot ``rho`` at ``t``.
+def _check_snapshot(rho: np.ndarray, times, point: Callable[[int], str] | None = None):
+    """(|trace - 1|, Hermiticity defect, smallest eigenvalue) of the snapshots ``rho``.
 
     ``rho`` is one density matrix, giving one value each, or a stack of them,
-    giving one array entry per matrix.  The first matrix that `DensityMatrix`
-    would refuse, with a non-finite entry, |trace - 1| > TRACE_TOL, a
-    Hermiticity defect > HERMITIAN_TOL or an eigenvalue below EIG_FLOOR,
-    raises DiagnosticError; ``point(k)`` names the k-th matrix of a stack.
+    giving one array entry per matrix; ``times`` holds the time of each, shape
+    rho.shape[:-2].  The first matrix that `DensityMatrix` would refuse, with
+    a non-finite entry, |trace - 1| > TRACE_TOL, a Hermiticity defect >
+    HERMITIAN_TOL or an eigenvalue below EIG_FLOOR, raises DiagnosticError
+    naming its time; ``point(k)`` names the k-th matrix of a stack.
     """
     trace_dev = abs(rho.trace(axis1=-2, axis2=-1).real - 1.0)
     herm_dev = hermiticity_defect(rho)  # not finite where rho has a non-finite entry
@@ -208,7 +231,7 @@ def _check_snapshot(rho: np.ndarray, t: float, point: Callable[[int], str] | Non
     bad = ~((trace_dev <= TRACE_TOL) & (herm_dev <= HERMITIAN_TOL) & (min_eig >= EIG_FLOOR))
     if np.count_nonzero(bad):
         k = int(np.flatnonzero(bad)[0])
-        tr, herm, eig = (np.ravel(x)[k] for x in (trace_dev, herm_dev, min_eig))
+        t, tr, herm, eig = (np.ravel(x)[k] for x in (times, trace_dev, herm_dev, min_eig))
         if not np.isfinite(herm):
             breaches = ["non-finite entries"]
         else:
@@ -241,29 +264,37 @@ def _evolve(parts: np.ndarray, rates: np.ndarray, rho0: np.ndarray, grid: TimeGr
     """RK4 run of the generator sum_c rates[..., c] parts[c] on row-major vec(rho), from ``rho0``.
 
     Rates of shape (C,) give one run; rates of shape (points, C) one run per
-    row, stepped at once and checked CHECK_POINTS points at a time, ``point(k)``
-    naming the k-th.  Only the `_support` entries are stepped.  Yields (t,
-    snapshot, its diagnostics, None for a stack) once the snapshot passes its
-    check.  A stack's snapshots share one buffer, shape rates.shape[:-1] + (d, d),
-    which the next snapshot overwrites; a single run's are each a new (d, d) array.
+    row, stepped at once, ``point(k)`` naming the k-th.  Only the `_support`
+    entries are stepped.  The snapshots come in blocks of m, as many as fill
+    CHECK_POINTS matrices and at least one: 64 for one run, one for a stack
+    of 64 points or more.  Each block is checked CHECK_POINTS matrices at a
+    time, in time order, and yielded once it passes as (times, shape (m,);
+    snapshots, shape (m,) + points + (d, d); diagnostics, shape (m,) + points
+    + (3,), the `_check_snapshot` values).  A breach stops the run within the
+    block that holds it.
     """
     d, points = rho0.shape[-1], rates.shape[:-1]
     support = _support(parts, rho0)
-    blocks = parts[:, support[:, None], support].reshape(len(parts), -1)
-    generators = (rates @ blocks).reshape(points + (support.size,) * 2)
+    on_support = parts[:, support[:, None], support].reshape(len(parts), -1)
+    generators = (rates @ on_support).reshape(points + (support.size,) * 2)
     start = np.broadcast_to(rho0.reshape(-1)[support, None], points + (support.size, 1))
-    shape, size = points + (d, d), math.prod(points) * d * d
-    flat = (np.arange(0, size, d * d)[:, None] + support).ravel()  # where y's entries go
-    vec = None
-    for t, y in _rk4(generators, start, grid, scale, record_every):
-        if vec is None or not points:  # a stack reuses one buffer; one run's snapshots are kept
-            vec = np.zeros(size, dtype=complex)  # the entries off the support stay 0
-            rho = vec.reshape(shape)
-        vec[flat] = y.ravel()
-        if points:
-            for lo in range(0, len(rho), CHECK_POINTS):
-                _check_snapshot(rho[lo:lo + CHECK_POINTS], t, lambda k, lo=lo: point(lo + k))
-        yield t, rho, None if points else _check_snapshot(rho, t)
+    size = math.prod(points)
+    flat = (np.arange(0, size * d * d, d * d)[:, None] + support).ravel()  # where y's entries go
+    snapshots = _rk4(generators, start, grid, scale, record_every)
+    while block := list(itertools.islice(snapshots, max(1, CHECK_POINTS // size))):
+        times = np.array([t for t, _ in block])
+        rho = np.zeros((len(block), size * d * d), dtype=complex)  # off the support stays 0
+        rho[:, flat] = np.reshape([y for _, y in block], (len(block), -1))
+        rho = rho.reshape((len(block),) + points + (d, d))
+        # Time-major, so the first breach in a check is the earliest snapshot's.
+        matrices, matrix_times = rho.reshape(-1, d, d), np.repeat(times, size)
+        checks = []
+        for lo in range(0, len(matrices), CHECK_POINTS):
+            name = point and (lambda k, lo=lo: point((lo + k) % size))
+            checks.append(np.stack(_check_snapshot(matrices[lo:lo + CHECK_POINTS],
+                                                   matrix_times[lo:lo + CHECK_POINTS], name),
+                                   axis=-1))
+        yield times, rho, np.concatenate(checks).reshape(rho.shape[:-2] + (3,))
 
 
 def integrate_lindblad(h_eff: np.ndarray, rho0: DensityMatrix, noise: NoiseSpec, grid: TimeGrid,
@@ -278,6 +309,5 @@ def integrate_lindblad(h_eff: np.ndarray, rho0: DensityMatrix, noise: NoiseSpec,
     n_qubits = len(h_eff).bit_length() - 1
     scale = np.linalg.norm(h_eff, 2) + n_qubits * (noise.gamma + noise.gamma_phi)
     run = _evolve(parts, noise.rates, rho0.matrix, grid, scale, record_every)
-    times, states, rows = zip(*run)
-    diagnostics = dict(zip(("trace_dev", "herm_dev", "min_eig"), np.array(rows).T))
-    return SimResult(np.array(times), list(states), diagnostics)
+    times, states, checks = (np.concatenate(x) for x in zip(*run))
+    return SimResult(times, states, dict(zip(("trace_dev", "herm_dev", "min_eig"), checks.T)))

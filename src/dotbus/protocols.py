@@ -89,10 +89,26 @@ def _epr_grid(lam: float, noise: NoiseSpec, runs: int = 1) -> TimeGrid:
         steps = math.inf
     if steps * runs > MAX_RK4_STEPS:
         raise StepBudgetError(
-            f"{runs} run(s) x {steps} steps = {steps * runs} RK4 steps exceed the budget "
-            f"of {MAX_RK4_STEPS}"
+            f"{runs} run(s) x {_count(steps)} steps = {_count(steps * runs)} RK4 steps exceed "
+            f"the budget of {MAX_RK4_STEPS}"
         )
     return TimeGrid(t0, steps)
+
+
+def _count(n: int | float) -> str:
+    """A step count, exact below 2^53 and to 6 digits from there, where it is float noise.
+
+    A count from 2^53 up is the ceiling of a float, whose digits past the 17th
+    say nothing; ``inf`` stays ``inf``.
+    """
+    if n < 2**53:
+        return str(n)
+    try:
+        return f"{n:.6g}"
+    except OverflowError:  # an int past the float range: scale it by its power of ten
+        exponent = len(str(n)) - 1
+        mantissa, carry = f"{n / 10**exponent:.5e}".split("e")  # int / int rounds correctly
+        return f"{float(mantissa):g}e+{exponent + int(carry)}"
 
 
 def epr_generation(p: ModelParams, noise: NoiseSpec, record_every: int | None = None) -> EprReport:
@@ -317,9 +333,9 @@ def _sweep_errors(p: ModelParams, gammas: np.ndarray, gamma_phis: np.ndarray) ->
     scale = np.linalg.norm(h20, 2) + 2.0 * (worst.gamma + worst.gamma_phi)
     for _, rho, _ in _evolve(build_liouvillian(h20), rows, _EPR_START, grid, scale, grid.steps,
                              point):
-        pass  # every snapshot is checked; the last is the state at t0
+        pass  # every snapshot is checked; the last block's last is the state at t0
     target = epr_target().amplitudes
-    return 1.0 - np.real(target.conj() @ rho @ target)
+    return 1.0 - np.real(target.conj() @ rho[-1] @ target)
 
 
 def decoherence_sweep(p: ModelParams, gamma_axis, gamma_phi_axis) -> SweepResult:

@@ -316,4 +316,4 @@ def propagate_schrodinger(
         times.append(mark * dt)
         states.append(psi)
         drifts.append(drift)
-    return SimResult(np.array(times), states, {"norm_drift": np.array(drifts)})
+    return SimResult(np.array(times), np.array(states), {"norm_drift": np.array(drifts)})

@@ -573,6 +573,22 @@ class TestCliErrors:
         assert "= inf RK4 steps exceed the budget" in capsys.readouterr().err
 
 
+    # tau/g = 1e200: the count is the ceiling of a float near 4.47e199, whose 200
+    # digits past the 17th are noise.  g/2pi = 1 Hz, tau/g = 1e300: 441 sweep points
+    # x 1.26e308 steps is an int past the float range.
+    @pytest.mark.parametrize("command, model, counts", [
+        ("epr", {"tau_over_g": 1e200}, "1 run(s) x 4.46916e+199 steps = 4.46916e+199"),
+        ("sweep", {"coupling_g": "1 Hz", "tau_over_g": 1e300},
+         "441 run(s) x 1.25664e+308 steps = 5.54177e+310"),
+    ])
+    def test_step_count_past_two_to_the_53_prints_six_digits(self, tmp_path, capsys, command,
+                                                              model, counts):
+        path = write_config(tmp_path, {"model": model})
+        assert main([command, "--config", path, "--out", str(tmp_path / "out.csv")]) == 3
+        assert capsys.readouterr().err == (
+            f"step budget exceeded: {counts} RK4 steps exceed the budget of 10000000\n"
+        )
+
 class TestSpaceDimensionBound:
     @pytest.mark.parametrize("n_qubits, accepted", [(9, True), (10, False), (10**30, False)])
     def test_bound_is_inclusive(self, n_qubits, accepted):

@@ -17,6 +17,7 @@ from dotbus.dynamics import (
     DiagnosticError,
     NoiseSpec,
     TimeGrid,
+    _check_snapshot,
     _evolve,
     _rk4,
     _support,
@@ -152,6 +153,15 @@ class TestParts:
             bare = lindblad_rhs(rho, h_part, noise)
             assert np.max(np.abs((part @ rho.reshape(-1)).reshape(4, 4) - bare)) < 1e-15
 
+    def test_each_build_is_a_fresh_copy_of_the_dissipators(self):
+        # L_rel and L_deph are formed once per qubit count; a caller that
+        # writes into one build reaches no later build.
+        h = h_reduced_two_qubit(0.7)
+        first = build_liouvillian(h)
+        expected = first.copy()
+        first[1:] = 0.0
+        assert np.array_equal(build_liouvillian(h), expected)
+
     @pytest.mark.parametrize("shape", [(3, 3), (1, 1), (4, 2), (6, 6)])
     def test_a_dimension_that_is_not_a_qubit_register_is_refused(self, shape):
         with pytest.raises(ValueError, match="2\\^n x 2\\^n"):
@@ -275,8 +285,8 @@ class TestDerivedSupport:
         stack = np.array([(1.0, 0.0, 0.0)] + [(1.0, g, g_phi) for g, g_phi in rates])
         rho0 = np.diag([0.0, 0.0, 1.0, 0.0])
         for _, rho, _ in _evolve(parts, stack, rho0, TimeGrid(math.pi / 4, 400), 12.0, 50, str):
-            assert rho[0, 0, 0] == 0.0
-        assert np.all(rho[1:, 0, 0].real > 0.0)  # at t0, where relaxation does reach it
+            assert np.all(rho[:, 0, 0, 0] == 0.0)  # every snapshot of the block
+        assert np.all(rho[-1, 1:, 0, 0].real > 0.0)  # at t0, where relaxation does reach it
 
 
 class TestIntegrateLindblad:
@@ -348,6 +358,83 @@ class TestIntegrateLindblad:
             with pytest.raises(DiagnosticError, match=r"at t = 0\.01: "):
                 integrate_lindblad(h, psi.density_matrix(), NoiseSpec(),
                                    TimeGrid(1000, 100000))
+
+
+def per_snapshot_run(h, rho0, noise, grid, record_every):
+    """The one-point run before blocks: each snapshot scattered into its own array, checked alone.
+
+    Returns (times, states, diagnostics) as lists, or the DiagnosticError message.
+    """
+    parts = build_liouvillian(h)
+    support = _support(parts, rho0)
+    s, d = support.size, len(rho0)
+    generator = (noise.rates @ parts[:, support[:, None], support].reshape(3, -1)).reshape(s, s)
+    scale = np.linalg.norm(h, 2) + 2 * (noise.gamma + noise.gamma_phi)
+    times, states, rows = [], [], []
+    try:
+        for t, y in _rk4(generator, rho0.reshape(-1)[support, None], grid, scale, record_every):
+            rho = np.zeros(d * d, dtype=complex)
+            rho[support] = y.ravel()
+            rho = rho.reshape(d, d)
+            rows.append(_check_snapshot(rho, t))
+            times.append(t)
+            states.append(rho)
+    except DiagnosticError as exc:
+        return str(exc)
+    return times, states, rows
+
+
+class TestBlockChecks:
+    """`_evolve` scatters and checks snapshots a block at a time; no result depends on blocks."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_a_blocked_run_equals_the_snapshot_by_snapshot_run(self, data):
+        rng, h, noise = random_model(data)
+        rank = data.draw(st.integers(1, 4))
+        a = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+        rho0 = a @ a.conj().T / np.trace(a @ a.conj().T).real
+        t = data.draw(st.floats(0.05, 1.0))
+        scale = np.linalg.norm(h, 2) + 2 * (noise.gamma + noise.gamma_phi)
+        steps = math.ceil(t * scale / 0.05) + data.draw(st.integers(1, 60))
+        record_every = data.draw(st.integers(1, steps))
+        grid = TimeGrid(t, steps)
+        expected = per_snapshot_run(h, rho0, noise, grid, record_every)
+        with mock.patch.object(dynamics, "CHECK_POINTS", data.draw(st.integers(1, 5))):
+            try:
+                result = integrate_lindblad(h, DensityMatrix(TWO_QUBITS, rho0), noise, grid,
+                                            record_every)
+            except DiagnosticError as exc:
+                assert str(exc) == expected
+                return
+        times, states, rows = expected
+        assert result.times.tolist() == times
+        assert isinstance(result.states, np.ndarray) and result.states.shape == (len(times), 4, 4)
+        assert np.array_equal(result.states, states)
+        for key, column in zip(("trace_dev", "herm_dev", "min_eig"), zip(*rows)):
+            assert np.array_equal(result.diagnostics[key], column)
+
+    def test_a_breach_inside_a_block_names_its_time_and_stops_the_run_there(self):
+        # Blocks of 4 snapshots; snapshots 6 and 7, the third and fourth of
+        # the second block, are spoiled, and the run names the first of them.
+        rk4, made = dynamics._rk4, []
+
+        def spoiled_rk4(*args):
+            for n, (t, y) in enumerate(rk4(*args)):
+                made.append(t)
+                if n in (6, 7):
+                    y = y.copy()
+                    y[0] += 1e-6  # rho_{00,00}: the trace moves
+                yield t, y
+
+        with mock.patch.object(dynamics, "CHECK_POINTS", 4), \
+                mock.patch.object(dynamics, "_rk4", spoiled_rk4):
+            with pytest.raises(DiagnosticError,
+                               match=r"^density-matrix diagnostics failed at t = 0\.06: "
+                                     r"\|trace-1\| = 1e-06$"):
+                integrate_lindblad(h_reduced_two_qubit(1.0), pure_rho(1), NoiseSpec(0.1, 0.2),
+                                   TimeGrid(1.0, 100))
+        assert len(made) <= 8  # no snapshot past the breach's block
 
 
 def per_stage_rk4(generator, y, grid, record_every):

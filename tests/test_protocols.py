@@ -456,7 +456,12 @@ class TestClosedFormError:
     @staticmethod
     def model(data):
         g = data.draw(power_of_ten(-100, 100))
-        return ModelParams.uniform(2, g, data.draw(st.floats(5.0, 100.0)) * g)
+        tau = data.draw(st.floats(5.0, 100.0)) * g
+        # 5.0 x g can round so that tau / g reads 4.999999999999999, which the
+        # program refuses; step tau up to the first value it accepts.
+        while not ModelParams.uniform(2, g, tau).is_dispersive:
+            tau = math.nextafter(tau, math.inf)
+        return ModelParams.uniform(2, g, tau)
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -540,6 +545,15 @@ class TestBatchedSweep:
             serial_d = 1.0 - fidelity(DensityMatrix(TWO_QUBIT_SPACE, serial.final), epr_target())
             assert abs(error - serial_d) <= 1e-12
 
+    @pytest.mark.parametrize("count, text", [
+        (10_035_200, "10035200"), (2**53 - 1, "9007199254740991"), (2**53, "9.0072e+15"),
+        (447 * 10**199, "4.47e+201"), (447 * 10**308, "4.47e+310"),
+        (9_999_996 * 10**304, "1e+311"), (math.inf, "inf")])
+    def test_step_counts_print_exactly_below_two_to_the_53(self, count, text):
+        # From 2^53 up a count is the ceiling of a float; an int past the float
+        # range, a count times the grid points, still prints in 6 digits.
+        assert protocols._count(count) == text
+
     def test_step_budget_counts_every_grid_point(self):
         # 200 x 196 points x 256 steps = 10,035,200 RK4 steps, past MAX_RK4_STEPS.
         with pytest.raises(StepBudgetError, match="^39200 run"):
@@ -560,6 +574,35 @@ class TestBatchedSweep:
     @staticmethod
     def spoil_finiteness(y):
         y[0] = np.nan
+
+    # CHECK_POINTS = 4 puts both snapshots of a two-point sweep into one block,
+    # ordered (t, point) = (0, 0), (0, 1), (t0, 0), (t0, 1); the first spoiled in time is named.
+    @pytest.mark.parametrize("spoiled, t, name", [
+        ({(1, 1)}, "1e-08", "gamma/2pi = 0.5 MHz, gamma_phi/2pi = 0.25 MHz"),
+        ({(1, 0), (0, 1)}, "0", "gamma/2pi = 0.5 MHz, gamma_phi/2pi = 0.25 MHz"),
+        ({(1, 0), (1, 1)}, "1e-08", "gamma/2pi = 0 MHz, gamma_phi/2pi = 0.25 MHz"),
+    ])
+    def test_a_breach_inside_a_block_of_the_stack_names_its_time_and_grid_point(
+            self, monkeypatch, spoiled, t, name):
+        rk4 = dynamics._rk4
+
+        def spoiled_rk4(*args):
+            for n, (time, y) in enumerate(rk4(*args)):
+                y = y.copy()
+                for snapshot, k in spoiled:
+                    if n == snapshot:
+                        self.spoil_finiteness(y[k, :, 0])
+                yield time, y
+
+        monkeypatch.setattr(dynamics, "_rk4", spoiled_rk4)
+        monkeypatch.setattr(dynamics, "CHECK_POINTS", 4)
+        p = ModelParams.uniform(2, 2 * math.pi * 100e6, 2 * math.pi * 800e6)  # t0 = 10 ns
+        mhz = 2e6 * math.pi
+        with pytest.raises(DiagnosticError) as err:
+            decoherence_sweep(p, mhz * np.array([0.0, 0.5]), mhz * np.array([0.25]))
+        assert str(err.value) == (
+            f"density-matrix diagnostics failed at t = {t}, {name}: non-finite entries"
+        )
 
     @pytest.mark.parametrize("snapshot, t", [(0, "0"), (1, "1e-08")])
     @pytest.mark.parametrize("spoil, breach", [
