@@ -15,6 +15,7 @@ ignored: the sweep steps every grid point at once in one process.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -33,7 +34,6 @@ from .device import (
 from .dynamics import DiagnosticError
 from .hamiltonians import DISPERSIVE_THRESHOLD
 from .protocols import (
-    StepBudgetError,
     decoherence_sweep,
     dispersive_validity,
     epr_generation,
@@ -109,8 +109,7 @@ def cmd_device(cfg: RunConfig, out) -> int:
 
 
 def cmd_epr(cfg: RunConfig, out) -> int:
-    record_every = 1 if out else None
-    report = epr_generation(cfg.model, cfg.noise, record_every=record_every)
+    report = epr_generation(cfg.model, cfg.noise, trajectory=bool(out))
     gamma_mhz = cfg.noise.gamma / (2e6 * math.pi)
     gamma_phi_mhz = cfg.noise.gamma_phi / (2e6 * math.pi)
     print(f"entangling time t0      = {report.t0:.6e} s")
@@ -193,7 +192,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; each parse_args returns a new namespace."""
     parser = argparse.ArgumentParser(
         prog="dotbus",
         description="Dispersively coupled double-dot qubits on a resonator bus",
@@ -230,9 +231,6 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (DiagnosticError, np.linalg.LinAlgError) as exc:
         print(f"numerical diagnostics failed: {exc}", file=sys.stderr)
-        return EXIT_DIAGNOSTIC
-    except StepBudgetError as exc:
-        print(f"step budget exceeded: {exc}", file=sys.stderr)
         return EXIT_DIAGNOSTIC
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -4,8 +4,8 @@ Production never forms the 2^n (N+1)-dimensional qubit-cavity space.  The
 exact interaction conserves excitation number, so a run from one excited
 qubit in the vacuum stays on n + 1 states, and `sector_hamiltonian` builds
 that block from g_j and tau_j alone; no photon cutoff enters.  The
-two-qubit register uses the tensor order [qubit 1, qubit 2] with row-major
-Kronecker products, built by `algebra.embed`: qubit 1 is the slowest index,
+two-qubit register uses the tensor order [qubit 1, qubit 2] of the row-major
+Kronecker products that `algebra.embed` builds: qubit 1 is the slowest index,
 so it reads {|00>, |01>, |10>, |11>} with |q1 q2> at index 2 q1 + q2.  The
 dense full-space forms, in the same order with the cavity last, are the
 test references in `dotbus.reference`.
@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .algebra import HilbertSpace, SIGMA_MINUS, SIGMA_PLUS, embed
 
 # Smallest tau/g at which the dispersive (effective) model is run.
 DISPERSIVE_THRESHOLD = 5.0
@@ -79,15 +77,11 @@ class ModelParams:
 def h_reduced_two_qubit(lam: float) -> np.ndarray:
     """Vacuum-sector two-qubit Hamiltonian on the register {|00>, |01>, |10>, |11>}.
 
-    diag(0, lam, lam, 2 lam) plus a lam exchange coupling |10> <-> |01>.
+    diag(0, lam, lam, 2 lam) plus a lam exchange coupling |10> <-> |01>: lam
+    times sigma_1^+ sigma_1^- + sigma_2^+ sigma_2^- + sigma_1^+ sigma_2^- +
+    sigma_1^- sigma_2^+.
     """
-    space = HilbertSpace((2, 2))
-    return lam * (
-        embed(space, (0, SIGMA_PLUS), (0, SIGMA_MINUS))
-        + embed(space, (1, SIGMA_PLUS), (1, SIGMA_MINUS))
-        + embed(space, (0, SIGMA_PLUS), (1, SIGMA_MINUS))
-        + embed(space, (0, SIGMA_MINUS), (1, SIGMA_PLUS))
-    )
+    return lam * np.array([[0, 0, 0, 0], [0, 1, 1, 0], [0, 1, 1, 0], [0, 0, 0, 2]], dtype=complex)
 
 
 def analytic_u(lam: float, t: float) -> np.ndarray:

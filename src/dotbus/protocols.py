@@ -20,22 +20,12 @@ from .hamiltonians import (DISPERSIVE_THRESHOLD, ModelParams, analytic_u, h_redu
 
 TWO_QUBIT_SPACE = HilbertSpace((2, 2))
 _EPR_START = np.diag([0.0, 0.0, 1.0, 0.0])  # |10><10|, where pair generation starts
-MIN_EPR_STEPS = 256
-# RK4 steps one epr run or one whole sweep (steps x grid points) may model;
-# the default 21x21 sweep models 441 x 256 = 112,896.  `dynamics._rk4` applies
-# them as powers of each point's step matrix, so the work grows with the points
-# and the snapshots, not the steps; the budget still counts modelled steps and
-# stays at its value, so that no exit code moves.
-MAX_RK4_STEPS = 10_000_000
+MIN_EPR_STEPS = 256  # also the most snapshot intervals a recorded trajectory keeps
 FRAME_SAMPLES = 400  # intervals of [0, t0] at which _pair_run records mean levels
 # Largest frame phase tau x t0 = (pi/4)(tau/g)^2, in rad, for `validate`.  Its
 # roundoff grows like eps x tau x t0 and reaches the cavity check's margin
 # 8 (g/tau)^2 from 2.5e8 rad up (tools/precision_scan.py); below 1e7 it is within 1.1e-3 of it.
 MAX_FRAME_PHASE = 1e7
-
-
-class StepBudgetError(ValueError):
-    """The requested run would take more than MAX_RK4_STEPS RK4 steps."""
 
 
 def gate_time_t0(lam: float) -> float:
@@ -72,12 +62,15 @@ def _require_dispersive_pair(p: ModelParams) -> None:
     _require_dispersive(p)
 
 
-def _epr_grid(lam: float, noise: NoiseSpec, runs: int = 1) -> TimeGrid:
-    """Time grid of one EPR run; refuses if ``runs`` such runs exceed the step budget.
+def _epr_grid(lam: float, noise: NoiseSpec) -> TimeGrid:
+    """Time grid of one EPR run.
 
     40 steps per unit of noise action t0 x 2(gamma + gamma_phi), the pair's
     total rate, at least MIN_EPR_STEPS (the Hamiltonian's action t0 x 2 lam =
-    pi/2 asks for 20 pi).
+    pi/2 asks for 20 pi).  `dynamics._rk4` takes an interval of n steps as
+    log2(n) squarings, so the count bounds no work; `_check_snapshot` refuses
+    a run whose roundoff has grown past its tolerances.  Raises
+    DiagnosticError if the count overflows a float.
     """
     t0 = gate_time_t0(lam)
     rate = 2.0 * (noise.gamma + noise.gamma_phi)
@@ -85,46 +78,30 @@ def _epr_grid(lam: float, noise: NoiseSpec, runs: int = 1) -> TimeGrid:
     # where a small rate still asks for few steps.  Without noise, inf x 0 is NaN.
     try:
         steps = max(MIN_EPR_STEPS, math.ceil(40.0 * (t0 * rate) if rate else 0.0))
-    except OverflowError:  # the step count overflows a float
-        steps = math.inf
-    if steps * runs > MAX_RK4_STEPS:
-        raise StepBudgetError(
-            f"{runs} run(s) x {_count(steps)} steps = {_count(steps * runs)} RK4 steps exceed "
-            f"the budget of {MAX_RK4_STEPS}"
-        )
+    except OverflowError:
+        raise DiagnosticError(
+            f"the RK4 step count 40 t0 x 2(gamma + gamma_phi) = 40 x {t0:.3g} s x "
+            f"{rate:.3g} rad/s overflows a float"
+        ) from None
     return TimeGrid(t0, steps)
 
 
-def _count(n: int | float) -> str:
-    """A step count, exact below 2^53 and to 6 digits from there, where it is float noise.
-
-    A count from 2^53 up is the ceiling of a float, whose digits past the 17th
-    say nothing; ``inf`` stays ``inf``.
-    """
-    if n < 2**53:
-        return str(n)
-    try:
-        return f"{n:.6g}"
-    except OverflowError:  # an int past the float range: scale it by its power of ten
-        exponent = len(str(n)) - 1
-        mantissa, carry = f"{n / 10**exponent:.5e}".split("e")  # int / int rounds correctly
-        return f"{float(mantissa):g}e+{exponent + int(carry)}"
-
-
-def epr_generation(p: ModelParams, noise: NoiseSpec, record_every: int | None = None) -> EprReport:
+def epr_generation(p: ModelParams, noise: NoiseSpec, trajectory: bool = False) -> EprReport:
     """Evolve |10> under the vacuum-sector Hamiltonian with noise for t0.
 
     Reports fidelity against the entangled target, the error probability
     D = 1 - fidelity, and the concurrence of the final state
-    (`_x_state_concurrence`).  Refuses a model below its dispersive
-    threshold, where that Hamiltonian does not hold.
+    (`_x_state_concurrence`).  The result keeps the states at 0 and t0, or
+    with ``trajectory`` at every ceil(steps / MIN_EPR_STEPS)-th step and the
+    last: every step of a MIN_EPR_STEPS run, at most MIN_EPR_STEPS + 1
+    snapshots of any.  Refuses a model below its dispersive threshold, where
+    that Hamiltonian does not hold.
     """
     _require_dispersive_pair(p)
     lam = p.lam
     h20 = h_reduced_two_qubit(lam)
     grid = _epr_grid(lam, noise)
-    if record_every is None:
-        record_every = grid.steps
+    record_every = -(-grid.steps // MIN_EPR_STEPS) if trajectory else grid.steps
     rho0 = DensityMatrix(TWO_QUBIT_SPACE, _EPR_START)
     result = integrate_lindblad(h20, rho0, noise, grid, record_every=record_every)
     rho_final = DensityMatrix(TWO_QUBIT_SPACE, result.final)
@@ -322,7 +299,7 @@ def _sweep_errors(p: ModelParams, gammas: np.ndarray, gamma_phis: np.ndarray) ->
     that fails.
     """
     worst = NoiseSpec(np.max(gammas), np.max(gamma_phis))
-    grid = _epr_grid(p.lam, worst, runs=gammas.size)
+    grid = _epr_grid(p.lam, worst)
     h20 = h_reduced_two_qubit(p.lam)
     rows = np.stack([np.ones_like(gammas), gammas, gamma_phis], axis=1)  # NoiseSpec.rates
 

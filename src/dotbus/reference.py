@@ -245,13 +245,21 @@ def epr_error_closed_form(lam, gamma, gamma_phi):
 
         D = 1 - e^{-gamma t0/4} [1 + 2 lam t0 sinc(omega t0/pi) e^{-gamma_phi t0}] / 2,
 
-    where 2 lam t0 = pi/2 and omega t0/pi = sqrt(1 - (gamma_phi/2 lam)^2)/2,
-    finite through omega = 0.  Rates broadcast as numpy arrays.
+    where 2 lam t0 = pi/2 and omega t0/pi = sqrt(1 - s^2)/2 with s =
+    gamma_phi/(2 lam), finite through omega = 0.  Past it the sinc is
+    sinh(pi u/2)/(pi u/2) with u = sqrt(s^2 - 1), and its growth is folded
+    into the decay, e^{(pi/2)(u - s)} (1 - e^{-pi u})/(pi u), so that no
+    factor overflows however large gamma_phi t0 = pi s/2 is.  Rates broadcast
+    as numpy arrays.
     """
     t0 = np.pi / (4.0 * lam)
     gamma, gamma_phi = np.asarray(gamma, dtype=float), np.asarray(gamma_phi, dtype=float)
-    arg = np.sqrt((1.0 - (gamma_phi / (2.0 * lam)) ** 2).astype(complex)) / 2.0
-    oscillation = np.pi / 2.0 * np.sinc(arg).real * np.exp(-gamma_phi * t0)
+    s = gamma_phi / (2.0 * lam)
+    root = np.sqrt(np.abs(1.0 - s)) * np.sqrt(1.0 + s)  # sqrt|1 - s^2|, with no s^2 to overflow
+    damped = np.sinc(root / 2.0) * np.exp(-gamma_phi * t0)
+    u = np.where(s > 1.0, root, 1.0)  # the overdamped branch, kept off u = 0
+    overdamped = np.exp(-np.pi / 2.0 / (u + s)) * -np.expm1(-np.pi * u) / (np.pi * u)
+    oscillation = np.pi / 2.0 * np.where(s > 1.0, overdamped, damped)
     return 1.0 - np.exp(-gamma * t0 / 4.0) * (1.0 + oscillation) / 2.0
 
 

@@ -163,6 +163,18 @@ class TestReducedTwoQubit:
         assert h[1, 2] == pytest.approx(lam)
         assert np.allclose(np.diag(h).real, [0.0, lam, lam, 2 * lam])
 
+    @pytest.mark.parametrize("lam", [1e-308, 0.37, 6.2e7, 1.26e153])
+    def test_is_the_operator_sum_bit_for_bit(self, lam):
+        # lam (s1+ s1- + s2+ s2- + s1+ s2- + s1- s2+), built from Kronecker products.
+        space = HilbertSpace((2, 2))
+        sums = lam * (embed(space, (0, SIGMA_PLUS), (0, SIGMA_MINUS))
+                      + embed(space, (1, SIGMA_PLUS), (1, SIGMA_MINUS))
+                      + embed(space, (0, SIGMA_PLUS), (1, SIGMA_MINUS))
+                      + embed(space, (0, SIGMA_MINUS), (1, SIGMA_PLUS)))
+        h = h_reduced_two_qubit(lam)
+        assert h.dtype == sums.dtype
+        assert h.view(np.uint64).tolist() == sums.view(np.uint64).tolist()  # sign bits too
+
 
 class TestAnalyticU:
     def test_identity_at_zero_time(self):

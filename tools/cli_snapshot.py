@@ -52,6 +52,8 @@ FAILURES = {
     "fail-lambda-underflow": {"model": {"coupling_g": "1e-300 Hz"}},
     "fail-tlr-underflow": {"device": {"tlr": {"length": 1e-320}}},
     "fail-not-dispersive": {"model": {"tau_over_g": 2}},
+    # The RK4 step count 40 t0 x rate overflows a float, so `epr` and `sweep`
+    # exit 3 before any step.  The key stays so snapshot directory names stay put.
     "fail-step-budget": {"model": {"coupling_g": "1 Hz", "tau_over_g": 1e301}},
     # No known config makes the eigensolver fail; this one overflows the frame
     # phase like the next.  The key stays so snapshot directory names stay put.
@@ -86,6 +88,13 @@ EDGE_CASES = {
                                  "sweep": {"gamma_points": 2, "gamma_phi_points": 2,
                                            "gamma_max_over_2pi": 1.59154943091893e-310,
                                            "gamma_phi_max_over_2pi": 3.1830988618379e-310}},
+    # 13,407,469 RK4 steps at the default noise: `epr` runs, and its `--out`
+    # keeps 257 snapshots.  The sweep steps every point at its noisiest
+    # point's 38,307,053, and its noiseless corner fails the snapshot trace
+    # check, which names that point.
+    "edge-past-old-budget": {"model": {"tau_over_g": 3e7}},
+    # 441 sweep points x 127,691 RK4 steps: the sweep runs.
+    "edge-sweep-past-old-budget": {"model": {"tau_over_g": 1e5}},
 }
 
 
