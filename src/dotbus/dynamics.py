@@ -5,16 +5,21 @@ One engine, `_evolve`, runs every master-equation integration, on the parts
 gamma_phi]: `integrate_lindblad` is its one-point call at `NoiseSpec.rates`,
 and `protocols.decoherence_sweep` steps one rate row per grid point.  It
 steps only the entries of row-major vec(rho) that the parts reach from rho0
-(`_support`) with `_rk4`, the fixed-step RK4 stepper.  Its generators are
-constant, so every RK4 step applies one matrix S, and `_rk4` advances each
-snapshot interval of n steps with S^n.  `_rk4_step` holds the stage formula
-that forms S, which the reference Schroedinger integrator takes once per step.
-`_evolve` takes the snapshots in blocks of up to CHECK_POINTS matrices, scatters
-each block into one array and checks it before it steps on.  Nothing is
-renormalized: `_check_snapshot` measures trace, Hermiticity and the smallest
-eigenvalue and stops a run at the first snapshot out of tolerance, within the
-block that holds it, before it steps into overflow.  `build_liouvillian` forms
-the dissipator parts once per qubit count (`_dissipators`).
+(`_support`), and steps them in real coordinates (`_real_coordinates`): a
+diagonal entry as it is, each pair rho_ij, rho_ji as (Re rho_ij, Im rho_ij).
+Every generator that keeps rho Hermitian is real there, and one that does
+not is refused before any step.  `_rk4` is the fixed-step RK4 stepper.  Its
+generators are constant, so every RK4 step applies one matrix S, and `_rk4`
+advances each snapshot interval of n steps with S^n, a ladder of up to
+LADDER intervals with one stacked product.  `_rk4_step` holds the stage
+formula that forms S, which the reference Schroedinger integrator takes once
+per step.  `_evolve` takes the snapshots in blocks of up to CHECK_POINTS
+matrices, scatters each block back to Hermitian matrices (`_scatter`) and
+checks it before it steps on.  Nothing is renormalized: `_check_snapshot`
+measures trace, Hermiticity and the smallest eigenvalue and stops a run at
+the first snapshot out of tolerance, within the block that holds it, before
+it steps into overflow.  `build_liouvillian` forms the dissipator parts once
+per qubit count (`_dissipators`).
 """
 
 from __future__ import annotations
@@ -36,6 +41,10 @@ STABILITY_LIMIT = 0.1        # max allowed dt * ||generator||
 # memory.  `_evolve` fills a block of snapshots with this many matrices: 64
 # snapshots of one run, one snapshot of a stack of 64 points or more.
 CHECK_POINTS = 64
+# Snapshots that `_rk4` advances with one stacked product, times the points of
+# a stack: 64 for one run, one for a stack of 64 points or more.  It bounds the
+# step-matrix powers a ladder holds, and does not move with CHECK_POINTS.
+LADDER = 64
 
 
 class DiagnosticError(RuntimeError):
@@ -142,31 +151,43 @@ def _rk4(
 
     Yields the initial state, then the state after every ``record_every``-th
     step and after the last, at t = steps x dt (`_snapshot_steps`, which also
-    holds the stability guard); each interval runs only when the caller asks
-    for the next snapshot.  Every RK4 step applies the same matrix S (`_rk4_step`),
-    so an interval of n steps is one product with S^n, raised by repeated
-    squaring, ``CHECK_POINTS`` generators at a time to bound the temporaries.
-    A stack of generators, shape (points, n, n), steps a stack of states,
-    shape (points, n, 1), at once.
+    holds the stability guard).  Every RK4 step applies the same matrix S
+    (`_rk4_step`), so an interval of n steps is one product with S^n, raised by
+    repeated squaring, ``CHECK_POINTS`` generators at a time to bound the
+    temporaries.  The full intervals go a ladder at a time: once per run, the
+    powers [S^n, S^2n, ..., S^Kn] are formed by doubling, and one stacked
+    product by them takes the next K snapshots, which are then yielded one by
+    one; a ladder runs only when the caller asks for its first snapshot.  K is
+    LADDER over the number of generators, at least 1 and at most the number
+    of full intervals.  A stack of generators, shape (points, n, n), steps a
+    stack of states, shape (points, n, 1), at once.  Real and complex
+    generators alike.
     """
-    snapshots = _snapshot_steps(grid, scale, record_every)
-    done = next(snapshots)
+    marks, dt = _snapshot_steps(grid, scale, record_every), grid.dt
+    next(marks)
     yield 0.0, y
-    # Interval lengths: the full ones, and a shorter last one if steps leave a remainder.
-    lengths = {min(record_every, grid.steps), grid.steps % record_every} - {0}
+    # Full intervals, and a shorter last one if steps leave a remainder.
+    full, rest = divmod(grid.steps, record_every)
     stack = generator.reshape((-1,) + generator.shape[-2:])
-    powers = {n: np.empty_like(stack) for n in lengths}
+    powers = {n: np.empty_like(stack) for n in {min(record_every, grid.steps), rest} - {0}}
     eye = np.eye(stack.shape[-1])
     for lo in range(0, len(stack), CHECK_POINTS):
-        a = grid.dt * stack[lo:lo + CHECK_POINTS]
+        a = dt * stack[lo:lo + CHECK_POINTS]
         step = _rk4_step(a, a, a, eye)
         for n, power in powers.items():
             power[lo:lo + CHECK_POINTS] = np.linalg.matrix_power(step, n)
     powers = {n: power.reshape(generator.shape) for n, power in powers.items()}
-    for mark in snapshots:
-        y = powers[mark - done] @ y
-        done = mark
-        yield mark * grid.dt, y
+    if full:
+        rungs = max(1, min(full, LADDER // len(stack)))
+        ladder = powers[record_every][None]
+        while len(ladder) < rungs:  # doubling: [S^n .. S^Ln] then S^Ln [S^n .. S^Ln]
+            ladder = np.concatenate([ladder, ladder[-1] @ ladder[:rungs - len(ladder)]])
+        for done in range(0, full, rungs):
+            for y in ladder[:full - done] @ y:
+                yield next(marks) * dt, y
+    if rest:
+        y = powers[rest] @ y
+        yield next(marks) * dt, y
 
 
 @functools.cache
@@ -259,33 +280,96 @@ def _support(parts: np.ndarray, rho0: np.ndarray) -> np.ndarray:
     return np.flatnonzero(reach @ (rho0.reshape(-1) != 0))
 
 
+def _transposes(support: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where in ``support`` each entry's transpose sits, and which entries lie above and below the diagonal.
+
+    rho_ij above the diagonal (i < j) carries the real coordinate Re rho_ij,
+    its transpose rho_ji the imaginary one, Im rho_ij; a diagonal entry is
+    its own transpose.  A support without some entry's transpose raises
+    DiagnosticError: the generator that reached it does not keep rho Hermitian.
+    """
+    i, j = np.divmod(support, d)
+    partner = np.searchsorted(support, j * d + i).clip(max=support.size - 1)
+    lone = np.flatnonzero(support[partner] != j * d + i)
+    if lone.size:
+        k = lone[0]
+        raise DiagnosticError("the generator does not keep rho Hermitian: it reaches "
+                              f"rho[{i[k]}, {j[k]}] but not rho[{j[k]}, {i[k]}]")
+    return partner, i < j, i > j
+
+
+def _real_coordinates(parts: np.ndarray,
+                      rho0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(`_support`, the parts T part T^-1 on its real coordinates, rho0's coordinates).
+
+    x = T y maps the support entries y of vec(rho) to real coordinates x: a
+    diagonal rho_ii stays, and the pair rho_ij, rho_ji with i < j becomes
+    (Re rho_ij, Im rho_ij).  T part T^-1 is real exactly when the rows of
+    M = part T^-1 come in conjugate pairs, M[partner] = conj(M), as they do
+    for parts that keep every Hermitian rho Hermitian; its rows are then
+    Re M for a diagonal or upper entry and -Im M for a lower one, formed with
+    no product by T.  Parts that do not (a non-Hermitian H) are refused with
+    DiagnosticError naming the largest imaginary entry of T part T^-1, so
+    nothing imaginary is dropped.  rho0 enters as its Hermitian part, which
+    is rho0 itself for a Hermitian rho0.
+    """
+    d = rho0.shape[-1]
+    rho0 = 0.5 * (rho0 + rho0.conj().T)
+    support = _support(parts, rho0)
+    partner, upper, lower = _transposes(support, d)
+    g = parts[:, support[:, None], support]
+    g_t = g[..., partner]  # each column's transpose
+    m = np.where(upper, g + g_t, np.where(lower, 1j * (g_t - g), g))  # part T^-1
+    defect = np.max(abs(m[:, partner] - m.conj()), initial=0.0) / 2  # max |Im(T part T^-1)|
+    if not defect == 0.0:  # NaN too
+        raise DiagnosticError("the generator does not keep rho Hermitian: its real-coordinate "
+                              f"form has imaginary entries up to {defect:.3g}")
+    start = rho0.reshape(-1)[support]
+    return (support, np.where(lower[:, None], -m.imag, m.real),
+            np.where(lower, start[partner].imag, start.real))
+
+
+def _scatter(x: np.ndarray, support: np.ndarray, d: int) -> np.ndarray:
+    """The d x d matrices, row-major and flat, of the real coordinates ``x`` (last axis) on ``support``.
+
+    rho_ij = x_re + i x_im and rho_ji = x_re - i x_im exactly, so every matrix
+    is Hermitian; entries off the support are 0.
+    """
+    partner, upper, lower = _transposes(support, d)
+    rho = np.zeros(x.shape[:-1] + (d * d,), dtype=complex)
+    rho.real[..., support] = x[..., np.where(lower, partner, np.arange(support.size))]
+    rho.imag[..., support[upper]] = x[..., partner[upper]]
+    rho.imag[..., support[lower]] = -x[..., lower]
+    return rho
+
+
 def _evolve(parts: np.ndarray, rates: np.ndarray, rho0: np.ndarray, grid: TimeGrid, scale: float,
             record_every: int, point: Callable[[int], str] | None = None) -> Iterator[tuple]:
     """RK4 run of the generator sum_c rates[..., c] parts[c] on row-major vec(rho), from ``rho0``.
 
     Rates of shape (C,) give one run; rates of shape (points, C) one run per
     row, stepped at once, ``point(k)`` naming the k-th.  Only the `_support`
-    entries are stepped.  The snapshots come in blocks of m, as many as fill
-    CHECK_POINTS matrices and at least one: 64 for one run, one for a stack
-    of 64 points or more.  Each block is checked CHECK_POINTS matrices at a
-    time, in time order, and yielded once it passes as (times, shape (m,);
+    entries are stepped, in the real coordinates of `_real_coordinates`, which
+    refuses a generator that does not keep rho Hermitian.  The snapshots come
+    in blocks of m, as many as fill CHECK_POINTS matrices and at least one: 64
+    for one run, one for a stack of 64 points or more.  Each block is
+    scattered back (`_scatter`) and checked CHECK_POINTS matrices at a time,
+    in time order, and yielded once it passes as (times, shape (m,);
     snapshots, shape (m,) + points + (d, d); diagnostics, shape (m,) + points
     + (3,), the `_check_snapshot` values).  A breach stops the run within the
     block that holds it.
     """
     d, points = rho0.shape[-1], rates.shape[:-1]
-    support = _support(parts, rho0)
-    on_support = parts[:, support[:, None], support].reshape(len(parts), -1)
-    generators = (rates @ on_support).reshape(points + (support.size,) * 2)
-    start = np.broadcast_to(rho0.reshape(-1)[support, None], points + (support.size, 1))
+    support, real_parts, x0 = _real_coordinates(parts, rho0)
+    s = support.size
+    generators = (rates @ real_parts.reshape(len(parts), -1)).reshape(points + (s, s))
+    start = np.broadcast_to(x0[:, None], points + (s, 1))
     size = math.prod(points)
-    flat = (np.arange(0, size * d * d, d * d)[:, None] + support).ravel()  # where y's entries go
     snapshots = _rk4(generators, start, grid, scale, record_every)
     while block := list(itertools.islice(snapshots, max(1, CHECK_POINTS // size))):
         times = np.array([t for t, _ in block])
-        rho = np.zeros((len(block), size * d * d), dtype=complex)  # off the support stays 0
-        rho[:, flat] = np.reshape([y for _, y in block], (len(block), -1))
-        rho = rho.reshape((len(block),) + points + (d, d))
+        x = np.reshape([y for _, y in block], (len(block),) + points + (s,))
+        rho = _scatter(x, support, d).reshape((len(block),) + points + (d, d))
         # Time-major, so the first breach in a check is the earliest snapshot's.
         matrices, matrix_times = rho.reshape(-1, d, d), np.repeat(times, size)
         checks = []
@@ -301,9 +385,10 @@ def integrate_lindblad(h_eff: np.ndarray, rho0: DensityMatrix, noise: NoiseSpec,
                        record_every: int = 1) -> SimResult:
     """RK4 integration of the master equation of the qubits of ``h_eff``, each with ``noise``.
 
-    One `_evolve` run of the `build_liouvillian` parts at ``noise.rates``.  The
-    first snapshot that `DensityMatrix` would refuse stops the run with
-    DiagnosticError (`_check_snapshot`).
+    One `_evolve` run of the `build_liouvillian` parts at ``noise.rates``.  A
+    non-Hermitian ``h_eff`` is refused with DiagnosticError before any step
+    (`_real_coordinates`), and the first snapshot that `DensityMatrix` would
+    refuse stops the run with DiagnosticError (`_check_snapshot`).
     """
     parts = build_liouvillian(h_eff)  # refuses an h_eff that is not 2^n x 2^n
     n_qubits = len(h_eff).bit_length() - 1

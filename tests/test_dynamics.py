@@ -19,7 +19,9 @@ from dotbus.dynamics import (
     TimeGrid,
     _check_snapshot,
     _evolve,
+    _real_coordinates,
     _rk4,
+    _scatter,
     _support,
     build_liouvillian,
     integrate_lindblad,
@@ -215,7 +217,10 @@ class TestLiouvillianProperties:
         # d tr(rho)/dt = vec(1) . L vec(rho) vanishes for every rho.
         _, liou = self.draw_generator(data)
         defect = np.max(np.abs(np.eye(4).reshape(-1) @ liou))
-        assert defect <= 1e-12 * np.linalg.norm(liou)
+        # Relative to the norm, with a floor of 4 ulps of the largest entry: at
+        # a subnormal rate the norm's bound underflows to 0 while forming
+        # gamma/4 in subnormal arithmetic leaves a defect of one subnormal ulp.
+        assert defect <= max(1e-12 * np.linalg.norm(liou), 4 * np.spacing(np.abs(liou).max()))
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -350,32 +355,34 @@ class TestIntegrateLindblad:
             integrate_lindblad(h, pure_rho(1), NoiseSpec(), TimeGrid(2.0, 200))
 
     def test_run_stops_at_the_first_unhealthy_snapshot(self):
-        # Stepping on past the breach would overflow long before t = 1000.
-        h = np.diag([0, 0, 0.9j, 0])
+        # A negative dephasing rate keeps rho Hermitian, so the engine steps
+        # it, but grows the |01><10| coherence as exp(1.8 t) past the
+        # populations: an eigenvalue goes negative at the first step, and
+        # stepping on past the breach would overflow long before t = 1000.
+        parts = build_liouvillian(np.zeros((4, 4)))
         psi = PureState(TWO_QUBITS, np.array([0, 1, 1, 0]) / math.sqrt(2))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(DiagnosticError, match=r"at t = 0\.01: "):
-                integrate_lindblad(h, psi.density_matrix(), NoiseSpec(),
-                                   TimeGrid(1000, 100000))
+                list(_evolve(parts, np.array([1.0, 0.0, -0.9]), psi.density_matrix().matrix,
+                             TimeGrid(1000, 100000), 3.6, 1))
 
 
 def per_snapshot_run(h, rho0, noise, grid, record_every):
     """The one-point run before blocks: each snapshot scattered into its own array, checked alone.
 
+    It steps the same real coordinates as `_evolve`, with the same ladder.
+
     Returns (times, states, diagnostics) as lists, or the DiagnosticError message.
     """
-    parts = build_liouvillian(h)
-    support = _support(parts, rho0)
+    support, parts, x0 = _real_coordinates(build_liouvillian(h), rho0)
     s, d = support.size, len(rho0)
-    generator = (noise.rates @ parts[:, support[:, None], support].reshape(3, -1)).reshape(s, s)
+    generator = (noise.rates @ parts.reshape(3, -1)).reshape(s, s)
     scale = np.linalg.norm(h, 2) + 2 * (noise.gamma + noise.gamma_phi)
     times, states, rows = [], [], []
     try:
-        for t, y in _rk4(generator, rho0.reshape(-1)[support, None], grid, scale, record_every):
-            rho = np.zeros(d * d, dtype=complex)
-            rho[support] = y.ravel()
-            rho = rho.reshape(d, d)
+        for t, x in _rk4(generator, x0[:, None], grid, scale, record_every):
+            rho = _scatter(x.ravel(), support, d).reshape(d, d)
             rows.append(_check_snapshot(rho, t))
             times.append(t)
             states.append(rho)
@@ -480,6 +487,64 @@ class TestStepMatrixStepper:
             # Each side rounds O(n eps ||y||) per step; 3,000 draws reached 0.54 steps n eps ||y||.
             norm = max(np.max(np.abs(y0)), np.max(np.abs(y_old)))
             assert np.max(np.abs(y_new - y_old)) <= 2 * steps * n * np.finfo(float).eps * norm
+
+
+class TestRealCoordinates:
+    """`_evolve` steps Re and Im of the support entries; the complex per-stage run is its oracle."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_the_complex_per_stage_run(self, data):
+        rng, h, noise = random_model(data)
+        rank = data.draw(st.integers(1, 4))
+        a = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+        rho0 = a @ a.conj().T / np.trace(a @ a.conj().T).real
+        rho0 = 0.5 * (rho0 + rho0.conj().T)  # exactly Hermitian, as the engine reads it
+        parts = build_liouvillian(h)
+        support = _support(parts, rho0)
+        i, j = np.divmod(support, 4)
+        assert np.array_equal(np.sort(4 * j + i), support)  # closed under (i, j) -> (j, i)
+        t = data.draw(st.floats(0.05, 1.0))
+        scale = np.linalg.norm(h, 2) + 2 * (noise.gamma + noise.gamma_phi)
+        steps = math.ceil(t * scale / 0.05) + data.draw(st.integers(1, 60))
+        record_every = data.draw(st.integers(1, steps))
+        grid = TimeGrid(t, steps)
+        try:
+            result = integrate_lindblad(h, DensityMatrix(TWO_QUBITS, rho0), noise, grid,
+                                        record_every)
+            with mock.patch.object(dynamics, "LADDER", 1):
+                rungless = integrate_lindblad(h, DensityMatrix(TWO_QUBITS, rho0), noise, grid,
+                                              record_every)
+        except DiagnosticError:  # an eigenvalue of a rank-deficient rho0 dips below EIG_FLOOR
+            return
+        assert np.all(result.diagnostics["herm_dev"] == 0.0)
+        s = support.size
+        generator = (noise.rates @ parts[:, support[:, None], support].reshape(3, -1)).reshape(s, s)
+        old = list(per_stage_rk4(generator, rho0.reshape(-1)[support, None], grid, record_every))
+        assert result.times.tolist() == [t for t, _ in old]
+        states = result.states.reshape(len(old), 16)
+        y_old = np.array([y.ravel() for _, y in old])
+        assert np.all(np.delete(states, support, axis=1) == 0.0)
+        # TestStepMatrixStepper's bound: each side rounds O(n eps ||y||) per step.
+        norm = max(np.max(np.abs(rho0)), np.max(np.abs(y_old)))
+        bound = 2 * steps * s * np.finfo(float).eps * norm
+        assert np.max(np.abs(states[:, support] - y_old)) <= bound
+        assert np.max(np.abs(result.states - rungless.states)) <= bound
+
+    @pytest.mark.parametrize("h, rho0, breach", [
+        # rho[1, 1] feeds rho[0, 1] through H[0, 1]; nothing feeds rho[1, 0], as H[1, 0] = 0
+        (np.triu(np.ones((4, 4))), pure_rho(1), "it reaches rho[0, 1] but not rho[1, 0]"),
+        # d rho_{01,10}/dt = -0.9 rho_{01,10} but d rho_{10,01}/dt = +0.9 rho_{10,01}
+        (np.diag([0, 0, 0.9j, 0]), PureState(TWO_QUBITS, np.array([0, 1, 1, 0]) / math.sqrt(2))
+         .density_matrix(), "its real-coordinate form has imaginary entries up to 0.9"),
+    ])
+    def test_a_generator_that_does_not_keep_rho_hermitian_is_refused_before_any_step(
+            self, h, rho0, breach):
+        with mock.patch.object(dynamics, "_rk4") as rk4:
+            with pytest.raises(DiagnosticError) as err:
+                integrate_lindblad(h, rho0, NoiseSpec(), TimeGrid(2.0, 200))
+        assert str(err.value) == f"the generator does not keep rho Hermitian: {breach}"
+        rk4.assert_not_called()
 
 
 class TestFourthOrderScaling:

@@ -622,8 +622,10 @@ class TestBatchedSweep:
         y[4] += 1e-6
 
     @staticmethod
-    def spoil_hermiticity(y):
-        y[2] += 1e-6  # rho_{01,10} without its conjugate rho_{10,01}
+    def spoil_hermiticity(rho):
+        # rho_{01,10} without its conjugate rho_{10,01}, on a scattered flat
+        # matrix: the stepped vector holds Re and Im of the pair and cannot.
+        rho[6] += 1e-6
 
     @staticmethod
     def spoil_positivity(y):
@@ -677,7 +679,7 @@ class TestBatchedSweep:
     ])
     def test_bad_snapshot_names_the_first_failing_grid_point(
             self, monkeypatch, snapshot, t, spoil, breach, gamma_points, spoiled, name):
-        rk4 = dynamics._rk4
+        rk4, scatter, scattered = dynamics._rk4, dynamics._scatter, []
 
         def spoiled_rk4(*args):
             for n, (time, y) in enumerate(rk4(*args)):
@@ -687,7 +689,19 @@ class TestBatchedSweep:
                         getattr(self, spoil)(y[k, :, 0])
                 yield time, y
 
-        monkeypatch.setattr(dynamics, "_rk4", spoiled_rk4)
+        def spoiled_scatter(*args):
+            rho = scatter(*args)  # shape (snapshots of the block, points, 16)
+            for n, block_rho in enumerate(rho, len(scattered)):
+                if n == snapshot:
+                    for k in spoiled:
+                        self.spoil_hermiticity(block_rho[k])
+            scattered.extend(rho)
+            return rho
+
+        if spoil == "spoil_hermiticity":
+            monkeypatch.setattr(dynamics, "_scatter", spoiled_scatter)
+        else:
+            monkeypatch.setattr(dynamics, "_rk4", spoiled_rk4)
         p = ModelParams.uniform(2, 2 * math.pi * 100e6, 2 * math.pi * 800e6)  # t0 = 10 ns
         mhz = 2e6 * math.pi
         with pytest.raises(DiagnosticError) as err:

@@ -14,7 +14,11 @@ stdout, stderr, the exit code and every file the run wrote (`out`,
 masked as `<OUT>`.  For `{}` and the `bus-check`
 inputs it also stores, under OUTDIR/<config>/selective/, the `repr` of every
 float that `protocols.selective_coupling_check` reports for n = 3..7: the
-benchmark times that library protocol, and no command runs it.  dotbus is
+benchmark times that library protocol, and no command runs it.  For every
+config it stores, under OUTDIR/<config>/exact-sweep/ and exact-epr/, the
+sweep's D and the EPR run's fidelity, D and concurrence (without and with the
+`--out` trajectory) as CSV at full float precision, which the commands print
+to 10 digits; `tools/csv_delta.py` reads their changes.  dotbus is
 imported from SRC (default: `src/` of this checkout), so one checkout can
 snapshot another:
 
@@ -124,6 +128,30 @@ for n in range(3, 8):
 """
 
 
+# Run as `python -c EXACT CONFIG COMMAND` against the dotbus under test: the
+# library results behind `sweep` and `epr`, every float as its repr.
+EXACT = """
+import json, sys
+from dotbus.config import config_from_dict
+from dotbus.protocols import decoherence_sweep, epr_generation
+try:
+    cfg = config_from_dict(json.loads(sys.argv[1]))
+    if sys.argv[2] == "sweep":
+        sweep = decoherence_sweep(cfg.model, cfg.sweep_gamma_axis, cfg.sweep_gamma_phi_axis)
+        print("gamma,gamma_phi,error_D")
+        for gamma, errors in zip(sweep.gamma_axis.tolist(), sweep.error_grid.tolist()):
+            for gamma_phi, error in zip(sweep.gamma_phi_axis.tolist(), errors):
+                print(f"{gamma!r},{gamma_phi!r},{error!r}")
+    else:
+        print("trajectory,fidelity,error_D,concurrence")
+        for trajectory in (0, 1):
+            r = epr_generation(cfg.model, cfg.noise, trajectory=bool(trajectory))
+            print(f"{trajectory},{r.fidelity!r},{r.error_d!r},{r.concurrence!r}")
+except Exception as exc:
+    sys.exit(f"{type(exc).__name__}: {exc}")
+"""
+
+
 def record(dest: Path, argv: list[str], env: dict, out: Path | None = None) -> None:
     """Run ``argv`` and store its stdout, stderr and exit code under ``dest``."""
     dest.mkdir(parents=True)
@@ -150,6 +178,10 @@ def snapshot(src: Path, outdir: Path) -> None:
                 for written in Path(work).iterdir():
                     if written != cfg:
                         (dest / written.name).write_bytes(written.read_bytes())
+        raw = config if isinstance(config, str) else json.dumps(config)
+        for command in ("sweep", "epr"):
+            record(outdir / name / f"exact-{command}",
+                   [sys.executable, "-c", EXACT, raw, command], env)
         if name == "default" or name.startswith("bus-check"):
             record(outdir / name / "selective",
                    [sys.executable, "-c", SELECTIVE, json.dumps(config)], env)
