@@ -8,18 +8,17 @@ steps only the entries of row-major vec(rho) that the parts reach from rho0
 (`_support`), and steps them in real coordinates (`_real_coordinates`): a
 diagonal entry as it is, each pair rho_ij, rho_ji as (Re rho_ij, Im rho_ij).
 Every generator that keeps rho Hermitian is real there, and one that does
-not is refused before any step.  `_rk4` is the fixed-step RK4 stepper.  Its
-generators are constant, so every RK4 step applies one matrix S, and `_rk4`
-advances each snapshot interval of n steps with S^n, a ladder of up to
-LADDER intervals with one stacked product.  `_rk4_step` holds the stage
-formula that forms S, which the reference Schroedinger integrator takes once
-per step.  `_evolve` takes the snapshots in blocks of up to CHECK_POINTS
-matrices, scatters each block back to Hermitian matrices (`_scatter`) and
-checks it before it steps on.  Nothing is renormalized: `_check_snapshot`
-measures trace, Hermiticity and the smallest eigenvalue and stops a run at
-the first snapshot out of tolerance, within the block that holds it, before
-it steps into overflow.  `build_liouvillian` forms the dissipator parts once
-per qubit count (`_dissipators`).
+not, beyond roundoff, is refused before any step.  `_rk4` is the fixed-step
+RK4 stepper.  Its generators are constant, so every RK4 step applies one
+matrix S, and `_rk4` advances each snapshot interval of n steps with S^n.
+`_rk4_step` holds the stage formula that forms S, which the reference
+Schroedinger integrator takes once per step.  `_evolve` takes the snapshots
+in blocks of up to CHECK_POINTS matrices, scatters each block back to
+Hermitian matrices (`_scatter`) and checks it before it steps on.  Nothing is
+renormalized: `_check_snapshot` measures trace, Hermiticity and the smallest
+eigenvalue and stops a run at the first snapshot out of tolerance, within the
+block that holds it, before it steps into overflow.  `build_liouvillian` forms
+the dissipator parts once per qubit count (`_dissipators`).
 """
 
 from __future__ import annotations
@@ -41,10 +40,6 @@ STABILITY_LIMIT = 0.1        # max allowed dt * ||generator||
 # memory.  `_evolve` fills a block of snapshots with this many matrices: 64
 # snapshots of one run, one snapshot of a stack of 64 points or more.
 CHECK_POINTS = 64
-# Snapshots that `_rk4` advances with one stacked product, times the points of
-# a stack: 64 for one run, one for a stack of 64 points or more.  It bounds the
-# step-matrix powers a ladder holds, and does not move with CHECK_POINTS.
-LADDER = 64
 
 
 class DiagnosticError(RuntimeError):
@@ -151,43 +146,31 @@ def _rk4(
 
     Yields the initial state, then the state after every ``record_every``-th
     step and after the last, at t = steps x dt (`_snapshot_steps`, which also
-    holds the stability guard).  Every RK4 step applies the same matrix S
-    (`_rk4_step`), so an interval of n steps is one product with S^n, raised by
-    repeated squaring, ``CHECK_POINTS`` generators at a time to bound the
-    temporaries.  The full intervals go a ladder at a time: once per run, the
-    powers [S^n, S^2n, ..., S^Kn] are formed by doubling, and one stacked
-    product by them takes the next K snapshots, which are then yielded one by
-    one; a ladder runs only when the caller asks for its first snapshot.  K is
-    LADDER over the number of generators, at least 1 and at most the number
-    of full intervals.  A stack of generators, shape (points, n, n), steps a
-    stack of states, shape (points, n, 1), at once.  Real and complex
-    generators alike.
+    holds the stability guard); each interval runs only when the caller asks
+    for the next snapshot.  Every RK4 step applies the same matrix S (`_rk4_step`),
+    so an interval of n steps is one product with S^n, raised by repeated
+    squaring, ``CHECK_POINTS`` generators at a time to bound the temporaries.
+    A stack of generators, shape (points, n, n), steps a stack of states,
+    shape (points, n, 1), at once.  Real and complex generators alike.
     """
-    marks, dt = _snapshot_steps(grid, scale, record_every), grid.dt
-    next(marks)
+    snapshots = _snapshot_steps(grid, scale, record_every)
+    done = next(snapshots)
     yield 0.0, y
-    # Full intervals, and a shorter last one if steps leave a remainder.
-    full, rest = divmod(grid.steps, record_every)
+    # Interval lengths: the full ones, and a shorter last one if steps leave a remainder.
+    lengths = {min(record_every, grid.steps), grid.steps % record_every} - {0}
     stack = generator.reshape((-1,) + generator.shape[-2:])
-    powers = {n: np.empty_like(stack) for n in {min(record_every, grid.steps), rest} - {0}}
+    powers = {n: np.empty_like(stack) for n in lengths}
     eye = np.eye(stack.shape[-1])
     for lo in range(0, len(stack), CHECK_POINTS):
-        a = dt * stack[lo:lo + CHECK_POINTS]
+        a = grid.dt * stack[lo:lo + CHECK_POINTS]
         step = _rk4_step(a, a, a, eye)
         for n, power in powers.items():
             power[lo:lo + CHECK_POINTS] = np.linalg.matrix_power(step, n)
     powers = {n: power.reshape(generator.shape) for n, power in powers.items()}
-    if full:
-        rungs = max(1, min(full, LADDER // len(stack)))
-        ladder = powers[record_every][None]
-        while len(ladder) < rungs:  # doubling: [S^n .. S^Ln] then S^Ln [S^n .. S^Ln]
-            ladder = np.concatenate([ladder, ladder[-1] @ ladder[:rungs - len(ladder)]])
-        for done in range(0, full, rungs):
-            for y in ladder[:full - done] @ y:
-                yield next(marks) * dt, y
-    if rest:
-        y = powers[rest] @ y
-        yield next(marks) * dt, y
+    for mark in snapshots:
+        y = powers[mark - done] @ y
+        done = mark
+        yield mark * grid.dt, y
 
 
 @functools.cache
@@ -273,29 +256,29 @@ def _support(parts: np.ndarray, rho0: np.ndarray) -> np.ndarray:
 
     With P the parts' joint nonzero pattern, (1 + P)^(d^2) holds every path of
     up to d^2 steps, so a run from ``rho0`` under any sum of rates times parts
-    leaves every entry outside these exactly 0.
+    leaves every entry outside these exactly 0.  P and the start are taken
+    together with their transposes, rho -> rho^T on every index, so the
+    support holds each entry's transpose: parts that keep rho Hermitian have
+    that pattern already, and parts that keep it Hermitian up to roundoff may
+    hold an exact 0 where its transpose is not.
     """
-    pattern = np.any(parts != 0, axis=0)
-    reach = np.linalg.matrix_power(pattern | np.eye(len(pattern), dtype=bool), len(pattern))
-    return np.flatnonzero(reach @ (rho0.reshape(-1) != 0))
+    d = rho0.shape[-1]
+    flip = np.arange(d * d).reshape(d, d).T.reshape(-1)  # vec(rho^T) = vec(rho)[flip]
+    pattern = np.any(parts != 0, axis=0) | np.eye(d * d, dtype=bool)
+    reach = np.linalg.matrix_power(pattern | pattern[flip][:, flip], d * d)
+    start = rho0.reshape(-1) != 0
+    return np.flatnonzero(reach @ (start | start[flip]))
 
 
 def _transposes(support: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Where in ``support`` each entry's transpose sits, and which entries lie above and below the diagonal.
 
-    rho_ij above the diagonal (i < j) carries the real coordinate Re rho_ij,
-    its transpose rho_ji the imaginary one, Im rho_ij; a diagonal entry is
-    its own transpose.  A support without some entry's transpose raises
-    DiagnosticError: the generator that reached it does not keep rho Hermitian.
+    ``support`` holds every entry's transpose (`_support`).  rho_ij above the
+    diagonal (i < j) carries the real coordinate Re rho_ij, its transpose
+    rho_ji the imaginary one, Im rho_ij; a diagonal entry is its own transpose.
     """
     i, j = np.divmod(support, d)
-    partner = np.searchsorted(support, j * d + i).clip(max=support.size - 1)
-    lone = np.flatnonzero(support[partner] != j * d + i)
-    if lone.size:
-        k = lone[0]
-        raise DiagnosticError("the generator does not keep rho Hermitian: it reaches "
-                              f"rho[{i[k]}, {j[k]}] but not rho[{j[k]}, {i[k]}]")
-    return partner, i < j, i > j
+    return np.searchsorted(support, j * d + i), i < j, i > j
 
 
 def _real_coordinates(parts: np.ndarray,
@@ -308,10 +291,13 @@ def _real_coordinates(parts: np.ndarray,
     M = part T^-1 come in conjugate pairs, M[partner] = conj(M), as they do
     for parts that keep every Hermitian rho Hermitian; its rows are then
     Re M for a diagonal or upper entry and -Im M for a lower one, formed with
-    no product by T.  Parts that do not (a non-Hermitian H) are refused with
-    DiagnosticError naming the largest imaginary entry of T part T^-1, so
-    nothing imaginary is dropped.  rho0 enters as its Hermitian part, which
-    is rho0 itself for a Hermitian rho0.
+    no product by T.  A part whose pairs differ by at most HERMITIAN_TOL of
+    its largest entry (an H that is Hermitian up to roundoff) enters as the
+    real part of T part T^-1, formed from the pairs' conjugate mean: the part
+    of the Hermitian part of H.  A part past that (a non-Hermitian H) is
+    refused with DiagnosticError naming the largest imaginary entry of its
+    T part T^-1.  rho0 likewise enters as its Hermitian part, which is rho0
+    itself for a Hermitian rho0.
     """
     d = rho0.shape[-1]
     rho0 = 0.5 * (rho0 + rho0.conj().T)
@@ -320,10 +306,14 @@ def _real_coordinates(parts: np.ndarray,
     g = parts[:, support[:, None], support]
     g_t = g[..., partner]  # each column's transpose
     m = np.where(upper, g + g_t, np.where(lower, 1j * (g_t - g), g))  # part T^-1
-    defect = np.max(abs(m[:, partner] - m.conj()), initial=0.0) / 2  # max |Im(T part T^-1)|
-    if not defect == 0.0:  # NaN too
-        raise DiagnosticError("the generator does not keep rho Hermitian: its real-coordinate "
-                              f"form has imaginary entries up to {defect:.3g}")
+    # Half the largest mismatch of each part's conjugate pairs: the size of Im(T part T^-1)
+    defect = abs(m[:, partner] - m.conj()).max(axis=(1, 2), initial=0.0) / 2
+    if np.any(defect != 0.0):  # NaN too
+        if not np.all(defect <= HERMITIAN_TOL * abs(m).max(axis=(1, 2), initial=0.0)):
+            raise DiagnosticError("the generator does not keep rho Hermitian: its "
+                                  "real-coordinate form has imaginary entries up to "
+                                  f"{np.max(defect):.3g}")
+        m = 0.5 * (m + m[:, partner].conj())
     start = rho0.reshape(-1)[support]
     return (support, np.where(lower[:, None], -m.imag, m.real),
             np.where(lower, start[partner].imag, start.real))
@@ -385,8 +375,9 @@ def integrate_lindblad(h_eff: np.ndarray, rho0: DensityMatrix, noise: NoiseSpec,
                        record_every: int = 1) -> SimResult:
     """RK4 integration of the master equation of the qubits of ``h_eff``, each with ``noise``.
 
-    One `_evolve` run of the `build_liouvillian` parts at ``noise.rates``.  A
-    non-Hermitian ``h_eff`` is refused with DiagnosticError before any step
+    One `_evolve` run of the `build_liouvillian` parts at ``noise.rates``.  An
+    ``h_eff`` that is Hermitian up to roundoff runs as its Hermitian part; a
+    non-Hermitian one is refused with DiagnosticError before any step
     (`_real_coordinates`), and the first snapshot that `DensityMatrix` would
     refuse stops the run with DiagnosticError (`_check_snapshot`).
     """

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dotbus import dynamics
-from dotbus.algebra import DensityMatrix, HilbertSpace, PureState, fidelity
+from dotbus.algebra import (HERMITIAN_TOL, DensityMatrix, HilbertSpace, PureState, fidelity,
+                            hermiticity_defect)
 from dotbus.dynamics import (
     STABILITY_LIMIT,
     DiagnosticError,
@@ -371,7 +372,7 @@ class TestIntegrateLindblad:
 def per_snapshot_run(h, rho0, noise, grid, record_every):
     """The one-point run before blocks: each snapshot scattered into its own array, checked alone.
 
-    It steps the same real coordinates as `_evolve`, with the same ladder.
+    It steps the same real coordinates as `_evolve`.
 
     Returns (times, states, diagnostics) as lists, or the DiagnosticError message.
     """
@@ -512,9 +513,6 @@ class TestRealCoordinates:
         try:
             result = integrate_lindblad(h, DensityMatrix(TWO_QUBITS, rho0), noise, grid,
                                         record_every)
-            with mock.patch.object(dynamics, "LADDER", 1):
-                rungless = integrate_lindblad(h, DensityMatrix(TWO_QUBITS, rho0), noise, grid,
-                                              record_every)
         except DiagnosticError:  # an eigenvalue of a rank-deficient rho0 dips below EIG_FLOOR
             return
         assert np.all(result.diagnostics["herm_dev"] == 0.0)
@@ -529,21 +527,72 @@ class TestRealCoordinates:
         norm = max(np.max(np.abs(rho0)), np.max(np.abs(y_old)))
         bound = 2 * steps * s * np.finfo(float).eps * norm
         assert np.max(np.abs(states[:, support] - y_old)) <= bound
-        assert np.max(np.abs(result.states - rungless.states)) <= bound
+
+    @staticmethod
+    def run_against_the_complex_run(h, rho0, noise, t, steps, record_every):
+        """Max |state - complex per-stage state| of an `integrate_lindblad` run, and the bound.
+
+        The oracle steps the full complex generator of ``h`` as it is, with no
+        support and no real coordinates; the bound is TestStepMatrixStepper's.
+        """
+        grid = TimeGrid(t, steps)
+        result = integrate_lindblad(h, DensityMatrix(TWO_QUBITS, rho0), noise, grid, record_every)
+        assert np.all(result.diagnostics["herm_dev"] == 0.0)
+        old = list(per_stage_rk4(liouvillian(h, noise), rho0.reshape(-1, 1), grid, record_every))
+        assert result.times.tolist() == [t for t, _ in old]
+        y_old = np.array([y.ravel() for _, y in old])
+        norm = max(np.max(np.abs(rho0)), np.max(np.abs(y_old)))
+        return (np.max(np.abs(result.states.reshape(len(old), 16) - y_old)),
+                2 * steps * 16 * np.finfo(float).eps * norm)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_an_h_hermitian_up_to_roundoff_runs_as_the_complex_run(self, data):
+        # V diag(w) V^dagger is Hermitian only up to roundoff: its pairs of
+        # entries differ in their last bits, over ten decades of scale.
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        size = 10.0 ** data.draw(st.floats(-5.0, 5.0))
+        v, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        h = size * v @ np.diag(rng.normal(size=4)) @ v.conj().T
+        noise = NoiseSpec(size * data.draw(RATE), size * data.draw(RATE))
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        rho0 = a @ a.conj().T / np.trace(a @ a.conj().T).real
+        rho0 = 0.5 * (rho0 + rho0.conj().T)
+        t = data.draw(st.floats(0.05, 1.0)) / size
+        scale = np.linalg.norm(h, 2) + 2 * (noise.gamma + noise.gamma_phi)
+        steps = math.ceil(t * scale / 0.05) + data.draw(st.integers(1, 60))
+        try:
+            delta, bound = self.run_against_the_complex_run(
+                h, rho0, noise, t, steps, data.draw(st.integers(1, steps)))
+        except DiagnosticError as exc:  # an eigenvalue dips below EIG_FLOOR, never a refusal
+            assert str(exc).startswith("density-matrix diagnostics failed")
+            return
+        assert delta <= bound
+
+    def test_a_roundoff_entry_whose_transpose_is_an_exact_zero_runs(self):
+        # H[0, 3] = 1e-17 but H[3, 0] = 0: the parts reach rho[0, 3] from
+        # rho[3, 3] but not rho[3, 0], and the support takes both.
+        h = h_reduced_two_qubit(1.0) + np.diag([0.3, 0.0, 0.0, -0.2])
+        h[0, 3] = 1e-17
+        rho0 = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
+        assert 0 < hermiticity_defect(h) <= HERMITIAN_TOL
+        delta, bound = self.run_against_the_complex_run(h, rho0, NoiseSpec(0.1, 0.2), 1.0, 200, 20)
+        assert delta <= bound
 
     @pytest.mark.parametrize("h, rho0, breach", [
-        # rho[1, 1] feeds rho[0, 1] through H[0, 1]; nothing feeds rho[1, 0], as H[1, 0] = 0
-        (np.triu(np.ones((4, 4))), pure_rho(1), "it reaches rho[0, 1] but not rho[1, 0]"),
+        # rho[1, 1] feeds rho[0, 1] through H[0, 1] = 1, and rho[1, 0] not at all, as H[1, 0] = 0
+        (np.triu(np.ones((4, 4))), pure_rho(1), "up to 1"),
         # d rho_{01,10}/dt = -0.9 rho_{01,10} but d rho_{10,01}/dt = +0.9 rho_{10,01}
         (np.diag([0, 0, 0.9j, 0]), PureState(TWO_QUBITS, np.array([0, 1, 1, 0]) / math.sqrt(2))
-         .density_matrix(), "its real-coordinate form has imaginary entries up to 0.9"),
+         .density_matrix(), "up to 0.9"),
     ])
     def test_a_generator_that_does_not_keep_rho_hermitian_is_refused_before_any_step(
             self, h, rho0, breach):
         with mock.patch.object(dynamics, "_rk4") as rk4:
             with pytest.raises(DiagnosticError) as err:
                 integrate_lindblad(h, rho0, NoiseSpec(), TimeGrid(2.0, 200))
-        assert str(err.value) == f"the generator does not keep rho Hermitian: {breach}"
+        assert str(err.value) == ("the generator does not keep rho Hermitian: its "
+                                  f"real-coordinate form has imaginary entries {breach}")
         rk4.assert_not_called()
 
 
