@@ -1,24 +1,26 @@
 """Time evolution: the Lindblad integrator of the qubit register.
 
-One engine, `_evolve`, runs every master-equation integration, on the parts
-[L_H, L_rel, L_deph] of `build_liouvillian` weighted by rates [1, gamma,
-gamma_phi]: `integrate_lindblad` is its one-point call at `NoiseSpec.rates`,
-and `protocols.decoherence_sweep` steps one rate row per grid point.  It
-steps only the entries of row-major vec(rho) that the parts reach from rho0
-(`_support`), and steps them in real coordinates (`_real_coordinates`): a
-diagonal entry as it is, each pair rho_ij, rho_ji as (Re rho_ij, Im rho_ij).
-Every generator that keeps rho Hermitian is real there, and one that does
-not, beyond roundoff, is refused before any step.  `_rk4` is the fixed-step
-RK4 stepper.  Its generators are constant, so every RK4 step applies one
-matrix S, and `_rk4` advances each snapshot interval of n steps with S^n.
-`_rk4_step` holds the stage formula that forms S, which the reference
-Schroedinger integrator takes once per step.  `_evolve` takes the snapshots
-in blocks of up to CHECK_POINTS matrices, scatters each block back to
-Hermitian matrices (`_scatter`) and checks it before it steps on.  Nothing is
-renormalized: `_check_snapshot` measures trace, Hermiticity and the smallest
-eigenvalue and stops a run at the first snapshot out of tolerance, within the
-block that holds it, before it steps into overflow.  `build_liouvillian` forms
-the dissipator parts once per qubit count (`_dissipators`).
+One engine, `_evolve`, runs and checks every master-equation integration.  It
+steps a `_real_coordinates` set-up (rho0 and the parts [L_H, L_rel, L_deph] of
+`build_liouvillian`) at a row of rates or a stack of rows:
+`integrate_lindblad` at `NoiseSpec.rates` = [1, gamma, gamma_phi], and
+`protocols.decoherence_sweep` the pair's set-up, formed once at lambda = 1, at
+one row [lambda, gamma, gamma_phi] per grid point.  It steps only the entries
+of row-major vec(rho) that the parts reach from rho0 (`_support`), in real
+coordinates: a diagonal entry as it is, each pair rho_ij, rho_ji as
+(Re rho_ij, Im rho_ij).  Every generator that keeps rho Hermitian is real
+there, and one that does not, beyond roundoff, is refused before any step.
+`_rk4` is the fixed-step RK4 stepper.  Its generators are constant, so every RK4 step
+applies one matrix S, and `_rk4` advances each snapshot interval of n steps
+with S^n.  `_rk4_step` holds the stage formula that forms S, which the
+reference Schroedinger integrator takes once per step.  `_evolve` takes the
+snapshots in blocks of up to CHECK_POINTS matrices, scatters each block back
+to Hermitian matrices (`_scatter`) and checks it before it steps on.  Nothing
+is renormalized: `_check_snapshot` measures trace, Hermiticity and the
+smallest eigenvalue and stops a run at the first snapshot out of tolerance,
+within the block that holds it, before it steps into overflow.
+`build_liouvillian` forms the dissipator parts once per qubit count
+(`_dissipators`).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -88,9 +90,9 @@ class SimResult:
     """Recorded trajectory: snapshot times, raw state arrays, health diagnostics.
 
     ``states`` is one bare complex array, one entry per snapshot: shape (T, d)
-    for wavefunction runs, (T, d, d) for density-matrix runs; wrap an entry in
-    PureState/DensityMatrix at the point of use.  Diagnostics are parallel
-    arrays, one entry per snapshot.
+    for wavefunction runs, (T, d, d) for density-matrix runs, (T, points, d, d)
+    for a stack; wrap an entry in PureState/DensityMatrix at the point of use.
+    Diagnostics are parallel arrays, one entry per snapshot (and point).
     """
 
     times: np.ndarray
@@ -270,20 +272,18 @@ def _support(parts: np.ndarray, rho0: np.ndarray) -> np.ndarray:
     return np.flatnonzero(reach @ (start | start[flip]))
 
 
-def _transposes(support: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Where in ``support`` each entry's transpose sits, and which entries lie above and below the diagonal.
+class _Coordinates(NamedTuple):
+    """A run's set-up in real coordinates (`_real_coordinates`)."""
 
-    ``support`` holds every entry's transpose (`_support`).  rho_ij above the
-    diagonal (i < j) carries the real coordinate Re rho_ij, its transpose
-    rho_ji the imaginary one, Im rho_ij; a diagonal entry is its own transpose.
-    """
-    i, j = np.divmod(support, d)
-    return np.searchsorted(support, j * d + i), i < j, i > j
+    support: np.ndarray  # the `_support` entries of row-major vec(rho), ascending
+    transposes: tuple    # (partner, upper, lower): where each transpose sits, i < j, i > j
+    parts: np.ndarray    # T part T^-1 of each part, shape (parts, s, s), s = support.size
+    start: np.ndarray    # rho0's coordinates, shape (s,)
+    d: int               # rho is d x d
 
 
-def _real_coordinates(parts: np.ndarray,
-                      rho0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(`_support`, the parts T part T^-1 on its real coordinates, rho0's coordinates).
+def _real_coordinates(parts: np.ndarray, rho0: np.ndarray) -> _Coordinates:
+    """The set-up of a run of ``parts`` from ``rho0``: its `_support`, parts and start.
 
     x = T y maps the support entries y of vec(rho) to real coordinates x: a
     diagonal rho_ii stays, and the pair rho_ij, rho_ji with i < j becomes
@@ -302,7 +302,8 @@ def _real_coordinates(parts: np.ndarray,
     d = rho0.shape[-1]
     rho0 = 0.5 * (rho0 + rho0.conj().T)
     support = _support(parts, rho0)
-    partner, upper, lower = _transposes(support, d)
+    i, j = np.divmod(support, d)  # each entry's transpose is in the support (`_support`)
+    partner, upper, lower = np.searchsorted(support, j * d + i), i < j, i > j
     g = parts[:, support[:, None], support]
     g_t = g[..., partner]  # each column's transpose
     m = np.where(upper, g + g_t, np.where(lower, 1j * (g_t - g), g))  # part T^-1
@@ -315,17 +316,17 @@ def _real_coordinates(parts: np.ndarray,
                                   f"{np.max(defect):.3g}")
         m = 0.5 * (m + m[:, partner].conj())
     start = rho0.reshape(-1)[support]
-    return (support, np.where(lower[:, None], -m.imag, m.real),
-            np.where(lower, start[partner].imag, start.real))
+    return _Coordinates(support, (partner, upper, lower), np.where(lower[:, None], -m.imag, m.real),
+                        np.where(lower, start[partner].imag, start.real), d)
 
 
-def _scatter(x: np.ndarray, support: np.ndarray, d: int) -> np.ndarray:
-    """The d x d matrices, row-major and flat, of the real coordinates ``x`` (last axis) on ``support``.
+def _scatter(x: np.ndarray, coords: _Coordinates) -> np.ndarray:
+    """The flat row-major d x d matrices of the real coordinates ``x`` (last axis) of ``coords``.
 
     rho_ij = x_re + i x_im and rho_ji = x_re - i x_im exactly, so every matrix
     is Hermitian; entries off the support are 0.
     """
-    partner, upper, lower = _transposes(support, d)
+    support, (partner, upper, lower), _, _, d = coords
     rho = np.zeros(x.shape[:-1] + (d * d,), dtype=complex)
     rho.real[..., support] = x[..., np.where(lower, partner, np.arange(support.size))]
     rho.imag[..., support[upper]] = x[..., partner[upper]]
@@ -333,57 +334,51 @@ def _scatter(x: np.ndarray, support: np.ndarray, d: int) -> np.ndarray:
     return rho
 
 
-def _evolve(parts: np.ndarray, rates: np.ndarray, rho0: np.ndarray, grid: TimeGrid, scale: float,
-            record_every: int, point: Callable[[int], str] | None = None) -> Iterator[tuple]:
-    """RK4 run of the generator sum_c rates[..., c] parts[c] on row-major vec(rho), from ``rho0``.
+def _evolve(coords: _Coordinates, rates: np.ndarray, grid: TimeGrid, scale: float,
+            record_every: int, point: Callable[[int], str] | None = None) -> SimResult:
+    """The checked RK4 run of the generator sum_c rates[..., c] coords.parts[c] from coords.start.
 
     Rates of shape (C,) give one run; rates of shape (points, C) one run per
-    row, stepped at once, ``point(k)`` naming the k-th.  Only the `_support`
-    entries are stepped, in the real coordinates of `_real_coordinates`, which
-    refuses a generator that does not keep rho Hermitian.  The snapshots come
-    in blocks of m, as many as fill CHECK_POINTS matrices and at least one: 64
-    for one run, one for a stack of 64 points or more.  Each block is
-    scattered back (`_scatter`) and checked CHECK_POINTS matrices at a time,
-    in time order, and yielded once it passes as (times, shape (m,);
-    snapshots, shape (m,) + points + (d, d); diagnostics, shape (m,) + points
-    + (3,), the `_check_snapshot` values).  A breach stops the run within the
-    block that holds it.
+    row, stepped at once, ``point(k)`` naming the k-th, and states and
+    diagnostics of shape (T, points, ...).  The snapshots come in blocks of
+    m, as many as fill CHECK_POINTS matrices and at least one: 64 for one
+    run, one for a stack of 64 points or more.  Each block is scattered back
+    (`_scatter`) and checked CHECK_POINTS matrices at a time, in time order,
+    before the run steps on: a breach stops it within the block that holds it.
     """
-    d, points = rho0.shape[-1], rates.shape[:-1]
-    support, real_parts, x0 = _real_coordinates(parts, rho0)
-    s = support.size
-    generators = (rates @ real_parts.reshape(len(parts), -1)).reshape(points + (s, s))
-    start = np.broadcast_to(x0[:, None], points + (s, 1))
+    d, s, points = coords.d, coords.support.size, rates.shape[:-1]
+    generators = (rates @ coords.parts.reshape(len(coords.parts), -1)).reshape(points + (s, s))
+    start = np.broadcast_to(coords.start[:, None], points + (s, 1))
     size = math.prod(points)
     snapshots = _rk4(generators, start, grid, scale, record_every)
+    times, states, checks = [], [], []
     while block := list(itertools.islice(snapshots, max(1, CHECK_POINTS // size))):
-        times = np.array([t for t, _ in block])
+        times += [t for t, _ in block]
         x = np.reshape([y for _, y in block], (len(block),) + points + (s,))
-        rho = _scatter(x, support, d).reshape((len(block),) + points + (d, d))
+        states.append(_scatter(x, coords).reshape((len(block),) + points + (d, d)))
         # Time-major, so the first breach in a check is the earliest snapshot's.
-        matrices, matrix_times = rho.reshape(-1, d, d), np.repeat(times, size)
-        checks = []
+        matrices, matrix_times = states[-1].reshape(-1, d, d), np.repeat(times[-len(block):], size)
         for lo in range(0, len(matrices), CHECK_POINTS):
             name = point and (lambda k, lo=lo: point((lo + k) % size))
             checks.append(np.stack(_check_snapshot(matrices[lo:lo + CHECK_POINTS],
-                                                   matrix_times[lo:lo + CHECK_POINTS], name),
-                                   axis=-1))
-        yield times, rho, np.concatenate(checks).reshape(rho.shape[:-2] + (3,))
+                                                   matrix_times[lo:lo + CHECK_POINTS], name)))
+    states = np.concatenate(states)
+    checks = np.concatenate(checks, axis=-1).reshape((3,) + states.shape[:-2])
+    return SimResult(np.array(times), states,
+                     dict(zip(("trace_dev", "herm_dev", "min_eig"), checks)))
 
 
 def integrate_lindblad(h_eff: np.ndarray, rho0: DensityMatrix, noise: NoiseSpec, grid: TimeGrid,
                        record_every: int = 1) -> SimResult:
     """RK4 integration of the master equation of the qubits of ``h_eff``, each with ``noise``.
 
-    One `_evolve` run of the `build_liouvillian` parts at ``noise.rates``.  An
-    ``h_eff`` that is Hermitian up to roundoff runs as its Hermitian part; a
-    non-Hermitian one is refused with DiagnosticError before any step
-    (`_real_coordinates`), and the first snapshot that `DensityMatrix` would
-    refuse stops the run with DiagnosticError (`_check_snapshot`).
+    The `_evolve` run of ``rho0`` and the `build_liouvillian` parts at
+    ``noise.rates``.  An ``h_eff`` that is Hermitian up to roundoff runs as
+    its Hermitian part; a non-Hermitian one is refused with DiagnosticError
+    before any step (`_real_coordinates`), and the first snapshot that
+    `DensityMatrix` would refuse stops the run with DiagnosticError (`_check_snapshot`).
     """
     parts = build_liouvillian(h_eff)  # refuses an h_eff that is not 2^n x 2^n
     n_qubits = len(h_eff).bit_length() - 1
     scale = np.linalg.norm(h_eff, 2) + n_qubits * (noise.gamma + noise.gamma_phi)
-    run = _evolve(parts, noise.rates, rho0.matrix, grid, scale, record_every)
-    times, states, checks = (np.concatenate(x) for x in zip(*run))
-    return SimResult(times, states, dict(zip(("trace_dev", "herm_dev", "min_eig"), checks.T)))
+    return _evolve(_real_coordinates(parts, rho0.matrix), noise.rates, grid, scale, record_every)

@@ -7,14 +7,15 @@ checks, and the two-axis decoherence sweep of the generation error.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .algebra import TRACE_TOL, DensityMatrix, HilbertSpace, PureState, fidelity
-from .dynamics import (DiagnosticError, NoiseSpec, SimResult, TimeGrid, _evolve,
-                       build_liouvillian, integrate_lindblad)
+from .dynamics import (DiagnosticError, NoiseSpec, SimResult, TimeGrid, _Coordinates, _evolve,
+                       _real_coordinates, build_liouvillian, integrate_lindblad)
 from .hamiltonians import (DISPERSIVE_THRESHOLD, ModelParams, analytic_u, h_reduced_two_qubit,
                            sector_hamiltonian)
 
@@ -86,33 +87,41 @@ def _epr_grid(lam: float, noise: NoiseSpec) -> TimeGrid:
     return TimeGrid(t0, steps)
 
 
+@functools.cache
+def _pair_coordinates() -> _Coordinates:
+    """`dynamics._real_coordinates` of the pair from |10><10| at lambda = 1: once, read-only."""
+    coords = _real_coordinates(build_liouvillian(h_reduced_two_qubit(1.0)), _EPR_START)
+    for array in (coords.support, *coords.transposes, coords.parts, coords.start):
+        array.flags.writeable = False  # every later sweep in the process steps them
+    return coords
+
+
+def _epr_fidelity(rho: np.ndarray) -> np.ndarray:
+    """<target| rho |target> of `epr_target`, as `fidelity` forms it, for one rho or a stack."""
+    target = epr_target().amplitudes
+    return np.real(target.conj() @ rho @ target)
+
+
 def epr_generation(p: ModelParams, noise: NoiseSpec, trajectory: bool = False) -> EprReport:
     """Evolve |10> under the vacuum-sector Hamiltonian with noise for t0.
 
-    Reports fidelity against the entangled target, the error probability
-    D = 1 - fidelity, and the concurrence of the final state
-    (`_x_state_concurrence`).  The result keeps the states at 0 and t0, or
-    with ``trajectory`` at every ceil(steps / MIN_EPR_STEPS)-th step and the
-    last: every step of a MIN_EPR_STEPS run, at most MIN_EPR_STEPS + 1
-    snapshots of any.  Refuses a model below its dispersive threshold, where
-    that Hamiltonian does not hold.
+    One `integrate_lindblad` run on `_epr_grid`, the call at which `perfbench`
+    counts RK4 work.  Reports fidelity against the entangled target, D = 1 -
+    fidelity and the concurrence (`_x_state_concurrence`) of the final state,
+    which `_check_snapshot` has checked.  The result keeps the states at 0
+    and t0, or with ``trajectory`` at every ceil(steps / MIN_EPR_STEPS)-th
+    step and the last: every step of a MIN_EPR_STEPS run, at most
+    MIN_EPR_STEPS + 1 snapshots of any.  Refuses a model below its dispersive
+    threshold, where that Hamiltonian does not hold.
     """
     _require_dispersive_pair(p)
-    lam = p.lam
-    h20 = h_reduced_two_qubit(lam)
-    grid = _epr_grid(lam, noise)
+    grid = _epr_grid(p.lam, noise)
     record_every = -(-grid.steps // MIN_EPR_STEPS) if trajectory else grid.steps
     rho0 = DensityMatrix(TWO_QUBIT_SPACE, _EPR_START)
-    result = integrate_lindblad(h20, rho0, noise, grid, record_every=record_every)
-    rho_final = DensityMatrix(TWO_QUBIT_SPACE, result.final)
-    fid = fidelity(rho_final, epr_target())
-    return EprReport(
-        t0=grid.t_end,
-        fidelity=fid,
-        error_d=1.0 - fid,
-        concurrence=_x_state_concurrence(result.final),
-        result=result,
-    )
+    result = integrate_lindblad(h_reduced_two_qubit(p.lam), rho0, noise, grid, record_every)
+    fid = float(_epr_fidelity(result.final))
+    return EprReport(t0=grid.t_end, fidelity=fid, error_d=1.0 - fid,
+                     concurrence=_x_state_concurrence(result.final), result=result)
 
 
 def _x_state_concurrence(rho: np.ndarray) -> float:
@@ -291,28 +300,24 @@ class SweepResult:
 def _sweep_errors(p: ModelParams, gammas: np.ndarray, gamma_phis: np.ndarray) -> np.ndarray:
     """D = 1 - fidelity of the EPR run at every point (gammas[k], gamma_phis[k]), all at once.
 
-    The Liouvillian is linear in the rates, L = L_H + gamma L_rel + gamma_phi
-    L_deph, so `_evolve` steps one generator per point from the three
-    `build_liouvillian` parts, all with the step count and stability guard of
-    the worst point.  It checks the snapshots at t = 0 and t0, as
-    `epr_generation` does, and a DiagnosticError names the first grid point
-    that fails.
+    L = lambda L_H + gamma L_rel + gamma_phi L_deph on the parts at lambda = 1,
+    bit for bit, since L_H(lambda) is lambda times small integers entry for
+    entry.  So `_evolve` steps `_pair_coordinates` at one rate row per point,
+    all with the step count and stability guard (2 lambda is the norm of
+    `h_reduced_two_qubit`) of the worst point.  It checks the snapshots at t =
+    0 and t0, as `epr_generation` does, naming the first grid point that fails.
     """
     worst = NoiseSpec(np.max(gammas), np.max(gamma_phis))
     grid = _epr_grid(p.lam, worst)
-    h20 = h_reduced_two_qubit(p.lam)
-    rows = np.stack([np.ones_like(gammas), gammas, gamma_phis], axis=1)  # NoiseSpec.rates
+    rows = np.stack([np.full_like(gammas, p.lam), gammas, gamma_phis], axis=1)
 
     def point(k: int) -> str:
         return (f"gamma/2pi = {gammas[k] / (2e6 * math.pi):.6g} MHz, "
                 f"gamma_phi/2pi = {gamma_phis[k] / (2e6 * math.pi):.6g} MHz")
 
-    scale = np.linalg.norm(h20, 2) + 2.0 * (worst.gamma + worst.gamma_phi)
-    for _, rho, _ in _evolve(build_liouvillian(h20), rows, _EPR_START, grid, scale, grid.steps,
-                             point):
-        pass  # every snapshot is checked; the last block's last is the state at t0
-    target = epr_target().amplitudes
-    return 1.0 - np.real(target.conj() @ rho[-1] @ target)
+    scale = 2.0 * (p.lam + worst.gamma + worst.gamma_phi)
+    rho = _evolve(_pair_coordinates(), rows, grid, scale, grid.steps, point).final
+    return 1.0 - _epr_fidelity(rho)  # every snapshot is checked
 
 
 def decoherence_sweep(p: ModelParams, gamma_axis, gamma_phi_axis) -> SweepResult:

@@ -287,11 +287,11 @@ class TestDerivedSupport:
     def test_a_noiseless_point_in_a_stack_keeps_rho_00_00_at_zero(self, rates):
         # Only relaxation reaches rho_{00,00} from |10><10|; the noiseless
         # point's generator carries 0 x L_rel there, which is exactly 0.
-        parts = build_liouvillian(h_reduced_two_qubit(1.0))
+        coords = _real_coordinates(build_liouvillian(h_reduced_two_qubit(1.0)),
+                                   np.diag([0.0, 0.0, 1.0, 0.0]))
         stack = np.array([(1.0, 0.0, 0.0)] + [(1.0, g, g_phi) for g, g_phi in rates])
-        rho0 = np.diag([0.0, 0.0, 1.0, 0.0])
-        for _, rho, _ in _evolve(parts, stack, rho0, TimeGrid(math.pi / 4, 400), 12.0, 50, str):
-            assert np.all(rho[:, 0, 0, 0] == 0.0)  # every snapshot of the block
+        rho = _evolve(coords, stack, TimeGrid(math.pi / 4, 400), 12.0, 50, str).states
+        assert np.all(rho[:, 0, 0, 0] == 0.0)  # every snapshot
         assert np.all(rho[-1, 1:, 0, 0].real > 0.0)  # at t0, where relaxation does reach it
 
 
@@ -360,13 +360,13 @@ class TestIntegrateLindblad:
         # it, but grows the |01><10| coherence as exp(1.8 t) past the
         # populations: an eigenvalue goes negative at the first step, and
         # stepping on past the breach would overflow long before t = 1000.
-        parts = build_liouvillian(np.zeros((4, 4)))
         psi = PureState(TWO_QUBITS, np.array([0, 1, 1, 0]) / math.sqrt(2))
+        coords = _real_coordinates(build_liouvillian(np.zeros((4, 4))),
+                                   psi.density_matrix().matrix)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(DiagnosticError, match=r"at t = 0\.01: "):
-                list(_evolve(parts, np.array([1.0, 0.0, -0.9]), psi.density_matrix().matrix,
-                             TimeGrid(1000, 100000), 3.6, 1))
+                _evolve(coords, np.array([1.0, 0.0, -0.9]), TimeGrid(1000, 100000), 3.6, 1)
 
 
 def per_snapshot_run(h, rho0, noise, grid, record_every):
@@ -376,14 +376,14 @@ def per_snapshot_run(h, rho0, noise, grid, record_every):
 
     Returns (times, states, diagnostics) as lists, or the DiagnosticError message.
     """
-    support, parts, x0 = _real_coordinates(build_liouvillian(h), rho0)
-    s, d = support.size, len(rho0)
-    generator = (noise.rates @ parts.reshape(3, -1)).reshape(s, s)
+    coords = _real_coordinates(build_liouvillian(h), rho0)
+    s, d = coords.support.size, len(rho0)
+    generator = (noise.rates @ coords.parts.reshape(3, -1)).reshape(s, s)
     scale = np.linalg.norm(h, 2) + 2 * (noise.gamma + noise.gamma_phi)
     times, states, rows = [], [], []
     try:
-        for t, x in _rk4(generator, x0[:, None], grid, scale, record_every):
-            rho = _scatter(x.ravel(), support, d).reshape(d, d)
+        for t, x in _rk4(generator, coords.start[:, None], grid, scale, record_every):
+            rho = _scatter(x.ravel(), coords).reshape(d, d)
             rows.append(_check_snapshot(rho, t))
             times.append(t)
             states.append(rho)

@@ -14,13 +14,13 @@ import mpmath as mp
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dotbus import dynamics, protocols
 from dotbus.algebra import DensityMatrix, PureState, fidelity
-from dotbus.dynamics import (DiagnosticError, NoiseSpec, TimeGrid, _support, build_liouvillian,
-                             integrate_lindblad)
+from dotbus.dynamics import (DiagnosticError, NoiseSpec, TimeGrid, _real_coordinates, _support,
+                             build_liouvillian, integrate_lindblad)
 from dotbus.config import MAX_QUBITS
 from dotbus.hamiltonians import ModelParams, analytic_u, h_reduced_two_qubit
 from dotbus.protocols import (
@@ -559,27 +559,79 @@ class TestClosedFormError:
         assert np.isfinite(at) and np.max(np.abs(near - at)) < 1e-9
 
 
+# lambda = 1e-308, 1 and 1.26e153, which span what the config accepts.
+LAMBDA_SPAN = [ModelParams.uniform(2, g, ratio * g) for g, ratio in (
+    (2 * math.pi * 1e-150, 6.283185307179586e158), (10.0, 10.0), (2 * math.pi * 2e153, 10.0))]
+
+
 def test_errors_do_not_depend_on_the_scale_of_lambda():
-    # lambda = 1e-308, 1 and 1.26e153 span what the config accepts; lambda t0 =
-    # pi/4 at each, and rates in units of lambda give the same D.  A step matrix
-    # formed from G G before scaling by dt underflows to 0 at the low end.
-    models = [ModelParams.uniform(2, g, ratio * g) for g, ratio in (
-        (2 * math.pi * 1e-150, 6.283185307179586e158), (10.0, 10.0), (2 * math.pi * 2e153, 10.0))]
+    # lambda t0 = pi/4 at each lambda of LAMBDA_SPAN, and rates in units of
+    # lambda give the same D.  A step matrix formed from G G before scaling by
+    # dt underflows to 0 at the low end.
     errors = []
-    for p in models:
+    for p in LAMBDA_SPAN:
         lam = p.lam
         errors.append([epr_generation(p, NoiseSpec(gamma * lam, gamma_phi * lam)).error_d
                        for gamma, gamma_phi in ((0.0, 0.0), (0.1, 0.2))])
         # Its (0, 0) point is noiseless; the other three carry one or both rates.
         errors[-1] += decoherence_sweep(p, lam * np.array([0.0, 0.1]),
                                         lam * np.array([0.0, 0.2])).error_grid.ravel().tolist()
-    assert [p.lam for p in models] == pytest.approx([1e-308, 1.0, 1.2566370614359172e153])
+    assert [p.lam for p in LAMBDA_SPAN] == pytest.approx([1e-308, 1.0, 1.2566370614359172e153])
     assert np.max(np.abs(np.array(errors) - errors[1])) <= 1e-13
     assert errors[1][1] > 0.05  # the noisy points do see the noise
 
 
 def power_of_ten(lo, hi):
     return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+class TestPairSetUp:
+    """The sweep steps one set-up, formed at lambda = 1, at rate rows [lambda, gamma, gamma_phi]."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(lam=power_of_ten(-300, 300),
+           rates=st.lists(st.tuples(rate_over_lam(), rate_over_lam()), min_size=1, max_size=4))
+    @example(lam=LAMBDA_SPAN[0].lam, rates=[(0.0, 0.0), (0.1, 0.2)])
+    @example(lam=LAMBDA_SPAN[1].lam, rates=[(0.0, 0.0), (0.1, 0.2)])
+    @example(lam=LAMBDA_SPAN[2].lam, rates=[(0.0, 0.0), (0.1, 0.2)])
+    def test_the_set_up_at_lambda_is_the_cached_one_scaled(self, lam, rates):
+        # L_H at lambda has entries lambda times small integers, as has its real
+        # form, so lambda times the cached L_H is the L_H at lambda, and each rate
+        # row steps the same generator bit for bit.
+        cached = protocols._pair_coordinates()
+        at_lam = _real_coordinates(build_liouvillian(h_reduced_two_qubit(lam)),
+                                   protocols._EPR_START)
+        assert np.array_equal(at_lam.support, cached.support)
+        for a, b in zip(at_lam.transposes, cached.transposes):
+            assert np.array_equal(a, b)
+        assert np.array_equal(at_lam.parts[0], lam * cached.parts[0])
+        assert np.array_equal(at_lam.parts[1:], cached.parts[1:])
+        assert np.array_equal(at_lam.start, cached.start) and at_lam.d == cached.d
+        noise = lam * np.array(rates)
+        rows = np.column_stack([np.ones(len(rates)), noise])  # NoiseSpec.rates
+        scaled_rows = np.column_stack([np.full(len(rates), lam), noise])
+        per_lam, unit = at_lam.parts.reshape(3, -1), cached.parts.reshape(3, -1)
+        assert np.array_equal(rows @ per_lam, scaled_rows @ unit)  # the sweep's stack
+        for row, scaled_row in zip(rows, scaled_rows):  # one row
+            assert np.array_equal(row @ per_lam, scaled_row @ unit)
+
+    def test_the_cached_set_up_is_read_only(self):
+        coords = protocols._pair_coordinates()
+        for array in (coords.support, *coords.transposes, coords.parts, coords.start):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=power_of_ten(-100, 100), ratio=st.floats(5.0, 100.0), gamma=rate_over_lam(),
+           gamma_phi=rate_over_lam())
+    def test_a_one_point_sweep_is_the_epr_run(self, g, ratio, gamma, gamma_phi):
+        # The sweep steps the cached set-up at [lambda, gamma, gamma_phi], epr
+        # the `integrate_lindblad` run at lambda on the same grid: the same D.
+        p = ModelParams.uniform(2, g, ratio * g)
+        assume(p.is_dispersive)  # (5 g) / g can round below 5
+        noise = NoiseSpec(gamma * p.lam, gamma_phi * p.lam)
+        errors = _sweep_errors(p, np.array([noise.gamma]), np.array([noise.gamma_phi]))
+        assert errors.tolist() == [epr_generation(p, noise).error_d]
 
 
 class TestBatchedSweep:
