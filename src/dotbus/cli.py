@@ -34,10 +34,10 @@ from .device import (
 from .dynamics import DiagnosticError
 from .hamiltonians import DISPERSIVE_THRESHOLD
 from .protocols import (
+    _epr_fidelity,
     decoherence_sweep,
     dispersive_validity,
     epr_generation,
-    epr_target,
     gate_time_t0,
 )
 
@@ -123,9 +123,8 @@ def cmd_epr(cfg: RunConfig, out) -> int:
         f"this run: D = {report.error_d:.4%}"
     )
     if out:
-        target = epr_target().amplitudes
         result = report.result
-        columns = np.stack([result.times, (target.conj() @ result.states @ target).real,
+        columns = np.stack([result.times, _epr_fidelity(result.states),
                             np.trace(result.states, axis1=1, axis2=2).real,
                             result.diagnostics["min_eig"]], axis=1)
         rows = ["t,fidelity,trace,min_eig\n"] + [  # Python floats format faster than numpy's

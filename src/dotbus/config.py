@@ -181,9 +181,6 @@ class RunConfig:
     sweep_gamma_phi_axis: np.ndarray   # rad/s
     normalized: dict
 
-    def dump(self) -> dict:
-        return self.normalized
-
     def dump_json(self) -> str:
         return json.dumps(self.normalized, indent=2, sort_keys=True) + "\n"
 

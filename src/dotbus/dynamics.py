@@ -10,15 +10,15 @@ of row-major vec(rho) that the parts reach from rho0 (`_support`), in real
 coordinates: a diagonal entry as it is, each pair rho_ij, rho_ji as
 (Re rho_ij, Im rho_ij).  Every generator that keeps rho Hermitian is real
 there, and one that does not, beyond roundoff, is refused before any step.
-`_rk4` is the fixed-step RK4 stepper.  Its generators are constant, so every RK4 step
-applies one matrix S, and `_rk4` advances each snapshot interval of n steps
-with S^n.  `_rk4_step` holds the stage formula that forms S, which the
-reference Schroedinger integrator takes once per step.  `_evolve` takes the
-snapshots in blocks of up to CHECK_POINTS matrices, scatters each block back
-to Hermitian matrices (`_scatter`) and checks it before it steps on.  Nothing
-is renormalized: `_check_snapshot` measures trace, Hermiticity and the
-smallest eigenvalue and stops a run at the first snapshot out of tolerance,
-within the block that holds it, before it steps into overflow.
+Its generators are constant, so every fixed RK4 step applies one matrix S,
+and `_rk4` returns S^n for each snapshot interval length n.  `_rk4_step`
+holds the stage formula that forms S, which the reference Schroedinger
+integrator takes once per step.  `_evolve` advances the snapshots in blocks
+of up to CHECK_POINTS matrices, one product by S^n each, scatters each block
+back to Hermitian matrices (`_scatter`) and checks it before it steps on.
+Nothing is renormalized: `_check_snapshot` measures trace, Hermiticity and
+the smallest eigenvalue and stops a run at the first snapshot out of
+tolerance, within the block that holds it, before it steps into overflow.
 `build_liouvillian` forms the dissipator parts once per qubit count
 (`_dissipators`).
 """
@@ -26,10 +26,9 @@ within the block that holds it, before it steps into overflow.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -104,12 +103,13 @@ class SimResult:
         return self.states[-1]
 
 
-def _snapshot_steps(grid: TimeGrid, scale: float, record_every: int) -> Iterator[int]:
+def _snapshot_steps(grid: TimeGrid, scale: float, record_every: int) -> list[int]:
     """Step counts at which a run records a snapshot: 0, every ``record_every``-th and the last.
 
     First the stability guard: ``scale`` bounds the generator's norm, and a
     step with dt x scale >= STABILITY_LIMIT raises ValueError naming a step
-    count that passes.
+    count that passes.  The counts are Python ints, which a float step count
+    past 2^63 fits.
     """
     dt = grid.dt
     if dt * scale >= STABILITY_LIMIT:
@@ -118,7 +118,7 @@ def _snapshot_steps(grid: TimeGrid, scale: float, record_every: int) -> Iterator
             f"step size too large: dt*||H|| = {dt * scale:.3g} >= {STABILITY_LIMIT}; "
             f"use at least {needed} steps"
         )
-    return itertools.chain(range(0, grid.steps, record_every), [grid.steps])
+    return [*range(0, grid.steps, record_every), grid.steps]
 
 
 def _rk4_step(a_left: np.ndarray, a_mid: np.ndarray, a_right: np.ndarray,
@@ -137,42 +137,24 @@ def _rk4_step(a_left: np.ndarray, a_mid: np.ndarray, a_right: np.ndarray,
     return y + (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
 
 
-def _rk4(
-    generator: np.ndarray,
-    y: np.ndarray,
-    grid: TimeGrid,
-    scale: float,
-    record_every: int,
-) -> Iterator[tuple[float, np.ndarray]]:
-    """Fixed-step RK4 for dy/dt = generator @ y, generator constant, yielding (t, y) snapshots.
+def _rk4(generator: np.ndarray, dt: float, marks: list[int]) -> dict[int, np.ndarray]:
+    """{n: S^n} for each n steps between successive ``marks``: S the RK4 step matrix.
 
-    Yields the initial state, then the state after every ``record_every``-th
-    step and after the last, at t = steps x dt (`_snapshot_steps`, which also
-    holds the stability guard); each interval runs only when the caller asks
-    for the next snapshot.  Every RK4 step applies the same matrix S (`_rk4_step`),
-    so an interval of n steps is one product with S^n, raised by repeated
-    squaring, ``CHECK_POINTS`` generators at a time to bound the temporaries.
-    A stack of generators, shape (points, n, n), steps a stack of states,
-    shape (points, n, 1), at once.  Real and complex generators alike.
+    The generator of dy/dt = generator @ y is constant, so every RK4 step of
+    ``dt`` applies the same matrix S (`_rk4_step`), and n steps apply S^n,
+    raised by repeated squaring, ``CHECK_POINTS`` generators at a time to
+    bound the temporaries.  A stack of generators, shape (points, n, n),
+    gives powers of that shape.  Real and complex generators alike.
     """
-    snapshots = _snapshot_steps(grid, scale, record_every)
-    done = next(snapshots)
-    yield 0.0, y
-    # Interval lengths: the full ones, and a shorter last one if steps leave a remainder.
-    lengths = {min(record_every, grid.steps), grid.steps % record_every} - {0}
     stack = generator.reshape((-1,) + generator.shape[-2:])
-    powers = {n: np.empty_like(stack) for n in lengths}
+    powers = {b - a: np.empty_like(stack) for a, b in zip(marks, marks[1:])}
     eye = np.eye(stack.shape[-1])
     for lo in range(0, len(stack), CHECK_POINTS):
-        a = grid.dt * stack[lo:lo + CHECK_POINTS]
+        a = dt * stack[lo:lo + CHECK_POINTS]
         step = _rk4_step(a, a, a, eye)
         for n, power in powers.items():
             power[lo:lo + CHECK_POINTS] = np.linalg.matrix_power(step, n)
-    powers = {n: power.reshape(generator.shape) for n, power in powers.items()}
-    for mark in snapshots:
-        y = powers[mark - done] @ y
-        done = mark
-        yield mark * grid.dt, y
+    return {n: power.reshape(generator.shape) for n, power in powers.items()}
 
 
 @functools.cache
@@ -340,32 +322,39 @@ def _evolve(coords: _Coordinates, rates: np.ndarray, grid: TimeGrid, scale: floa
 
     Rates of shape (C,) give one run; rates of shape (points, C) one run per
     row, stepped at once, ``point(k)`` naming the k-th, and states and
-    diagnostics of shape (T, points, ...).  The snapshots come in blocks of
-    m, as many as fill CHECK_POINTS matrices and at least one: 64 for one
-    run, one for a stack of 64 points or more.  Each block is scattered back
-    (`_scatter`) and checked CHECK_POINTS matrices at a time, in time order,
-    before the run steps on: a breach stops it within the block that holds it.
+    diagnostics of shape (T, points, ...).  The run advances a block of m
+    snapshots at a time, as many as fill CHECK_POINTS matrices and at least
+    one: 64 for one run, one for a stack of 64 points or more.  Snapshot k is
+    S^n x snapshot k-1, n the steps between them (`_rk4`).  Each block is
+    scattered back (`_scatter`) and checked CHECK_POINTS matrices at a time,
+    in time order, before the run steps on: a breach stops it within the
+    block that holds it.
     """
     d, s, points = coords.d, coords.support.size, rates.shape[:-1]
     generators = (rates @ coords.parts.reshape(len(coords.parts), -1)).reshape(points + (s, s))
-    start = np.broadcast_to(coords.start[:, None], points + (s, 1))
-    size = math.prod(points)
-    snapshots = _rk4(generators, start, grid, scale, record_every)
-    times, states, checks = [], [], []
-    while block := list(itertools.islice(snapshots, max(1, CHECK_POINTS // size))):
-        times += [t for t, _ in block]
-        x = np.reshape([y for _, y in block], (len(block),) + points + (s,))
-        states.append(_scatter(x, coords).reshape((len(block),) + points + (d, d)))
+    marks = _snapshot_steps(grid, scale, record_every)
+    powers = _rk4(generators, grid.dt, marks)
+    size, count = math.prod(points), len(marks)
+    times = np.array([mark * grid.dt for mark in marks])
+    x = np.empty((count,) + points + (s, 1))
+    x[0] = coords.start[:, None]
+    states = np.empty((count,) + points + (d * d,), dtype=complex)
+    checks = np.empty((3, count * size))
+    block = max(1, CHECK_POINTS // size)
+    for lo in range(0, count, block):
+        hi = min(lo + block, count)
+        for k in range(max(lo, 1), hi):
+            np.matmul(powers[marks[k] - marks[k - 1]], x[k - 1], out=x[k])
+        states[lo:hi] = _scatter(x[lo:hi, ..., 0], coords)
         # Time-major, so the first breach in a check is the earliest snapshot's.
-        matrices, matrix_times = states[-1].reshape(-1, d, d), np.repeat(times[-len(block):], size)
-        for lo in range(0, len(matrices), CHECK_POINTS):
-            name = point and (lambda k, lo=lo: point((lo + k) % size))
-            checks.append(np.stack(_check_snapshot(matrices[lo:lo + CHECK_POINTS],
-                                                   matrix_times[lo:lo + CHECK_POINTS], name)))
-    states = np.concatenate(states)
-    checks = np.concatenate(checks, axis=-1).reshape((3,) + states.shape[:-2])
-    return SimResult(np.array(times), states,
-                     dict(zip(("trace_dev", "herm_dev", "min_eig"), checks)))
+        matrices, matrix_times = states[lo:hi].reshape(-1, d, d), np.repeat(times[lo:hi], size)
+        block_checks = checks[:, lo * size:hi * size]
+        for c in range(0, len(matrices), CHECK_POINTS):
+            name = point and (lambda k, c=c: point((c + k) % size))
+            block_checks[:, c:c + CHECK_POINTS] = _check_snapshot(
+                matrices[c:c + CHECK_POINTS], matrix_times[c:c + CHECK_POINTS], name)
+    checks = dict(zip(("trace_dev", "herm_dev", "min_eig"), checks.reshape((3, count) + points)))
+    return SimResult(times, states.reshape(states.shape[:-1] + (d, d)), checks)
 
 
 def integrate_lindblad(h_eff: np.ndarray, rho0: DensityMatrix, noise: NoiseSpec, grid: TimeGrid,

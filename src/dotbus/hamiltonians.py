@@ -58,8 +58,9 @@ class ModelParams:
 
     @property
     def is_dispersive(self) -> bool:
+        # The product, not the ratio: tau formed as 5 g passes, where (5 g) / g can round below 5.
         return all(
-            g > 0 and abs(tau) / g >= DISPERSIVE_THRESHOLD
+            g > 0 and abs(tau) >= DISPERSIVE_THRESHOLD * g
             for g, tau in zip(self.couplings_g, self.detunings_tau)
         )
 

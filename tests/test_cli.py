@@ -168,7 +168,7 @@ class TestRoundTrip:
     @given(overrides())
     def test_dump_round_trip_property(self, raw):
         cfg = config_from_dict(raw)
-        assert config_from_dict(cfg.dump()).dump() == cfg.dump()
+        assert config_from_dict(cfg.normalized).normalized == cfg.normalized
 
     def test_dump_reparses_identically(self):
         cfg = config_from_dict(
@@ -177,8 +177,8 @@ class TestRoundTrip:
                 "noise": {"gamma_phi_over_2pi": "0.5 MHz"},
             }
         )
-        again = config_from_dict(cfg.dump())
-        assert again.dump() == cfg.dump()
+        again = config_from_dict(cfg.normalized)
+        assert again.normalized == cfg.normalized
         assert again.model.lam == cfg.model.lam
 
     def test_file_round_trip(self, tmp_path):
@@ -186,7 +186,7 @@ class TestRoundTrip:
         cfg = parse_config(path)
         path2 = tmp_path / "normalized.json"
         path2.write_text(cfg.dump_json())
-        assert parse_config(str(path2)).dump() == cfg.dump()
+        assert parse_config(str(path2)).normalized == cfg.normalized
 
 
 class TestCliDevice:
@@ -204,7 +204,7 @@ class TestCliDevice:
         assert main(["device", "--config", path, "--out", str(out_file)]) == 0
         assert out_file.exists()
         resolved = json.loads((tmp_path / "device.txt.resolved.json").read_text())
-        assert resolved == config_from_dict({}).dump()
+        assert resolved == config_from_dict({}).normalized
 
 
 class TestCliEpr:
@@ -437,6 +437,27 @@ class TestCliErrors:
         assert main([command, "--config", path, "--out", str(out)]) == 3
         assert "dispersive threshold" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [tmp_path / "run.json"]
+
+    @pytest.mark.parametrize("command", ["epr", "sweep"])
+    def test_a_ratio_at_the_threshold_runs(self, tmp_path, capsys, command):
+        # tau = 5 g, at the threshold, though (5 g) / g rounds to 4.999999999999999 at this g.
+        path = write_config(tmp_path, {"model": {"coupling_g": "42095669.24242398 Hz",
+                                                 "tau_over_g": 5}})
+        assert main([command, "--config", path, "--out", str(tmp_path / "out.csv")]) == 0
+        assert "dispersive threshold" not in capsys.readouterr().err
+
+    def test_a_step_count_past_2_to_the_63_runs(self, tmp_path, capsys):
+        # t0 = 1.27e191 s: about 4.5e199 RK4 steps, which no int64 holds.  The
+        # epr run's state is still |10><10| up to roundoff, so D reads 1.
+        path = write_config(tmp_path, {"model": {"tau_over_g": 1e200}})
+        out = tmp_path / "out.csv"
+        assert main(["epr", "--config", path, "--out", str(out)]) == 0
+        assert "error probability D     = 1.0000000000\n" in capsys.readouterr().out
+        assert len(out.read_text().splitlines()) == 1 + MIN_EPR_STEPS + 1
+        # The sweep steps its noiseless corner as many times, past its trace tolerance.
+        assert main(["sweep", "--config", path, "--out", str(out)]) == 3
+        assert ("gamma/2pi = 0 MHz, gamma_phi/2pi = 0 MHz: |trace-1| = 3.46e-09"
+                in capsys.readouterr().err)
 
     def test_sweep_past_its_roundoff_stops_at_the_trace_check(self, tmp_path, capsys):
         # The noiseless corner takes the step count of the noisiest point; at

@@ -23,6 +23,7 @@ from dotbus.dynamics import (
     _real_coordinates,
     _rk4,
     _scatter,
+    _snapshot_steps,
     _support,
     build_liouvillian,
     integrate_lindblad,
@@ -369,6 +370,16 @@ class TestIntegrateLindblad:
                 _evolve(coords, np.array([1.0, 0.0, -0.9]), TimeGrid(1000, 100000), 3.6, 1)
 
 
+def stepped_snapshots(generator, y, grid, scale, record_every):
+    """(t, y) at each `_snapshot_steps` mark, y advanced one interval at a time by `_rk4`'s S^n."""
+    marks = _snapshot_steps(grid, scale, record_every)
+    powers = _rk4(generator, grid.dt, marks)
+    yield 0.0, y
+    for done, mark in zip(marks, marks[1:]):
+        y = powers[mark - done] @ y
+        yield mark * grid.dt, y
+
+
 def per_snapshot_run(h, rho0, noise, grid, record_every):
     """The one-point run before blocks: each snapshot scattered into its own array, checked alone.
 
@@ -382,7 +393,8 @@ def per_snapshot_run(h, rho0, noise, grid, record_every):
     scale = np.linalg.norm(h, 2) + 2 * (noise.gamma + noise.gamma_phi)
     times, states, rows = [], [], []
     try:
-        for t, x in _rk4(generator, coords.start[:, None], grid, scale, record_every):
+        for t, x in stepped_snapshots(generator, coords.start[:, None], grid, scale,
+                                      record_every):
             rho = _scatter(x.ravel(), coords).reshape(d, d)
             rows.append(_check_snapshot(rho, t))
             times.append(t)
@@ -425,24 +437,38 @@ class TestBlockChecks:
     def test_a_breach_inside_a_block_names_its_time_and_stops_the_run_there(self):
         # Blocks of 4 snapshots; snapshots 6 and 7, the third and fourth of
         # the second block, are spoiled, and the run names the first of them.
-        rk4, made = dynamics._rk4, []
+        # Snapshot k > 0 is one product by a power from `_rk4`, counted here.
+        rk4, scatter, made, products = dynamics._rk4, dynamics._scatter, [], []
 
-        def spoiled_rk4(*args):
-            for n, (t, y) in enumerate(rk4(*args)):
-                made.append(t)
+        class CountedPower(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc is np.matmul:
+                    products.append(1)
+                inputs = [x.view(np.ndarray) if isinstance(x, CountedPower) else x
+                          for x in inputs]
+                return getattr(ufunc, method)(*inputs, **kwargs)
+
+        def counted_rk4(*args):
+            return {n: power.view(CountedPower) for n, power in rk4(*args).items()}
+
+        def spoiled_scatter(*args):
+            rho = scatter(*args)  # shape (snapshots of the block, 16)
+            for n, snapshot in enumerate(rho, len(made)):
                 if n in (6, 7):
-                    y = y.copy()
-                    y[0] += 1e-6  # rho_{00,00}: the trace moves
-                yield t, y
+                    snapshot[0] += 1e-6  # rho_{00,00}: the trace moves
+            made.extend(rho)
+            return rho
 
         with mock.patch.object(dynamics, "CHECK_POINTS", 4), \
-                mock.patch.object(dynamics, "_rk4", spoiled_rk4):
+                mock.patch.object(dynamics, "_rk4", counted_rk4), \
+                mock.patch.object(dynamics, "_scatter", spoiled_scatter):
             with pytest.raises(DiagnosticError,
                                match=r"^density-matrix diagnostics failed at t = 0\.06: "
                                      r"\|trace-1\| = 1e-06$"):
                 integrate_lindblad(h_reduced_two_qubit(1.0), pure_rho(1), NoiseSpec(0.1, 0.2),
                                    TimeGrid(1.0, 100))
-        assert len(made) <= 8  # no snapshot past the breach's block
+        assert len(products) == 7  # snapshots 1 to 7: none stepped past the breach's block
+        assert len(made) <= 8  # and none scattered past it
 
 
 def per_stage_rk4(generator, y, grid, record_every):
@@ -460,7 +486,7 @@ def per_stage_rk4(generator, y, grid, record_every):
 
 
 class TestStepMatrixStepper:
-    """_rk4 applies powers of the RK4 step matrix; the per-stage recurrence is its oracle."""
+    """Powers of the RK4 step matrix from `_rk4`; the per-stage recurrence is their oracle."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -481,7 +507,7 @@ class TestStepMatrixStepper:
         y0 = rng.normal(size=shape + (n, 1)) + 1j * rng.normal(size=shape + (n, 1))
         # Chunks smaller than the stack, so powers are formed across chunk edges.
         with mock.patch.object(dynamics, "CHECK_POINTS", data.draw(st.integers(1, 5))):
-            new = list(_rk4(generator, y0, grid, scale, record_every))
+            new = list(stepped_snapshots(generator, y0, grid, scale, record_every))
         old = list(per_stage_rk4(generator, y0, grid, record_every))
         assert [t for t, _ in new] == [t for t, _ in old]
         for (_, y_new), (_, y_old) in zip(new, old):

@@ -14,7 +14,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dotbus import dynamics, protocols
@@ -469,12 +469,7 @@ class TestClosedFormError:
     @staticmethod
     def model(data, ratios=st.floats(5.0, 100.0)):
         g = data.draw(power_of_ten(-100, 100))
-        tau = data.draw(ratios) * g
-        # 5.0 x g can round so that tau / g reads 4.999999999999999, which the
-        # program refuses; step tau up to the first value it accepts.
-        while not ModelParams.uniform(2, g, tau).is_dispersive:
-            tau = math.nextafter(tau, math.inf)
-        return ModelParams.uniform(2, g, tau)
+        return ModelParams.uniform(2, g, data.draw(ratios) * g)
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -628,7 +623,6 @@ class TestPairSetUp:
         # The sweep steps the cached set-up at [lambda, gamma, gamma_phi], epr
         # the `integrate_lindblad` run at lambda on the same grid: the same D.
         p = ModelParams.uniform(2, g, ratio * g)
-        assume(p.is_dispersive)  # (5 g) / g can round below 5
         noise = NoiseSpec(gamma * p.lam, gamma_phi * p.lam)
         errors = _sweep_errors(p, np.array([noise.gamma]), np.array([noise.gamma_phi]))
         assert errors.tolist() == [epr_generation(p, noise).error_d]
@@ -669,23 +663,41 @@ class TestBatchedSweep:
             serial_d = 1.0 - fidelity(DensityMatrix(TWO_QUBIT_SPACE, serial.final), epr_target())
             assert abs(error - serial_d) <= 1e-12
 
+    # Each spoil acts on one scattered flat matrix rho, support entries
+    # [0, 5, 6, 9, 10] of row-major vec(rho).
     @staticmethod
-    def spoil_trace(y):
-        y[4] += 1e-6
+    def spoil_trace(rho):
+        rho[10] += 1e-6  # rho_{10,10}
 
     @staticmethod
     def spoil_hermiticity(rho):
-        # rho_{01,10} without its conjugate rho_{10,01}, on a scattered flat
-        # matrix: the stepped vector holds Re and Im of the pair and cannot.
+        # rho_{01,10} without its conjugate rho_{10,01}: `_scatter` itself
+        # writes both from one Re and Im pair and cannot.
         rho[6] += 1e-6
 
     @staticmethod
-    def spoil_positivity(y):
-        y[[0, 4]] += [-0.5, 0.5]  # rho_{00,00} < 0, which nothing couples to, trace kept
+    def spoil_positivity(rho):
+        rho[[0, 10]] += [-0.5, 0.5]  # rho_{00,00} < 0, which nothing couples to, trace kept
 
     @staticmethod
-    def spoil_finiteness(y):
-        y[0] = np.nan
+    def spoil_finiteness(rho):
+        rho[0] = np.nan
+
+    @staticmethod
+    def spoil_scatter(monkeypatch, spoil, spoiled):
+        """Make `_scatter` apply ``spoil`` to point k of snapshot n, each (n, k) of ``spoiled``."""
+        scatter, scattered = dynamics._scatter, []
+
+        def spoiled_scatter(*args):
+            rho = scatter(*args)  # shape (snapshots of the block, points, 16)
+            for n, block_rho in enumerate(rho, len(scattered)):
+                for snapshot, k in spoiled:
+                    if n == snapshot:
+                        spoil(block_rho[k])
+            scattered.extend(rho)
+            return rho
+
+        monkeypatch.setattr(dynamics, "_scatter", spoiled_scatter)
 
     # CHECK_POINTS = 4 puts both snapshots of a two-point sweep into one block,
     # ordered (t, point) = (0, 0), (0, 1), (t0, 0), (t0, 1); the first spoiled in time is named.
@@ -696,17 +708,7 @@ class TestBatchedSweep:
     ])
     def test_a_breach_inside_a_block_of_the_stack_names_its_time_and_grid_point(
             self, monkeypatch, spoiled, t, name):
-        rk4 = dynamics._rk4
-
-        def spoiled_rk4(*args):
-            for n, (time, y) in enumerate(rk4(*args)):
-                y = y.copy()
-                for snapshot, k in spoiled:
-                    if n == snapshot:
-                        self.spoil_finiteness(y[k, :, 0])
-                yield time, y
-
-        monkeypatch.setattr(dynamics, "_rk4", spoiled_rk4)
+        self.spoil_scatter(monkeypatch, self.spoil_finiteness, spoiled)
         monkeypatch.setattr(dynamics, "CHECK_POINTS", 4)
         p = ModelParams.uniform(2, 2 * math.pi * 100e6, 2 * math.pi * 800e6)  # t0 = 10 ns
         mhz = 2e6 * math.pi
@@ -731,29 +733,7 @@ class TestBatchedSweep:
     ])
     def test_bad_snapshot_names_the_first_failing_grid_point(
             self, monkeypatch, snapshot, t, spoil, breach, gamma_points, spoiled, name):
-        rk4, scatter, scattered = dynamics._rk4, dynamics._scatter, []
-
-        def spoiled_rk4(*args):
-            for n, (time, y) in enumerate(rk4(*args)):
-                if n == snapshot:
-                    y = y.copy()
-                    for k in spoiled:
-                        getattr(self, spoil)(y[k, :, 0])
-                yield time, y
-
-        def spoiled_scatter(*args):
-            rho = scatter(*args)  # shape (snapshots of the block, points, 16)
-            for n, block_rho in enumerate(rho, len(scattered)):
-                if n == snapshot:
-                    for k in spoiled:
-                        self.spoil_hermiticity(block_rho[k])
-            scattered.extend(rho)
-            return rho
-
-        if spoil == "spoil_hermiticity":
-            monkeypatch.setattr(dynamics, "_scatter", spoiled_scatter)
-        else:
-            monkeypatch.setattr(dynamics, "_rk4", spoiled_rk4)
+        self.spoil_scatter(monkeypatch, getattr(self, spoil), {(snapshot, k) for k in spoiled})
         p = ModelParams.uniform(2, 2 * math.pi * 100e6, 2 * math.pi * 800e6)  # t0 = 10 ns
         mhz = 2e6 * math.pi
         with pytest.raises(DiagnosticError) as err:

@@ -99,6 +99,10 @@ EDGE_CASES = {
     "edge-past-old-budget": {"model": {"tau_over_g": 3e7}},
     # 441 sweep points x 127,691 RK4 steps: the sweep runs.
     "edge-sweep-past-old-budget": {"model": {"tau_over_g": 1e5}},
+    # Exactly at the threshold tau/g = 5, with a g at which (5 g) / g rounds
+    # to 4.999999999999999: the model is dispersive, since tau = 5 g.
+    "edge-threshold-rounding": {"model": {"coupling_g": "42095669.24242398 Hz",
+                                          "tau_over_g": 5}},
 }
 
 
