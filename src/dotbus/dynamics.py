@@ -13,12 +13,12 @@ there, and one that does not, beyond roundoff, is refused before any step.
 Its generators are constant, so every fixed RK4 step applies one matrix S,
 and `_rk4` returns S^n for each snapshot interval length n.  `_rk4_step`
 holds the stage formula that forms S, which the reference Schroedinger
-integrator takes once per step.  `_evolve` advances the snapshots in blocks
-of up to CHECK_POINTS matrices, one product by S^n each, scatters each block
-back to Hermitian matrices (`_scatter`) and checks it before it steps on.
-Nothing is renormalized: `_check_snapshot` measures trace, Hermiticity and
-the smallest eigenvalue and stops a run at the first snapshot out of
-tolerance, within the block that holds it, before it steps into overflow.
+integrator takes once per step.  `_evolve` checks the start once, then
+advances blocks of up to CHECK_POINTS snapshot matrices, one product by S^n
+each, scatters each back to exactly Hermitian matrices (`_scatter`) and checks
+it before it steps on.  Nothing is renormalized: `_check_snapshot` reads
+finiteness, trace and least eigenvalue and stops a run at the first snapshot
+out of tolerance, within its block, before it steps into overflow.
 `build_liouvillian` forms the dissipator parts once per qubit count
 (`_dissipators`).
 """
@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .algebra import (EIG_FLOOR, HERMITIAN_TOL, SIGMA_MINUS, SIGMA_Z, TRACE_TOL, DensityMatrix,
-                      HilbertSpace, embed, hermiticity_defect)
+                      HilbertSpace, embed)
 
 STABILITY_LIMIT = 0.1        # max allowed dt * ||generator||
 # Matrices that one snapshot check, and step matrices that one power, takes at
@@ -91,7 +91,8 @@ class SimResult:
     ``states`` is one bare complex array, one entry per snapshot: shape (T, d)
     for wavefunction runs, (T, d, d) for density-matrix runs, (T, points, d, d)
     for a stack; wrap an entry in PureState/DensityMatrix at the point of use.
-    Diagnostics are parallel arrays, one entry per snapshot (and point).
+    Diagnostics are parallel arrays, one entry per snapshot (and point): a
+    density-matrix run's ``trace_dev`` and ``min_eig`` (`_check_snapshot`).
     """
 
     times: np.ndarray
@@ -199,40 +200,35 @@ def build_liouvillian(h_eff: np.ndarray) -> np.ndarray:
 
 
 def _check_snapshot(rho: np.ndarray, times, point: Callable[[int], str] | None = None):
-    """(|trace - 1|, Hermiticity defect, smallest eigenvalue) of the snapshots ``rho``.
+    """(|trace - 1|, smallest eigenvalue) of the snapshots ``rho``, Hermitian by `_scatter`.
 
     ``rho`` is one density matrix, giving one value each, or a stack of them,
     giving one array entry per matrix; ``times`` holds the time of each, shape
     rho.shape[:-2].  The first matrix that `DensityMatrix` would refuse, with
-    a non-finite entry, |trace - 1| > TRACE_TOL, a Hermiticity defect >
-    HERMITIAN_TOL or an eigenvalue below EIG_FLOOR, raises DiagnosticError
-    naming its time; ``point(k)`` names the k-th matrix of a stack.
+    a non-finite entry, |trace - 1| > TRACE_TOL or an eigenvalue below
+    EIG_FLOOR, raises DiagnosticError naming its time; ``point(k)`` names the
+    k-th matrix of a stack.
     """
+    finite = np.isfinite(rho).all(axis=(-2, -1))
     trace_dev = abs(rho.trace(axis1=-2, axis2=-1).real - 1.0)
-    herm_dev = hermiticity_defect(rho)  # not finite where rho has a non-finite entry
-    try:  # .T[0] is the smallest eigenvalue of each matrix, a scalar for one
-        min_eig = np.linalg.eigvalsh(rho).T[0]
-    except np.linalg.LinAlgError:  # one non-finite matrix fails the whole stack
-        finite = np.isfinite(herm_dev)[..., None, None]
-        min_eig = np.linalg.eigvalsh(np.where(finite, rho, 0.0)).T[0]
-    # A NaN fails every comparison, so a non-finite value is a breach too.
-    bad = ~((trace_dev <= TRACE_TOL) & (herm_dev <= HERMITIAN_TOL) & (min_eig >= EIG_FLOOR))
+    # eigvalsh refuses a whole stack for one non-finite matrix, which enters as 0;
+    # .T[0] is the smallest eigenvalue of each matrix, a scalar for one.
+    min_eig = np.linalg.eigvalsh(np.where(finite[..., None, None], rho, 0.0)).T[0]
+    bad = ~(finite & (trace_dev <= TRACE_TOL) & (min_eig >= EIG_FLOOR))
     if np.count_nonzero(bad):
         k = int(np.flatnonzero(bad)[0])
-        t, tr, herm, eig = (np.ravel(x)[k] for x in (times, trace_dev, herm_dev, min_eig))
-        if not np.isfinite(herm):
+        t, ok, tr, eig = (np.ravel(x)[k] for x in (times, finite, trace_dev, min_eig))
+        if not ok:
             breaches = ["non-finite entries"]
         else:
             breaches = [f"|trace-1| = {tr:.3g}"] if tr > TRACE_TOL else []
-            if herm > HERMITIAN_TOL:
-                breaches.append(f"hermiticity defect = {herm:.3g}")
             if eig < EIG_FLOOR:
                 breaches.append(f"min eigenvalue = {eig:.3g}")
         where = f", {point(k)}" if point else ""
         raise DiagnosticError(
             f"density-matrix diagnostics failed at t = {t:.6g}{where}: " + "; ".join(breaches)
         )
-    return trace_dev, herm_dev, min_eig
+    return trace_dev, min_eig
 
 
 def _support(parts: np.ndarray, rho0: np.ndarray) -> np.ndarray:
@@ -322,13 +318,13 @@ def _evolve(coords: _Coordinates, rates: np.ndarray, grid: TimeGrid, scale: floa
 
     Rates of shape (C,) give one run; rates of shape (points, C) one run per
     row, stepped at once, ``point(k)`` naming the k-th, and states and
-    diagnostics of shape (T, points, ...).  The run advances a block of m
-    snapshots at a time, as many as fill CHECK_POINTS matrices and at least
-    one: 64 for one run, one for a stack of 64 points or more.  Snapshot k is
-    S^n x snapshot k-1, n the steps between them (`_rk4`).  Each block is
-    scattered back (`_scatter`) and checked CHECK_POINTS matrices at a time,
-    in time order, before the run steps on: a breach stops it within the
-    block that holds it.
+    diagnostics of shape (T, points, ...).  Snapshot 0, coords.start at every
+    point, is scattered (`_scatter`) and checked once.  From snapshot 1 the run
+    advances a block of m snapshots at a time, as many as fill CHECK_POINTS
+    matrices and at least one: 64 for one run, one for a stack of 64 points or
+    more.  Snapshot k is S^n x snapshot k-1, n the steps between them (`_rk4`).
+    Each block is scattered and checked CHECK_POINTS matrices at a time, in
+    time order, before the run steps on: a breach stops it within its block.
     """
     d, s, points = coords.d, coords.support.size, rates.shape[:-1]
     generators = (rates @ coords.parts.reshape(len(coords.parts), -1)).reshape(points + (s, s))
@@ -339,11 +335,13 @@ def _evolve(coords: _Coordinates, rates: np.ndarray, grid: TimeGrid, scale: floa
     x = np.empty((count,) + points + (s, 1))
     x[0] = coords.start[:, None]
     states = np.empty((count,) + points + (d * d,), dtype=complex)
-    checks = np.empty((3, count * size))
+    checks = np.empty((2, count * size))
+    start = states[0] = _scatter(coords.start, coords)  # every point starts here: checked once
+    checks[:, :size] = np.reshape(_check_snapshot(start.reshape(d, d), times[0], point), (2, 1))
     block = max(1, CHECK_POINTS // size)
-    for lo in range(0, count, block):
+    for lo in range(1, count, block):
         hi = min(lo + block, count)
-        for k in range(max(lo, 1), hi):
+        for k in range(lo, hi):
             np.matmul(powers[marks[k] - marks[k - 1]], x[k - 1], out=x[k])
         states[lo:hi] = _scatter(x[lo:hi, ..., 0], coords)
         # Time-major, so the first breach in a check is the earliest snapshot's.
@@ -353,7 +351,7 @@ def _evolve(coords: _Coordinates, rates: np.ndarray, grid: TimeGrid, scale: floa
             name = point and (lambda k, c=c: point((c + k) % size))
             block_checks[:, c:c + CHECK_POINTS] = _check_snapshot(
                 matrices[c:c + CHECK_POINTS], matrix_times[c:c + CHECK_POINTS], name)
-    checks = dict(zip(("trace_dev", "herm_dev", "min_eig"), checks.reshape((3, count) + points)))
+    checks = dict(zip(("trace_dev", "min_eig"), checks.reshape((2, count) + points)))
     return SimResult(times, states.reshape(states.shape[:-1] + (d, d)), checks)
 
 

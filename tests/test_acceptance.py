@@ -10,7 +10,7 @@ import time
 import numpy as np
 import scipy.linalg
 
-from dotbus.algebra import identity
+from dotbus.algebra import hermiticity_defect, identity
 from dotbus.cli import main
 from dotbus.device import (
     CouplerParams,
@@ -179,20 +179,20 @@ def test_criterion_5_integrator_order_and_diagnostics():
 
     liou = np.tensordot(noise.rates, build_liouvillian(h), axes=1)
     exact_rho = (scipy.linalg.expm(liou * t) @ rho0.matrix.reshape(-1)).reshape(4, 4)
-    lind_err = []
+    lind_err, herm_dev = [], 0.0
     diag = None
     for steps in step_ladder:
         r = integrate_lindblad(h, rho0, noise, TimeGrid(t, steps))
         lind_err.append(float(np.max(np.abs(r.final - exact_rho))))
+        herm_dev = max(herm_dev, float(np.max(hermiticity_defect(r.states))))
         diag = r.diagnostics
 
     schro_ratios = [a / b for a, b in zip(schro_err, schro_err[1:])]
     lind_ratios = [a / b for a, b in zip(lind_err, lind_err[1:])]
     order_ok = all(r >= 8 for r in schro_ratios + lind_ratios)
     trace_dev = float(np.max(diag["trace_dev"]))
-    herm_dev = float(np.max(diag["herm_dev"]))
     min_eig = float(np.min(diag["min_eig"]))
-    diag_ok = trace_dev < 1e-8 and herm_dev < 1e-10 and min_eig > -1e-8
+    diag_ok = trace_dev < 1e-8 and herm_dev == 0.0 and min_eig > -1e-8
     announce(
         5,
         order_ok and diag_ok,
@@ -206,7 +206,7 @@ def test_criterion_5_integrator_order_and_diagnostics():
     for r in schro_ratios + lind_ratios:
         assert r >= 8.0
     assert trace_dev < 1e-8
-    assert herm_dev < 1e-10
+    assert herm_dev == 0.0  # every snapshot of every run, exactly Hermitian
     assert min_eig > -1e-8
 
 

@@ -9,6 +9,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dotbus import dynamics
 from dotbus.algebra import (HERMITIAN_TOL, DensityMatrix, HilbertSpace, PureState, fidelity,
@@ -345,9 +346,10 @@ class TestIntegrateLindblad:
             h, pure_rho(1), NoiseSpec(0.05, 0.1), TimeGrid(1.0, 100)
         )
         diag = result.diagnostics
+        assert diag.keys() == {"trace_dev", "min_eig"}
         assert len(diag["trace_dev"]) == len(result.times)
         assert np.max(diag["trace_dev"]) < 1e-8
-        assert np.max(diag["herm_dev"]) < 1e-10
+        assert np.all(hermiticity_defect(result.states) == 0.0)
         assert np.min(diag["min_eig"]) > -1e-8
 
     def test_health_breach_raises(self):
@@ -431,13 +433,15 @@ class TestBlockChecks:
         assert result.times.tolist() == times
         assert isinstance(result.states, np.ndarray) and result.states.shape == (len(times), 4, 4)
         assert np.array_equal(result.states, states)
-        for key, column in zip(("trace_dev", "herm_dev", "min_eig"), zip(*rows)):
+        assert result.diagnostics.keys() == {"trace_dev", "min_eig"}
+        for key, column in zip(("trace_dev", "min_eig"), zip(*rows)):
             assert np.array_equal(result.diagnostics[key], column)
 
     def test_a_breach_inside_a_block_names_its_time_and_stops_the_run_there(self):
-        # Blocks of 4 snapshots; snapshots 6 and 7, the third and fourth of
-        # the second block, are spoiled, and the run names the first of them.
-        # Snapshot k > 0 is one product by a power from `_rk4`, counted here.
+        # The start is scattered alone, then blocks of 4 snapshots, [1, 5) and
+        # [5, 9); snapshots 6 and 7, the second and third of the second block,
+        # are spoiled, and the run names the first of them.  Snapshot k > 0 is
+        # one product by a power from `_rk4`, counted here.
         rk4, scatter, made, products = dynamics._rk4, dynamics._scatter, [], []
 
         class CountedPower(np.ndarray):
@@ -452,11 +456,11 @@ class TestBlockChecks:
             return {n: power.view(CountedPower) for n, power in rk4(*args).items()}
 
         def spoiled_scatter(*args):
-            rho = scatter(*args)  # shape (snapshots of the block, 16)
-            for n, snapshot in enumerate(rho, len(made)):
+            rho = scatter(*args)  # the start, shape (16,), then a block, (snapshots, 16)
+            for n, snapshot in enumerate(rho.reshape(-1, 16), len(made)):
                 if n in (6, 7):
                     snapshot[0] += 1e-6  # rho_{00,00}: the trace moves
-            made.extend(rho)
+            made.extend(rho.reshape(-1, 16))
             return rho
 
         with mock.patch.object(dynamics, "CHECK_POINTS", 4), \
@@ -467,8 +471,8 @@ class TestBlockChecks:
                                      r"\|trace-1\| = 1e-06$"):
                 integrate_lindblad(h_reduced_two_qubit(1.0), pure_rho(1), NoiseSpec(0.1, 0.2),
                                    TimeGrid(1.0, 100))
-        assert len(products) == 7  # snapshots 1 to 7: none stepped past the breach's block
-        assert len(made) <= 8  # and none scattered past it
+        assert len(products) == 8  # snapshots 1 to 8: none stepped past the breach's block
+        assert len(made) == 9  # and none scattered past it
 
 
 def per_stage_rk4(generator, y, grid, record_every):
@@ -541,7 +545,7 @@ class TestRealCoordinates:
                                         record_every)
         except DiagnosticError:  # an eigenvalue of a rank-deficient rho0 dips below EIG_FLOOR
             return
-        assert np.all(result.diagnostics["herm_dev"] == 0.0)
+        assert np.all(hermiticity_defect(result.states) == 0.0)
         s = support.size
         generator = (noise.rates @ parts[:, support[:, None], support].reshape(3, -1)).reshape(s, s)
         old = list(per_stage_rk4(generator, rho0.reshape(-1)[support, None], grid, record_every))
@@ -563,7 +567,7 @@ class TestRealCoordinates:
         """
         grid = TimeGrid(t, steps)
         result = integrate_lindblad(h, DensityMatrix(TWO_QUBITS, rho0), noise, grid, record_every)
-        assert np.all(result.diagnostics["herm_dev"] == 0.0)
+        assert np.all(hermiticity_defect(result.states) == 0.0)
         old = list(per_stage_rk4(liouvillian(h, noise), rho0.reshape(-1, 1), grid, record_every))
         assert result.times.tolist() == [t for t, _ in old]
         y_old = np.array([y.ravel() for _, y in old])
@@ -620,6 +624,71 @@ class TestRealCoordinates:
         assert str(err.value) == ("the generator does not keep rho Hermitian: its "
                                   f"real-coordinate form has imaginary entries {breach}")
         rk4.assert_not_called()
+
+
+def random_set_up(data):
+    """The `_real_coordinates` of random sparse parts -i[H, .], D[L] and a random sparse rho0.
+
+    H and rho0 are Hermitian, so the parts keep rho Hermitian, and their
+    nonzero patterns, hence the `_support`, are drawn as well.
+    """
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    d = data.draw(st.sampled_from([4, 3, 2, 1]))
+
+    def sparse():
+        mask = rng.random((d, d)) < data.draw(st.floats(0.0, 1.0))
+        return np.where(mask, rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)), 0.0)
+
+    # L is real, as the production jump operators are: a complex product
+    # l conj(l') is the conjugate of l' conj(l) only up to roundoff.
+    a, l_op, b = sparse(), sparse().real, sparse()
+    h, eye, ldl = a + a.conj().T, np.eye(d), l_op.T @ l_op
+    parts = np.stack([-1j * (np.kron(h, eye) - np.kron(eye, h.T)),
+                      np.kron(l_op, l_op) - 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T))])
+    rho0 = b + b.conj().T
+    k = data.draw(st.integers(0, d - 1))
+    rho0[k, k] += 1.0  # a nonzero entry, so the support is not empty
+    return _real_coordinates(parts, rho0)
+
+
+# Any finite double, with the extremes and subnormals drawn often.
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [1e308, -1e308, np.finfo(float).max, -np.finfo(float).max, 5e-324, -5e-324, 1e-310])
+
+
+class TestScatter:
+    """`_scatter` makes each matrix exactly Hermitian, so `_check_snapshot` need not measure it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_every_matrix_is_exactly_hermitian_and_0_off_the_support(self, data):
+        coords = random_set_up(data)
+        d, s = coords.d, coords.support.size
+        x = data.draw(arrays(np.float64, (data.draw(st.integers(1, 3)), s), elements=FINITE))
+        rho = _scatter(x, coords)
+        assert np.all(np.delete(rho, coords.support, axis=-1) == 0.0)
+        rho = rho.reshape(-1, d, d)
+        assert np.array_equal(rho, rho.conj().swapaxes(-1, -2))  # entry for entry, no tolerance
+        assert np.all(hermiticity_defect(rho) == 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_a_non_finite_coordinate_is_named_by_the_check(self, data):
+        # The non-finite matrix comes first in a stack of finite ones, which
+        # `eigvalsh` must still read.
+        coords = random_set_up(data)
+        d, s = coords.d, coords.support.size
+        x = data.draw(arrays(np.float64, (data.draw(st.integers(1, 3)), s), elements=FINITE))
+        x[0, data.draw(st.integers(0, s - 1))] = data.draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
+        rho = _scatter(x, coords).reshape(-1, d, d)
+        for matrices, times in ((rho, np.arange(len(rho)) * 0.5), (rho[0], 0.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf in the trace
+                with pytest.raises(DiagnosticError) as err:
+                    _check_snapshot(matrices, times)
+            assert str(err.value) == ("density-matrix diagnostics failed at t = 0: "
+                                      "non-finite entries")
 
 
 class TestFourthOrderScaling:

@@ -16,12 +16,13 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from dotbus import dynamics, protocols
 from dotbus.algebra import DensityMatrix, PureState, fidelity
 from dotbus.dynamics import (DiagnosticError, NoiseSpec, TimeGrid, _real_coordinates, _support,
                              build_liouvillian, integrate_lindblad)
-from dotbus.config import MAX_QUBITS
+from dotbus.config import MAX_QUBITS, config_from_dict
 from dotbus.hamiltonians import ModelParams, analytic_u, h_reduced_two_qubit
 from dotbus.protocols import (
     FRAME_SAMPLES,
@@ -554,6 +555,49 @@ class TestClosedFormError:
         assert np.isfinite(at) and np.max(np.abs(near - at)) < 1e-9
 
 
+class TestBelowOnePercent:
+    """Where the default config's D falls below 1%, the paper's claim, from the closed form.
+
+    The README's "When is D below 1%?" section states these roots of
+    `reference.epr_error_closed_form`; rates and lambda read in MHz as x/2pi.
+    """
+
+    MHZ = 2e6 * math.pi
+    CFG = config_from_dict({})
+    LAM, GAMMA, GAMMA_PHI = CFG.model.lam, CFG.noise.gamma, CFG.noise.gamma_phi
+
+    @staticmethod
+    def one_percent(error, lo, hi):
+        """The x in [lo, hi] at which error(x) = 1%, where it changes sign."""
+        return brentq(lambda x: float(error(x)) - 0.01, lo, hi, xtol=1e-12)
+
+    def test_the_default_point_gives_2_33_percent(self):
+        assert round(self.LAM / self.MHZ, 2) == 9.84
+        assert round(100 * float(epr_error_closed_form(self.LAM, self.GAMMA, self.GAMMA_PHI)),
+                     4) == 2.3309
+
+    def test_rates_below_which_d_is_below_1_percent(self):
+        lam = self.LAM
+        gamma = self.one_percent(lambda r: epr_error_closed_form(lam, r, 0.0), 0.0, 5 * self.MHZ)
+        gamma_phi = self.one_percent(lambda r: epr_error_closed_form(lam, 0.0, r), 0.0,
+                                     5 * self.MHZ)
+        assert round(gamma / self.MHZ, 5) == 0.50374  # with no dephasing
+        assert round(gamma_phi / self.MHZ, 5) == 0.25419  # with no relaxation
+        assert (epr_error_closed_form(lam, 0.999 * gamma, 0.0) < 0.01
+                < epr_error_closed_form(lam, 1.001 * gamma, 0.0))
+        assert (epr_error_closed_form(lam, 0.0, 0.999 * gamma_phi) < 0.01
+                < epr_error_closed_form(lam, 0.0, 1.001 * gamma_phi))
+        # The engine reads the same 1% at the root.
+        assert abs(epr_generation(self.CFG.model, NoiseSpec(gamma, 0.0)).error_d - 0.01) <= 1e-9
+
+    def test_the_exchange_above_which_d_is_below_1_percent(self):
+        lam = self.one_percent(lambda x: epr_error_closed_form(x, self.GAMMA, self.GAMMA_PHI),
+                               self.LAM, 10 * self.LAM)
+        assert round(lam / self.MHZ, 4) == 23.2954  # 2.4 times the default exchange
+        assert round(gate_time_t0(lam) * 1e9, 4) == 5.3659  # t0 in ns
+        assert epr_error_closed_form(1.001 * lam, self.GAMMA, self.GAMMA_PHI) < 0.01
+
+
 # lambda = 1e-308, 1 and 1.26e153, which span what the config accepts.
 LAMBDA_SPAN = [ModelParams.uniform(2, g, ratio * g) for g, ratio in (
     (2 * math.pi * 1e-150, 6.283185307179586e158), (10.0, 10.0), (2 * math.pi * 2e153, 10.0))]
@@ -670,12 +714,6 @@ class TestBatchedSweep:
         rho[10] += 1e-6  # rho_{10,10}
 
     @staticmethod
-    def spoil_hermiticity(rho):
-        # rho_{01,10} without its conjugate rho_{10,01}: `_scatter` itself
-        # writes both from one Re and Im pair and cannot.
-        rho[6] += 1e-6
-
-    @staticmethod
     def spoil_positivity(rho):
         rho[[0, 10]] += [-0.5, 0.5]  # rho_{00,00} < 0, which nothing couples to, trace kept
 
@@ -685,12 +723,21 @@ class TestBatchedSweep:
 
     @staticmethod
     def spoil_scatter(monkeypatch, spoil, spoiled):
-        """Make `_scatter` apply ``spoil`` to point k of snapshot n, each (n, k) of ``spoiled``."""
+        """Make `_scatter` apply ``spoil`` to point k of snapshot n, each (n, k) of ``spoiled``.
+
+        Snapshot 0 is the start, one matrix that every point shares: spoiling
+        it at any point spoils it at all of them.
+        """
         scatter, scattered = dynamics._scatter, []
 
         def spoiled_scatter(*args):
-            rho = scatter(*args)  # shape (snapshots of the block, points, 16)
-            for n, block_rho in enumerate(rho, len(scattered)):
+            rho = scatter(*args)
+            if rho.ndim == 1:  # the start, scattered once for every point
+                if any(snapshot == 0 for snapshot, _ in spoiled):
+                    spoil(rho)
+                scattered.append(rho)
+                return rho
+            for n, block_rho in enumerate(rho, len(scattered)):  # (snapshots, points, 16)
                 for snapshot, k in spoiled:
                     if n == snapshot:
                         spoil(block_rho[k])
@@ -699,11 +746,12 @@ class TestBatchedSweep:
 
         monkeypatch.setattr(dynamics, "_scatter", spoiled_scatter)
 
-    # CHECK_POINTS = 4 puts both snapshots of a two-point sweep into one block,
-    # ordered (t, point) = (0, 0), (0, 1), (t0, 0), (t0, 1); the first spoiled in time is named.
+    # The start is checked first, alone, and a breach there names the first
+    # point; CHECK_POINTS = 4 then puts snapshot t0 of both points into one
+    # block, ordered (t, point) = (t0, 0), (t0, 1); the first spoiled in time is named.
     @pytest.mark.parametrize("spoiled, t, name", [
         ({(1, 1)}, "1e-08", "gamma/2pi = 0.5 MHz, gamma_phi/2pi = 0.25 MHz"),
-        ({(1, 0), (0, 1)}, "0", "gamma/2pi = 0.5 MHz, gamma_phi/2pi = 0.25 MHz"),
+        ({(1, 0), (0, 1)}, "0", "gamma/2pi = 0 MHz, gamma_phi/2pi = 0.25 MHz"),
         ({(1, 0), (1, 1)}, "1e-08", "gamma/2pi = 0 MHz, gamma_phi/2pi = 0.25 MHz"),
     ])
     def test_a_breach_inside_a_block_of_the_stack_names_its_time_and_grid_point(
@@ -721,7 +769,6 @@ class TestBatchedSweep:
     @pytest.mark.parametrize("snapshot, t", [(0, "0"), (1, "1e-08")])
     @pytest.mark.parametrize("spoil, breach", [
         ("spoil_trace", "|trace-1| = 1e-06"),
-        ("spoil_hermiticity", "hermiticity defect = 1e-06"),
         ("spoil_positivity", "min eigenvalue = -"),
         ("spoil_finiteness", "non-finite entries"),
     ])
@@ -736,6 +783,8 @@ class TestBatchedSweep:
         self.spoil_scatter(monkeypatch, getattr(self, spoil), {(snapshot, k) for k in spoiled})
         p = ModelParams.uniform(2, 2 * math.pi * 100e6, 2 * math.pi * 800e6)  # t0 = 10 ns
         mhz = 2e6 * math.pi
+        if snapshot == 0:  # every point shares the start, and the first is named
+            name = "gamma/2pi = 0 MHz, gamma_phi/2pi = 0 MHz"
         with pytest.raises(DiagnosticError) as err:
             decoherence_sweep(p, mhz * 0.5 * np.arange(gamma_points),
                               mhz * np.array([0.0, 0.25, 1.0]))
