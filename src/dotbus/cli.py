@@ -127,26 +127,23 @@ def cmd_epr(cfg: RunConfig, out) -> int:
         columns = np.stack([result.times, _epr_fidelity(result.states),
                             np.trace(result.states, axis1=1, axis2=2).real,
                             result.diagnostics["min_eig"]], axis=1)
-        rows = ["t,fidelity,trace,min_eig\n"] + [  # Python floats format faster than numpy's
-            f"{t:.10e},{fid:.10e},{trace:.10e},{min_eig:.10e}\n"
-            for t, fid, trace, min_eig in columns.tolist()
-        ]
-        _write_outputs(cfg, out, "".join(rows))
+        # One % over every row, on Python floats, which format faster than numpy's
+        rows = "%.10e,%.10e,%.10e,%.10e\n" * len(columns) % tuple(columns.ravel().tolist())
+        _write_outputs(cfg, out, "t,fidelity,trace,min_eig\n" + rows)
     return EXIT_OK
 
 
 def cmd_sweep(cfg: RunConfig, out) -> int:
     out = out or "sweep.csv"
     sweep = decoherence_sweep(cfg.model, cfg.sweep_gamma_axis, cfg.sweep_gamma_phi_axis)
-    rows = []  # Python floats format faster than numpy's
-    for gamma, errors in zip(sweep.gamma_axis.tolist(), sweep.error_grid.tolist()):
-        for gamma_phi, error in zip(sweep.gamma_phi_axis.tolist(), errors):
-            rows.append(
-                "%.10e,%.10e,%.10e" % (gamma / (2e6 * math.pi), gamma_phi / (2e6 * math.pi), error)
-            )
+    # Each axis value formatted once, then one % over every D, on Python
+    # floats, which format faster than numpy's
+    gammas, gamma_phis = (["%.10e" % (rate / (2e6 * math.pi)) for rate in axis.tolist()]
+                          for axis in (sweep.gamma_axis, sweep.gamma_phi_axis))
+    rows = "".join(f"{gamma},{gamma_phi},%.10e\n" for gamma in gammas for gamma_phi in gamma_phis)
     _write_outputs(cfg, out, "gamma_over_2pi_MHz,gamma_phi_over_2pi_MHz,error_D\n"
-                   + "\n".join(rows) + "\n")
-    print(f"wrote {len(rows)} sweep rows to {out}")
+                   + rows % tuple(sweep.error_grid.ravel().tolist()))
+    print(f"wrote {sweep.error_grid.size} sweep rows to {out}")
     print(
         f"reference operating point gamma/2pi = {REFERENCE_POINT_MHZ[0]} MHz, "
         f"gamma_phi/2pi = {REFERENCE_POINT_MHZ[1]} MHz ({REFERENCE_CLAIM})"

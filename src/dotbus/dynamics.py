@@ -37,10 +37,13 @@ from .algebra import (EIG_FLOOR, HERMITIAN_TOL, SIGMA_MINUS, SIGMA_Z, TRACE_TOL,
 
 STABILITY_LIMIT = 0.1        # max allowed dt * ||generator||
 # Matrices that one snapshot check, and step matrices that one power, takes at
-# a time, which bounds their temporaries; a whole stack's would add to peak
-# memory.  `_evolve` fills a block of snapshots with this many matrices: 64
-# snapshots of one run, one snapshot of a stack of 64 points or more.
-CHECK_POINTS = 64
+# a time, which bounds their temporaries: a chunk of 4 x 4 complex snapshots is
+# 128 KiB, of 5 x 5 real step matrices 100 KiB, while a whole stack's would add
+# to peak memory near `config.MAX_SWEEP_POINTS`.  `_evolve` fills a block of
+# snapshots with this many matrices, so each default run is one batch: the 256
+# snapshots after the start of an `epr --out` trajectory are one block, and the
+# 441 points of the default sweep one step matrix, one power and one check.
+CHECK_POINTS = 512
 
 
 class DiagnosticError(RuntimeError):
@@ -144,11 +147,13 @@ def _rk4(generator: np.ndarray, dt: float, marks: list[int]) -> dict[int, np.nda
     The generator of dy/dt = generator @ y is constant, so every RK4 step of
     ``dt`` applies the same matrix S (`_rk4_step`), and n steps apply S^n,
     raised by repeated squaring, ``CHECK_POINTS`` generators at a time to
-    bound the temporaries.  A stack of generators, shape (points, n, n),
-    gives powers of that shape.  Real and complex generators alike.
+    bound the temporaries.  One power array per distinct n: a trajectory
+    recorded every step has one, and a last interval shorter than the rest
+    adds a second.  A stack of generators, shape (points, n, n), gives powers
+    of that shape.  Real and complex generators alike.
     """
     stack = generator.reshape((-1,) + generator.shape[-2:])
-    powers = {b - a: np.empty_like(stack) for a, b in zip(marks, marks[1:])}
+    powers = {n: np.empty_like(stack) for n in {b - a for a, b in zip(marks, marks[1:])}}
     eye = np.eye(stack.shape[-1])
     for lo in range(0, len(stack), CHECK_POINTS):
         a = dt * stack[lo:lo + CHECK_POINTS]
@@ -321,17 +326,21 @@ def _evolve(coords: _Coordinates, rates: np.ndarray, grid: TimeGrid, scale: floa
     diagnostics of shape (T, points, ...).  Snapshot 0, coords.start at every
     point, is scattered (`_scatter`) and checked once.  From snapshot 1 the run
     advances a block of m snapshots at a time, as many as fill CHECK_POINTS
-    matrices and at least one: 64 for one run, one for a stack of 64 points or
-    more.  Snapshot k is S^n x snapshot k-1, n the steps between them (`_rk4`).
-    Each block is scattered and checked CHECK_POINTS matrices at a time, in
-    time order, before the run steps on: a breach stops it within its block.
+    matrices and at least one: 512 for one run, so a 256-step trajectory is
+    one block, and one for a stack of more than 256 points.  Snapshot k is
+    S^n x snapshot k-1, n the steps between them (`_rk4`).  Each block is
+    scattered and checked CHECK_POINTS matrices at a time, in time order,
+    before the run steps on: a breach stops it within its block.  The default
+    sweep, 441 points from start to t0, makes two checks: its start and its
+    finals.
     """
     d, s, points = coords.d, coords.support.size, rates.shape[:-1]
     generators = (rates @ coords.parts.reshape(len(coords.parts), -1)).reshape(points + (s, s))
     marks = _snapshot_steps(grid, scale, record_every)
-    powers = _rk4(generators, grid.dt, marks)
+    dt = grid.dt
+    powers = _rk4(generators, dt, marks)
     size, count = math.prod(points), len(marks)
-    times = np.array([mark * grid.dt for mark in marks])
+    times = np.array([mark * dt for mark in marks])
     x = np.empty((count,) + points + (s, 1))
     x[0] = coords.start[:, None]
     states = np.empty((count,) + points + (d * d,), dtype=complex)

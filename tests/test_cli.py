@@ -4,6 +4,7 @@ import errno
 import json
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from dotbus.config import (
     config_from_dict,
     parse_config,
 )
-from dotbus.dynamics import STABILITY_LIMIT, DiagnosticError, NoiseSpec
+from dotbus.algebra import TRACE_TOL
+from dotbus.dynamics import STABILITY_LIMIT, DiagnosticError, NoiseSpec, SimResult
 from dotbus.hamiltonians import h_reduced_two_qubit
 from dotbus.protocols import MAX_FRAME_PHASE, MIN_EPR_STEPS, _epr_grid, epr_generation
 
@@ -313,6 +315,80 @@ class TestCliSweep:
         code = main(["sweep", "--config", path, "--out", "/nonexistent-dir/sweep.csv"])
         assert code == 4
         assert "i/o error" in capsys.readouterr().err
+
+
+def per_row_sweep_csv(sweep):
+    """The sweep CSV formatted one row at a time: the oracle of `cmd_sweep`."""
+    rows = []
+    for gamma, errors in zip(sweep.gamma_axis.tolist(), sweep.error_grid.tolist()):
+        for gamma_phi, error in zip(sweep.gamma_phi_axis.tolist(), errors):
+            rows.append(
+                "%.10e,%.10e,%.10e" % (gamma / (2e6 * math.pi), gamma_phi / (2e6 * math.pi), error)
+            )
+    return "gamma_over_2pi_MHz,gamma_phi_over_2pi_MHz,error_D\n" + "\n".join(rows) + "\n"
+
+
+def per_row_epr_csv(result):
+    """The `epr --out` CSV formatted row by row: the oracle of `cmd_epr`."""
+    columns = np.stack([result.times, protocols._epr_fidelity(result.states),
+                        np.trace(result.states, axis1=1, axis2=2).real,
+                        result.diagnostics["min_eig"]], axis=1)
+    rows = ["t,fidelity,trace,min_eig\n"] + [
+        f"{t:.10e},{fid:.10e},{trace:.10e},{min_eig:.10e}\n"
+        for t, fid, trace, min_eig in columns.tolist()
+    ]
+    return "".join(rows)
+
+
+# Signed zeros, subnormals, the smallest normal and 1 + 1e-10, then any float in range.
+SPECIAL_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.5e-320, 2.2250738585072014e-308,
+                                  1 + 1e-10, 1.0, 0.5])
+
+
+def csv_floats(lo=None, hi=None):
+    return (SPECIAL_FLOATS.filter(lambda x: (lo is None or x >= lo) and (hi is None or x <= hi))
+            | st.floats(lo, hi, allow_nan=False, allow_infinity=False))
+
+
+class TestCsvBytes:
+    """The CSV writers format every value as the row-by-row writers did, byte for byte."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_sweep_csv(self, tmp_path_factory, data):
+        axis = st.lists(csv_floats(), min_size=1, max_size=6).map(np.array)
+        gamma_axis, gamma_phi_axis = data.draw(axis), data.draw(axis)
+        # D within TRACE_TOL of [0, 1], as `SweepResult` accepts it, negative roundoff included
+        errors = csv_floats(-TRACE_TOL, 1 + TRACE_TOL) | st.floats(-TRACE_TOL, 0.0)
+        size = gamma_axis.size * gamma_phi_axis.size
+        grid = np.array(data.draw(st.lists(errors, min_size=size, max_size=size)))
+        sweep = protocols.SweepResult(gamma_axis, gamma_phi_axis,
+                                      grid.reshape(gamma_axis.size, gamma_phi_axis.size))
+        tmp = tmp_path_factory.mktemp("sweep")
+        out = tmp / "sweep.csv"
+        with mock.patch.object(cli, "decoherence_sweep", lambda *args: sweep):
+            assert main(["sweep", "--config", write_config(tmp, {}), "--out", str(out)]) == 0
+        assert out.read_bytes() == per_row_sweep_csv(sweep).encode()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_epr_csv(self, tmp_path_factory, data):
+        count = data.draw(st.integers(1, 12))
+        column = st.lists(csv_floats(), min_size=count, max_size=count).map(np.array)
+        # Diagonal states with bounded entries, so that the trace and fidelity sums stay
+        # finite; the fidelity column is (rho_01,01 + rho_10,10) / 2.
+        diagonals = st.lists(csv_floats(-1e300, 1e300), min_size=4 * count, max_size=4 * count)
+        states = np.zeros((count, 4, 4), dtype=complex)
+        states[:, range(4), range(4)] = np.reshape(data.draw(diagonals), (count, 4))
+        result = SimResult(data.draw(column), states,
+                           {"trace_dev": np.zeros(count), "min_eig": data.draw(column)})
+        report = protocols.EprReport(t0=1.0, fidelity=1.0, error_d=0.0, concurrence=1.0,
+                                     result=result)
+        tmp = tmp_path_factory.mktemp("epr")
+        out = tmp / "epr.csv"
+        with mock.patch.object(cli, "epr_generation", lambda *args, **kwargs: report):
+            assert main(["epr", "--config", write_config(tmp, {}), "--out", str(out)]) == 0
+        assert out.read_bytes() == per_row_epr_csv(result).encode()
 
 
 class TestAtomicOutput:

@@ -519,6 +519,17 @@ class TestStepMatrixStepper:
             norm = max(np.max(np.abs(y0)), np.max(np.abs(y_old)))
             assert np.max(np.abs(y_new - y_old)) <= 2 * steps * n * np.finfo(float).eps * norm
 
+    # Intervals of 1; of 3 and a last 1 (256 = 85 x 3 + 1); of 10 alone
+    @pytest.mark.parametrize("steps, record_every, lengths", [
+        (256, 1, {1}), (256, 3, {3, 1}), (10, 10, {10})])
+    def test_one_power_array_per_distinct_interval(self, steps, record_every, lengths):
+        grid = TimeGrid(0.5, steps)
+        marks = _snapshot_steps(grid, 1.0, record_every)
+        with mock.patch.object(np, "empty_like", wraps=np.empty_like) as empty_like:
+            powers = _rk4(-np.eye(2), grid.dt, marks)
+        assert powers.keys() == lengths
+        assert empty_like.call_count == len(lengths)
+
 
 class TestRealCoordinates:
     """`_evolve` steps Re and Im of the support entries; the complex per-stage run is its oracle."""

@@ -9,6 +9,7 @@ the oracles for the full-model comparisons below.
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -464,6 +465,35 @@ class TestDecoherenceSweep:
             decoherence_sweep(paper_model(), gamma_axis, gamma_phi_axis)
 
 
+class TestOneBatchPerDefaultRun:
+    """The default sweep and `epr --out` run form one step matrix and make two checks."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        """Count the calls of `_rk4_step` and `_check_snapshot`, which still run."""
+        steps = mock.Mock(wraps=dynamics._rk4_step)
+        checks = mock.Mock(wraps=dynamics._check_snapshot)
+        monkeypatch.setattr(dynamics, "_rk4_step", steps)
+        monkeypatch.setattr(dynamics, "_check_snapshot", checks)
+        return steps, checks
+
+    def test_the_default_sweep(self, monkeypatch):
+        cfg = config_from_dict({})
+        steps, checks = self.counted(monkeypatch)
+        decoherence_sweep(cfg.model, cfg.sweep_gamma_axis, cfg.sweep_gamma_phi_axis)
+        assert steps.call_count == 1
+        # The start, once for every point, then the 21 x 21 finals in one check
+        assert [call.args[0].shape for call in checks.call_args_list] == [(4, 4), (441, 4, 4)]
+
+    def test_the_default_epr_trajectory(self, monkeypatch):
+        cfg = config_from_dict({})
+        steps, checks = self.counted(monkeypatch)
+        epr_generation(cfg.model, cfg.noise, trajectory=True)  # what `epr --out` runs
+        assert steps.call_count == 1
+        assert ([call.args[0].shape for call in checks.call_args_list]
+                == [(4, 4), (MIN_EPR_STEPS, 4, 4)])
+
+
 class TestClosedFormError:
     """D against `reference.epr_error_closed_form`, which shares no code with the engine."""
 
@@ -773,13 +803,15 @@ class TestBatchedSweep:
         ("spoil_finiteness", "non-finite entries"),
     ])
     # 2 x 3 points, spoiled at (1, 0) and (1, 1); 30 x 3 points, spoiled at (21, 1)
-    # and (23, 1), past the first dynamics.CHECK_POINTS = 64 points that one check takes.
+    # and (23, 1), past the first dynamics.CHECK_POINTS = 64 points that one check
+    # takes.  The default CHECK_POINTS checks all 90 at once, so 64 is set here.
     @pytest.mark.parametrize("gamma_points, spoiled, name", [
         (2, (3, 4), "gamma/2pi = 0.5 MHz, gamma_phi/2pi = 0 MHz"),
         (30, (64, 70), "gamma/2pi = 10.5 MHz, gamma_phi/2pi = 0.25 MHz"),
     ])
     def test_bad_snapshot_names_the_first_failing_grid_point(
             self, monkeypatch, snapshot, t, spoil, breach, gamma_points, spoiled, name):
+        monkeypatch.setattr(dynamics, "CHECK_POINTS", 64)
         self.spoil_scatter(monkeypatch, getattr(self, spoil), {(snapshot, k) for k in spoiled})
         p = ModelParams.uniform(2, 2 * math.pi * 100e6, 2 * math.pi * 800e6)  # t0 = 10 ns
         mhz = 2e6 * math.pi
