@@ -56,7 +56,6 @@ def _fmt_freq(omega: float) -> str:
     for unit, scale in (("GHz", 1e9), ("MHz", 1e6), ("kHz", 1e3), ("Hz", 1.0)):
         if abs(f) >= scale or unit == "Hz":
             return f"{omega:.6e} rad/s  ({f / scale:.6g} {unit})"
-    return f"{omega:.6e} rad/s"
 
 
 def _write_outputs(cfg: RunConfig, out: str, text: str) -> None:
@@ -64,10 +63,12 @@ def _write_outputs(cfg: RunConfig, out: str, text: str) -> None:
 
     Both are written in full to ``<path>.tmp`` beside their targets before
     either is moved into place with os.replace, so a write that fails leaves
-    neither output and no temporary file behind.  An existing ``<path>.tmp``,
+    neither output and no temporary file behind: an output already moved into
+    place when the second move fails is removed again, though an older
+    ``<out>`` that it replaced is not restored.  An existing ``<path>.tmp``,
     say from a killed run, is left alone and fails the write.
     """
-    staged = []
+    staged, moved = [], []
     try:
         for path, content in ((out, text), (out + ".resolved.json", cfg.dump_json())):
             with open(path + ".tmp", "x") as fh:
@@ -75,6 +76,11 @@ def _write_outputs(cfg: RunConfig, out: str, text: str) -> None:
                 fh.write(content)
         for path in staged:
             os.replace(path + ".tmp", path)
+            moved.append(path)
+    except OSError:
+        for path in moved:
+            os.remove(path)
+        raise
     finally:
         for path in staged:
             if os.path.exists(path + ".tmp"):

@@ -11,14 +11,13 @@ coordinates: a diagonal entry as it is, each pair rho_ij, rho_ji as
 (Re rho_ij, Im rho_ij).  Every generator that keeps rho Hermitian is real
 there, and one that does not, beyond roundoff, is refused before any step.
 Its generators are constant, so every fixed RK4 step applies one matrix S,
-and `_rk4` returns S^n for each snapshot interval length n.  `_rk4_step`
-holds the stage formula that forms S, which the reference Schroedinger
-integrator takes once per step.  `_evolve` checks the start once, then
-advances blocks of up to CHECK_POINTS snapshot matrices, one product by S^n
-each, scatters each back to exactly Hermitian matrices (`_scatter`) and checks
-it before it steps on.  Nothing is renormalized: `_check_snapshot` reads
-finiteness, trace and least eigenvalue and stops a run at the first snapshot
-out of tolerance, within its block, before it steps into overflow.
+which `_rk4` forms in closed form and returns as S^n for each snapshot
+interval length n.  `_evolve` checks the start once, then advances blocks of
+up to CHECK_POINTS snapshot matrices, one product by S^n each, scatters each
+back to exactly Hermitian matrices (`_scatter`) and checks it before it steps
+on.  Nothing is renormalized: `_check_snapshot` reads finiteness, trace and
+least eigenvalue and stops a run at the first snapshot out of tolerance,
+within its block, before it steps into overflow.
 `build_liouvillian` forms the dissipator parts once per qubit count
 (`_dissipators`).
 """
@@ -125,39 +124,25 @@ def _snapshot_steps(grid: TimeGrid, scale: float, record_every: int) -> list[int
     return [*range(0, grid.steps, record_every), grid.steps]
 
 
-def _rk4_step(a_left: np.ndarray, a_mid: np.ndarray, a_right: np.ndarray,
-              y: np.ndarray) -> np.ndarray:
-    """One RK4 step of dy/dt = G(t) y, given a = dt x G at the step's start, midpoint and end.
-
-    Each ``a`` is scaled by dt before any product is formed, so no power of G
-    alone under- or overflows where the step itself does not.  For a constant
-    generator, with ``y`` the identity, this is the step matrix
-    S = I + a (I + a/2 (I + a/3 (I + a/4))).
-    """
-    k1 = a_left @ y
-    k2 = a_mid @ (y + 0.5 * k1)
-    k3 = a_mid @ (y + 0.5 * k2)
-    k4 = a_right @ (y + k3)
-    return y + (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-
-
 def _rk4(generator: np.ndarray, dt: float, marks: list[int]) -> dict[int, np.ndarray]:
     """{n: S^n} for each n steps between successive ``marks``: S the RK4 step matrix.
 
-    The generator of dy/dt = generator @ y is constant, so every RK4 step of
-    ``dt`` applies the same matrix S (`_rk4_step`), and n steps apply S^n,
-    raised by repeated squaring, ``CHECK_POINTS`` generators at a time to
-    bound the temporaries.  One power array per distinct n: a trajectory
-    recorded every step has one, and a last interval shorter than the rest
-    adds a second.  A stack of generators, shape (points, n, n), gives powers
-    of that shape.  Real and complex generators alike.
+    The generator G of dy/dt = G y is constant, so every RK4 step of ``dt``
+    applies the same matrix S = I + a (I + a/2 (I + a/3 (I + a/4))), a = dt x G,
+    formed by Horner's rule, and n steps apply S^n, raised by repeated
+    squaring, ``CHECK_POINTS`` generators at a time to bound the temporaries.
+    dt scales G before any product, so no power of G alone under- or
+    overflows where the step itself does not.  One power array per distinct
+    n: a trajectory recorded every step has one, and a last interval shorter
+    than the rest adds a second.  A stack of generators, shape (points, n, n),
+    gives powers of that shape.  Real and complex generators alike.
     """
     stack = generator.reshape((-1,) + generator.shape[-2:])
     powers = {n: np.empty_like(stack) for n in {b - a for a, b in zip(marks, marks[1:])}}
     eye = np.eye(stack.shape[-1])
     for lo in range(0, len(stack), CHECK_POINTS):
         a = dt * stack[lo:lo + CHECK_POINTS]
-        step = _rk4_step(a, a, a, eye)
+        step = eye + a @ (eye + a @ (eye + a @ (eye + a / 4) / 3) / 2)
         for n, power in powers.items():
             power[lo:lo + CHECK_POINTS] = np.linalg.matrix_power(step, n)
     return {n: power.reshape(generator.shape) for n, power in powers.items()}

@@ -33,11 +33,11 @@ none of them imports this module, and ``import dotbus`` does not load it.
 - `concurrence`: Wootters' concurrence from the eigenvalues of rho rho~, at
   50 digits; the X-state form that `protocols.epr_generation` reads is
   checked against it.
-- `propagate_schrodinger`: RK4 on -iH(t), one `dynamics._rk4_step` per step
-  under the stability guard and snapshot schedule of
+- `propagate_schrodinger`: RK4 on -iH(t), its four stages written out at
+  every step, under the stability guard and snapshot schedule of
   `dynamics._snapshot_steps`.  The production stepper `dynamics._rk4` forms
-  its step matrix with the same `_rk4_step`, so the order checks exercise the
-  stage formula that production runs.
+  the closed-form step matrix of a constant generator and shares no step
+  formula with it, so the order checks test one against the other.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ import numpy as np
 from .algebra import (EIG_FLOOR, HERMITIAN_TOL, SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z, DensityMatrix,
                       HilbertSpace, PureState, embed, hermiticity_defect)
 from .device import HBAR, DotParams
-from .dynamics import DiagnosticError, NoiseSpec, SimResult, TimeGrid, _rk4_step, _snapshot_steps
+from .dynamics import DiagnosticError, NoiseSpec, SimResult, TimeGrid, _snapshot_steps
 from .hamiltonians import DISPERSIVE_THRESHOLD, ModelParams
 
 NORM_DRIFT_TOL = 1e-6
@@ -295,9 +295,10 @@ def propagate_schrodinger(
 ) -> SimResult:
     """RK4 integration of d psi/dt = -i H(t) psi.
 
-    Takes one `dynamics._rk4_step` per step, on the stability guard and
-    snapshot schedule of `dynamics._snapshot_steps`.  No renormalization is
-    applied; a snapshot whose norm drifts by more than 1e-6 stops the run
+    Each step takes the four stages on a = dt x (-iH) at the step's start,
+    midpoint and end; dt scales H before any product.  The stability guard
+    and snapshot schedule are `dynamics._snapshot_steps`.  No renormalization
+    is applied; a snapshot whose norm drifts by more than 1e-6 stops the run
     with DiagnosticError.
     """
     sample_ts = np.linspace(0.0, grid.t_end, 9)
@@ -313,8 +314,12 @@ def propagate_schrodinger(
     for mark in _snapshot_steps(grid, h_scale, record_every):
         for step in range(done, mark):
             t = step * dt
-            a_right = a(t + dt)
-            psi = _rk4_step(a_left, a(t + 0.5 * dt), a_right, psi)
+            a_mid, a_right = a(t + 0.5 * dt), a(t + dt)
+            k1 = a_left @ psi
+            k2 = a_mid @ (psi + 0.5 * k1)
+            k3 = a_mid @ (psi + 0.5 * k2)
+            k4 = a_right @ (psi + k3)
+            psi = psi + (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
             a_left = a_right
         done = mark
         drift = abs(np.linalg.norm(psi) - 1.0)

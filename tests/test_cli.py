@@ -426,6 +426,17 @@ class TestAtomicOutput:
         assert leftover.read_text() == "from a killed run\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.tmp", "run.json"]
 
+    @pytest.mark.parametrize("command", ["device", "epr", "sweep", "validate"])
+    def test_a_failed_second_move_takes_back_the_first(self, tmp_path, capsys, command):
+        # <out>.resolved.json is a directory, so moving the resolved config onto
+        # it fails after <out> itself is already in place.
+        path = write_config(tmp_path, {"model": {"coupling_g": "100 MHz"},
+                                       "sweep": {"gamma_points": 2, "gamma_phi_points": 2}})
+        (tmp_path / "out.resolved.json").mkdir()
+        assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 4
+        assert "i/o error" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.resolved.json", "run.json"]
+
 
 class TestCliValidate:
     def test_dispersive_point_passes(self, tmp_path, capsys):
@@ -852,10 +863,10 @@ def at_lambda(coupling_g, tau_over_g):
 @example(raw=at_lambda("1e153 Hz", 1.3993731196391059e-154))  # largest lambda, 4.49e307
 @example(raw=at_lambda("1e-150 Hz", 6.283185307179586e158))  # lambda = 1e-308
 def test_no_accepted_run_reaches_the_step_size_guard(raw):
-    # _rk4 raises a ValueError, which the CLI does not map to an exit code,
-    # when dt x (||h20||_2 + total rate) >= STABILITY_LIMIT.  With _epr_grid's
-    # step count that product is (pi/2 + t0 x total rate) / steps <= 0.031,
-    # for an epr run and for a sweep's worst point alike.
+    # _snapshot_steps raises a ValueError, which the CLI does not map to an
+    # exit code, when dt x (||h20||_2 + total rate) >= STABILITY_LIMIT.  With
+    # _epr_grid's step count that product is (pi/2 + t0 x total rate) / steps
+    # <= 0.031, for an epr run and for a sweep's worst point alike.
     try:
         cfg = config_from_dict(raw)
     except ConfigError:

@@ -466,30 +466,39 @@ class TestDecoherenceSweep:
 
 
 class TestOneBatchPerDefaultRun:
-    """The default sweep and `epr --out` run form one step matrix and make two checks."""
+    """The default sweep and `epr --out` run raise one step-matrix power and make two checks."""
 
     @staticmethod
     def counted(monkeypatch):
-        """Count the calls of `_rk4_step` and `_check_snapshot`, which still run."""
-        steps = mock.Mock(wraps=dynamics._rk4_step)
+        """Count the step-matrix powers of `_rk4` and the `_check_snapshot` calls, which still run.
+
+        A power of a boolean array is `_support`'s, once per set-up, and is not counted.
+        """
+        matrix_power, powers = np.linalg.matrix_power, []
+
+        def counted_power(a, n):
+            if a.dtype != bool:
+                powers.append(n)
+            return matrix_power(a, n)
+
         checks = mock.Mock(wraps=dynamics._check_snapshot)
-        monkeypatch.setattr(dynamics, "_rk4_step", steps)
+        monkeypatch.setattr(np.linalg, "matrix_power", counted_power)
         monkeypatch.setattr(dynamics, "_check_snapshot", checks)
-        return steps, checks
+        return powers, checks
 
     def test_the_default_sweep(self, monkeypatch):
         cfg = config_from_dict({})
-        steps, checks = self.counted(monkeypatch)
+        powers, checks = self.counted(monkeypatch)
         decoherence_sweep(cfg.model, cfg.sweep_gamma_axis, cfg.sweep_gamma_phi_axis)
-        assert steps.call_count == 1
+        assert len(powers) == 1  # 441 points in one chunk; 7 chunks at CHECK_POINTS = 64
         # The start, once for every point, then the 21 x 21 finals in one check
         assert [call.args[0].shape for call in checks.call_args_list] == [(4, 4), (441, 4, 4)]
 
     def test_the_default_epr_trajectory(self, monkeypatch):
         cfg = config_from_dict({})
-        steps, checks = self.counted(monkeypatch)
+        powers, checks = self.counted(monkeypatch)
         epr_generation(cfg.model, cfg.noise, trajectory=True)  # what `epr --out` runs
-        assert steps.call_count == 1
+        assert powers == [1]  # a snapshot every step: S itself
         assert ([call.args[0].shape for call in checks.call_args_list]
                 == [(4, 4), (MIN_EPR_STEPS, 4, 4)])
 

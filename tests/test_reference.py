@@ -15,12 +15,17 @@ from dotbus.reference import concurrence
 PACKAGE = Path(dotbus.__file__).resolve().parent
 
 
+def imported_from(node: ast.ImportFrom) -> str:
+    """The absolute name of the module that ``node``, in the dotbus package, imports from."""
+    return ".".join(filter(None, ["dotbus" if node.level else "", node.module or ""]))
+
+
 def imports_reference(node: ast.AST) -> bool:
     """Whether ``node``, in a module of the dotbus package, imports dotbus.reference."""
     if isinstance(node, ast.Import):
         return any(alias.name == "dotbus.reference" for alias in node.names)
     if isinstance(node, ast.ImportFrom):
-        base = ".".join(filter(None, ["dotbus" if node.level else "", node.module or ""]))
+        base = imported_from(node)
         return base == "dotbus.reference" or (
             base == "dotbus" and any(alias.name == "reference" for alias in node.names)
         )
@@ -47,6 +52,33 @@ def test_import_boundary_check_sees_every_form():
     for source in ("from .dynamics import _rk4", "import reference_data",
                    "from reference import x"):
         assert not imports_reference(ast.parse(source).body[0]), source
+
+
+def private_names_from_dynamics(tree: ast.AST) -> set[str]:
+    """The private names that ``tree`` imports from dotbus.dynamics or reads as ``dynamics._name``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and imported_from(node) == "dotbus.dynamics":
+            names.update(alias.name for alias in node.names if alias.name.startswith("_"))
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "dynamics" and node.attr.startswith("_")):
+            names.add(node.attr)
+    return names
+
+
+def test_reference_shares_only_the_snapshot_schedule_with_dynamics():
+    # The reference integrators are oracles for dynamics: sharing its step
+    # formula would let a fault in it pass both sides of a check.
+    tree = ast.parse((PACKAGE / "reference.py").read_text())
+    assert private_names_from_dynamics(tree) == {"_snapshot_steps"}
+
+
+def test_shared_name_check_sees_every_form():
+    for source, names in (("from .dynamics import TimeGrid, _rk4", {"_rk4"}),
+                          ("from dotbus.dynamics import _scatter", {"_scatter"}),
+                          ("from . import dynamics\ndynamics._evolve(1)", {"_evolve"}),
+                          ("from .algebra import _x\nfrom .dynamics import TimeGrid", set())):
+        assert private_names_from_dynamics(ast.parse(source)) == names, source
 
 
 def test_import_dotbus_leaves_reference_unloaded():

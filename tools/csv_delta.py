@@ -4,11 +4,13 @@
 
 OLD and NEW are trees written by `tools/cli_snapshot.py`.  For each file of
 OLD whose bytes differ in NEW and that reads as a numeric CSV on both sides (a
-header line, then one or more rows of floats), this prints its path, the number of rows
-and of differing lines, and max |new - old| per column.  A CSV whose shape
-or header changed, a file that reads as a numeric CSV on one side only, and
-a file missing on one side are named as such.  Other files (stdout, stderr,
-exit codes) are left to `diff -r`, and identical files print nothing.
+header line, then one or more rows of floats), this prints its path, the
+number of rows and of differing lines, and max |new - old| per column.  A CSV
+whose shape or header changed, a file that reads as a numeric CSV on one side
+only, and a file missing on one side are named as such.  Other files (stdout,
+stderr, exit codes) are left to `diff -r`, and identical files print nothing.
+A last line gives the largest |new - old| of each column name over all the
+differing CSVs compared, if there are any.
 """
 
 from __future__ import annotations
@@ -34,9 +36,18 @@ def read_csv(path: Path) -> tuple[list[str], list[str], np.ndarray] | None:
     return header, lines[1:], values
 
 
+def max_deltas(pairs) -> str:
+    """``name delta`` for each (column name, max |new - old|) pair, comma-separated."""
+    return ", ".join(f"{name} {delta:.3g}" for name, delta in pairs)
+
+
 def compare(old_root: Path, new_root: Path) -> list[str]:
-    """One report line per file of either tree that differs and is or may be a CSV."""
-    report = []
+    """One line per file of either tree that differs and is or may be a CSV, then the maxima.
+
+    The last line holds each column name's largest |new - old| over the
+    compared CSVs; it is left out when no CSV was compared.
+    """
+    report, largest = [], {}
     paths = sorted({p.relative_to(root) for root in (old_root, new_root)
                     for p in root.rglob("*") if p.is_file()})
     for rel in paths:
@@ -58,8 +69,12 @@ def compare(old_root: Path, new_root: Path) -> list[str]:
             continue
         moved = sum(x != y for x, y in zip(lines_a, lines_b))
         deltas = np.max(np.abs(vb - va), axis=0, initial=0.0)
-        columns = ", ".join(f"{name} {delta:.3g}" for name, delta in zip(head_a, deltas))
-        report.append(f"{rel}: {len(lines_a)} rows, {moved} differ; max|delta| {columns}")
+        report.append(f"{rel}: {len(lines_a)} rows, {moved} differ; "
+                      f"max|delta| {max_deltas(zip(head_a, deltas))}")
+        for name, delta in zip(head_a, deltas):
+            largest[name] = max(largest.get(name, 0.0), delta)
+    if largest:
+        report.append(f"all CSVs: max|delta| {max_deltas(largest.items())}")
     return report
 
 
