@@ -62,11 +62,12 @@ def _write_outputs(cfg: RunConfig, out: str, text: str) -> None:
     """Write ``text`` to ``out`` and the resolved config to ``<out>.resolved.json``.
 
     Both are written in full to ``<path>.tmp`` beside their targets before
-    either is moved into place with os.replace, so a write that fails leaves
-    neither output and no temporary file behind: an output already moved into
-    place when the second move fails is removed again, though an older
-    ``<out>`` that it replaced is not restored.  An existing ``<path>.tmp``,
-    say from a killed run, is left alone and fails the write.
+    either is moved into place with os.replace, ``<out>`` last, so a write
+    that fails leaves no new output and no temporary file behind, and an
+    older ``<out>`` as it was: a resolved config already moved into place
+    when ``<out>`` cannot be is removed again, though an older
+    ``<out>.resolved.json`` that it replaced is not restored.  An existing
+    ``<path>.tmp``, say from a killed run, is left alone and fails the write.
     """
     staged, moved = [], []
     try:
@@ -74,7 +75,7 @@ def _write_outputs(cfg: RunConfig, out: str, text: str) -> None:
             with open(path + ".tmp", "x") as fh:
                 staged.append(path)
                 fh.write(content)
-        for path in staged:
+        for path in reversed(staged):
             os.replace(path + ".tmp", path)
             moved.append(path)
     except OSError:

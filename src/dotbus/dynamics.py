@@ -12,9 +12,10 @@ coordinates: a diagonal entry as it is, each pair rho_ij, rho_ji as
 there, and one that does not, beyond roundoff, is refused before any step.
 Its generators are constant, so every fixed RK4 step applies one matrix S,
 which `_rk4` forms in closed form and returns as S^n for each snapshot
-interval length n.  `_evolve` checks the start once, then advances blocks of
-up to CHECK_POINTS snapshot matrices, one product by S^n each, scatters each
-back to exactly Hermitian matrices (`_scatter`) and checks it before it steps
+interval length n, over a whole stack at once.  `_evolve` checks the start
+once, then advances blocks of snapshots that fill up to CHECK_POINTS
+matrices, one product by S^n each, scatters each block back to exactly
+Hermitian matrices (`_scatter`) and checks it in one call before it steps
 on.  Nothing is renormalized: `_check_snapshot` reads finiteness, trace and
 least eigenvalue and stops a run at the first snapshot out of tolerance,
 within its block, before it steps into overflow.
@@ -35,13 +36,13 @@ from .algebra import (EIG_FLOOR, HERMITIAN_TOL, SIGMA_MINUS, SIGMA_Z, TRACE_TOL,
                       HilbertSpace, embed)
 
 STABILITY_LIMIT = 0.1        # max allowed dt * ||generator||
-# Matrices that one snapshot check, and step matrices that one power, takes at
-# a time, which bounds their temporaries: a chunk of 4 x 4 complex snapshots is
-# 128 KiB, of 5 x 5 real step matrices 100 KiB, while a whole stack's would add
-# to peak memory near `config.MAX_SWEEP_POINTS`.  `_evolve` fills a block of
-# snapshots with this many matrices, so each default run is one batch: the 256
-# snapshots after the start of an `epr --out` trajectory are one block, and the
-# 441 points of the default sweep one step matrix, one power and one check.
+# How many snapshot matrices a run steps before it checks them: `_evolve`
+# advances a block of max(1, CHECK_POINTS // points) snapshots and checks the
+# block in one call, so a diverging run stops within its block, before it steps
+# into overflow.  Nothing is chunked by points: at 197 x 198, the largest grid
+# `config.MAX_SWEEP_POINTS` accepts, one power and one check of the whole stack
+# peak at 50.9 MiB traced memory against 50.6 MiB in 512-point chunks.  Every
+# sweep is one batch, and so is the 256-snapshot trajectory of `epr --out`.
 CHECK_POINTS = 512
 
 
@@ -130,22 +131,21 @@ def _rk4(generator: np.ndarray, dt: float, marks: list[int]) -> dict[int, np.nda
     The generator G of dy/dt = G y is constant, so every RK4 step of ``dt``
     applies the same matrix S = I + a (I + a/2 (I + a/3 (I + a/4))), a = dt x G,
     formed by Horner's rule, and n steps apply S^n, raised by repeated
-    squaring, ``CHECK_POINTS`` generators at a time to bound the temporaries.
-    dt scales G before any product, so no power of G alone under- or
-    overflows where the step itself does not.  One power array per distinct
-    n: a trajectory recorded every step has one, and a last interval shorter
-    than the rest adds a second.  A stack of generators, shape (points, n, n),
-    gives powers of that shape.  Real and complex generators alike.
+    squaring.  dt scales G before any product, so no power of G alone under-
+    or overflows where the step itself does not.  One power array per
+    distinct n: a trajectory recorded every step has one, and a last interval
+    shorter than the rest adds a second.  They are allocated before S's
+    temporaries, which at 197 x 198 points keeps `dotbus sweep` at 83 MiB
+    peak RSS, not 93.  A stack of generators, shape (points, n, n), is formed
+    and raised in one evaluation and gives powers of that shape.  Real and
+    complex generators alike.
     """
-    stack = generator.reshape((-1,) + generator.shape[-2:])
-    powers = {n: np.empty_like(stack) for n in {b - a for a, b in zip(marks, marks[1:])}}
-    eye = np.eye(stack.shape[-1])
-    for lo in range(0, len(stack), CHECK_POINTS):
-        a = dt * stack[lo:lo + CHECK_POINTS]
-        step = eye + a @ (eye + a @ (eye + a @ (eye + a / 4) / 3) / 2)
-        for n, power in powers.items():
-            power[lo:lo + CHECK_POINTS] = np.linalg.matrix_power(step, n)
-    return {n: power.reshape(generator.shape) for n, power in powers.items()}
+    powers = {n: np.empty_like(generator) for n in {b - a for a, b in zip(marks, marks[1:])}}
+    a, eye = dt * generator, np.eye(generator.shape[-1])
+    step = eye + a @ (eye + a @ (eye + a @ (eye + a / 4) / 3) / 2)
+    for n, power in powers.items():
+        power[...] = np.linalg.matrix_power(step, n)
+    return powers
 
 
 @functools.cache
@@ -308,16 +308,16 @@ def _evolve(coords: _Coordinates, rates: np.ndarray, grid: TimeGrid, scale: floa
 
     Rates of shape (C,) give one run; rates of shape (points, C) one run per
     row, stepped at once, ``point(k)`` naming the k-th, and states and
-    diagnostics of shape (T, points, ...).  Snapshot 0, coords.start at every
+    diagnostics of shape (T, points, ...).  `_rk4` forms the powers of every
+    row's step matrix in one evaluation.  Snapshot 0, coords.start at every
     point, is scattered (`_scatter`) and checked once.  From snapshot 1 the run
     advances a block of m snapshots at a time, as many as fill CHECK_POINTS
     matrices and at least one: 512 for one run, so a 256-step trajectory is
     one block, and one for a stack of more than 256 points.  Snapshot k is
-    S^n x snapshot k-1, n the steps between them (`_rk4`).  Each block is
-    scattered and checked CHECK_POINTS matrices at a time, in time order,
-    before the run steps on: a breach stops it within its block.  The default
-    sweep, 441 points from start to t0, makes two checks: its start and its
-    finals.
+    S^n x snapshot k-1, n the steps between them.  Each block is scattered
+    and checked in one `_check_snapshot` call, in time order, before the run
+    steps on: a breach stops it within its block.  Every sweep makes two
+    checks: its start and its finals.
     """
     d, s, points = coords.d, coords.support.size, rates.shape[:-1]
     generators = (rates @ coords.parts.reshape(len(coords.parts), -1)).reshape(points + (s, s))
@@ -333,18 +333,15 @@ def _evolve(coords: _Coordinates, rates: np.ndarray, grid: TimeGrid, scale: floa
     start = states[0] = _scatter(coords.start, coords)  # every point starts here: checked once
     checks[:, :size] = np.reshape(_check_snapshot(start.reshape(d, d), times[0], point), (2, 1))
     block = max(1, CHECK_POINTS // size)
+    name = point and (lambda k: point(k % size))  # the k-th matrix of a block's check
     for lo in range(1, count, block):
         hi = min(lo + block, count)
         for k in range(lo, hi):
             np.matmul(powers[marks[k] - marks[k - 1]], x[k - 1], out=x[k])
         states[lo:hi] = _scatter(x[lo:hi, ..., 0], coords)
         # Time-major, so the first breach in a check is the earliest snapshot's.
-        matrices, matrix_times = states[lo:hi].reshape(-1, d, d), np.repeat(times[lo:hi], size)
-        block_checks = checks[:, lo * size:hi * size]
-        for c in range(0, len(matrices), CHECK_POINTS):
-            name = point and (lambda k, c=c: point((c + k) % size))
-            block_checks[:, c:c + CHECK_POINTS] = _check_snapshot(
-                matrices[c:c + CHECK_POINTS], matrix_times[c:c + CHECK_POINTS], name)
+        checks[:, lo * size:hi * size] = _check_snapshot(
+            states[lo:hi].reshape(-1, d, d), np.repeat(times[lo:hi], size), name)
     checks = dict(zip(("trace_dev", "min_eig"), checks.reshape((2, count) + points)))
     return SimResult(times, states.reshape(states.shape[:-1] + (d, d)), checks)
 

@@ -156,6 +156,13 @@ class TestFidelity:
         big = PureState(HilbertSpace((2, 2)), [1, 0, 0, 0])
         with pytest.raises(ValueError):
             fidelity(big, self.zero)
+        mixed = DensityMatrix(HilbertSpace((2, 2)), np.eye(4) / 4)
+        with pytest.raises(ValueError, match="^state and target dimensions differ$"):
+            fidelity(mixed, self.zero)
+
+    def test_unsupported_state_type_rejected(self):
+        with pytest.raises(TypeError, match="^unsupported state type <class 'numpy.ndarray'>$"):
+            fidelity(np.eye(2) / 2, self.zero)
 
 
 class TestStateValidation:
@@ -171,6 +178,19 @@ class TestStateValidation:
             DensityMatrix(space, np.diag([0.7, 0.7]).astype(complex))  # trace != 1
         with pytest.raises(ValueError):
             DensityMatrix(space, np.diag([1.5, -0.5]).astype(complex))  # negative eigenvalue
+        with pytest.raises(ValueError,
+                           match=r"^matrix shape \(3, 3\) does not match space dimension 2$"):
+            DensityMatrix(space, np.eye(3) / 3)
+
+    @pytest.mark.parametrize("dims", [(), (2, 0)])
+    def test_nonpositive_subsystem_dimension_rejected(self, dims):
+        with pytest.raises(ValueError, match="^subsystem dimensions must be positive, got "):
+            HilbertSpace(dims)
+
+    def test_amplitude_count_mismatch_rejected(self):
+        with pytest.raises(ValueError,
+                           match="^amplitude vector has length 3, space dimension is 2$"):
+            PureState(HilbertSpace((2,)), [1, 0, 0])
 
     def test_non_finite_pure_state_rejected(self):
         with pytest.raises(ValueError, match="finite"):

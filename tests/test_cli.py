@@ -428,14 +428,29 @@ class TestAtomicOutput:
 
     @pytest.mark.parametrize("command", ["device", "epr", "sweep", "validate"])
     def test_a_failed_second_move_takes_back_the_first(self, tmp_path, capsys, command):
-        # <out>.resolved.json is a directory, so moving the resolved config onto
-        # it fails after <out> itself is already in place.
+        # <out> is a directory, so moving the output onto it fails after
+        # <out>.resolved.json is already in place.
         path = write_config(tmp_path, {"model": {"coupling_g": "100 MHz"},
                                        "sweep": {"gamma_points": 2, "gamma_phi_points": 2}})
-        (tmp_path / "out.resolved.json").mkdir()
+        (tmp_path / "out").mkdir()
         assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 4
         assert "i/o error" in capsys.readouterr().err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.resolved.json", "run.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "run.json"]
+        assert not any((tmp_path / "out").iterdir())
+
+    @pytest.mark.parametrize("command", ["device", "epr", "sweep", "validate"])
+    def test_a_failed_write_keeps_an_older_output(self, tmp_path, capsys, command):
+        # <out>.resolved.json is a directory, so its move fails; <out> is never replaced.
+        path = write_config(tmp_path, {"model": {"coupling_g": "100 MHz"},
+                                       "sweep": {"gamma_points": 2, "gamma_phi_points": 2}})
+        older = tmp_path / "out"
+        older.write_bytes(b"older results\r\n")
+        (tmp_path / "out.resolved.json").mkdir()
+        assert main([command, "--config", path, "--out", str(older)]) == 4
+        assert "i/o error" in capsys.readouterr().err
+        assert older.read_bytes() == b"older results\r\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "out.resolved.json",
+                                                               "run.json"]
 
 
 class TestCliValidate:
@@ -495,6 +510,7 @@ class TestCliErrors:
             ("noise.gamma_phi_over_2pi", "Infinity"),
             ("model.tau_over_g", '"inf"'),
             ("model.tau_over_g", "-Infinity"),
+            ("model.tau_over_g", "1" + "0" * 400),  # a JSON integer past any float
         ],
     )
     def test_non_finite_value_is_config_error(self, tmp_path, capsys, key, text):
@@ -503,6 +519,19 @@ class TestCliErrors:
         path.write_text(f'{{"{section}": {{"{leaf}": {text}}}}}')
         assert main(["epr", "--config", str(path)]) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, error", [
+        ('{"noise": {"gamma_over_2pi": true}}',
+         "noise.gamma_over_2pi: expected a number or unit string, got a boolean"),
+        ('{"noise": {"gamma_over_2pi": "abc MHz"}}',
+         "noise.gamma_over_2pi: cannot parse number in 'abc MHz'"),
+        ('{"model": 5}', "model: expected an object"),
+    ])
+    def test_value_of_the_wrong_kind_is_config_error(self, tmp_path, capsys, text, error):
+        path = tmp_path / "run.json"
+        path.write_text(text)
+        assert main(["epr", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {error}\n"
 
     @pytest.mark.parametrize("command", ["epr", "sweep", "validate"])
     def test_qubit_count_mismatch_is_config_error(self, tmp_path, capsys, command):

@@ -57,6 +57,10 @@ class TestRenormalizedFrequency:
         with pytest.raises(ValueError):
             make_tlr(wiring_capacitance=0.2 * 2.5e-12)  # eps0 = 0.2
 
+    def test_negative_wiring_capacitance_rejected(self):
+        with pytest.raises(ValueError, match="^wiring_capacitance must be nonnegative$"):
+            make_tlr(wiring_capacitance=-1e-15)
+
     def test_never_exceeds_bare(self):
         tlr = make_tlr(wiring_capacitance=5e-14)
         assert renormalized_frequency(tlr) < bare_frequency(tlr)

@@ -195,6 +195,14 @@ class TestNoiseSpec:
             NoiseSpec(*rates)
 
 
+@pytest.mark.parametrize("t_end, steps, message", [
+    (0.0, 10, "t_end must be positive"), (-1.0, 10, "t_end must be positive"),
+    (1.0, 0, "steps must be at least 1")])
+def test_a_time_grid_without_time_or_steps_is_refused(t_end, steps, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        TimeGrid(t_end, steps)
+
+
 RATE = st.floats(0.0, 5.0)
 
 
@@ -509,9 +517,7 @@ class TestStepMatrixStepper:
         dt_scale = data.draw(st.floats(1e-3, 0.99 * STABILITY_LIMIT))
         grid = TimeGrid(steps * dt_scale / scale, steps)
         y0 = rng.normal(size=shape + (n, 1)) + 1j * rng.normal(size=shape + (n, 1))
-        # Chunks smaller than the stack, so powers are formed across chunk edges.
-        with mock.patch.object(dynamics, "CHECK_POINTS", data.draw(st.integers(1, 5))):
-            new = list(stepped_snapshots(generator, y0, grid, scale, record_every))
+        new = list(stepped_snapshots(generator, y0, grid, scale, record_every))
         old = list(per_stage_rk4(generator, y0, grid, record_every))
         assert [t for t, _ in new] == [t for t, _ in old]
         for (_, y_new), (_, y_old) in zip(new, old):

@@ -45,6 +45,14 @@ class TestModelParams:
         with pytest.raises(ValueError, match="equal length"):
             ModelParams((1.0, 1.0), (10.0,))
 
+    def test_negative_coupling_rejected(self):
+        with pytest.raises(ValueError, match="^couplings must be nonnegative$"):
+            ModelParams((1.0, -1.0), (10.0, 10.0))
+
+    def test_lambda_needs_identical_parameters(self):
+        with pytest.raises(ValueError, match="^lambda = g\\^2/tau is defined only for identical"):
+            ModelParams((1.0, 1.0), (10.0, 12.0)).lam
+
 
 class TestDestroy:
     def test_number_operator_is_diagonal(self):

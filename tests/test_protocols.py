@@ -28,6 +28,7 @@ from dotbus.hamiltonians import ModelParams, analytic_u, h_reduced_two_qubit
 from dotbus.protocols import (
     FRAME_SAMPLES,
     MIN_EPR_STEPS,
+    SweepResult,
     TWO_QUBIT_SPACE,
     _epr_grid,
     _sector_run,
@@ -219,6 +220,10 @@ class TestDispersiveValidity:
         with pytest.raises(ValueError):
             dispersive_validity(ModelParams.uniform(2, 1.0, 3.0))
 
+    def test_wrong_qubit_count_rejected(self):
+        with pytest.raises(ValueError, match="^dispersive validation is a two-qubit comparison$"):
+            dispersive_validity(ModelParams.uniform(3, 1.0, 10.0))
+
     def test_precision_bound(self):
         # The frame phase (pi/4)(tau/g)^2 crosses MAX_FRAME_PHASE = 1e7 rad
         # between tau/g = 3568 and 3569.
@@ -328,6 +333,11 @@ class TestSelectiveCoupling:
         p = ModelParams.uniform(3, 1.0, 10.0)
         with pytest.raises(ValueError, match=r"active qubits .* must lie in range\(3\)"):
             selective_coupling_check(p, active=active)
+
+    def test_a_repeated_active_qubit_is_refused(self):
+        p = ModelParams.uniform(3, 1.0, 10.0)
+        with pytest.raises(ValueError, match="^exactly two distinct active qubits required$"):
+            selective_coupling_check(p, active=(1, 1))
 
 
 def draw_spectator_check(data):
@@ -458,6 +468,10 @@ class TestDecoherenceSweep:
         with pytest.raises(ValueError):
             decoherence_sweep(paper_model(), [], [0.0])
 
+    def test_a_grid_that_does_not_match_its_axes_is_refused(self):
+        with pytest.raises(ValueError, match="^grid shape does not match axes$"):
+            SweepResult(np.zeros(2), np.zeros(3), np.zeros((3, 2)))
+
     @pytest.mark.parametrize("gamma_axis, gamma_phi_axis", [
         ([0.0, math.nan], [0.0]), ([0.0], [math.nan]), ([-1.0], [0.0])])
     def test_negative_or_nan_rate_rejected(self, gamma_axis, gamma_phi_axis):
@@ -466,7 +480,7 @@ class TestDecoherenceSweep:
 
 
 class TestOneBatchPerDefaultRun:
-    """The default sweep and `epr --out` run raise one step-matrix power and make two checks."""
+    """A sweep of any size and `epr --out` raise one step-matrix power and make two checks."""
 
     @staticmethod
     def counted(monkeypatch):
@@ -490,9 +504,17 @@ class TestOneBatchPerDefaultRun:
         cfg = config_from_dict({})
         powers, checks = self.counted(monkeypatch)
         decoherence_sweep(cfg.model, cfg.sweep_gamma_axis, cfg.sweep_gamma_phi_axis)
-        assert len(powers) == 1  # 441 points in one chunk; 7 chunks at CHECK_POINTS = 64
+        assert len(powers) == 1  # one power of the whole 441-point stack
         # The start, once for every point, then the 21 x 21 finals in one check
         assert [call.args[0].shape for call in checks.call_args_list] == [(4, 4), (441, 4, 4)]
+
+    def test_a_sweep_past_check_points(self, monkeypatch):
+        # 600 points, more than CHECK_POINTS matrices: still one power and one check
+        cfg = config_from_dict({"sweep": {"gamma_points": 24, "gamma_phi_points": 25}})
+        powers, checks = self.counted(monkeypatch)
+        decoherence_sweep(cfg.model, cfg.sweep_gamma_axis, cfg.sweep_gamma_phi_axis)
+        assert len(powers) == 1
+        assert [call.args[0].shape for call in checks.call_args_list] == [(4, 4), (600, 4, 4)]
 
     def test_the_default_epr_trajectory(self, monkeypatch):
         cfg = config_from_dict({})
@@ -812,15 +834,13 @@ class TestBatchedSweep:
         ("spoil_finiteness", "non-finite entries"),
     ])
     # 2 x 3 points, spoiled at (1, 0) and (1, 1); 30 x 3 points, spoiled at (21, 1)
-    # and (23, 1), past the first dynamics.CHECK_POINTS = 64 points that one check
-    # takes.  The default CHECK_POINTS checks all 90 at once, so 64 is set here.
+    # and (23, 1), both in the one check of the 90 points' finals.
     @pytest.mark.parametrize("gamma_points, spoiled, name", [
         (2, (3, 4), "gamma/2pi = 0.5 MHz, gamma_phi/2pi = 0 MHz"),
         (30, (64, 70), "gamma/2pi = 10.5 MHz, gamma_phi/2pi = 0.25 MHz"),
     ])
     def test_bad_snapshot_names_the_first_failing_grid_point(
             self, monkeypatch, snapshot, t, spoil, breach, gamma_points, spoiled, name):
-        monkeypatch.setattr(dynamics, "CHECK_POINTS", 64)
         self.spoil_scatter(monkeypatch, getattr(self, spoil), {(snapshot, k) for k in spoiled})
         p = ModelParams.uniform(2, 2 * math.pi * 100e6, 2 * math.pi * 800e6)  # t0 = 10 ns
         mhz = 2e6 * math.pi
