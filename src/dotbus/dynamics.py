@@ -8,8 +8,9 @@ steps a `_real_coordinates` set-up (rho0 and the parts [L_H, L_rel, L_deph] of
 one row [lambda, gamma, gamma_phi] per grid point.  It steps only the entries
 of row-major vec(rho) that the parts reach from rho0 (`_support`), in real
 coordinates: a diagonal entry as it is, each pair rho_ij, rho_ji as
-(Re rho_ij, Im rho_ij).  Every generator that keeps rho Hermitian is real
-there, and one that does not, beyond roundoff, is refused before any step.
+(Re rho_ij, Im rho_ij).  `build_liouvillian`, the one check on H, takes an
+h_eff that is Hermitian up to roundoff as its Hermitian part and refuses any
+other, so every part keeps rho exactly Hermitian and is real there.
 Its generators are constant, so every fixed RK4 step applies one matrix S,
 which `_rk4` forms in closed form and returns as S^n for each snapshot
 interval length n, over a whole stack at once.  `_evolve` checks the start
@@ -58,7 +59,7 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if self.t_end <= 0:
+        if not self.t_end > 0:  # NaN fails too
             raise ValueError("t_end must be positive")
         if self.steps < 1:
             raise ValueError("steps must be at least 1")
@@ -175,13 +176,23 @@ def build_liouvillian(h_eff: np.ndarray) -> np.ndarray:
     of a 2^n x 2^n ``h_eff`` relaxes as (gamma/4) D[sigma^-] and dephases as
     (gamma_phi/2) D[sigma_z] = (gamma_phi/2)(sigma_z rho sigma_z - rho).  The
     gamma/4 prefactor is deliberate; the common gamma/2 convention doubles gamma.
-    The last two are copies of the `_dissipators` of n qubits.
+    The last two are copies of the `_dissipators` of n qubits.  An ``h_eff``
+    with max|H - H^dagger| <= HERMITIAN_TOL x max|H| (Hermitian up to
+    roundoff) enters as its Hermitian part, so every part is exactly
+    conjugate-symmetric under rho -> rho^T and keeps every Hermitian rho
+    exactly Hermitian; any other ``h_eff``, NaN included, raises
+    DiagnosticError naming the defect and the bound.
     """
     h_eff = np.asarray(h_eff, dtype=complex)
     d = len(h_eff)
     n = d.bit_length() - 1
     if n < 1 or h_eff.shape != (1 << n,) * 2:
         raise ValueError(f"h_eff must be 2^n x 2^n for n >= 1 qubits, got shape {h_eff.shape}")
+    defect, bound = abs(h_eff - h_eff.conj().T).max(), HERMITIAN_TOL * abs(h_eff).max()
+    if not defect <= bound:  # NaN fails too
+        raise DiagnosticError(f"h_eff is not Hermitian: max|H - H^dagger| = {defect:.3g} "
+                              f"is not within HERMITIAN_TOL x max|H| = {bound:.3g}")
+    h_eff = 0.5 * (h_eff + h_eff.conj().T)
     eye = np.eye(d, dtype=complex)
     parts = np.empty((3, d * d, d * d), dtype=complex)
     parts[0] = -1j * (np.kron(h_eff, eye) - np.kron(eye, h_eff.T))
@@ -226,18 +237,13 @@ def _support(parts: np.ndarray, rho0: np.ndarray) -> np.ndarray:
 
     With P the parts' joint nonzero pattern, (1 + P)^(d^2) holds every path of
     up to d^2 steps, so a run from ``rho0`` under any sum of rates times parts
-    leaves every entry outside these exactly 0.  P and the start are taken
-    together with their transposes, rho -> rho^T on every index, so the
-    support holds each entry's transpose: parts that keep rho Hermitian have
-    that pattern already, and parts that keep it Hermitian up to roundoff may
-    hold an exact 0 where its transpose is not.
+    leaves every entry outside these exactly 0.  For `build_liouvillian` parts
+    and a Hermitian rho0 it holds each entry's transpose with the entry: P
+    and the start are then both closed under rho -> rho^T.
     """
     d = rho0.shape[-1]
-    flip = np.arange(d * d).reshape(d, d).T.reshape(-1)  # vec(rho^T) = vec(rho)[flip]
     pattern = np.any(parts != 0, axis=0) | np.eye(d * d, dtype=bool)
-    reach = np.linalg.matrix_power(pattern | pattern[flip][:, flip], d * d)
-    start = rho0.reshape(-1) != 0
-    return np.flatnonzero(reach @ (start | start[flip]))
+    return np.flatnonzero(np.linalg.matrix_power(pattern, d * d) @ (rho0.reshape(-1) != 0))
 
 
 class _Coordinates(NamedTuple):
@@ -257,15 +263,10 @@ def _real_coordinates(parts: np.ndarray, rho0: np.ndarray) -> _Coordinates:
     diagonal rho_ii stays, and the pair rho_ij, rho_ji with i < j becomes
     (Re rho_ij, Im rho_ij).  T part T^-1 is real exactly when the rows of
     M = part T^-1 come in conjugate pairs, M[partner] = conj(M), as they do
-    for parts that keep every Hermitian rho Hermitian; its rows are then
-    Re M for a diagonal or upper entry and -Im M for a lower one, formed with
-    no product by T.  A part whose pairs differ by at most HERMITIAN_TOL of
-    its largest entry (an H that is Hermitian up to roundoff) enters as the
-    real part of T part T^-1, formed from the pairs' conjugate mean: the part
-    of the Hermitian part of H.  A part past that (a non-Hermitian H) is
-    refused with DiagnosticError naming the largest imaginary entry of its
-    T part T^-1.  rho0 likewise enters as its Hermitian part, which is rho0
-    itself for a Hermitian rho0.
+    for the `build_liouvillian` parts, which keep every Hermitian rho exactly
+    Hermitian; its rows are then Re M for a diagonal or upper entry and -Im M
+    for a lower one, formed with no product by T.  rho0 enters as its
+    Hermitian part, which is rho0 itself for a Hermitian rho0.
     """
     d = rho0.shape[-1]
     rho0 = 0.5 * (rho0 + rho0.conj().T)
@@ -275,14 +276,6 @@ def _real_coordinates(parts: np.ndarray, rho0: np.ndarray) -> _Coordinates:
     g = parts[:, support[:, None], support]
     g_t = g[..., partner]  # each column's transpose
     m = np.where(upper, g + g_t, np.where(lower, 1j * (g_t - g), g))  # part T^-1
-    # Half the largest mismatch of each part's conjugate pairs: the size of Im(T part T^-1)
-    defect = abs(m[:, partner] - m.conj()).max(axis=(1, 2), initial=0.0) / 2
-    if np.any(defect != 0.0):  # NaN too
-        if not np.all(defect <= HERMITIAN_TOL * abs(m).max(axis=(1, 2), initial=0.0)):
-            raise DiagnosticError("the generator does not keep rho Hermitian: its "
-                                  "real-coordinate form has imaginary entries up to "
-                                  f"{np.max(defect):.3g}")
-        m = 0.5 * (m + m[:, partner].conj())
     start = rho0.reshape(-1)[support]
     return _Coordinates(support, (partner, upper, lower), np.where(lower[:, None], -m.imag, m.real),
                         np.where(lower, start[partner].imag, start.real), d)
@@ -353,7 +346,7 @@ def integrate_lindblad(h_eff: np.ndarray, rho0: DensityMatrix, noise: NoiseSpec,
     The `_evolve` run of ``rho0`` and the `build_liouvillian` parts at
     ``noise.rates``.  An ``h_eff`` that is Hermitian up to roundoff runs as
     its Hermitian part; a non-Hermitian one is refused with DiagnosticError
-    before any step (`_real_coordinates`), and the first snapshot that
+    before any step (`build_liouvillian`), and the first snapshot that
     `DensityMatrix` would refuse stops the run with DiagnosticError (`_check_snapshot`).
     """
     parts = build_liouvillian(h_eff)  # refuses an h_eff that is not 2^n x 2^n

@@ -31,7 +31,7 @@ MAX_FRAME_PHASE = 1e7
 
 def gate_time_t0(lam: float) -> float:
     """Entangling time pi / (4 lambda): a quarter of the full exchange period."""
-    if lam <= 0:
+    if not lam > 0:  # NaN fails too
         raise ValueError("lambda must be positive")
     return math.pi / (4.0 * lam)
 

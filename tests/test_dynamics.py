@@ -197,7 +197,7 @@ class TestNoiseSpec:
 
 @pytest.mark.parametrize("t_end, steps, message", [
     (0.0, 10, "t_end must be positive"), (-1.0, 10, "t_end must be positive"),
-    (1.0, 0, "steps must be at least 1")])
+    (math.nan, 10, "t_end must be positive"), (1.0, 0, "steps must be at least 1")])
 def test_a_time_grid_without_time_or_steps_is_refused(t_end, steps, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         TimeGrid(t_end, steps)
@@ -605,6 +605,13 @@ class TestRealCoordinates:
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         rho0 = a @ a.conj().T / np.trace(a @ a.conj().T).real
         rho0 = 0.5 * (rho0 + rho0.conj().T)
+        # H enters as its Hermitian part, so each part maps rho^T to the conjugate
+        # of what it maps rho to, entry for entry, and the support holds transposes.
+        parts, flip = build_liouvillian(h), np.arange(16).reshape(4, 4).T.reshape(-1)
+        assert np.array_equal(parts[:, flip][:, :, flip], parts.conj())
+        support = _support(parts, rho0)
+        i, j = np.divmod(support, 4)
+        assert np.array_equal(np.sort(4 * j + i), support)  # closed under (i, j) -> (j, i)
         t = data.draw(st.floats(0.05, 1.0)) / size
         scale = np.linalg.norm(h, 2) + 2 * (noise.gamma + noise.gamma_phi)
         steps = math.ceil(t * scale / 0.05) + data.draw(st.integers(1, 60))
@@ -628,18 +635,23 @@ class TestRealCoordinates:
 
     @pytest.mark.parametrize("h, rho0, breach", [
         # rho[1, 1] feeds rho[0, 1] through H[0, 1] = 1, and rho[1, 0] not at all, as H[1, 0] = 0
-        (np.triu(np.ones((4, 4))), pure_rho(1), "up to 1"),
+        (np.triu(np.ones((4, 4))), pure_rho(1), "1 is not within HERMITIAN_TOL x max|H| = 1e-10"),
         # d rho_{01,10}/dt = -0.9 rho_{01,10} but d rho_{10,01}/dt = +0.9 rho_{10,01}
         (np.diag([0, 0, 0.9j, 0]), PureState(TWO_QUBITS, np.array([0, 1, 1, 0]) / math.sqrt(2))
-         .density_matrix(), "up to 0.9"),
+         .density_matrix(), "1.8 is not within HERMITIAN_TOL x max|H| = 9e-11"),
+        # H[3, 3] = 2 + 0.5i, which no run from |10><10| reaches
+        (h_reduced_two_qubit(1.0) + np.diag([0, 0, 0, 0.5j]), pure_rho(2),
+         "1 is not within HERMITIAN_TOL x max|H| = 2.06e-10"),
+        # a NaN that the run from |10><10| reaches
+        (h_reduced_two_qubit(1.0) + np.diag([0, np.nan, 0, 0]), pure_rho(2),
+         "nan is not within HERMITIAN_TOL x max|H| = nan"),
     ])
     def test_a_generator_that_does_not_keep_rho_hermitian_is_refused_before_any_step(
             self, h, rho0, breach):
         with mock.patch.object(dynamics, "_rk4") as rk4:
             with pytest.raises(DiagnosticError) as err:
-                integrate_lindblad(h, rho0, NoiseSpec(), TimeGrid(2.0, 200))
-        assert str(err.value) == ("the generator does not keep rho Hermitian: its "
-                                  f"real-coordinate form has imaginary entries {breach}")
+                integrate_lindblad(h, rho0, NoiseSpec(0.1, 0.2), TimeGrid(1.0, 200))
+        assert str(err.value) == f"h_eff is not Hermitian: max|H - H^dagger| = {breach}"
         rk4.assert_not_called()
 
 

@@ -81,12 +81,21 @@ class TestGateTime:
     def test_slow_gate(self):
         assert gate_time_t0(2 * math.pi * 1e6) == pytest.approx(125e-9, rel=1e-12)
 
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            gate_time_t0(0.0)
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan])
+    def test_nonpositive_rejected(self, lam):
+        with pytest.raises(ValueError, match="^lambda must be positive$"):
+            gate_time_t0(lam)
 
 
 class TestEprGeneration:
+    @pytest.mark.parametrize("noise", [NoiseSpec(), NoiseSpec(1.0, 1.0)])
+    def test_an_infinite_model_is_refused(self, noise):
+        # inf couplings and detunings pass the dispersive test, and lambda is NaN
+        p = ModelParams((math.inf,) * 2, (math.inf,) * 2)
+        assert p.is_dispersive and math.isnan(p.lam)
+        with pytest.raises(ValueError, match="^lambda must be positive$"):
+            epr_generation(p, noise)
+
     def test_noiseless_is_exact(self):
         report = epr_generation(paper_model(), NoiseSpec())
         assert report.fidelity > 1 - 1e-8

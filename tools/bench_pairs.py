@@ -13,8 +13,11 @@ the JSON file ``--out``, which keeps the entries of earlier calls, so one
 file can gather several workloads and seeds.  A metric meets the gain rule
 when the change wins at least nine tenths of the pairs, ties counting for
 neither, and its median beats the parent's by more than the parent's
-interquartile range.  Which direction is better comes from the parent's
-``BENCHMARK.json``.
+interquartile range.  It is within its bound when its median is worse than
+the parent's by at most the metric's ``bound`` times the parent's median, and
+unresolved when the parent's interquartile range exceeds that much, unless
+every change run beats every parent run.  Which direction is better, and each
+bound, come from the parent's ``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -50,22 +53,25 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarize(runs: dict, higher_is_better: bool) -> dict:
-    """Median, quartiles and pairs won of one metric, ``runs`` = {side: [value per pair]}."""
+def summarize(runs: dict, higher_is_better: bool, bound: float) -> dict:
+    """Median, quartiles, pairs won and rules of one metric, ``runs`` = {side: [value per pair]}."""
     sign = 1.0 if higher_is_better else -1.0
     (p1, pm, p3), (c1, cm, c3) = (quartiles(runs[side]) for side in SIDES)
     wins = sum(sign * (c - p) > 0 for p, c in zip(runs["parent"], runs["change"]))
+    every_run_better = all(sign * (c - p) > 0 for p in runs["parent"] for c in runs["change"])
     return {
         "parent_median": pm, "parent_q1": p1, "parent_q3": p3,
         "change_median": cm, "change_q1": c1, "change_q3": c3,
         "change_over_parent": cm / pm if pm else None,
         "change_better_pairs": wins,
         "meets_gain_rule": wins >= 0.9 * len(runs["parent"]) and sign * (cm - pm) > p3 - p1,
+        "within_bound": sign * (cm - pm) >= -bound * abs(pm),
+        "unresolved": p3 - p1 > bound * abs(pm) and not every_run_better,
     }
 
 
 def measure(roots: dict, workload: str, seed: int, pairs: int, seconds: float,
-            better: dict) -> dict:
+            spec: dict) -> dict:
     """The entry of ``pairs`` alternating pairs of one workload and seed."""
     first, results = [], {side: [] for side in SIDES}
     for k in range(pairs):
@@ -88,7 +94,8 @@ def measure(roots: dict, workload: str, seed: int, pairs: int, seconds: float,
         "correct": all(r["correct"] for side in SIDES for r in results[side]),
         "runs": runs,
         "summary": {name: summarize({side: runs[side][name] for side in SIDES},
-                                    better[name] == "higher") for name in names},
+                                    spec[name]["better"] == "higher", spec[name]["bound"])
+                    for name in names},
     }
 
 
@@ -108,8 +115,8 @@ def main(argv=None) -> int:
 
     roots = {"parent": args.parent_root.resolve(), "change": args.change_root.resolve()}
     spec = json.loads((roots["parent"] / "BENCHMARK.json").read_text())
-    better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
-    entry = measure(roots, args.workload, args.seed, args.pairs, args.seconds, better)
+    spec = {metric["name"]: metric for metric in spec["end_to_end"]}
+    entry = measure(roots, args.workload, args.seed, args.pairs, args.seconds, spec)
 
     record = json.loads(args.out.read_text()) if args.out.exists() else {}
     if args.about is not None:
