@@ -10,7 +10,7 @@ against live in `dotbus.reference`, which ``import dotbus`` does not load.
 from .algebra import DensityMatrix, HilbertSpace, PureState, embed, fidelity
 from .device import CouplerParams, DotParams, TlrParams
 from .dynamics import DiagnosticError, NoiseSpec, SimResult, TimeGrid, integrate_lindblad
-from .hamiltonians import ModelParams, analytic_u, h_reduced_two_qubit
+from .hamiltonians import ModelParams, h_reduced_two_qubit
 from .protocols import (
     EprReport,
     SweepResult,
@@ -36,7 +36,6 @@ __all__ = [
     "SweepResult",
     "TimeGrid",
     "TlrParams",
-    "analytic_u",
     "decoherence_sweep",
     "dispersive_validity",
     "embed",

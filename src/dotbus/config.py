@@ -223,7 +223,7 @@ def config_from_dict(raw: dict) -> RunConfig:
     n = m["n_qubits"]
     if n > MAX_QUBITS:
         raise ConfigError("model.n_qubits", f"{n} qubits exceed MAX_QUBITS = {MAX_QUBITS}")
-    model = _build("model", ModelParams, (g,) * n, (m["tau_over_g"] * g,) * n)
+    model = _build("model", ModelParams.uniform, n, g, m["tau_over_g"] * g)
     lam = _build("model", lambda: model.lam)
     if not (0 < lam < math.inf and 0 < gate_time_t0(lam) < math.inf):
         raise ConfigError(

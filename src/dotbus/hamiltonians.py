@@ -85,23 +85,6 @@ def h_reduced_two_qubit(lam: float) -> np.ndarray:
     return lam * np.array([[0, 0, 0, 0], [0, 1, 1, 0], [0, 1, 1, 0], [0, 0, 0, 2]], dtype=complex)
 
 
-def analytic_u(lam: float, t: float) -> np.ndarray:
-    """Closed-form propagator of the reduced two-qubit Hamiltonian.
-
-    Basis {|00>, |01>, |10>, |11>}.  The central block is a phase-dressed
-    excitation swap; the doubly excited entry is the unitary phase
-    e^{-2 i lam t} (a published /2 on that entry fails unitarity and is
-    treated as a typo; the exponential oracle confirms this value).
-    """
-    z = np.exp(-2j * lam * t)
-    u = np.zeros((4, 4), dtype=complex)
-    u[0, 0] = 1.0
-    u[1, 1] = u[2, 2] = (z + 1.0) / 2.0
-    u[1, 2] = u[2, 1] = (z - 1.0) / 2.0
-    u[3, 3] = z
-    return u
-
-
 def sector_hamiltonian(p: ModelParams) -> np.ndarray:
     """One-excitation block of the time-independent Hamiltonian A + V.
 

@@ -16,8 +16,7 @@ import numpy as np
 from .algebra import TRACE_TOL, DensityMatrix, HilbertSpace, PureState, fidelity
 from .dynamics import (DiagnosticError, NoiseSpec, SimResult, TimeGrid, _Coordinates, _evolve,
                        _real_coordinates, build_liouvillian, integrate_lindblad)
-from .hamiltonians import (DISPERSIVE_THRESHOLD, ModelParams, analytic_u, h_reduced_two_qubit,
-                           sector_hamiltonian)
+from .hamiltonians import DISPERSIVE_THRESHOLD, ModelParams, h_reduced_two_qubit, sector_hamiltonian
 
 TWO_QUBIT_SPACE = HilbertSpace((2, 2))
 _EPR_START = np.diag([0.0, 0.0, 1.0, 0.0])  # |10><10|, where pair generation starts
@@ -50,17 +49,12 @@ class EprReport:
     result: SimResult
 
 
-def _require_dispersive(p: ModelParams) -> None:
-    """Refuse a model whose tau/g is below DISPERSIVE_THRESHOLD."""
-    if not p.is_dispersive:
-        raise ValueError(f"detuning/coupling ratio below dispersive threshold {DISPERSIVE_THRESHOLD}")
-
-
 def _require_dispersive_pair(p: ModelParams) -> None:
-    """Refuse a model that is not one dispersive qubit pair."""
+    """Refuse a model that is not one qubit pair with tau/g at least DISPERSIVE_THRESHOLD."""
     if p.n_qubits != 2:
         raise ValueError("entangled-pair generation targets exactly two qubits")
-    _require_dispersive(p)
+    if not p.is_dispersive:
+        raise ValueError(f"detuning/coupling ratio below dispersive threshold {DISPERSIVE_THRESHOLD}")
 
 
 def _epr_grid(lam: float, noise: NoiseSpec) -> TimeGrid:
@@ -164,14 +158,14 @@ def _sector_run(p: ModelParams, start: int, t_end: float) -> np.ndarray:
     return np.exp(1j * np.outer(times, a_diag)) * prop
 
 
-def _pair_run(p: ModelParams, active: tuple[int, int],
-              lam: float) -> tuple[DensityMatrix, np.ndarray]:
+def _pair_run(p: ModelParams, active: tuple[int, int], lam: float) -> tuple[float, np.ndarray]:
     """Excite qubit ``active[0]`` in the vacuum and evolve it exactly to t0 = pi/(4 lam).
 
-    Returns the two-qubit state of the pair at t0, with ``active[0]`` as the
-    first qubit, and the mean level <n_k>(t) of every subsystem on
-    FRAME_SAMPLES + 1 equally spaced times, shape (n_qubits + 1, FRAME_SAMPLES + 1):
-    the excitation probability of each qubit, then the cavity's photon number.
+    Returns the fidelity of the pair's two-qubit state at t0, with
+    ``active[0]`` as the first qubit, against `epr_target`, and the mean level
+    <n_k>(t) of every subsystem on FRAME_SAMPLES + 1 equally spaced times,
+    shape (n_qubits + 1, FRAME_SAMPLES + 1): the excitation probability of
+    each qubit, then the cavity's photon number.
     """
     amps = _sector_run(p, active[0], gate_time_t0(lam))
     final = PureState(HilbertSpace((p.n_qubits + 1,)), amps[-1]).amplitudes
@@ -181,7 +175,7 @@ def _pair_run(p: ModelParams, active: tuple[int, int],
     rho[1, 1], rho[2, 2] = abs(c_b) ** 2, abs(c_a) ** 2
     rho[2, 1] = c_a * c_b.conjugate()
     rho[1, 2] = rho[2, 1].conjugate()
-    return DensityMatrix(TWO_QUBIT_SPACE, rho), np.abs(amps.T) ** 2
+    return fidelity(DensityMatrix(TWO_QUBIT_SPACE, rho), epr_target()), np.abs(amps.T) ** 2
 
 
 @dataclass(frozen=True)
@@ -197,17 +191,15 @@ def dispersive_validity(p: ModelParams) -> DispersiveReport:
     """Compare the full qubit-cavity dynamics against the effective model.
 
     Propagates |10> x |vacuum> for the entangling time under the full model,
-    traces the cavity, and reports the overlap with |10> evolved by the reduced
-    model that `epr_generation` runs, plus the peak cavity occupation of the
-    full run.
+    traces the cavity, and reports the overlap with `epr_target`, the state
+    into which the reduced model of `epr_generation` takes |10> at t0, plus
+    the peak cavity occupation of the full run.
     """
-    if p.n_qubits != 2:
-        raise ValueError("dispersive validation is a two-qubit comparison")
-    _require_dispersive(p)
+    _require_dispersive_pair(p)
     g, tau = p.couplings_g[0], p.detunings_tau[0]
     lam = p.lam
     t0 = gate_time_t0(lam)
-    rho_full, levels = _pair_run(p, (0, 1), lam)  # refuses a phase that overflows first
+    fid, levels = _pair_run(p, (0, 1), lam)  # refuses a phase that overflows first
     if tau * t0 > MAX_FRAME_PHASE:
         raise DiagnosticError(
             f"tau/g = {tau / g:.6g} is past the precision bound: the frame phase tau x t0 = "
@@ -215,11 +207,6 @@ def dispersive_validity(p: ModelParams) -> DispersiveReport:
             f"{math.sqrt(4.0 * MAX_FRAME_PHASE / math.pi):.6g}), past which roundoff sets "
             "the readings"
         )
-
-    # The effective model conserves photon number, so from the vacuum it is the
-    # reduced two-qubit exchange; column 2 of its propagator is the image of |10>.
-    fid = fidelity(rho_full, PureState(TWO_QUBIT_SPACE, analytic_u(lam, t0)[:, 2]))
-
     return DispersiveReport(
         tau_over_g=tau / g,
         fidelity_full_vs_effective=fid,
@@ -245,7 +232,10 @@ def selective_coupling_check(
     """Run the entangler on two target qubits while spectators sit far detuned.
 
     Spectators keep their coupling but are parked at ``spectator_ratio`` times
-    the active detuning.  The report carries how far any spectator strays from
+    the active detuning.  The active detuning and the gate time come from
+    qubit 0's g and tau, whichever qubits are active: both active qubits sit
+    at tau_0 and the run lasts t0 = pi/(4 g_0^2/tau_0), even where the
+    couplings differ.  The report carries how far any spectator strays from
     its ground state (both the worst excursion over the run and the final
     value) and the fidelity of the active pair against the entangled target.
     """
@@ -260,15 +250,14 @@ def selective_coupling_check(
         tau_active if j in active else spectator_ratio * tau_active
         for j in range(p.n_qubits)
     )
-    rho_active, levels = _pair_run(replace(p, detunings_tau=detunings), active,
-                                   g * g / tau_active)
+    fid, levels = _pair_run(replace(p, detunings_tau=detunings), active, g * g / tau_active)
     excitation = np.delete(levels[:-1], active, axis=0).sum(axis=0)  # spectators only
 
     return SelectiveCouplingReport(
         spectator_ratio=spectator_ratio,
         spectator_max_deviation=float(np.max(excitation)),
         spectator_final_deviation=float(excitation[-1]),
-        active_pair_fidelity=fidelity(rho_active, epr_target()),
+        active_pair_fidelity=fid,
     )
 
 

@@ -15,6 +15,10 @@ none of them imports this module, and ``import dotbus`` does not load it.
   number, on the full qubit-cavity space.  The one-excitation run
   `protocols._sector_run`, the dense run `_frame_trajectory` and
   `hamiltonians.h_reduced_two_qubit` are checked against them.
+- `analytic_u`: the closed-form propagator of
+  `hamiltonians.h_reduced_two_qubit`, itself checked against
+  `scipy.linalg.expm`; at t0 it takes |10> to `protocols.epr_target` up to a
+  global phase, and the noiseless RK4 runs of the pair are checked against it.
 - `static_frame_hamiltonian`: the time-independent A + V over the whole
   space; its one-excitation rows and columns are the block that
   `hamiltonians.sector_hamiltonian` builds directly.
@@ -127,6 +131,23 @@ def h_effective(p: ModelParams, cutoff: int) -> np.ndarray:
             h += (embed(space, (j, SIGMA_PLUS), (i, SIGMA_MINUS), (cav, a), (cav, adag))
                   - embed(space, (j, SIGMA_MINUS), (i, SIGMA_PLUS), (cav, adag), (cav, a)))
     return p.lam * h
+
+
+def analytic_u(lam: float, t: float) -> np.ndarray:
+    """Closed-form propagator of the reduced two-qubit Hamiltonian.
+
+    Basis {|00>, |01>, |10>, |11>}.  The central block is a phase-dressed
+    excitation swap; the doubly excited entry is the unitary phase
+    e^{-2 i lam t} (a published /2 on that entry fails unitarity and is
+    treated as a typo; the exponential oracle confirms this value).
+    """
+    z = np.exp(-2j * lam * t)
+    u = np.zeros((4, 4), dtype=complex)
+    u[0, 0] = 1.0
+    u[1, 1] = u[2, 2] = (z + 1.0) / 2.0
+    u[1, 2] = u[2, 1] = (z - 1.0) / 2.0
+    u[3, 3] = z
+    return u
 
 
 def total_excitation(p: ModelParams, cutoff: int) -> np.ndarray:

@@ -24,10 +24,10 @@ from dotbus.device import (
 from dotbus.dynamics import NoiseSpec, TimeGrid, integrate_lindblad
 from dotbus.algebra import HilbertSpace, PureState
 from dotbus.dynamics import build_liouvillian
-from dotbus.hamiltonians import ModelParams, analytic_u, h_reduced_two_qubit
+from dotbus.hamiltonians import ModelParams, h_reduced_two_qubit
 from dotbus.protocols import decoherence_sweep, dispersive_validity, epr_generation, gate_time_t0
-from dotbus.reference import (_frame_trajectory, expm_propagator, full_space, partial_trace,
-                              propagate_schrodinger)
+from dotbus.reference import (_frame_trajectory, analytic_u, expm_propagator, full_space,
+                              partial_trace, propagate_schrodinger)
 
 G = 2 * math.pi * 100e6
 MODEL = ModelParams.uniform(2, G, 10 * G)

@@ -29,9 +29,9 @@ from dotbus.dynamics import (
     build_liouvillian,
     integrate_lindblad,
 )
-from dotbus.hamiltonians import ModelParams, analytic_u, h_reduced_two_qubit
-from dotbus.reference import (expm_propagator, full_space, h_interaction, lindblad_rhs,
-                              propagate_schrodinger)
+from dotbus.hamiltonians import ModelParams, h_reduced_two_qubit
+from dotbus.reference import (analytic_u, expm_propagator, full_space, h_interaction,
+                              lindblad_rhs, propagate_schrodinger)
 
 TWO_QUBITS = HilbertSpace((2, 2))
 
@@ -624,8 +624,9 @@ class TestRealCoordinates:
         assert delta <= bound
 
     def test_a_roundoff_entry_whose_transpose_is_an_exact_zero_runs(self):
-        # H[0, 3] = 1e-17 but H[3, 0] = 0: the parts reach rho[0, 3] from
-        # rho[3, 3] but not rho[3, 0], and the support takes both.
+        # H[0, 3] = 1e-17 but H[3, 0] = 0: build_liouvillian takes the
+        # Hermitian part, 5e-18 at both entries, so the parts reach rho[0, 3]
+        # and rho[3, 0] alike from the diagonal.
         h = h_reduced_two_qubit(1.0) + np.diag([0.3, 0.0, 0.0, -0.2])
         h[0, 3] = 1e-17
         rho0 = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)

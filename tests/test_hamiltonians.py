@@ -19,9 +19,10 @@ from dotbus.algebra import (
 )
 from dotbus.device import DotParams, HBAR
 from dotbus.dynamics import TimeGrid
-from dotbus.hamiltonians import ModelParams, analytic_u, h_reduced_two_qubit, sector_hamiltonian
+from dotbus.hamiltonians import ModelParams, h_reduced_two_qubit, sector_hamiltonian
 from dotbus.reference import (
     _frame_trajectory,
+    analytic_u,
     destroy,
     full_space,
     h_double_dot,

@@ -24,7 +24,7 @@ from dotbus.algebra import DensityMatrix, PureState, fidelity
 from dotbus.dynamics import (DiagnosticError, NoiseSpec, TimeGrid, _real_coordinates, _support,
                              build_liouvillian, integrate_lindblad)
 from dotbus.config import MAX_QUBITS, config_from_dict
-from dotbus.hamiltonians import ModelParams, analytic_u, h_reduced_two_qubit
+from dotbus.hamiltonians import ModelParams, h_reduced_two_qubit
 from dotbus.protocols import (
     FRAME_SAMPLES,
     MIN_EPR_STEPS,
@@ -40,8 +40,8 @@ from dotbus.protocols import (
     gate_time_t0,
     selective_coupling_check,
 )
-from dotbus.reference import (_frame_trajectory, concurrence, epr_error_closed_form, full_space,
-                              h_interaction, partial_trace, propagate_schrodinger)
+from dotbus.reference import (_frame_trajectory, analytic_u, concurrence, epr_error_closed_form,
+                              full_space, h_interaction, partial_trace, propagate_schrodinger)
 
 G_PAPER = 2 * math.pi * 100e6       # coupling, rad/s
 TAU_PAPER = 10 * G_PAPER
@@ -230,7 +230,7 @@ class TestDispersiveValidity:
             dispersive_validity(ModelParams.uniform(2, 1.0, 3.0))
 
     def test_wrong_qubit_count_rejected(self):
-        with pytest.raises(ValueError, match="^dispersive validation is a two-qubit comparison$"):
+        with pytest.raises(ValueError, match="^entangled-pair generation targets exactly two qubits$"):
             dispersive_validity(ModelParams.uniform(3, 1.0, 10.0))
 
     def test_precision_bound(self):
@@ -347,6 +347,20 @@ class TestSelectiveCoupling:
         p = ModelParams.uniform(3, 1.0, 10.0)
         with pytest.raises(ValueError, match="^exactly two distinct active qubits required$"):
             selective_coupling_check(p, active=(1, 1))
+
+
+def test_validate_and_the_spectator_check_score_the_pair_against_epr_target(monkeypatch):
+    # With |01> as the target, each report reads the population of active[1]
+    # at t0 in the sector run's own final amplitudes.
+    monkeypatch.setattr(protocols, "epr_target",
+                        lambda: PureState(TWO_QUBIT_SPACE, np.array([0, 1, 0, 0], dtype=complex)))
+    p = ModelParams.uniform(2, 1.0, 10.0)
+    c_b = _sector_run(p, 0, gate_time_t0(p.lam))[-1][1]
+    assert dispersive_validity(p).fidelity_full_vs_effective == abs(c_b) ** 2
+    p3, active = ModelParams((1.0, 1.5, 0.8), (10.0, 10.0, 10.0)), (2, 0)
+    full, t0 = spectator_model(p3, active, 10.0)
+    c_b = _sector_run(full, active[0], t0)[-1][active[1]]
+    assert selective_coupling_check(p3, active=active).active_pair_fidelity == abs(c_b) ** 2
 
 
 def draw_spectator_check(data):

@@ -15,10 +15,12 @@ masked as `<OUT>`.  For `{}` and the `bus-check`
 inputs it also stores, under OUTDIR/<config>/selective/, the `repr` of every
 float that `protocols.selective_coupling_check` reports for n = 3..7: the
 benchmark times that library protocol, and no command runs it.  For every
-config it stores, under OUTDIR/<config>/exact-sweep/ and exact-epr/, the
-sweep's D and the EPR run's fidelity, D and concurrence (without and with the
-`--out` trajectory) as CSV at full float precision, which the commands print
-to 10 digits; `tools/csv_delta.py` reads their changes.  dotbus is
+config it stores, under OUTDIR/<config>/exact-sweep/, exact-epr/ and
+exact-validate/, the sweep's D, the EPR run's fidelity, D and concurrence
+(without and with the `--out` trajectory) and every float of
+`protocols.dispersive_validity`'s report as CSV at full float precision,
+which the commands print to 10 and 8 digits; `tools/csv_delta.py` reads
+their changes.  dotbus is
 imported from SRC (default: `src/` of this checkout), so one checkout can
 snapshot another:
 
@@ -136,11 +138,11 @@ for n in range(3, 8):
 
 
 # Run as `python -c EXACT CONFIG COMMAND` against the dotbus under test: the
-# library results behind `sweep` and `epr`, every float as its repr.
+# library results behind `sweep`, `epr` and `validate`, every float as its repr.
 EXACT = """
 import json, sys
 from dotbus.config import config_from_dict
-from dotbus.protocols import decoherence_sweep, epr_generation
+from dotbus.protocols import decoherence_sweep, dispersive_validity, epr_generation
 try:
     cfg = config_from_dict(json.loads(sys.argv[1]))
     if sys.argv[2] == "sweep":
@@ -149,6 +151,11 @@ try:
         for gamma, errors in zip(sweep.gamma_axis.tolist(), sweep.error_grid.tolist()):
             for gamma_phi, error in zip(sweep.gamma_phi_axis.tolist(), errors):
                 print(f"{gamma!r},{gamma_phi!r},{error!r}")
+    elif sys.argv[2] == "validate":
+        r = dispersive_validity(cfg.model)
+        print("tau_over_g,fidelity,infidelity,max_cavity_occupation,cavity_bound")
+        print(f"{r.tau_over_g!r},{r.fidelity_full_vs_effective!r},{r.infidelity!r},"
+              f"{r.max_cavity_occupation!r},{r.cavity_bound!r}")
     else:
         print("trajectory,fidelity,error_D,concurrence")
         for trajectory in (0, 1):
@@ -186,7 +193,7 @@ def snapshot(src: Path, outdir: Path) -> None:
                     if written != cfg:
                         (dest / written.name).write_bytes(written.read_bytes())
         raw = config if isinstance(config, str) else json.dumps(config)
-        for command in ("sweep", "epr"):
+        for command in ("sweep", "epr", "validate"):
             record(outdir / name / f"exact-{command}",
                    [sys.executable, "-c", EXACT, raw, command], env)
         if name == "default" or name.startswith("bus-check"):
