@@ -33,9 +33,9 @@ class TlrParams:
 
     def __post_init__(self):
         for name in ("length", "inductance_per_length", "capacitance_per_length", "quality_factor"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # NaN fails too
                 raise ValueError(f"{name} must be strictly positive")
-        if self.wiring_capacitance < 0:
+        if not self.wiring_capacitance >= 0:
             raise ValueError("wiring_capacitance must be nonnegative")
         # Positive factors can still multiply to zero; the formulas divide by both products.
         lfc = self.length * math.sqrt(self.inductance_per_length * self.capacitance_per_length)
@@ -67,9 +67,11 @@ class DotParams:
     total_capacitance: float
 
     def __post_init__(self):
-        if self.tunneling <= 0:
+        if math.isnan(self.bias_epsilon):
+            raise ValueError("bias_epsilon must not be NaN")
+        if not self.tunneling > 0:  # NaN fails too
             raise ValueError("tunneling must be strictly positive")
-        if self.total_capacitance <= 0:
+        if not self.total_capacitance > 0:
             raise ValueError("total_capacitance must be strictly positive")
 
 
@@ -85,7 +87,7 @@ class CouplerParams:
             raise ValueError("coupler position must lie on the resonator")
 
     def __post_init__(self):
-        if self.coupling_capacitance <= 0:
+        if not self.coupling_capacitance > 0:  # NaN fails too
             raise ValueError("coupling_capacitance must be strictly positive")
 
 

@@ -41,8 +41,10 @@ class ModelParams:
             raise ValueError("n_qubits must be at least 1")
         if len(self.detunings_tau) != self.n_qubits:
             raise ValueError("couplings_g and detunings_tau must have equal length")
-        if any(g < 0 for g in self.couplings_g):
+        if not all(g >= 0 for g in self.couplings_g):  # NaN fails too
             raise ValueError("couplings must be nonnegative")
+        if np.isnan(self.detunings_tau).any():
+            raise ValueError("detunings must not be NaN")
 
     @classmethod
     def uniform(cls, n_qubits: int, g: float, tau: float) -> "ModelParams":

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import TRACE_TOL, DensityMatrix, HilbertSpace, PureState, fidelity
+from .algebra import TRACE_TOL, DensityMatrix, HilbertSpace, PureState
 from .dynamics import (DiagnosticError, NoiseSpec, SimResult, TimeGrid, _Coordinates, _evolve,
                        _real_coordinates, build_liouvillian, integrate_lindblad)
 from .hamiltonians import DISPERSIVE_THRESHOLD, ModelParams, h_reduced_two_qubit, sector_hamiltonian
@@ -139,35 +139,35 @@ def _sector_run(p: ModelParams, start: int, t_end: float) -> np.ndarray:
 
     The interaction conserves excitation number, so the run stays on n + 1
     states: qubit j excited in the vacuum for each j, then all qubits down
-    with one photon.  Diagonalizes `sector_hamiltonian` once and applies the
-    frame phases.  Returns the amplitudes of those states, in that order, on
-    FRAME_SAMPLES + 1 equally spaced times of [0, t_end].  Raises
+    with one photon.  Diagonalizes `sector_hamiltonian` once and returns the
+    amplitudes of e^{-i(A+V)t}, in its static frame, on those states in that
+    order at FRAME_SAMPLES + 1 equally spaced times of [0, t_end].  Raises
     DiagnosticError if a phase overflows, which would make them NaN.
     """
-    h = sector_hamiltonian(p)
-    evals, evecs = np.linalg.eigh(h)
-    a_diag = np.real(np.diag(h))  # the frame generator A = (tau_1, ..., tau_n, 0)
-    energy = max(abs(float(e)) for e in (*evals, *a_diag))
+    evals, evecs = np.linalg.eigh(sector_hamiltonian(p))
+    energy = float(np.max(np.abs(evals)))  # at least max|tau_j|, since the block is Hermitian
     if not math.isfinite(energy * t_end):  # bounds every phase below
         raise DiagnosticError(
             f"frame trajectory is not finite: the phase energy x time = {energy:.3g} rad/s "
             f"x {t_end:.3g} s overflows a float"
         )
     times = np.linspace(0.0, t_end, FRAME_SAMPLES + 1)
-    prop = (np.exp(-1j * np.outer(times, evals)) * evecs[start].conj()) @ evecs.T
-    return np.exp(1j * np.outer(times, a_diag)) * prop
+    return (np.exp(-1j * np.outer(times, evals)) * evecs[start].conj()) @ evecs.T
 
 
-def _pair_run(p: ModelParams, active: tuple[int, int], lam: float) -> tuple[float, np.ndarray]:
-    """Excite qubit ``active[0]`` in the vacuum and evolve it exactly to t0 = pi/(4 lam).
+def _pair_run(p: ModelParams, active: tuple[int, int], pair: ModelParams) -> tuple[float, np.ndarray]:
+    """Excite qubit ``active[0]`` of ``p`` in the vacuum and evolve it exactly to t0.
 
-    Returns the fidelity of the pair's two-qubit state at t0, with
-    ``active[0]`` as the first qubit, against `epr_target`, and the mean level
-    <n_k>(t) of every subsystem on FRAME_SAMPLES + 1 equally spaced times,
-    shape (n_qubits + 1, FRAME_SAMPLES + 1): the excitation probability of
-    each qubit, then the cavity's photon number.
+    ``pair`` is the active pair's two-qubit model: `_require_dispersive_pair`
+    refuses it, and its lambda sets t0 = pi/(4 lambda).  Returns the
+    `_epr_fidelity` of the pair at t0, ``active[0]`` first, and the levels
+    <n_k>(t), each qubit's then the photon's, on FRAME_SAMPLES + 1 equally
+    spaced times.  Both read the static frame of `_sector_run`, safe because
+    e^{i tau_k t} cancels in every |c_k|^2 and, since both active qubits of
+    ``p`` must share one tau, in c_a c_b*.  `PureState` checks c(t0).
     """
-    amps = _sector_run(p, active[0], gate_time_t0(lam))
+    _require_dispersive_pair(pair)
+    amps = _sector_run(p, active[0], gate_time_t0(pair.lam))
     final = PureState(HilbertSpace((p.n_qubits + 1,)), amps[-1]).amplitudes
     c_a, c_b = final[list(active)]
     rho = np.zeros((4, 4), dtype=complex)  # |10> is active[0] excited, |01> active[1]
@@ -175,7 +175,7 @@ def _pair_run(p: ModelParams, active: tuple[int, int], lam: float) -> tuple[floa
     rho[1, 1], rho[2, 2] = abs(c_b) ** 2, abs(c_a) ** 2
     rho[2, 1] = c_a * c_b.conjugate()
     rho[1, 2] = rho[2, 1].conjugate()
-    return fidelity(DensityMatrix(TWO_QUBIT_SPACE, rho), epr_target()), np.abs(amps.T) ** 2
+    return float(_epr_fidelity(rho)), np.abs(amps.T) ** 2
 
 
 @dataclass(frozen=True)
@@ -190,16 +190,12 @@ class DispersiveReport:
 def dispersive_validity(p: ModelParams) -> DispersiveReport:
     """Compare the full qubit-cavity dynamics against the effective model.
 
-    Propagates |10> x |vacuum> for the entangling time under the full model,
-    traces the cavity, and reports the overlap with `epr_target`, the state
-    into which the reduced model of `epr_generation` takes |10> at t0, plus
-    the peak cavity occupation of the full run.
+    `_pair_run` of |10> x |vacuum> to t0 under the full model: the pair's
+    overlap with `epr_target`, into which the reduced model of
+    `epr_generation` takes |10> at t0, and the peak cavity occupation.
     """
-    _require_dispersive_pair(p)
-    g, tau = p.couplings_g[0], p.detunings_tau[0]
-    lam = p.lam
-    t0 = gate_time_t0(lam)
-    fid, levels = _pair_run(p, (0, 1), lam)  # refuses a phase that overflows first
+    fid, levels = _pair_run(p, (0, 1), p)  # refuses a phase that overflows first
+    g, tau, t0 = p.couplings_g[0], p.detunings_tau[0], gate_time_t0(p.lam)
     if tau * t0 > MAX_FRAME_PHASE:
         raise DiagnosticError(
             f"tau/g = {tau / g:.6g} is past the precision bound: the frame phase tau x t0 = "
@@ -231,13 +227,12 @@ def selective_coupling_check(
 ) -> SelectiveCouplingReport:
     """Run the entangler on two target qubits while spectators sit far detuned.
 
-    Spectators keep their coupling but are parked at ``spectator_ratio`` times
-    the active detuning.  The active detuning and the gate time come from
-    qubit 0's g and tau, whichever qubits are active: both active qubits sit
-    at tau_0 and the run lasts t0 = pi/(4 g_0^2/tau_0), even where the
-    couplings differ.  The report carries how far any spectator strays from
-    its ground state (both the worst excursion over the run and the final
-    value) and the fidelity of the active pair against the entangled target.
+    Spectators keep their coupling but are parked at ``spectator_ratio``
+    (finite) times tau_0, at which both active qubits sit; `_pair_run`
+    refuses and times the run by the pair (g_0, tau_0), whichever qubits are
+    active and even where the couplings differ.  The report carries how far
+    any spectator strays from its ground state (the worst excursion over the
+    run and the final value) and the active pair's fidelity to the target.
     """
     if p.n_qubits < 3:
         raise ValueError("selective-coupling check needs at least one spectator qubit")
@@ -245,12 +240,12 @@ def selective_coupling_check(
         raise ValueError("exactly two distinct active qubits required")
     if not all(0 <= j < p.n_qubits for j in active):
         raise ValueError(f"active qubits {active} must lie in range({p.n_qubits})")
-    g, tau_active = p.couplings_g[0], p.detunings_tau[0]
-    detunings = tuple(
-        tau_active if j in active else spectator_ratio * tau_active
-        for j in range(p.n_qubits)
-    )
-    fid, levels = _pair_run(replace(p, detunings_tau=detunings), active, g * g / tau_active)
+    if not math.isfinite(spectator_ratio):
+        raise ValueError(f"spectator_ratio must be finite, got {spectator_ratio!r}")
+    g, tau = p.couplings_g[0], p.detunings_tau[0]
+    run = replace(p, detunings_tau=[tau if j in active else spectator_ratio * tau
+                                    for j in range(p.n_qubits)])
+    fid, levels = _pair_run(run, active, ModelParams.uniform(2, g, tau))
     excitation = np.delete(levels[:-1], active, axis=0).sum(axis=0)  # spectators only
 
     return SelectiveCouplingReport(

@@ -24,7 +24,7 @@ none of them imports this module, and ``import dotbus`` does not load it.
   `hamiltonians.sector_hamiltonian` builds directly.
 - `_frame_trajectory`: the static-frame run over the whole space, one dense
   eigendecomposition of `static_frame_hamiltonian` and the frame phases; the
-  spectator check's sector run is checked against it.
+  spectator check's reports, read from the sector run, are checked against it.
 - `expm_propagator`, `partial_trace`: exact propagation and reduction of dense
   states; the RK4 order checks and the pair state that `protocols._pair_run`
   writes in closed form are checked against them.

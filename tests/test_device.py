@@ -18,6 +18,7 @@ from dotbus.device import (
     renormalized_frequency,
     singlet_splitting,
 )
+from dotbus.hamiltonians import ModelParams
 from dotbus.reference import h_double_dot
 
 PAPER_TLR = dict(length=0.01, inductance_per_length=4e-7, capacitance_per_length=2.5e-10)
@@ -25,6 +26,28 @@ PAPER_TLR = dict(length=0.01, inductance_per_length=4e-7, capacitance_per_length
 
 def make_tlr(**overrides):
     return TlrParams(**{**PAPER_TLR, **overrides})
+
+
+NAN = math.nan
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: TlrParams(NAN, 4e-7, 2.5e-10), "length must be strictly positive"),
+    (lambda: TlrParams(0.01, NAN, 2.5e-10), "inductance_per_length must be strictly positive"),
+    (lambda: TlrParams(0.01, 4e-7, NAN), "capacitance_per_length must be strictly positive"),
+    (lambda: make_tlr(quality_factor=NAN), "quality_factor must be strictly positive"),
+    (lambda: make_tlr(wiring_capacitance=NAN), "wiring_capacitance must be nonnegative"),
+    (lambda: DotParams(NAN, 1e-24, 1e-15), "bias_epsilon must not be NaN"),
+    (lambda: DotParams(0.0, NAN, 1e-15), "tunneling must be strictly positive"),
+    (lambda: DotParams(0.0, 1e-24, NAN), "total_capacitance must be strictly positive"),
+    (lambda: CouplerParams(NAN, 0.0), "coupling_capacitance must be strictly positive"),
+    (lambda: ModelParams((NAN, 1.0), (10.0, 10.0)), "couplings must be nonnegative"),
+    (lambda: ModelParams((1.0, 1.0), (10.0, NAN)), "detunings must not be NaN"),
+])
+def test_a_nan_parameter_is_refused(build, message):
+    # Each comparison is written so that NaN fails it, as in NoiseSpec and TimeGrid.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
 
 
 class TestBareFrequency:

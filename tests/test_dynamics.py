@@ -379,6 +379,17 @@ class TestIntegrateLindblad:
             with pytest.raises(DiagnosticError, match=r"at t = 0\.01: "):
                 _evolve(coords, np.array([1.0, 0.0, -0.9]), TimeGrid(1000, 100000), 3.6, 1)
 
+    def test_a_grid_too_coarse_for_the_stability_guard_names_the_steps_that_pass(self):
+        # ||H|| + 2 (gamma + gamma_phi) = 20 + 3 rad/s: over t = 1, dt x 23 < 0.1
+        # asks for more than 230 steps, so 100 are refused.
+        h, noise = h_reduced_two_qubit(10.0), NoiseSpec(1.0, 0.5)
+        with pytest.raises(ValueError, match=r"^step size too large: .* use at least \d+ steps$"
+                           ) as refused:
+            integrate_lindblad(h, pure_rho(2), noise, TimeGrid(1.0, 100))
+        needed = int(str(refused.value).split()[-2])
+        result = integrate_lindblad(h, pure_rho(2), noise, TimeGrid(1.0, needed), needed)
+        assert result.times.tolist() == [0.0, 1.0]
+
 
 def stepped_snapshots(generator, y, grid, scale, record_every):
     """(t, y) at each `_snapshot_steps` mark, y advanced one interval at a time by `_rk4`'s S^n."""

@@ -12,15 +12,16 @@ named edge cases of `EDGE_CASES`.  For every config and command it stores
 stdout, stderr, the exit code and every file the run wrote (`out`,
 `out.resolved.json`) under OUTDIR/<config>/<command>/, with the output path
 masked as `<OUT>`.  For `{}` and the `bus-check`
-inputs it also stores, under OUTDIR/<config>/selective/, the `repr` of every
-float that `protocols.selective_coupling_check` reports for n = 3..7: the
-benchmark times that library protocol, and no command runs it.  For every
+inputs it also stores, under OUTDIR/<config>/selective/, every float that
+`protocols.selective_coupling_check` reports, as CSV at full float precision
+with one row per n = 3..7: the benchmark times that library protocol, and no
+command runs it.  For every
 config it stores, under OUTDIR/<config>/exact-sweep/, exact-epr/ and
 exact-validate/, the sweep's D, the EPR run's fidelity, D and concurrence
 (without and with the `--out` trajectory) and every float of
 `protocols.dispersive_validity`'s report as CSV at full float precision,
 which the commands print to 10 and 8 digits; `tools/csv_delta.py` reads
-their changes.  dotbus is
+the changes of all these CSVs.  dotbus is
 imported from SRC (default: `src/` of this checkout), so one checkout can
 snapshot another:
 
@@ -123,17 +124,19 @@ def configs() -> dict[str, dict | str]:
     return {**out, **FAILURES, **EDGE_CASES}
 
 
-# Run as `python -c SELECTIVE CONFIG_JSON` against the dotbus under test.
+# Run as `python -c SELECTIVE CONFIG_JSON` against the dotbus under test: one
+# CSV row per n of every float of the spectator check's report, as its repr.
 SELECTIVE = """
-import dataclasses, json, sys
+import json, sys
 from dotbus.config import config_from_dict
 from dotbus.protocols import selective_coupling_check
 raw = json.loads(sys.argv[1])
+print("n,spectator_ratio,spectator_max_deviation,spectator_final_deviation,active_pair_fidelity")
 for n in range(3, 8):
     model = config_from_dict({**raw, "model": {**raw.get("model", {}), "n_qubits": n}}).model
-    report = selective_coupling_check(model)
-    for field in dataclasses.fields(report):
-        print(f"n={n} {field.name} = {getattr(report, field.name)!r}")
+    r = selective_coupling_check(model)
+    print(f"{n},{r.spectator_ratio!r},{r.spectator_max_deviation!r},"
+          f"{r.spectator_final_deviation!r},{r.active_pair_fidelity!r}")
 """
 
 
