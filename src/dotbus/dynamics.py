@@ -15,11 +15,14 @@ Its generators are constant, so every fixed RK4 step applies one matrix S,
 which `_rk4` forms in closed form and returns as S^n for each snapshot
 interval length n, over a whole stack at once.  `_evolve` checks the start
 once, then advances blocks of snapshots that fill up to CHECK_POINTS
-matrices, one product by S^n each, scatters each block back to exactly
-Hermitian matrices (`_scatter`) and checks it in one call before it steps
-on.  Nothing is renormalized: `_check_snapshot` reads finiteness, trace and
-least eigenvalue and stops a run at the first snapshot out of tolerance,
-within its block, before it steps into overflow.
+matrices, scatters each block back to exactly Hermitian matrices
+(`_scatter`) and checks it in one call before it steps on.  It fills the
+snapshots by doubling from snapshot 0: snapshots [m, 2m) are one stacked
+product of S^(n m) with snapshots [0, m), so a 256-snapshot trajectory takes
+9 products and 8 squarings, and no result depends on the blocks.  Nothing
+is renormalized: `_check_snapshot` reads finiteness, trace and least
+eigenvalue and stops a run at the first snapshot out of tolerance, within
+its block, before it steps into overflow.
 `build_liouvillian` forms the dissipator parts once per qubit count
 (`_dissipators`).
 """
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -40,15 +44,27 @@ STABILITY_LIMIT = 0.1        # max allowed dt * ||generator||
 # How many snapshot matrices a run steps before it checks them: `_evolve`
 # advances a block of max(1, CHECK_POINTS // points) snapshots and checks the
 # block in one call, so a diverging run stops within its block, before it steps
-# into overflow.  Nothing is chunked by points: at 197 x 198, the largest grid
-# `config.MAX_SWEEP_POINTS` accepts, one power and one check of the whole stack
-# peak at 50.9 MiB traced memory against 50.6 MiB in 512-point chunks.  Every
-# sweep is one batch, and so is the 256-snapshot trajectory of `epr --out`.
+# into overflow; no result depends on it.  Nothing is chunked by points: at
+# 197 x 198, the largest grid `config.MAX_SWEEP_POINTS` accepts, one power and
+# one check of the whole stack peak at 50.9 MiB traced memory against 50.6 MiB
+# in 512-point chunks.  Every sweep is one batch, and so is the 256-snapshot
+# trajectory of `epr --out`.
 CHECK_POINTS = 512
 
 
 class DiagnosticError(RuntimeError):
     """A run violated its numerical health checks (norm/trace/positivity)."""
+
+
+def _count(name: str, value) -> int:
+    """``value`` by `operator.index`, at least 1; else ValueError naming ``name``."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count < 1:
+        raise ValueError(f"{name} must be at least 1")
+    return count
 
 
 @dataclass(frozen=True)
@@ -61,8 +77,7 @@ class TimeGrid:
     def __post_init__(self):
         if not self.t_end > 0:  # NaN fails too
             raise ValueError("t_end must be positive")
-        if self.steps < 1:
-            raise ValueError("steps must be at least 1")
+        object.__setattr__(self, "steps", _count("steps", self.steps))
 
     @property
     def dt(self) -> float:
@@ -111,11 +126,13 @@ class SimResult:
 def _snapshot_steps(grid: TimeGrid, scale: float, record_every: int) -> list[int]:
     """Step counts at which a run records a snapshot: 0, every ``record_every``-th and the last.
 
-    First the stability guard: ``scale`` bounds the generator's norm, and a
+    ``record_every`` that is not an integer of at least 1 raises ValueError.
+    Then the stability guard: ``scale`` bounds the generator's norm, and a
     step with dt x scale >= STABILITY_LIMIT raises ValueError naming a step
     count that passes.  The counts are Python ints, which a float step count
-    past 2^63 fits.
+    past 2^63 fits.  Every run has at least two marks, 0 and grid.steps.
     """
+    record_every = _count("record_every", record_every)
     dt = grid.dt
     if dt * scale >= STABILITY_LIMIT:
         needed = math.ceil(grid.t_end * scale / (STABILITY_LIMIT * 0.5)) + 1
@@ -304,13 +321,20 @@ def _evolve(coords: _Coordinates, rates: np.ndarray, grid: TimeGrid, scale: floa
     diagnostics of shape (T, points, ...).  `_rk4` forms the powers of every
     row's step matrix in one evaluation.  Snapshot 0, coords.start at every
     point, is scattered (`_scatter`) and checked once.  From snapshot 1 the run
-    advances a block of m snapshots at a time, as many as fill CHECK_POINTS
+    advances a block of snapshots at a time, as many as fill CHECK_POINTS
     matrices and at least one: 512 for one run, so a 256-step trajectory is
-    one block, and one for a stack of more than 256 points.  Snapshot k is
-    S^n x snapshot k-1, n the steps between them.  Each block is scattered
-    and checked in one `_check_snapshot` call, in time order, before the run
-    steps on: a breach stops it within its block.  Every sweep makes two
-    checks: its start and its finals.
+    one block, and one for a stack of more than 256 points.  Every interval
+    but a shorter last one is n = marks[1] steps, so snapshot k before it is
+    S^(n k) x snapshot 0: snapshots [m, 2m) are one stacked product of
+    S^(n m) with snapshots [0, m), m = 1, 2, 4, ..., and S^(2 n m) is the
+    square of S^(n m).  A shorter last interval is its own `_rk4` power times
+    the snapshot before it.  Within a block the products run in that order,
+    so no result depends on the block size, and a 256-step run ends on the
+    S^256 that `np.linalg.matrix_power` forms, with or without the snapshots
+    between.  Each block is scattered and checked in one `_check_snapshot`
+    call, in time order, before the run steps on: a breach stops it within
+    its block.  Every sweep makes two checks, its start and its finals, and
+    one product.
     """
     d, s, points = coords.d, coords.support.size, rates.shape[:-1]
     generators = (rates @ coords.parts.reshape(len(coords.parts), -1)).reshape(points + (s, s))
@@ -327,10 +351,21 @@ def _evolve(coords: _Coordinates, rates: np.ndarray, grid: TimeGrid, scale: floa
     checks[:, :size] = np.reshape(_check_snapshot(start.reshape(d, d), times[0], point), (2, 1))
     block = max(1, CHECK_POINTS // size)
     name = point and (lambda k: point(k % size))  # the k-th matrix of a block's check
+    # Snapshots [0, regular) lie n = marks[1] steps apart: snapshots [span, 2 span)
+    # are S^(n span) x snapshots [0, span), one stacked product.
+    regular = grid.steps // marks[1] + 1
+    power, span = powers[marks[1]], 1  # S^(n span)
     for lo in range(1, count, block):
         hi = min(lo + block, count)
-        for k in range(lo, hi):
-            np.matmul(powers[marks[k] - marks[k - 1]], x[k - 1], out=x[k])
+        k = lo
+        while k < min(hi, regular):
+            if k == 2 * span:
+                power, span = power @ power, 2 * span
+            top = min(hi, regular, 2 * span)
+            np.matmul(power, x[k - span:top - span], out=x[k:top])
+            k = top
+        if hi > regular:  # a last interval shorter than n
+            np.matmul(powers[marks[-1] - marks[-2]], x[-2], out=x[-1])
         states[lo:hi] = _scatter(x[lo:hi, ..., 0], coords)
         # Time-major, so the first breach in a check is the earliest snapshot's.
         checks[:, lo * size:hi * size] = _check_snapshot(

@@ -26,6 +26,12 @@ FRAME_SAMPLES = 400  # intervals of [0, t0] at which _pair_run records mean leve
 # roundoff grows like eps x tau x t0 and reaches the cavity check's margin
 # 8 (g/tau)^2 from 2.5e8 rad up (tools/precision_scan.py); below 1e7 it is within 1.1e-3 of it.
 MAX_FRAME_PHASE = 1e7
+# Largest |spectator_ratio| of `selective_coupling_check`.  The eigensolver's
+# error grows with the parked detuning; at n = 3..7 and tau/g = 5..100 the
+# spectator deviation is within 1.9e-4 (relative) and the pair fidelity within
+# 1.3e-8 of 60 digits up to here, and the deviation's error passes 1e-3 at 1e9
+# (tools/spectator_scan.py).
+MAX_SPECTATOR_RATIO = 1e8
 
 
 def gate_time_t0(lam: float) -> float:
@@ -228,7 +234,8 @@ def selective_coupling_check(
     """Run the entangler on two target qubits while spectators sit far detuned.
 
     Spectators keep their coupling but are parked at ``spectator_ratio``
-    (finite) times tau_0, at which both active qubits sit; `_pair_run`
+    (finite; DiagnosticError past MAX_SPECTATOR_RATIO in magnitude) times
+    tau_0, at which both active qubits sit; `_pair_run`
     refuses and times the run by the pair (g_0, tau_0), whichever qubits are
     active and even where the couplings differ.  The report carries how far
     any spectator strays from its ground state (the worst excursion over the
@@ -242,6 +249,12 @@ def selective_coupling_check(
         raise ValueError(f"active qubits {active} must lie in range({p.n_qubits})")
     if not math.isfinite(spectator_ratio):
         raise ValueError(f"spectator_ratio must be finite, got {spectator_ratio!r}")
+    if abs(spectator_ratio) > MAX_SPECTATOR_RATIO:
+        raise DiagnosticError(
+            f"spectator_ratio = {spectator_ratio!r} is past the precision bound "
+            f"|spectator_ratio| <= {MAX_SPECTATOR_RATIO:.3g}, past which the eigensolver's "
+            "roundoff sets the readings"
+        )
     g, tau = p.couplings_g[0], p.detunings_tau[0]
     run = replace(p, detunings_tau=[tau if j in active else spectator_ratio * tau
                                     for j in range(p.n_qubits)])

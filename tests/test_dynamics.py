@@ -1,9 +1,11 @@
 """Integrators against exponential, analytic-decay and superoperator oracles."""
 
+import contextlib
 import math
 import warnings
 from unittest import mock
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.linalg
@@ -29,11 +31,14 @@ from dotbus.dynamics import (
     build_liouvillian,
     integrate_lindblad,
 )
+from dotbus.config import config_from_dict
 from dotbus.hamiltonians import ModelParams, h_reduced_two_qubit
+from dotbus.protocols import _epr_grid, epr_generation
 from dotbus.reference import (analytic_u, expm_propagator, full_space, h_interaction,
                               lindblad_rhs, propagate_schrodinger)
 
 TWO_QUBITS = HilbertSpace((2, 2))
+EPS = np.finfo(float).eps
 
 
 def basis_state(space, index):
@@ -197,10 +202,17 @@ class TestNoiseSpec:
 
 @pytest.mark.parametrize("t_end, steps, message", [
     (0.0, 10, "t_end must be positive"), (-1.0, 10, "t_end must be positive"),
-    (math.nan, 10, "t_end must be positive"), (1.0, 0, "steps must be at least 1")])
+    (math.nan, 10, "t_end must be positive"), (1.0, 0, "steps must be at least 1"),
+    (1.0, 100.5, r"steps must be an integer, got 100\.5"),
+    (1.0, 100.0, r"steps must be an integer, got 100\.0")])
 def test_a_time_grid_without_time_or_steps_is_refused(t_end, steps, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         TimeGrid(t_end, steps)
+
+
+def test_a_numpy_integer_step_count_is_a_python_int():
+    grid = TimeGrid(1.0, np.int64(100))
+    assert type(grid.steps) is int and grid == TimeGrid(1.0, 100)
 
 
 RATE = st.floats(0.0, 5.0)
@@ -379,6 +391,22 @@ class TestIntegrateLindblad:
             with pytest.raises(DiagnosticError, match=r"at t = 0\.01: "):
                 _evolve(coords, np.array([1.0, 0.0, -0.9]), TimeGrid(1000, 100000), 3.6, 1)
 
+    @pytest.mark.parametrize("record_every, message", [
+        (-1, "record_every must be at least 1"), (0, "record_every must be at least 1"),
+        (2.0, r"record_every must be an integer, got 2\.0")])
+    def test_a_record_interval_that_is_not_a_positive_integer_is_refused(self, record_every,
+                                                                          message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            integrate_lindblad(h_reduced_two_qubit(1.0), pure_rho(2), NoiseSpec(),
+                               TimeGrid(1.0, 100), record_every)
+
+    def test_a_numpy_integer_record_interval_runs_as_a_python_int(self):
+        h, grid = h_reduced_two_qubit(1.0), TimeGrid(1.0, 100)
+        result = integrate_lindblad(h, pure_rho(2), NoiseSpec(), grid, np.int32(10))
+        expected = integrate_lindblad(h, pure_rho(2), NoiseSpec(), grid, 10)
+        assert np.array_equal(result.times, expected.times)
+        assert np.array_equal(result.states, expected.states)
+
     def test_a_grid_too_coarse_for_the_stability_guard_names_the_steps_that_pass(self):
         # ||H|| + 2 (gamma + gamma_phi) = 20 + 3 rad/s: over t = 1, dt x 23 < 0.1
         # asks for more than 230 steps, so 100 are refused.
@@ -402,11 +430,11 @@ def stepped_snapshots(generator, y, grid, scale, record_every):
 
 
 def per_snapshot_run(h, rho0, noise, grid, record_every):
-    """The one-point run before blocks: each snapshot scattered into its own array, checked alone.
+    """The one-point run before doubling: one product by S^n per snapshot, each checked alone.
 
     It steps the same real coordinates as `_evolve`.
 
-    Returns (times, states, diagnostics) as lists, or the DiagnosticError message.
+    Returns (times, states, diagnostics) as arrays, or the DiagnosticError message.
     """
     coords = _real_coordinates(build_liouvillian(h), rho0)
     s, d = coords.support.size, len(rho0)
@@ -422,7 +450,32 @@ def per_snapshot_run(h, rho0, noise, grid, record_every):
             states.append(rho)
     except DiagnosticError as exc:
         return str(exc)
-    return times, states, rows
+    return times, np.array(states), np.array(rows).T
+
+
+@contextlib.contextmanager
+def counted_powers():
+    """Count `_evolve`'s products by `_rk4`'s powers and its squarings of them, which still run.
+
+    Yields the list of (kind, snapshots): ("product", the snapshots it writes)
+    or ("square", 0).  A square of a counted power is counted in turn.
+    """
+    rk4, counts = dynamics._rk4, []
+
+    class CountedPower(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            square = all(isinstance(x, CountedPower) for x in inputs)
+            if ufunc is np.matmul:
+                counts.append(("square", 0) if square else ("product", len(kwargs["out"][0])))
+            inputs = [x.view(np.ndarray) if isinstance(x, CountedPower) else x for x in inputs]
+            result = getattr(ufunc, method)(*inputs, **kwargs)
+            return result.view(CountedPower) if square else result
+
+    def counted_rk4(*args):
+        return {n: power.view(CountedPower) for n, power in rk4(*args).items()}
+
+    with mock.patch.object(dynamics, "_rk4", counted_rk4):
+        yield counts
 
 
 class TestBlockChecks:
@@ -430,7 +483,8 @@ class TestBlockChecks:
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
-    def test_a_blocked_run_equals_the_snapshot_by_snapshot_run(self, data):
+    def test_every_block_size_runs_bit_for_bit_alike_and_near_the_snapshot_by_snapshot_run(
+            self, data):
         rng, h, noise = random_model(data)
         rank = data.draw(st.integers(1, 4))
         a = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
@@ -438,41 +492,44 @@ class TestBlockChecks:
         t = data.draw(st.floats(0.05, 1.0))
         scale = np.linalg.norm(h, 2) + 2 * (noise.gamma + noise.gamma_phi)
         steps = math.ceil(t * scale / 0.05) + data.draw(st.integers(1, 60))
-        record_every = data.draw(st.integers(1, steps))
+        record_every = data.draw(st.sampled_from([1, 2]) | st.integers(1, steps))
         grid = TimeGrid(t, steps)
+        runs = []
+        for check_points in (1, 2, 3, 4, 5, 512):
+            with mock.patch.object(dynamics, "CHECK_POINTS", check_points):
+                try:
+                    result = integrate_lindblad(h, DensityMatrix(TWO_QUBITS, rho0), noise, grid,
+                                                record_every)
+                except DiagnosticError as exc:
+                    runs.append(str(exc))
+                else:
+                    runs.append((result.times, result.states, result.diagnostics))
+        for run in runs[1:]:
+            if isinstance(runs[0], str):
+                assert run == runs[0]
+            else:
+                assert all(np.array_equal(x, y) for x, y in zip(run[:2], runs[0][:2]))
+                assert all(np.array_equal(run[2][key], runs[0][2][key])
+                           for key in ("trace_dev", "min_eig"))
         expected = per_snapshot_run(h, rho0, noise, grid, record_every)
-        with mock.patch.object(dynamics, "CHECK_POINTS", data.draw(st.integers(1, 5))):
-            try:
-                result = integrate_lindblad(h, DensityMatrix(TWO_QUBITS, rho0), noise, grid,
-                                            record_every)
-            except DiagnosticError as exc:
-                assert str(exc) == expected
-                return
-        times, states, rows = expected
-        assert result.times.tolist() == times
-        assert isinstance(result.states, np.ndarray) and result.states.shape == (len(times), 4, 4)
-        assert np.array_equal(result.states, states)
-        assert result.diagnostics.keys() == {"trace_dev", "min_eig"}
-        for key, column in zip(("trace_dev", "min_eig"), zip(*rows)):
-            assert np.array_equal(result.diagnostics[key], column)
+        assert isinstance(runs[0], str) == isinstance(expected, str)  # 3,000 draws: none refused
+        if isinstance(expected, str):
+            return
+        (times, states, diagnostics), (ref_times, ref_states, ref_rows) = runs[0], expected
+        assert times.tolist() == ref_times and states.shape == (len(ref_times), 4, 4)
+        assert diagnostics.keys() == {"trace_dev", "min_eig"}
+        # Snapshot k is S^(n k) x0 formed by a different association of the same
+        # products: within 4 k eps max|rho| of it (3,000 draws reached 1.9 k eps).
+        bound = 4 * np.maximum(np.arange(len(times)), 1) * EPS * np.max(np.abs(ref_states))
+        assert np.all(np.max(np.abs(states - ref_states), axis=(1, 2)) <= bound)
+        for key, column in zip(("trace_dev", "min_eig"), ref_rows):  # each moves by d x that
+            assert np.all(np.abs(diagnostics[key] - column) <= 4 * bound)
 
     def test_a_breach_inside_a_block_names_its_time_and_stops_the_run_there(self):
         # The start is scattered alone, then blocks of 4 snapshots, [1, 5) and
         # [5, 9); snapshots 6 and 7, the second and third of the second block,
-        # are spoiled, and the run names the first of them.  Snapshot k > 0 is
-        # one product by a power from `_rk4`, counted here.
-        rk4, scatter, made, products = dynamics._rk4, dynamics._scatter, [], []
-
-        class CountedPower(np.ndarray):
-            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-                if ufunc is np.matmul:
-                    products.append(1)
-                inputs = [x.view(np.ndarray) if isinstance(x, CountedPower) else x
-                          for x in inputs]
-                return getattr(ufunc, method)(*inputs, **kwargs)
-
-        def counted_rk4(*args):
-            return {n: power.view(CountedPower) for n, power in rk4(*args).items()}
+        # are spoiled, and the run names the first of them.
+        scatter, made = dynamics._scatter, []
 
         def spoiled_scatter(*args):
             rho = scatter(*args)  # the start, shape (16,), then a block, (snapshots, 16)
@@ -482,16 +539,67 @@ class TestBlockChecks:
             made.extend(rho.reshape(-1, 16))
             return rho
 
-        with mock.patch.object(dynamics, "CHECK_POINTS", 4), \
-                mock.patch.object(dynamics, "_rk4", counted_rk4), \
+        with mock.patch.object(dynamics, "CHECK_POINTS", 4), counted_powers() as counts, \
                 mock.patch.object(dynamics, "_scatter", spoiled_scatter):
             with pytest.raises(DiagnosticError,
                                match=r"^density-matrix diagnostics failed at t = 0\.06: "
                                      r"\|trace-1\| = 1e-06$"):
                 integrate_lindblad(h_reduced_two_qubit(1.0), pure_rho(1), NoiseSpec(0.1, 0.2),
                                    TimeGrid(1.0, 100))
-        assert len(products) == 8  # snapshots 1 to 8: none stepped past the breach's block
+        # Snapshots 1 to 8 stepped, none past the breach's block: x[1], x[2:4],
+        # x[4:5], then x[5:8] and x[8:9], after S^2, S^4 and S^8.
+        assert [n for kind, n in counts if kind == "product"] == [1, 2, 1, 3, 1]
+        assert [kind for kind, _ in counts].count("square") == 3
         assert len(made) == 9  # and none scattered past it
+
+
+class TestDoubling:
+    """`_evolve` fills a trajectory by doubling: snapshots [m, 2m) are S^(n m) x [0, m)."""
+
+    def test_the_default_epr_trajectory_takes_log2_products(self):
+        cfg = config_from_dict({})
+        with counted_powers() as counts:
+            epr_generation(cfg.model, cfg.noise, trajectory=True)  # what `epr --out` runs
+        products = [n for kind, n in counts if kind == "product"]
+        assert products == [1, 2, 4, 8, 16, 32, 64, 128, 1]  # 256 snapshots in 9 products
+        assert [kind for kind, _ in counts].count("square") == 8  # S^2 to S^256
+
+    @pytest.mark.parametrize("noise", [{}, {"gamma_over_2pi": 0, "gamma_phi_over_2pi": 0}])
+    def test_every_snapshot_of_the_default_trajectory_is_near_a_40_digit_power(self, noise):
+        cfg = config_from_dict({"noise": noise})
+        result = epr_generation(cfg.model, cfg.noise, trajectory=True).result
+        coords = _real_coordinates(build_liouvillian(h_reduced_two_qubit(cfg.model.lam)),
+                                   pure_rho(2).matrix)
+        s, grid = coords.support.size, _epr_grid(cfg.model.lam, cfg.noise)
+        generator = (cfg.noise.rates @ coords.parts.reshape(3, -1)).reshape(s, s)
+        step = _rk4(generator, grid.dt, [0, 1])[1]  # S in floats: the oracle powers it exactly
+        exact = [coords.start]
+        with mp.workdps(40):
+            power, x = mp.matrix(step.tolist()), mp.matrix(coords.start.tolist())
+            for _ in range(grid.steps):
+                x = power * x
+                exact.append([float(v) for v in x])
+        expected = _scatter(np.array(exact), coords).reshape(-1, 4, 4)
+        # 19.5 eps on the default config and 21.5 eps noiseless; one product per
+        # snapshot stayed within 3 eps.
+        assert np.max(np.abs(result.states - expected)) <= 32 * EPS
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.floats(5.0, 100.0), st.floats(0.0, 2.0), st.floats(0.0, 2.0),
+           st.sampled_from([1, 2, 4, 8, 256]))
+    def test_a_256_step_run_ends_bit_for_bit_where_its_two_mark_run_does(
+            self, tau_over_g, gamma, gamma_phi, record_every):
+        # The last snapshot is S^256 x0 by the 8 squarings `matrix_power` makes.
+        p = ModelParams.uniform(2, 1.0, tau_over_g)
+        noise = NoiseSpec(gamma * p.lam, gamma_phi * p.lam)
+        grid = _epr_grid(p.lam, noise)
+        assert grid.steps == 256
+        final = integrate_lindblad(h_reduced_two_qubit(p.lam), pure_rho(2), noise, grid,
+                                   256).final
+        assert np.array_equal(integrate_lindblad(h_reduced_two_qubit(p.lam), pure_rho(2), noise,
+                                                 grid, record_every).final, final)
+        assert np.array_equal(epr_generation(p, noise, trajectory=True).result.final, final)
+        assert np.array_equal(epr_generation(p, noise).result.final, final)
 
 
 def per_stage_rk4(generator, y, grid, record_every):

@@ -7,6 +7,7 @@ the oracles for the full-model comparisons below.
 """
 
 import math
+import re
 import tracemalloc
 import warnings
 from unittest import mock
@@ -366,6 +367,30 @@ class TestSelectiveCoupling:
             with pytest.raises(ValueError, match="^spectator_ratio must be finite"):
                 selective_coupling_check(p, spectator_ratio=ratio)
         run.assert_not_called()
+
+    @pytest.mark.parametrize("ratio", [1.0000001e8, -1.0000001e8, 1e13, -1e300])
+    def test_a_spectator_ratio_past_the_precision_bound_is_refused_before_any_run(self, ratio):
+        p = ModelParams.uniform(3, 1.0, 10.0)
+        with mock.patch.object(protocols, "_sector_run") as run:
+            with pytest.raises(DiagnosticError,
+                               match=re.escape(f"spectator_ratio = {ratio!r} is past the "
+                                               "precision bound |spectator_ratio| <= 1e+08,")):
+                selective_coupling_check(p, spectator_ratio=ratio)
+        run.assert_not_called()
+
+    # The corners of tools/spectator_scan.py's range, at the bound
+    @pytest.mark.parametrize("n, tau_over_g", [(3, 5.0), (3, 100.0), (7, 5.0), (7, 100.0)])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_at_the_precision_bound_the_readings_hold_three_digits(self, n, tau_over_g, sign):
+        ratio = sign * protocols.MAX_SPECTATOR_RATIO
+        p = ModelParams.uniform(n, 1.0, tau_over_g)
+        full, t0 = spectator_model(p, (0, 1), ratio)
+        amps = mp_sector_run(full, 0, [t0])[0]
+        report = selective_coupling_check(p, spectator_ratio=ratio)
+        deviation = np.sum(np.abs(amps[2:n]) ** 2)
+        # The scan's worst over n = 3..7 and tau/g = 5..100: 1.9e-4 and 1.3e-8.
+        assert abs(report.spectator_final_deviation - deviation) <= 1e-3 * deviation
+        assert abs(report.active_pair_fidelity - abs(amps[0] + 1j * amps[1]) ** 2 / 2) <= 1e-7
 
     @pytest.mark.parametrize("ratio", [0.0, -10.0])
     def test_a_spectator_parked_at_zero_or_negative_detuning_is_accepted(self, ratio):
