@@ -14,15 +14,12 @@ other, so every part keeps rho exactly Hermitian and is real there.
 Its generators are constant, so every fixed RK4 step applies one matrix S,
 which `_rk4` forms in closed form and returns as S^n for each snapshot
 interval length n, over a whole stack at once.  `_evolve` checks the start
-once, then advances blocks of snapshots that fill up to CHECK_POINTS
-matrices, scatters each block back to exactly Hermitian matrices
-(`_scatter`) and checks it in one call before it steps on.  It fills the
-snapshots by doubling from snapshot 0: snapshots [m, 2m) are one stacked
-product of S^(n m) with snapshots [0, m), so a 256-snapshot trajectory takes
-9 products and 8 squarings, and no result depends on the blocks.  Nothing
-is renormalized: `_check_snapshot` reads finiteness, trace and least
-eigenvalue and stops a run at the first snapshot out of tolerance, within
-its block, before it steps into overflow.
+once, then fills every snapshot by doubling from snapshot 0: snapshots
+[m, 2m) are one stacked product of S^(n m) with snapshots [0, m), so a
+256-snapshot trajectory takes 9 products and 8 squarings.  It scatters the
+snapshots back to exactly Hermitian matrices (`_scatter`) and checks them in
+one call.  Nothing is renormalized: `_check_snapshot` reads finiteness,
+trace and least eigenvalue and names the first snapshot out of tolerance.
 `build_liouvillian` forms the dissipator parts once per qubit count
 (`_dissipators`).
 """
@@ -41,15 +38,6 @@ from .algebra import (EIG_FLOOR, HERMITIAN_TOL, SIGMA_MINUS, SIGMA_Z, TRACE_TOL,
                       HilbertSpace, embed)
 
 STABILITY_LIMIT = 0.1        # max allowed dt * ||generator||
-# How many snapshot matrices a run steps before it checks them: `_evolve`
-# advances a block of max(1, CHECK_POINTS // points) snapshots and checks the
-# block in one call, so a diverging run stops within its block, before it steps
-# into overflow; no result depends on it.  Nothing is chunked by points: at
-# 197 x 198, the largest grid `config.MAX_SWEEP_POINTS` accepts, one power and
-# one check of the whole stack peak at 50.9 MiB traced memory against 50.6 MiB
-# in 512-point chunks.  Every sweep is one batch, and so is the 256-snapshot
-# trajectory of `epr --out`.
-CHECK_POINTS = 512
 
 
 class DiagnosticError(RuntimeError):
@@ -312,64 +300,52 @@ def _scatter(x: np.ndarray, coords: _Coordinates) -> np.ndarray:
     return rho
 
 
-def _evolve(coords: _Coordinates, rates: np.ndarray, grid: TimeGrid, scale: float,
-            record_every: int, point: Callable[[int], str] | None = None) -> SimResult:
+def _evolve(coords: _Coordinates, rates: np.ndarray, dt: float, marks: list[int],
+            point: Callable[[int], str] | None = None) -> SimResult:
     """The checked RK4 run of the generator sum_c rates[..., c] coords.parts[c] from coords.start.
 
-    Rates of shape (C,) give one run; rates of shape (points, C) one run per
-    row, stepped at once, ``point(k)`` naming the k-th, and states and
-    diagnostics of shape (T, points, ...).  `_rk4` forms the powers of every
-    row's step matrix in one evaluation.  Snapshot 0, coords.start at every
-    point, is scattered (`_scatter`) and checked once.  From snapshot 1 the run
-    advances a block of snapshots at a time, as many as fill CHECK_POINTS
-    matrices and at least one: 512 for one run, so a 256-step trajectory is
-    one block, and one for a stack of more than 256 points.  Every interval
-    but a shorter last one is n = marks[1] steps, so snapshot k before it is
+    Steps of ``dt``, with a snapshot at each step count of ``marks``: 0, then
+    every n = marks[1] steps and a last interval of at most n, as
+    `_snapshot_steps` gives them.  Rates of shape (C,) give one run; rates of
+    shape (points, C) one run per row, stepped at once, ``point(k)`` naming
+    the k-th, and states and diagnostics of shape (T, points, ...).  `_rk4`
+    forms the powers of every row's step matrix in one evaluation.  Snapshot
+    0, coords.start at every point, is scattered (`_scatter`) and checked
+    once, before any step.  Snapshot k before a shorter last interval is
     S^(n k) x snapshot 0: snapshots [m, 2m) are one stacked product of
     S^(n m) with snapshots [0, m), m = 1, 2, 4, ..., and S^(2 n m) is the
     square of S^(n m).  A shorter last interval is its own `_rk4` power times
-    the snapshot before it.  Within a block the products run in that order,
-    so no result depends on the block size, and a 256-step run ends on the
-    S^256 that `np.linalg.matrix_power` forms, with or without the snapshots
-    between.  Each block is scattered and checked in one `_check_snapshot`
-    call, in time order, before the run steps on: a breach stops it within
-    its block.  Every sweep makes two checks, its start and its finals, and
-    one product.
+    the snapshot before it.  So a 256-step run ends on the S^256 that
+    `np.linalg.matrix_power` forms, with or without the snapshots between.
+    The other snapshots are scattered and checked in one `_check_snapshot`
+    call, in time order, so a breach names the earliest bad snapshot.  Every
+    run makes two checks, and a sweep one product.
     """
     d, s, points = coords.d, coords.support.size, rates.shape[:-1]
     generators = (rates @ coords.parts.reshape(len(coords.parts), -1)).reshape(points + (s, s))
-    marks = _snapshot_steps(grid, scale, record_every)
-    dt = grid.dt
     powers = _rk4(generators, dt, marks)
     size, count = math.prod(points), len(marks)
     times = np.array([mark * dt for mark in marks])
-    x = np.empty((count,) + points + (s, 1))
-    x[0] = coords.start[:, None]
     states = np.empty((count,) + points + (d * d,), dtype=complex)
     checks = np.empty((2, count * size))
     start = states[0] = _scatter(coords.start, coords)  # every point starts here: checked once
     checks[:, :size] = np.reshape(_check_snapshot(start.reshape(d, d), times[0], point), (2, 1))
-    block = max(1, CHECK_POINTS // size)
-    name = point and (lambda k: point(k % size))  # the k-th matrix of a block's check
-    # Snapshots [0, regular) lie n = marks[1] steps apart: snapshots [span, 2 span)
-    # are S^(n span) x snapshots [0, span), one stacked product.
-    regular = grid.steps // marks[1] + 1
+    x = np.empty((count,) + points + (s, 1))
+    x[0] = coords.start[:, None]
+    regular = marks[-1] // marks[1] + 1  # snapshots [0, regular) lie n steps apart
     power, span = powers[marks[1]], 1  # S^(n span)
-    for lo in range(1, count, block):
-        hi = min(lo + block, count)
-        k = lo
-        while k < min(hi, regular):
-            if k == 2 * span:
-                power, span = power @ power, 2 * span
-            top = min(hi, regular, 2 * span)
-            np.matmul(power, x[k - span:top - span], out=x[k:top])
-            k = top
-        if hi > regular:  # a last interval shorter than n
-            np.matmul(powers[marks[-1] - marks[-2]], x[-2], out=x[-1])
-        states[lo:hi] = _scatter(x[lo:hi, ..., 0], coords)
-        # Time-major, so the first breach in a check is the earliest snapshot's.
-        checks[:, lo * size:hi * size] = _check_snapshot(
-            states[lo:hi].reshape(-1, d, d), np.repeat(times[lo:hi], size), name)
+    while span < regular:
+        if span > 1:
+            power = power @ power
+        top = min(regular, 2 * span)
+        np.matmul(power, x[:top - span], out=x[span:top])
+        span = top
+    if regular < count:  # a last interval shorter than n
+        np.matmul(powers[marks[-1] - marks[-2]], x[-2], out=x[-1])
+    states[1:] = _scatter(x[1:, ..., 0], coords)
+    # Time-major, so the first breach in the check is the earliest snapshot's.
+    checks[:, size:] = _check_snapshot(states[1:].reshape(-1, d, d), np.repeat(times[1:], size),
+                                       point and (lambda k: point(k % size)))
     checks = dict(zip(("trace_dev", "min_eig"), checks.reshape((2, count) + points)))
     return SimResult(times, states.reshape(states.shape[:-1] + (d, d)), checks)
 
@@ -382,9 +358,10 @@ def integrate_lindblad(h_eff: np.ndarray, rho0: DensityMatrix, noise: NoiseSpec,
     ``noise.rates``.  An ``h_eff`` that is Hermitian up to roundoff runs as
     its Hermitian part; a non-Hermitian one is refused with DiagnosticError
     before any step (`build_liouvillian`), and the first snapshot that
-    `DensityMatrix` would refuse stops the run with DiagnosticError (`_check_snapshot`).
+    `DensityMatrix` would refuse fails the run with DiagnosticError (`_check_snapshot`).
     """
     parts = build_liouvillian(h_eff)  # refuses an h_eff that is not 2^n x 2^n
     n_qubits = len(h_eff).bit_length() - 1
     scale = np.linalg.norm(h_eff, 2) + n_qubits * (noise.gamma + noise.gamma_phi)
-    return _evolve(_real_coordinates(parts, rho0.matrix), noise.rates, grid, scale, record_every)
+    marks = _snapshot_steps(grid, scale, record_every)
+    return _evolve(_real_coordinates(parts, rho0.matrix), noise.rates, grid.dt, marks)

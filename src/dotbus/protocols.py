@@ -68,10 +68,12 @@ def _epr_grid(lam: float, noise: NoiseSpec) -> TimeGrid:
 
     40 steps per unit of noise action t0 x 2(gamma + gamma_phi), the pair's
     total rate, at least MIN_EPR_STEPS (the Hamiltonian's action t0 x 2 lam =
-    pi/2 asks for 20 pi).  `dynamics._rk4` takes an interval of n steps as
-    log2(n) squarings, so the count bounds no work; `_check_snapshot` refuses
-    a run whose roundoff has grown past its tolerances.  Raises
-    DiagnosticError if the count overflows a float.
+    pi/2 asks for 20 pi).  So dt x (2 lambda + 2(gamma + gamma_phi)) <=
+    pi/512 + 1/40 < 0.031: within the stability guard, which
+    `integrate_lindblad` holds and `_sweep_errors` need not.  `dynamics._rk4`
+    takes an interval of n steps as log2(n) squarings, so the count bounds
+    no work; `_check_snapshot` refuses a run whose roundoff has grown past
+    its tolerances.  Raises DiagnosticError if the count overflows a float.
     """
     t0 = gate_time_t0(lam)
     rate = 2.0 * (noise.gamma + noise.gamma_phi)
@@ -300,9 +302,9 @@ def _sweep_errors(p: ModelParams, gammas: np.ndarray, gamma_phis: np.ndarray) ->
     L = lambda L_H + gamma L_rel + gamma_phi L_deph on the parts at lambda = 1,
     bit for bit, since L_H(lambda) is lambda times small integers entry for
     entry.  So `_evolve` steps `_pair_coordinates` at one rate row per point,
-    all with the step count and stability guard (2 lambda is the norm of
-    `h_reduced_two_qubit`) of the worst point.  It checks the snapshots at t =
-    0 and t0, as `epr_generation` does, naming the first grid point that fails.
+    all with the step count of the worst point, which `_epr_grid` keeps within
+    the stability guard.  It checks the snapshots at t = 0 and t0, as
+    `epr_generation` does, naming the first grid point that fails.
     """
     worst = NoiseSpec(np.max(gammas), np.max(gamma_phis))
     grid = _epr_grid(p.lam, worst)
@@ -312,8 +314,7 @@ def _sweep_errors(p: ModelParams, gammas: np.ndarray, gamma_phis: np.ndarray) ->
         return (f"gamma/2pi = {gammas[k] / (2e6 * math.pi):.6g} MHz, "
                 f"gamma_phi/2pi = {gamma_phis[k] / (2e6 * math.pi):.6g} MHz")
 
-    scale = 2.0 * (p.lam + worst.gamma + worst.gamma_phi)
-    rho = _evolve(_pair_coordinates(), rows, grid, scale, grid.steps, point).final
+    rho = _evolve(_pair_coordinates(), rows, grid.dt, [0, grid.steps], point).final
     return 1.0 - _epr_fidelity(rho)  # every snapshot is checked
 
 

@@ -892,10 +892,12 @@ def at_lambda(coupling_g, tau_over_g):
 @example(raw=at_lambda("1e153 Hz", 1.3993731196391059e-154))  # largest lambda, 4.49e307
 @example(raw=at_lambda("1e-150 Hz", 6.283185307179586e158))  # lambda = 1e-308
 def test_no_accepted_run_reaches_the_step_size_guard(raw):
-    # _snapshot_steps raises a ValueError, which the CLI does not map to an
-    # exit code, when dt x (||h20||_2 + total rate) >= STABILITY_LIMIT.  With
-    # _epr_grid's step count that product is (pi/2 + t0 x total rate) / steps
-    # <= 0.031, for an epr run and for a sweep's worst point alike.
+    # With _epr_grid's step count, dt x (||h20||_2 + total rate) is
+    # (pi/2 + t0 x total rate) / steps <= 0.031 < STABILITY_LIMIT, for an epr
+    # run and for a sweep's worst point alike.  So epr never reaches the
+    # ValueError of _snapshot_steps, which the CLI does not map to an exit
+    # code, and the sweep, which steps every point at its worst point's
+    # count, needs no guard of its own.
     try:
         cfg = config_from_dict(raw)
     except ConfigError:

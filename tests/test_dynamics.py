@@ -312,7 +312,8 @@ class TestDerivedSupport:
         coords = _real_coordinates(build_liouvillian(h_reduced_two_qubit(1.0)),
                                    np.diag([0.0, 0.0, 1.0, 0.0]))
         stack = np.array([(1.0, 0.0, 0.0)] + [(1.0, g, g_phi) for g, g_phi in rates])
-        rho = _evolve(coords, stack, TimeGrid(math.pi / 4, 400), 12.0, 50, str).states
+        rho = _evolve(coords, stack, TimeGrid(math.pi / 4, 400).dt, [*range(0, 401, 50)],
+                      str).states
         assert np.all(rho[:, 0, 0, 0] == 0.0)  # every snapshot
         assert np.all(rho[-1, 1:, 0, 0].real > 0.0)  # at t0, where relaxation does reach it
 
@@ -381,15 +382,17 @@ class TestIntegrateLindblad:
     def test_run_stops_at_the_first_unhealthy_snapshot(self):
         # A negative dephasing rate keeps rho Hermitian, so the engine steps
         # it, but grows the |01><10| coherence as exp(1.8 t) past the
-        # populations: an eigenvalue goes negative at the first step, and
-        # stepping on past the breach would overflow long before t = 1000.
+        # populations: an eigenvalue goes negative at the first step, and the
+        # one check of the stepped run names that snapshot.  Only such a row,
+        # which `NoiseSpec` refuses, can diverge; by t = 1 the coherence has
+        # grown only e^1.8-fold, so no step overflows.
         psi = PureState(TWO_QUBITS, np.array([0, 1, 1, 0]) / math.sqrt(2))
         coords = _real_coordinates(build_liouvillian(np.zeros((4, 4))),
                                    psi.density_matrix().matrix)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(DiagnosticError, match=r"at t = 0\.01: "):
-                _evolve(coords, np.array([1.0, 0.0, -0.9]), TimeGrid(1000, 100000), 3.6, 1)
+                _evolve(coords, np.array([1.0, 0.0, -0.9]), 0.01, [*range(101)])
 
     @pytest.mark.parametrize("record_every, message", [
         (-1, "record_every must be at least 1"), (0, "record_every must be at least 1"),
@@ -478,13 +481,12 @@ def counted_powers():
         yield counts
 
 
-class TestBlockChecks:
-    """`_evolve` scatters and checks snapshots a block at a time; no result depends on blocks."""
+class TestSnapshotChecks:
+    """`_evolve` steps every snapshot, then scatters and checks them all in one call."""
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
-    def test_every_block_size_runs_bit_for_bit_alike_and_near_the_snapshot_by_snapshot_run(
-            self, data):
+    def test_a_run_is_near_the_snapshot_by_snapshot_run(self, data):
         rng, h, noise = random_model(data)
         rank = data.draw(st.integers(1, 4))
         a = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
@@ -494,28 +496,18 @@ class TestBlockChecks:
         steps = math.ceil(t * scale / 0.05) + data.draw(st.integers(1, 60))
         record_every = data.draw(st.sampled_from([1, 2]) | st.integers(1, steps))
         grid = TimeGrid(t, steps)
-        runs = []
-        for check_points in (1, 2, 3, 4, 5, 512):
-            with mock.patch.object(dynamics, "CHECK_POINTS", check_points):
-                try:
-                    result = integrate_lindblad(h, DensityMatrix(TWO_QUBITS, rho0), noise, grid,
-                                                record_every)
-                except DiagnosticError as exc:
-                    runs.append(str(exc))
-                else:
-                    runs.append((result.times, result.states, result.diagnostics))
-        for run in runs[1:]:
-            if isinstance(runs[0], str):
-                assert run == runs[0]
-            else:
-                assert all(np.array_equal(x, y) for x, y in zip(run[:2], runs[0][:2]))
-                assert all(np.array_equal(run[2][key], runs[0][2][key])
-                           for key in ("trace_dev", "min_eig"))
+        try:
+            result = integrate_lindblad(h, DensityMatrix(TWO_QUBITS, rho0), noise, grid,
+                                        record_every)
+        except DiagnosticError as exc:
+            run = str(exc)
+        else:
+            run = (result.times, result.states, result.diagnostics)
         expected = per_snapshot_run(h, rho0, noise, grid, record_every)
-        assert isinstance(runs[0], str) == isinstance(expected, str)  # 3,000 draws: none refused
+        assert isinstance(run, str) == isinstance(expected, str)  # 3,000 draws: none refused
         if isinstance(expected, str):
             return
-        (times, states, diagnostics), (ref_times, ref_states, ref_rows) = runs[0], expected
+        (times, states, diagnostics), (ref_times, ref_states, ref_rows) = run, expected
         assert times.tolist() == ref_times and states.shape == (len(ref_times), 4, 4)
         assert diagnostics.keys() == {"trace_dev", "min_eig"}
         # Snapshot k is S^(n k) x0 formed by a different association of the same
@@ -525,32 +517,43 @@ class TestBlockChecks:
         for key, column in zip(("trace_dev", "min_eig"), ref_rows):  # each moves by d x that
             assert np.all(np.abs(diagnostics[key] - column) <= 4 * bound)
 
-    def test_a_breach_inside_a_block_names_its_time_and_stops_the_run_there(self):
-        # The start is scattered alone, then blocks of 4 snapshots, [1, 5) and
-        # [5, 9); snapshots 6 and 7, the second and third of the second block,
-        # are spoiled, and the run names the first of them.
+    def test_a_breach_names_the_time_of_the_first_bad_snapshot(self):
+        # The start is scattered and checked alone, then snapshots [1, 101) at
+        # once; snapshots 6 and 7 are spoiled, and the run names the first of them.
         scatter, made = dynamics._scatter, []
+        checks = mock.Mock(wraps=dynamics._check_snapshot)
 
         def spoiled_scatter(*args):
-            rho = scatter(*args)  # the start, shape (16,), then a block, (snapshots, 16)
+            rho = scatter(*args)  # the start, shape (16,), then the rest, (snapshots, 16)
             for n, snapshot in enumerate(rho.reshape(-1, 16), len(made)):
                 if n in (6, 7):
                     snapshot[0] += 1e-6  # rho_{00,00}: the trace moves
             made.extend(rho.reshape(-1, 16))
             return rho
 
-        with mock.patch.object(dynamics, "CHECK_POINTS", 4), counted_powers() as counts, \
-                mock.patch.object(dynamics, "_scatter", spoiled_scatter):
+        with counted_powers() as counts, mock.patch.object(dynamics, "_scatter", spoiled_scatter), \
+                mock.patch.object(dynamics, "_check_snapshot", checks):
             with pytest.raises(DiagnosticError,
                                match=r"^density-matrix diagnostics failed at t = 0\.06: "
                                      r"\|trace-1\| = 1e-06$"):
                 integrate_lindblad(h_reduced_two_qubit(1.0), pure_rho(1), NoiseSpec(0.1, 0.2),
                                    TimeGrid(1.0, 100))
-        # Snapshots 1 to 8 stepped, none past the breach's block: x[1], x[2:4],
-        # x[4:5], then x[5:8] and x[8:9], after S^2, S^4 and S^8.
-        assert [n for kind, n in counts if kind == "product"] == [1, 2, 1, 3, 1]
-        assert [kind for kind, _ in counts].count("square") == 3
-        assert len(made) == 9  # and none scattered past it
+        # One product chain for the whole run, S^1 to S^64 by 6 squarings, then
+        # one check of every snapshot after the start.
+        assert [n for kind, n in counts if kind == "product"] == [1, 2, 4, 8, 16, 32, 37]
+        assert [kind for kind, _ in counts].count("square") == 6
+        assert len(made) == 101
+        assert [call.args[0].shape for call in checks.call_args_list] == [(4, 4), (100, 4, 4)]
+
+    def test_a_long_trajectory_is_one_product_chain_and_one_check(self):
+        checks = mock.Mock(wraps=dynamics._check_snapshot)
+        with counted_powers() as counts, mock.patch.object(dynamics, "_check_snapshot", checks):
+            result = integrate_lindblad(h_reduced_two_qubit(1.0), pure_rho(1),
+                                        NoiseSpec(0.1, 0.2), TimeGrid(10.0, 1000))
+        assert len(result.times) == 1001
+        assert [n for kind, n in counts if kind == "product"] == [1 << k for k in range(9)] + [489]
+        assert [kind for kind, _ in counts].count("square") == 9  # S^2 to S^512
+        assert [call.args[0].shape for call in checks.call_args_list] == [(4, 4), (1000, 4, 4)]
 
 
 class TestDoubling:

@@ -582,8 +582,8 @@ class TestOneBatchPerDefaultRun:
         # The start, once for every point, then the 21 x 21 finals in one check
         assert [call.args[0].shape for call in checks.call_args_list] == [(4, 4), (441, 4, 4)]
 
-    def test_a_sweep_past_check_points(self, monkeypatch):
-        # 600 points, more than CHECK_POINTS matrices: still one power and one check
+    def test_a_600_point_sweep(self, monkeypatch):
+        # 600 points, the finals of each in the one check after the start's
         cfg = config_from_dict({"sweep": {"gamma_points": 24, "gamma_phi_points": 25}})
         powers, checks = self.counted(monkeypatch)
         decoherence_sweep(cfg.model, cfg.sweep_gamma_axis, cfg.sweep_gamma_phi_axis)
@@ -872,27 +872,26 @@ class TestBatchedSweep:
                     spoil(rho)
                 scattered.append(rho)
                 return rho
-            for n, block_rho in enumerate(rho, len(scattered)):  # (snapshots, points, 16)
+            for n, snapshot_rho in enumerate(rho, len(scattered)):  # (snapshots, points, 16)
                 for snapshot, k in spoiled:
                     if n == snapshot:
-                        spoil(block_rho[k])
+                        spoil(snapshot_rho[k])
             scattered.extend(rho)
             return rho
 
         monkeypatch.setattr(dynamics, "_scatter", spoiled_scatter)
 
     # The start is checked first, alone, and a breach there names the first
-    # point; CHECK_POINTS = 4 then puts snapshot t0 of both points into one
-    # block, ordered (t, point) = (t0, 0), (t0, 1); the first spoiled in time is named.
+    # point; snapshot t0 of both points is then one check, ordered
+    # (t, point) = (t0, 0), (t0, 1); the first spoiled in time is named.
     @pytest.mark.parametrize("spoiled, t, name", [
         ({(1, 1)}, "1e-08", "gamma/2pi = 0.5 MHz, gamma_phi/2pi = 0.25 MHz"),
         ({(1, 0), (0, 1)}, "0", "gamma/2pi = 0 MHz, gamma_phi/2pi = 0.25 MHz"),
         ({(1, 0), (1, 1)}, "1e-08", "gamma/2pi = 0 MHz, gamma_phi/2pi = 0.25 MHz"),
     ])
-    def test_a_breach_inside_a_block_of_the_stack_names_its_time_and_grid_point(
+    def test_a_breach_in_the_stack_names_its_time_and_grid_point(
             self, monkeypatch, spoiled, t, name):
         self.spoil_scatter(monkeypatch, self.spoil_finiteness, spoiled)
-        monkeypatch.setattr(dynamics, "CHECK_POINTS", 4)
         p = ModelParams.uniform(2, 2 * math.pi * 100e6, 2 * math.pi * 800e6)  # t0 = 10 ns
         mhz = 2e6 * math.pi
         with pytest.raises(DiagnosticError) as err:

@@ -102,8 +102,9 @@ EDGE_CASES = {
     "edge-past-old-budget": {"model": {"tau_over_g": 3e7}},
     # 441 sweep points x 127,691 RK4 steps: the sweep runs.
     "edge-sweep-past-old-budget": {"model": {"tau_over_g": 1e5}},
-    # 23 x 23 = 529 sweep points, more than dynamics.CHECK_POINTS = 512
-    # matrices: one step-matrix power and one check of the whole stack.
+    # 23 x 23 = 529 sweep points, past the 512 matrices that earlier versions
+    # checked at a time (hence the name): one step-matrix power and one check
+    # of the whole stack.
     "edge-sweep-past-check-points": {"sweep": {"gamma_points": 23, "gamma_phi_points": 23}},
     # Exactly at the threshold tau/g = 5, with a g at which (5 g) / g rounds
     # to 4.999999999999999: the model is dispersive, since tau = 5 g.

@@ -27,7 +27,8 @@ import tempfile
 import time
 from pathlib import Path
 
-SIDES = ("parent", "change")
+from bench_pairs import SIDES, quartiles
+
 COMMANDS = {
     "device": ["device"],
     "epr --out": ["epr", "--out", "epr.csv"],
@@ -45,14 +46,6 @@ def run_once(env: dict, command: list[str], work: Path) -> float:
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(argv)} exited {proc.returncode}:\n{proc.stderr}")
     return wall
-
-
-def quartiles(values: list[float]) -> tuple[float, float, float]:
-    """(q1, median, q3), inclusive: the values themselves for fewer than two."""
-    if len(values) < 2:
-        return values[0], values[0], values[0]
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return q1, median, q3
 
 
 def main(argv=None) -> int:
