@@ -17,11 +17,16 @@ interval length n, over a whole stack at once.  `_evolve` checks the start
 once, then fills every snapshot by doubling from snapshot 0: snapshots
 [m, 2m) are one stacked product of S^(n m) with snapshots [0, m), so a
 256-snapshot trajectory takes 9 products and 8 squarings.  It scatters the
-snapshots back to exactly Hermitian matrices (`_scatter`) and checks them in
-one call.  Nothing is renormalized: `_check_snapshot` reads finiteness,
-trace and least eigenvalue and names the first snapshot out of tolerance.
-`build_liouvillian` forms the dissipator parts once per qubit count
-(`_dissipators`).
+snapshots back to exactly Hermitian matrices (`_scatter`, into the states
+array itself) and checks them in one call.  Nothing is renormalized:
+`_check_snapshot` reads finiteness, trace and least eigenvalue and names the
+first snapshot out of tolerance.  It reads the least eigenvalue block by
+block: the support links indices i ~ j where rho_ij is in it, every rho on
+it is a direct sum of the linked groups (`_Blocks`), and a 1- or 2-index
+block has its least eigenvalue in closed form, a larger one `eigvalsh`'s.
+From |10><10| the groups are {|00>} and {|01>, |10>} and |11> is a zero
+row, so the pair's runs take no eigvalsh.  `build_liouvillian` forms the
+dissipator parts once per qubit count (`_dissipators`).
 """
 
 from __future__ import annotations
@@ -205,21 +210,55 @@ def build_liouvillian(h_eff: np.ndarray) -> np.ndarray:
     return parts
 
 
-def _check_snapshot(rho: np.ndarray, times, point: Callable[[int], str] | None = None):
+def _dense_min_eig(rho: np.ndarray) -> np.ndarray:
+    """The `eigvalsh` smallest eigenvalue of each matrix of ``rho``; a non-finite matrix's is 0.
+
+    eigvalsh refuses a whole stack for one non-finite matrix, so that matrix
+    enters as 0; `_check_snapshot` names it before it reads this value.
+    """
+    finite = np.isfinite(rho).all(axis=(-2, -1))
+    return np.linalg.eigvalsh(np.where(finite[..., None, None], rho, 0.0))[..., 0]
+
+
+def _min_eig(rho: np.ndarray, blocks: _Blocks | None) -> np.ndarray:
+    """The smallest eigenvalue of each Hermitian matrix of ``rho``: the least of its ``blocks``'.
+
+    A 1-index block gives its diagonal entry, a 2-index block [[a, c], [c*, b]]
+    (a + b)/2 - hypot((a - b)/2, |c|), a larger one `_dense_min_eig`, and a
+    zero row 0.  ``blocks`` None reads each whole matrix by `_dense_min_eig`.
+    """
+    if blocks is None:
+        return _dense_min_eig(rho)
+    least = [0.0] if blocks.zero_row else []
+    for block in blocks.groups:
+        if block.size == 1:
+            least.append(rho[..., block[0], block[0]].real)
+        elif block.size == 2:
+            i, j = block  # halved first: a/2 + b/2 is (a + b)/2, and overflows for no finite a, b
+            a, b = 0.5 * rho[..., i, i].real, 0.5 * rho[..., j, j].real
+            with np.errstate(invalid="ignore"):  # inf - inf in a non-finite matrix
+                least.append(a + b - np.hypot(a - b, abs(rho[..., i, j])))
+        else:
+            least.append(_dense_min_eig(rho[..., block[:, None], block]))
+    return functools.reduce(np.minimum, least)
+
+
+def _check_snapshot(rho: np.ndarray, times, point: Callable[[int], str] | None = None,
+                    blocks: _Blocks | None = None):
     """(|trace - 1|, smallest eigenvalue) of the snapshots ``rho``, Hermitian by `_scatter`.
 
     ``rho`` is one density matrix, giving one value each, or a stack of them,
     giving one array entry per matrix; ``times`` holds the time of each, shape
-    rho.shape[:-2].  The first matrix that `DensityMatrix` would refuse, with
+    rho.shape[:-2].  ``blocks``, the set-up's (`_real_coordinates`), give the
+    smallest eigenvalue block by block (`_min_eig`); without them it is the
+    whole matrix's.  The first matrix that `DensityMatrix` would refuse, with
     a non-finite entry, |trace - 1| > TRACE_TOL or an eigenvalue below
     EIG_FLOOR, raises DiagnosticError naming its time; ``point(k)`` names the
     k-th matrix of a stack.
     """
     finite = np.isfinite(rho).all(axis=(-2, -1))
     trace_dev = abs(rho.trace(axis1=-2, axis2=-1).real - 1.0)
-    # eigvalsh refuses a whole stack for one non-finite matrix, which enters as 0;
-    # .T[0] is the smallest eigenvalue of each matrix, a scalar for one.
-    min_eig = np.linalg.eigvalsh(np.where(finite[..., None, None], rho, 0.0)).T[0]
+    min_eig = _min_eig(rho, blocks)
     bad = ~(finite & (trace_dev <= TRACE_TOL) & (min_eig >= EIG_FLOOR))
     if np.count_nonzero(bad):
         k = int(np.flatnonzero(bad)[0])
@@ -251,6 +290,13 @@ def _support(parts: np.ndarray, rho0: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.linalg.matrix_power(pattern, d * d) @ (rho0.reshape(-1) != 0))
 
 
+class _Blocks(NamedTuple):
+    """The diagonal blocks of a support: every rho on it is, up to a permutation, their sum."""
+
+    groups: tuple   # index arrays, ascending: the connected groups of i ~ j, rho_ij in the support
+    zero_row: bool  # an index that no support entry touches: a zero row, eigenvalue exactly 0
+
+
 class _Coordinates(NamedTuple):
     """A run's set-up in real coordinates (`_real_coordinates`)."""
 
@@ -259,6 +305,7 @@ class _Coordinates(NamedTuple):
     parts: np.ndarray    # T part T^-1 of each part, shape (parts, s, s), s = support.size
     start: np.ndarray    # rho0's coordinates, shape (s,)
     d: int               # rho is d x d
+    blocks: _Blocks      # the support's diagonal blocks, which `_check_snapshot` reads
 
 
 def _real_coordinates(parts: np.ndarray, rho0: np.ndarray) -> _Coordinates:
@@ -271,7 +318,10 @@ def _real_coordinates(parts: np.ndarray, rho0: np.ndarray) -> _Coordinates:
     for the `build_liouvillian` parts, which keep every Hermitian rho exactly
     Hermitian; its rows are then Re M for a diagonal or upper entry and -Im M
     for a lower one, formed with no product by T.  rho0 enters as its
-    Hermitian part, which is rho0 itself for a Hermitian rho0.
+    Hermitian part, which is rho0 itself for a Hermitian rho0.  The blocks
+    are the connected groups of indices i ~ j with rho_ij in the support; an
+    index in none is a zero row.  From |10><10| they are {|00>}, {|01>, |10>}
+    and the zero row |11>, so every snapshot's eigenvalues are in closed form.
     """
     d = rho0.shape[-1]
     rho0 = 0.5 * (rho0 + rho0.conj().T)
@@ -282,18 +332,25 @@ def _real_coordinates(parts: np.ndarray, rho0: np.ndarray) -> _Coordinates:
     g_t = g[..., partner]  # each column's transpose
     m = np.where(upper, g + g_t, np.where(lower, 1j * (g_t - g), g))  # part T^-1
     start = rho0.reshape(-1)[support]
+    link, touched = np.eye(d, dtype=bool), np.zeros(d, dtype=bool)
+    link[i, j] = touched[i] = True
+    reach = np.linalg.matrix_power(link, d)  # reach[k]: the indices of k's block
+    groups = tuple(np.flatnonzero(reach[k]) for k in np.flatnonzero(touched)
+                   if reach[k].argmax() == k)  # each block once, from its least index
     return _Coordinates(support, (partner, upper, lower), np.where(lower[:, None], -m.imag, m.real),
-                        np.where(lower, start[partner].imag, start.real), d)
+                        np.where(lower, start[partner].imag, start.real), d,
+                        _Blocks(groups, not touched.all()))
 
 
-def _scatter(x: np.ndarray, coords: _Coordinates) -> np.ndarray:
+def _scatter(x: np.ndarray, coords: _Coordinates, out: np.ndarray | None = None) -> np.ndarray:
     """The flat row-major d x d matrices of the real coordinates ``x`` (last axis) of ``coords``.
 
     rho_ij = x_re + i x_im and rho_ji = x_re - i x_im exactly, so every matrix
-    is Hermitian; entries off the support are 0.
+    is Hermitian; entries off the support are 0.  They are written into
+    ``out``, which must hold 0 off the support, and returned, or into a new array.
     """
-    support, (partner, upper, lower), _, _, d = coords
-    rho = np.zeros(x.shape[:-1] + (d * d,), dtype=complex)
+    support, (partner, upper, lower), d = coords.support, coords.transposes, coords.d
+    rho = np.zeros(x.shape[:-1] + (d * d,), dtype=complex) if out is None else out
     rho.real[..., support] = x[..., np.where(lower, partner, np.arange(support.size))]
     rho.imag[..., support[upper]] = x[..., partner[upper]]
     rho.imag[..., support[lower]] = -x[..., lower]
@@ -317,19 +374,21 @@ def _evolve(coords: _Coordinates, rates: np.ndarray, dt: float, marks: list[int]
     square of S^(n m).  A shorter last interval is its own `_rk4` power times
     the snapshot before it.  So a 256-step run ends on the S^256 that
     `np.linalg.matrix_power` forms, with or without the snapshots between.
-    The other snapshots are scattered and checked in one `_check_snapshot`
-    call, in time order, so a breach names the earliest bad snapshot.  Every
-    run makes two checks, and a sweep one product.
+    The other snapshots are scattered straight into the states and checked
+    in one `_check_snapshot` call on coords.blocks, in time order, so a
+    breach names the earliest bad snapshot.  Every run makes two checks, and
+    a sweep one product.
     """
     d, s, points = coords.d, coords.support.size, rates.shape[:-1]
     generators = (rates @ coords.parts.reshape(len(coords.parts), -1)).reshape(points + (s, s))
     powers = _rk4(generators, dt, marks)
     size, count = math.prod(points), len(marks)
     times = np.array([mark * dt for mark in marks])
-    states = np.empty((count,) + points + (d * d,), dtype=complex)
+    states = np.zeros((count,) + points + (d * d,), dtype=complex)
     checks = np.empty((2, count * size))
     start = states[0] = _scatter(coords.start, coords)  # every point starts here: checked once
-    checks[:, :size] = np.reshape(_check_snapshot(start.reshape(d, d), times[0], point), (2, 1))
+    checks[:, :size] = np.reshape(
+        _check_snapshot(start.reshape(d, d), times[0], point, coords.blocks), (2, 1))
     x = np.empty((count,) + points + (s, 1))
     x[0] = coords.start[:, None]
     regular = marks[-1] // marks[1] + 1  # snapshots [0, regular) lie n steps apart
@@ -342,10 +401,11 @@ def _evolve(coords: _Coordinates, rates: np.ndarray, dt: float, marks: list[int]
         span = top
     if regular < count:  # a last interval shorter than n
         np.matmul(powers[marks[-1] - marks[-2]], x[-2], out=x[-1])
-    states[1:] = _scatter(x[1:, ..., 0], coords)
+    rest = _scatter(x[1:, ..., 0], coords, states[1:])
+    del x  # freed before the check makes its temporaries
     # Time-major, so the first breach in the check is the earliest snapshot's.
-    checks[:, size:] = _check_snapshot(states[1:].reshape(-1, d, d), np.repeat(times[1:], size),
-                                       point and (lambda k: point(k % size)))
+    checks[:, size:] = _check_snapshot(rest.reshape(-1, d, d), np.repeat(times[1:], size),
+                                       point and (lambda k: point(k % size)), coords.blocks)
     checks = dict(zip(("trace_dev", "min_eig"), checks.reshape((2, count) + points)))
     return SimResult(times, states.reshape(states.shape[:-1] + (d, d)), checks)
 

@@ -19,7 +19,10 @@ from .dynamics import (DiagnosticError, NoiseSpec, SimResult, TimeGrid, _Coordin
 from .hamiltonians import DISPERSIVE_THRESHOLD, ModelParams, h_reduced_two_qubit, sector_hamiltonian
 
 TWO_QUBIT_SPACE = HilbertSpace((2, 2))
-_EPR_START = np.diag([0.0, 0.0, 1.0, 0.0])  # |10><10|, where pair generation starts
+_EPR_START = DensityMatrix(TWO_QUBIT_SPACE, np.diag([0.0, 0.0, 1.0, 0.0]))  # |10><10|
+_EPR_TARGET = np.array([0, -1j, 1, 0]) / math.sqrt(2)  # (|10> - i|01>)/sqrt(2)
+_EPR_START.matrix.flags.writeable = False  # every pair run reads both: formed once
+_EPR_TARGET.flags.writeable = False
 MIN_EPR_STEPS = 256  # also the most snapshot intervals a recorded trajectory keeps
 FRAME_SAMPLES = 400  # intervals of [0, t0] at which _pair_run records mean levels
 # Largest frame phase tau x t0 = (pi/4)(tau/g)^2, in rad, for `validate`.  Its
@@ -43,7 +46,7 @@ def gate_time_t0(lam: float) -> float:
 
 def epr_target() -> PureState:
     """(|10> - i|01>)/sqrt(2) on the register {|00>, |01>, |10>, |11>}."""
-    return PureState(TWO_QUBIT_SPACE, np.array([0, -1j, 1, 0]) / math.sqrt(2))
+    return PureState(TWO_QUBIT_SPACE, _EPR_TARGET)
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,16 +95,16 @@ def _epr_grid(lam: float, noise: NoiseSpec) -> TimeGrid:
 @functools.cache
 def _pair_coordinates() -> _Coordinates:
     """`dynamics._real_coordinates` of the pair from |10><10| at lambda = 1: once, read-only."""
-    coords = _real_coordinates(build_liouvillian(h_reduced_two_qubit(1.0)), _EPR_START)
-    for array in (coords.support, *coords.transposes, coords.parts, coords.start):
+    coords = _real_coordinates(build_liouvillian(h_reduced_two_qubit(1.0)), _EPR_START.matrix)
+    for array in (coords.support, *coords.transposes, coords.parts, coords.start,
+                  *coords.blocks.groups):
         array.flags.writeable = False  # every later sweep in the process steps them
     return coords
 
 
 def _epr_fidelity(rho: np.ndarray) -> np.ndarray:
     """<target| rho |target> of `epr_target`, as `fidelity` forms it, for one rho or a stack."""
-    target = epr_target().amplitudes
-    return np.real(target.conj() @ rho @ target)
+    return np.real(_EPR_TARGET.conj() @ rho @ _EPR_TARGET)
 
 
 def epr_generation(p: ModelParams, noise: NoiseSpec, trajectory: bool = False) -> EprReport:
@@ -119,8 +122,7 @@ def epr_generation(p: ModelParams, noise: NoiseSpec, trajectory: bool = False) -
     _require_dispersive_pair(p)
     grid = _epr_grid(p.lam, noise)
     record_every = -(-grid.steps // MIN_EPR_STEPS) if trajectory else grid.steps
-    rho0 = DensityMatrix(TWO_QUBIT_SPACE, _EPR_START)
-    result = integrate_lindblad(h_reduced_two_qubit(p.lam), rho0, noise, grid, record_every)
+    result = integrate_lindblad(h_reduced_two_qubit(p.lam), _EPR_START, noise, grid, record_every)
     fid = float(_epr_fidelity(result.final))
     return EprReport(t0=grid.t_end, fidelity=fid, error_d=1.0 - fid,
                      concurrence=_x_state_concurrence(result.final), result=result)

@@ -23,6 +23,7 @@ from dotbus.dynamics import (
     TimeGrid,
     _check_snapshot,
     _evolve,
+    _min_eig,
     _real_coordinates,
     _rk4,
     _scatter,
@@ -517,7 +518,27 @@ class TestSnapshotChecks:
         for key, column in zip(("trace_dev", "min_eig"), ref_rows):  # each moves by d x that
             assert np.all(np.abs(diagnostics[key] - column) <= 4 * bound)
 
-    def test_a_breach_names_the_time_of_the_first_bad_snapshot(self):
+    @staticmethod
+    def spoil_trace(rho):
+        rho[0] += 1e-6  # rho_{00,00}: the trace moves
+
+    @staticmethod
+    def spoil_coherence(rho):
+        rho[[6, 9]] += 0.6  # rho_{01,10} and its conjugate, past the populations': lambda_- < 0
+
+    @staticmethod
+    def spoil_coherence_finiteness(rho):
+        rho[[6, 9]] = np.inf
+
+    @pytest.mark.parametrize("spoil, breach", [
+        ("spoil_trace", lambda snapshot: "|trace-1| = 1e-06"),
+        # The check reads the {|01>, |10>} block in closed form; the message
+        # gives the dense eigvalsh value to 3 digits.
+        ("spoil_coherence",
+         lambda snapshot: f"min eigenvalue = {np.linalg.eigvalsh(snapshot)[0]:.3g}"),
+        ("spoil_coherence_finiteness", lambda snapshot: "non-finite entries"),
+    ])
+    def test_a_breach_names_the_time_of_the_first_bad_snapshot(self, spoil, breach):
         # The start is scattered and checked alone, then snapshots [1, 101) at
         # once; snapshots 6 and 7 are spoiled, and the run names the first of them.
         scatter, made = dynamics._scatter, []
@@ -527,17 +548,17 @@ class TestSnapshotChecks:
             rho = scatter(*args)  # the start, shape (16,), then the rest, (snapshots, 16)
             for n, snapshot in enumerate(rho.reshape(-1, 16), len(made)):
                 if n in (6, 7):
-                    snapshot[0] += 1e-6  # rho_{00,00}: the trace moves
-            made.extend(rho.reshape(-1, 16))
+                    getattr(self, spoil)(snapshot)
+            made.extend(rho.reshape(-1, 4, 4))
             return rho
 
         with counted_powers() as counts, mock.patch.object(dynamics, "_scatter", spoiled_scatter), \
                 mock.patch.object(dynamics, "_check_snapshot", checks):
-            with pytest.raises(DiagnosticError,
-                               match=r"^density-matrix diagnostics failed at t = 0\.06: "
-                                     r"\|trace-1\| = 1e-06$"):
+            with pytest.raises(DiagnosticError) as err:
                 integrate_lindblad(h_reduced_two_qubit(1.0), pure_rho(1), NoiseSpec(0.1, 0.2),
                                    TimeGrid(1.0, 100))
+        assert str(err.value) == ("density-matrix diagnostics failed at t = 0.06: "
+                                  + breach(made[6]))
         # One product chain for the whole run, S^1 to S^64 by 6 squarings, then
         # one check of every snapshot after the start.
         assert [n for kind, n in counts if kind == "product"] == [1, 2, 4, 8, 16, 32, 37]
@@ -841,6 +862,40 @@ class TestScatter:
                     _check_snapshot(matrices, times)
             assert str(err.value) == ("density-matrix diagnostics failed at t = 0: "
                                       "non-finite entries")
+
+
+class TestBlockCheck:
+    """`_check_snapshot` reads the least eigenvalue block by block (`_min_eig`)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_the_block_minimum_is_the_dense_minimum(self, data):
+        # The drawn supports give blocks of 1, 2, 3 and 4 indices and zero
+        # rows; 4,000 draws met an error of at most 4.3 eps max|rho|.  Entries
+        # are multiples of 2^-20 scaled by 10^k, so none is subnormal.
+        coords = random_set_up(data)
+        d, s = coords.d, coords.support.size
+        n = data.draw(arrays(np.int64, (data.draw(st.integers(1, 3)), s),
+                             elements=st.integers(-2**20, 2**20)))
+        scale = 2.0**-20 * 10.0 ** data.draw(st.integers(-290, 290))
+        rho = _scatter(n * scale, coords).reshape(-1, d, d)
+        dense = np.linalg.eigvalsh(rho)[..., 0]
+        assert np.array_equal(_min_eig(rho, None), dense)  # no blocks: the whole matrix
+        bound = 16 * EPS * np.max(np.abs(rho), axis=(-2, -1))
+        assert np.all(np.abs(_min_eig(rho, coords.blocks) - dense) <= bound)
+        assert np.all(np.abs(_min_eig(rho[0], coords.blocks) - dense[0]) <= bound[0])
+
+    def test_a_dense_start_takes_one_eigvalsh_per_check(self, monkeypatch):
+        # A full-rank rho0 couples every index: one 4-index block, which only
+        # eigvalsh reads.
+        rho0 = DensityMatrix(TWO_QUBITS, np.full((4, 4), 0.05) + 0.2 * np.eye(4))
+        eigvalsh = mock.Mock(wraps=np.linalg.eigvalsh)
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        result = integrate_lindblad(h_reduced_two_qubit(1.0), rho0, NoiseSpec(0.1, 0.2),
+                                    TimeGrid(1.0, 100))
+        assert [call.args[0].shape for call in eigvalsh.call_args_list] == [(4, 4), (100, 4, 4)]
+        assert np.all(np.abs(result.diagnostics["min_eig"]
+                             - np.linalg.eigvalsh(result.states)[:, 0]) <= 16 * EPS)
 
 
 class TestFourthOrderScaling:

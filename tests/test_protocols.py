@@ -401,8 +401,7 @@ class TestSelectiveCoupling:
 def test_validate_and_the_spectator_check_score_the_pair_against_epr_target(monkeypatch):
     # With |01> as the target, each report reads the population of active[1]
     # at t0 in the sector run's own final amplitudes.
-    monkeypatch.setattr(protocols, "epr_target",
-                        lambda: PureState(TWO_QUBIT_SPACE, np.array([0, 1, 0, 0], dtype=complex)))
+    monkeypatch.setattr(protocols, "_EPR_TARGET", np.array([0, 1, 0, 0], dtype=complex))
     p = ModelParams.uniform(2, 1.0, 10.0)
     c_b = _sector_run(p, 0, gate_time_t0(p.lam))[-1][1]
     assert dispersive_validity(p).fidelity_full_vs_effective == abs(c_b) ** 2
@@ -554,13 +553,18 @@ class TestDecoherenceSweep:
 
 
 class TestOneBatchPerDefaultRun:
-    """A sweep of any size and `epr --out` raise one step-matrix power and make two checks."""
+    """A sweep of any size and `epr --out` raise one step-matrix power and make two checks.
+
+    Neither takes an `eigvalsh`: the pair's blocks give every snapshot's least
+    eigenvalue in closed form, and the start is validated once per process.
+    """
 
     @staticmethod
     def counted(monkeypatch):
-        """Count the step-matrix powers of `_rk4` and the `_check_snapshot` calls, which still run.
+        """Count the step-matrix powers of `_rk4`, the `_check_snapshot` calls and every eigvalsh.
 
-        A power of a boolean array is `_support`'s, once per set-up, and is not counted.
+        All of them still run.  A power of a boolean array is `_support`'s or
+        the blocks' (`_real_coordinates`), once per set-up, and is not counted.
         """
         matrix_power, powers = np.linalg.matrix_power, []
 
@@ -570,33 +574,38 @@ class TestOneBatchPerDefaultRun:
             return matrix_power(a, n)
 
         checks = mock.Mock(wraps=dynamics._check_snapshot)
+        eigvalsh = mock.Mock(wraps=np.linalg.eigvalsh)
         monkeypatch.setattr(np.linalg, "matrix_power", counted_power)
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
         monkeypatch.setattr(dynamics, "_check_snapshot", checks)
-        return powers, checks
+        return powers, checks, eigvalsh
 
     def test_the_default_sweep(self, monkeypatch):
         cfg = config_from_dict({})
-        powers, checks = self.counted(monkeypatch)
+        powers, checks, eigvalsh = self.counted(monkeypatch)
         decoherence_sweep(cfg.model, cfg.sweep_gamma_axis, cfg.sweep_gamma_phi_axis)
         assert len(powers) == 1  # one power of the whole 441-point stack
         # The start, once for every point, then the 21 x 21 finals in one check
         assert [call.args[0].shape for call in checks.call_args_list] == [(4, 4), (441, 4, 4)]
+        assert not eigvalsh.called
 
     def test_a_600_point_sweep(self, monkeypatch):
         # 600 points, the finals of each in the one check after the start's
         cfg = config_from_dict({"sweep": {"gamma_points": 24, "gamma_phi_points": 25}})
-        powers, checks = self.counted(monkeypatch)
+        powers, checks, eigvalsh = self.counted(monkeypatch)
         decoherence_sweep(cfg.model, cfg.sweep_gamma_axis, cfg.sweep_gamma_phi_axis)
         assert len(powers) == 1
         assert [call.args[0].shape for call in checks.call_args_list] == [(4, 4), (600, 4, 4)]
+        assert not eigvalsh.called
 
     def test_the_default_epr_trajectory(self, monkeypatch):
         cfg = config_from_dict({})
-        powers, checks = self.counted(monkeypatch)
+        powers, checks, eigvalsh = self.counted(monkeypatch)
         epr_generation(cfg.model, cfg.noise, trajectory=True)  # what `epr --out` runs
         assert powers == [1]  # a snapshot every step: S itself
         assert ([call.args[0].shape for call in checks.call_args_list]
                 == [(4, 4), (MIN_EPR_STEPS, 4, 4)])
+        assert not eigvalsh.called
 
 
 class TestClosedFormError:
@@ -774,7 +783,7 @@ class TestPairSetUp:
         # row steps the same generator bit for bit.
         cached = protocols._pair_coordinates()
         at_lam = _real_coordinates(build_liouvillian(h_reduced_two_qubit(lam)),
-                                   protocols._EPR_START)
+                                   protocols._EPR_START.matrix)
         assert np.array_equal(at_lam.support, cached.support)
         for a, b in zip(at_lam.transposes, cached.transposes):
             assert np.array_equal(a, b)
@@ -791,9 +800,21 @@ class TestPairSetUp:
 
     def test_the_cached_set_up_is_read_only(self):
         coords = protocols._pair_coordinates()
-        for array in (coords.support, *coords.transposes, coords.parts, coords.start):
+        for array in (coords.support, *coords.transposes, coords.parts, coords.start,
+                      *coords.blocks.groups, protocols._EPR_START.matrix, protocols._EPR_TARGET):
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
+
+    def test_the_blocks_are_00_then_01_and_10_and_the_zero_row_11(self):
+        # |11> is the one index that no entry of the support touches.
+        groups, zero_row = protocols._pair_coordinates().blocks
+        assert [group.tolist() for group in groups] == [[0], [1, 2]] and zero_row
+
+    def test_epr_target_is_the_constant_the_runs_read(self):
+        target = epr_target()
+        assert np.array_equal(target.amplitudes, protocols._EPR_TARGET)
+        assert np.array_equal(target.amplitudes, np.array([0, -1j, 1, 0]) / math.sqrt(2))
+        assert target.amplitudes.flags.writeable  # each call's own copy
 
     @settings(max_examples=200, deadline=None)
     @given(g=power_of_ten(-100, 100), ratio=st.floats(5.0, 100.0), gamma=rate_over_lam(),
@@ -814,7 +835,7 @@ class TestBatchedSweep:
     @given(lam=power_of_ten(-300, 300))
     def test_support_from_the_start_is_the_five_pair_entries(self, lam):
         parts = build_liouvillian(h_reduced_two_qubit(lam))
-        support = _support(parts, protocols._EPR_START)
+        support = _support(parts, protocols._EPR_START.matrix)
         # rho_{00,00}, rho_{01,01}, rho_{01,10}, rho_{10,01} and rho_{10,10}, row-major
         assert support.tolist() == [0, 5, 6, 9, 10]
         outside = np.setdiff1d(np.arange(16), support)
@@ -831,7 +852,7 @@ class TestBatchedSweep:
         gamma_phi_axis = p.lam * np.array([0.0, *data.draw(rates)])
         worst = NoiseSpec(max(gamma_axis), max(gamma_phi_axis))
         grid = _epr_grid(p.lam, worst)
-        rho0 = DensityMatrix(TWO_QUBIT_SPACE, protocols._EPR_START)
+        rho0 = protocols._EPR_START
         # The errors before SweepResult's [0, 1] check: at a few hundred steps
         # the noiseless D can be -2.2e-16, in the serial run as well.
         gammas, gamma_phis = np.meshgrid(gamma_axis, gamma_phi_axis, indexing="ij")
@@ -855,6 +876,14 @@ class TestBatchedSweep:
     @staticmethod
     def spoil_finiteness(rho):
         rho[0] = np.nan
+
+    @staticmethod
+    def spoil_coherence(rho):
+        rho[[6, 9]] += 0.6  # rho_{01,10} and its conjugate past the populations': lambda_- < 0
+
+    @staticmethod
+    def spoil_coherence_finiteness(rho):
+        rho[[6, 9]] = np.inf
 
     @staticmethod
     def spoil_scatter(monkeypatch, spoil, spoiled):
@@ -905,6 +934,8 @@ class TestBatchedSweep:
         ("spoil_trace", "|trace-1| = 1e-06"),
         ("spoil_positivity", "min eigenvalue = -"),
         ("spoil_finiteness", "non-finite entries"),
+        ("spoil_coherence", "min eigenvalue = -"),
+        ("spoil_coherence_finiteness", "non-finite entries"),
     ])
     # 2 x 3 points, spoiled at (1, 0) and (1, 1); 30 x 3 points, spoiled at (21, 1)
     # and (23, 1), both in the one check of the 90 points' finals.
