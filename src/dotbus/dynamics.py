@@ -11,22 +11,24 @@ coordinates: a diagonal entry as it is, each pair rho_ij, rho_ji as
 (Re rho_ij, Im rho_ij).  `build_liouvillian`, the one check on H, takes an
 h_eff that is Hermitian up to roundoff as its Hermitian part and refuses any
 other, so every part keeps rho exactly Hermitian and is real there.
-Its generators are constant, so every fixed RK4 step applies one matrix S,
-which `_rk4` forms in closed form and returns as S^n for each snapshot
-interval length n, over a whole stack at once.  `_evolve` checks the start
-once, then fills every snapshot by doubling from snapshot 0: snapshots
-[m, 2m) are one stacked product of S^(n m) with snapshots [0, m), so a
-256-snapshot trajectory takes 9 products and 8 squarings.  It scatters the
-snapshots back to exactly Hermitian matrices (`_scatter`, into the states
-array itself) and checks them in one call.  Nothing is renormalized:
-`_check_snapshot` reads finiteness, trace and least eigenvalue and names the
-first snapshot out of tolerance.  It reads the least eigenvalue block by
-block: the support links indices i ~ j where rho_ij is in it, every rho on
-it is a direct sum of the linked groups (`_Blocks`), and a 1- or 2-index
-block has its least eigenvalue in closed form, a larger one `eigvalsh`'s.
-From |10><10| the groups are {|00>} and {|01>, |10>} and |11> is a zero
-row, so the pair's runs take no eigvalsh.  `build_liouvillian` forms the
-dissipator parts once per qubit count (`_dissipators`).
+A run's schedule is two integers: its step count and its snapshot interval
+n, with a snapshot at step 0, every n steps and the last step.  Its
+generators are constant, so every fixed RK4 step applies one matrix S, which
+`_rk4` forms in closed form and returns as S^n for n and any shorter last
+interval, over a whole stack at once.  `_evolve` checks the start once, then
+fills every snapshot by doubling from snapshot 0: snapshots [m, 2m) are one
+stacked product of S^(n m) with snapshots [0, m), so a 256-snapshot
+trajectory takes 9 products and 8 squarings.  It scatters the snapshots back
+to exactly Hermitian matrices (`_scatter`, into the states array itself) and
+checks them in one call.  Nothing is renormalized: `_check_snapshot` reads
+finiteness, trace and least eigenvalue and names the first snapshot out of
+tolerance.  It reads the least eigenvalue block by block: the support links
+indices i ~ j where rho_ij is in it, the linked groups partition the
+indices, and every rho on it is their direct sum.  A 1- or 2-index block has
+its least eigenvalue in closed form, a larger one `eigvalsh`'s.  From
+|10><10| the blocks are {|00>}, {|01>, |10>} and {|11>}, so the pair's runs
+take no eigvalsh.  `build_liouvillian` forms the dissipator parts once per
+qubit count (`_dissipators`).
 """
 
 from __future__ import annotations
@@ -70,6 +72,8 @@ class TimeGrid:
     def __post_init__(self):
         if not self.t_end > 0:  # NaN fails too
             raise ValueError("t_end must be positive")
+        if self.t_end == math.inf:
+            raise ValueError("t_end must be finite")
         object.__setattr__(self, "steps", _count("steps", self.steps))
 
     @property
@@ -116,42 +120,41 @@ class SimResult:
         return self.states[-1]
 
 
-def _snapshot_steps(grid: TimeGrid, scale: float, record_every: int) -> list[int]:
-    """Step counts at which a run records a snapshot: 0, every ``record_every``-th and the last.
+def _snapshot_steps(grid: TimeGrid, scale: float, record_every: int) -> int:
+    """A run's snapshot interval (`_evolve`): ``record_every`` steps, at most grid.steps.
 
     ``record_every`` that is not an integer of at least 1 raises ValueError.
     Then the stability guard: ``scale`` bounds the generator's norm, and a
     step with dt x scale >= STABILITY_LIMIT raises ValueError naming a step
-    count that passes.  The counts are Python ints, which a float step count
-    past 2^63 fits.  Every run has at least two marks, 0 and grid.steps.
+    count that passes, or saying that the count it needs overflows a float.
     """
     record_every = _count("record_every", record_every)
-    dt = grid.dt
+    dt, scale = grid.dt, float(scale)  # Python floats overflow to inf with no warning
     if dt * scale >= STABILITY_LIMIT:
-        needed = math.ceil(grid.t_end * scale / (STABILITY_LIMIT * 0.5)) + 1
+        needed = grid.t_end * scale / (STABILITY_LIMIT * 0.5)
         raise ValueError(
             f"step size too large: dt*||H|| = {dt * scale:.3g} >= {STABILITY_LIMIT}; "
-            f"use at least {needed} steps"
+            + (f"use at least {math.ceil(needed) + 1} steps" if needed < math.inf
+               else "the step count it needs overflows a float")
         )
-    return [*range(0, grid.steps, record_every), grid.steps]
+    return min(record_every, grid.steps)
 
 
-def _rk4(generator: np.ndarray, dt: float, marks: list[int]) -> dict[int, np.ndarray]:
-    """{n: S^n} for each n steps between successive ``marks``: S the RK4 step matrix.
+def _rk4(generator: np.ndarray, dt: float, lengths: tuple[int, ...]) -> dict[int, np.ndarray]:
+    """{n: S^n} for each interval length n of ``lengths``: S the RK4 step matrix.
 
     The generator G of dy/dt = G y is constant, so every RK4 step of ``dt``
     applies the same matrix S = I + a (I + a/2 (I + a/3 (I + a/4))), a = dt x G,
     formed by Horner's rule, and n steps apply S^n, raised by repeated
     squaring.  dt scales G before any product, so no power of G alone under-
-    or overflows where the step itself does not.  One power array per
-    distinct n: a trajectory recorded every step has one, and a last interval
-    shorter than the rest adds a second.  They are allocated before S's
-    temporaries, which at 197 x 198 points keeps `dotbus sweep` at 83 MiB
-    peak RSS, not 93.  A stack of generators, shape (points, n, n), is formed
-    and raised in one evaluation and gives powers of that shape.  Real and
-    complex generators alike.
+    or overflows where the step itself does not.  A run passes one or two
+    lengths: its snapshot interval and any shorter last one.  The power
+    arrays are allocated before S's temporaries, which keeps a 197 x 198
+    `dotbus sweep` at 77.7 MiB peak RSS, not 82.0.  A stack of generators,
+    shape (points, n, n), is formed and raised in one evaluation and gives
+    powers of that shape.  Real and complex generators alike.
     """
-    powers = {n: np.empty_like(generator) for n in {b - a for a, b in zip(marks, marks[1:])}}
+    powers = {n: np.empty_like(generator) for n in lengths}
     a, eye = dt * generator, np.eye(generator.shape[-1])
     step = eye + a @ (eye + a @ (eye + a @ (eye + a / 4) / 3) / 2)
     for n, power in powers.items():
@@ -220,17 +223,15 @@ def _dense_min_eig(rho: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(np.where(finite[..., None, None], rho, 0.0))[..., 0]
 
 
-def _min_eig(rho: np.ndarray, blocks: _Blocks | None) -> np.ndarray:
+def _min_eig(rho: np.ndarray, blocks: tuple) -> np.ndarray:
     """The smallest eigenvalue of each Hermitian matrix of ``rho``: the least of its ``blocks``'.
 
-    A 1-index block gives its diagonal entry, a 2-index block [[a, c], [c*, b]]
-    (a + b)/2 - hypot((a - b)/2, |c|), a larger one `_dense_min_eig`, and a
-    zero row 0.  ``blocks`` None reads each whole matrix by `_dense_min_eig`.
+    ``blocks`` partition the indices, and rho is 0 off them.  A 1-index block
+    gives its diagonal entry, a 2-index block [[a, c], [c*, b]]
+    (a + b)/2 - hypot((a - b)/2, |c|), a larger one `_dense_min_eig`.
     """
-    if blocks is None:
-        return _dense_min_eig(rho)
-    least = [0.0] if blocks.zero_row else []
-    for block in blocks.groups:
+    least = []
+    for block in blocks:
         if block.size == 1:
             least.append(rho[..., block[0], block[0]].real)
         elif block.size == 2:
@@ -243,15 +244,15 @@ def _min_eig(rho: np.ndarray, blocks: _Blocks | None) -> np.ndarray:
     return functools.reduce(np.minimum, least)
 
 
-def _check_snapshot(rho: np.ndarray, times, point: Callable[[int], str] | None = None,
-                    blocks: _Blocks | None = None):
+def _check_snapshot(rho: np.ndarray, times, blocks: tuple,
+                    point: Callable[[int], str] | None = None):
     """(|trace - 1|, smallest eigenvalue) of the snapshots ``rho``, Hermitian by `_scatter`.
 
     ``rho`` is one density matrix, giving one value each, or a stack of them,
     giving one array entry per matrix; ``times`` holds the time of each, shape
-    rho.shape[:-2].  ``blocks``, the set-up's (`_real_coordinates`), give the
-    smallest eigenvalue block by block (`_min_eig`); without them it is the
-    whole matrix's.  The first matrix that `DensityMatrix` would refuse, with
+    rho.shape[:-2].  The smallest eigenvalue is read on ``blocks``
+    (`_min_eig`): the set-up's (`_real_coordinates`), or (np.arange(d),) for
+    whole matrices.  The first matrix that `DensityMatrix` would refuse, with
     a non-finite entry, |trace - 1| > TRACE_TOL or an eigenvalue below
     EIG_FLOOR, raises DiagnosticError naming its time; ``point(k)`` names the
     k-th matrix of a stack.
@@ -290,13 +291,6 @@ def _support(parts: np.ndarray, rho0: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.linalg.matrix_power(pattern, d * d) @ (rho0.reshape(-1) != 0))
 
 
-class _Blocks(NamedTuple):
-    """The diagonal blocks of a support: every rho on it is, up to a permutation, their sum."""
-
-    groups: tuple   # index arrays, ascending: the connected groups of i ~ j, rho_ij in the support
-    zero_row: bool  # an index that no support entry touches: a zero row, eigenvalue exactly 0
-
-
 class _Coordinates(NamedTuple):
     """A run's set-up in real coordinates (`_real_coordinates`)."""
 
@@ -305,7 +299,7 @@ class _Coordinates(NamedTuple):
     parts: np.ndarray    # T part T^-1 of each part, shape (parts, s, s), s = support.size
     start: np.ndarray    # rho0's coordinates, shape (s,)
     d: int               # rho is d x d
-    blocks: _Blocks      # the support's diagonal blocks, which `_check_snapshot` reads
+    blocks: tuple        # index arrays partitioning range(d): the blocks `_check_snapshot` reads
 
 
 def _real_coordinates(parts: np.ndarray, rho0: np.ndarray) -> _Coordinates:
@@ -319,9 +313,10 @@ def _real_coordinates(parts: np.ndarray, rho0: np.ndarray) -> _Coordinates:
     Hermitian; its rows are then Re M for a diagonal or upper entry and -Im M
     for a lower one, formed with no product by T.  rho0 enters as its
     Hermitian part, which is rho0 itself for a Hermitian rho0.  The blocks
-    are the connected groups of indices i ~ j with rho_ij in the support; an
-    index in none is a zero row.  From |10><10| they are {|00>}, {|01>, |10>}
-    and the zero row |11>, so every snapshot's eigenvalues are in closed form.
+    are the connected groups of indices i ~ j with rho_ij in the support, in
+    order of their least index; an index that no entry touches is a block of
+    its own, with diagonal exactly 0.  From |10><10| they are {|00>},
+    {|01>, |10>} and {|11>}, so every snapshot's eigenvalues are in closed form.
     """
     d = rho0.shape[-1]
     rho0 = 0.5 * (rho0 + rho0.conj().T)
@@ -332,14 +327,12 @@ def _real_coordinates(parts: np.ndarray, rho0: np.ndarray) -> _Coordinates:
     g_t = g[..., partner]  # each column's transpose
     m = np.where(upper, g + g_t, np.where(lower, 1j * (g_t - g), g))  # part T^-1
     start = rho0.reshape(-1)[support]
-    link, touched = np.eye(d, dtype=bool), np.zeros(d, dtype=bool)
-    link[i, j] = touched[i] = True
+    link = np.eye(d, dtype=bool)
+    link[i, j] = True
     reach = np.linalg.matrix_power(link, d)  # reach[k]: the indices of k's block
-    groups = tuple(np.flatnonzero(reach[k]) for k in np.flatnonzero(touched)
-                   if reach[k].argmax() == k)  # each block once, from its least index
+    blocks = tuple(np.flatnonzero(row) for k, row in enumerate(reach) if row.argmax() == k)
     return _Coordinates(support, (partner, upper, lower), np.where(lower[:, None], -m.imag, m.real),
-                        np.where(lower, start[partner].imag, start.real), d,
-                        _Blocks(groups, not touched.all()))
+                        np.where(lower, start[partner].imag, start.real), d, blocks)
 
 
 def _scatter(x: np.ndarray, coords: _Coordinates, out: np.ndarray | None = None) -> np.ndarray:
@@ -357,55 +350,55 @@ def _scatter(x: np.ndarray, coords: _Coordinates, out: np.ndarray | None = None)
     return rho
 
 
-def _evolve(coords: _Coordinates, rates: np.ndarray, dt: float, marks: list[int],
+def _evolve(coords: _Coordinates, rates: np.ndarray, dt: float, steps: int, every: int,
             point: Callable[[int], str] | None = None) -> SimResult:
     """The checked RK4 run of the generator sum_c rates[..., c] coords.parts[c] from coords.start.
 
-    Steps of ``dt``, with a snapshot at each step count of ``marks``: 0, then
-    every n = marks[1] steps and a last interval of at most n, as
-    `_snapshot_steps` gives them.  Rates of shape (C,) give one run; rates of
-    shape (points, C) one run per row, stepped at once, ``point(k)`` naming
-    the k-th, and states and diagnostics of shape (T, points, ...).  `_rk4`
-    forms the powers of every row's step matrix in one evaluation.  Snapshot
-    0, coords.start at every point, is scattered (`_scatter`) and checked
-    once, before any step.  Snapshot k before a shorter last interval is
-    S^(n k) x snapshot 0: snapshots [m, 2m) are one stacked product of
-    S^(n m) with snapshots [0, m), m = 1, 2, 4, ..., and S^(2 n m) is the
-    square of S^(n m).  A shorter last interval is its own `_rk4` power times
-    the snapshot before it.  So a 256-step run ends on the S^256 that
-    `np.linalg.matrix_power` forms, with or without the snapshots between.
-    The other snapshots are scattered straight into the states and checked
-    in one `_check_snapshot` call on coords.blocks, in time order, so a
-    breach names the earliest bad snapshot.  Every run makes two checks, and
-    a sweep one product.
+    ``steps`` steps of ``dt``, with a snapshot at step 0, every ``every``
+    steps (at most ``steps``: `_snapshot_steps`) and the last, each at its
+    step count times dt.  Rates of shape (C,) give one run; rates of shape
+    (points, C) one run per row, stepped at once, ``point(k)`` naming the
+    k-th, and states and diagnostics of shape (T, points, ...).  `_rk4` forms
+    the powers of every row's step matrix in one evaluation.  Snapshot 0,
+    coords.start at every point, is scattered (`_scatter`) and checked once,
+    before any step.  Snapshots [m, 2m) are one stacked product of
+    S^(every m) with snapshots [0, m), m = 1, 2, 4, ..., and S^(2 every m) is
+    the square of S^(every m); a shorter last interval is its own `_rk4`
+    power times the snapshot before it.  So a 256-step run ends on the S^256
+    that `np.linalg.matrix_power` forms, with or without the snapshots
+    between.  The other snapshots are scattered straight into the states and
+    checked in one `_check_snapshot` call on coords.blocks, in time order, so
+    a breach names the earliest bad snapshot.  Every run makes two checks,
+    and a sweep one product.
     """
     d, s, points = coords.d, coords.support.size, rates.shape[:-1]
     generators = (rates @ coords.parts.reshape(len(coords.parts), -1)).reshape(points + (s, s))
-    powers = _rk4(generators, dt, marks)
-    size, count = math.prod(points), len(marks)
-    times = np.array([mark * dt for mark in marks])
+    last = steps % every  # a shorter last interval, or 0
+    powers = _rk4(generators, dt, (every, last) if last else (every,))
+    size, count = math.prod(points), -(-steps // every) + 1
+    times = np.append(np.arange(count - 1) * float(every) * dt, steps * dt)
     states = np.zeros((count,) + points + (d * d,), dtype=complex)
     checks = np.empty((2, count * size))
     start = states[0] = _scatter(coords.start, coords)  # every point starts here: checked once
     checks[:, :size] = np.reshape(
-        _check_snapshot(start.reshape(d, d), times[0], point, coords.blocks), (2, 1))
+        _check_snapshot(start.reshape(d, d), times[0], coords.blocks, point), (2, 1))
     x = np.empty((count,) + points + (s, 1))
     x[0] = coords.start[:, None]
-    regular = marks[-1] // marks[1] + 1  # snapshots [0, regular) lie n steps apart
-    power, span = powers[marks[1]], 1  # S^(n span)
+    regular = steps // every + 1  # snapshots [0, regular) lie every steps apart
+    power, span = powers[every], 1  # S^(every span)
     while span < regular:
         if span > 1:
             power = power @ power
         top = min(regular, 2 * span)
         np.matmul(power, x[:top - span], out=x[span:top])
         span = top
-    if regular < count:  # a last interval shorter than n
-        np.matmul(powers[marks[-1] - marks[-2]], x[-2], out=x[-1])
+    if last:
+        np.matmul(powers[last], x[-2], out=x[-1])
     rest = _scatter(x[1:, ..., 0], coords, states[1:])
     del x  # freed before the check makes its temporaries
     # Time-major, so the first breach in the check is the earliest snapshot's.
     checks[:, size:] = _check_snapshot(rest.reshape(-1, d, d), np.repeat(times[1:], size),
-                                       point and (lambda k: point(k % size)), coords.blocks)
+                                       coords.blocks, point and (lambda k: point(k % size)))
     checks = dict(zip(("trace_dev", "min_eig"), checks.reshape((2, count) + points)))
     return SimResult(times, states.reshape(states.shape[:-1] + (d, d)), checks)
 
@@ -423,5 +416,5 @@ def integrate_lindblad(h_eff: np.ndarray, rho0: DensityMatrix, noise: NoiseSpec,
     parts = build_liouvillian(h_eff)  # refuses an h_eff that is not 2^n x 2^n
     n_qubits = len(h_eff).bit_length() - 1
     scale = np.linalg.norm(h_eff, 2) + n_qubits * (noise.gamma + noise.gamma_phi)
-    marks = _snapshot_steps(grid, scale, record_every)
-    return _evolve(_real_coordinates(parts, rho0.matrix), noise.rates, grid.dt, marks)
+    every = _snapshot_steps(grid, scale, record_every)
+    return _evolve(_real_coordinates(parts, rho0.matrix), noise.rates, grid.dt, grid.steps, every)

@@ -96,8 +96,7 @@ def _epr_grid(lam: float, noise: NoiseSpec) -> TimeGrid:
 def _pair_coordinates() -> _Coordinates:
     """`dynamics._real_coordinates` of the pair from |10><10| at lambda = 1: once, read-only."""
     coords = _real_coordinates(build_liouvillian(h_reduced_two_qubit(1.0)), _EPR_START.matrix)
-    for array in (coords.support, *coords.transposes, coords.parts, coords.start,
-                  *coords.blocks.groups):
+    for array in (coords.support, *coords.transposes, coords.parts, coords.start, *coords.blocks):
         array.flags.writeable = False  # every later sweep in the process steps them
     return coords
 
@@ -279,7 +278,7 @@ class SweepResult:
 
     ``error_grid[i, j]`` is the generation error at relaxation rate
     ``gamma_axis[i]`` and dephasing rate ``gamma_phi_axis[j]``.  A value more
-    than TRACE_TOL outside [0, 1] is a numerical failure and raises
+    than TRACE_TOL outside [0, 1], or NaN, is a numerical failure and raises
     DiagnosticError; roundoff within it, such as a noiseless D of -2.2e-16, is
     kept as computed.
     """
@@ -291,7 +290,7 @@ class SweepResult:
     def __post_init__(self):
         if self.error_grid.shape != (len(self.gamma_axis), len(self.gamma_phi_axis)):
             raise ValueError("grid shape does not match axes")
-        if np.any(self.error_grid < -TRACE_TOL) or np.any(self.error_grid > 1 + TRACE_TOL):
+        if not np.all((self.error_grid >= -TRACE_TOL) & (self.error_grid <= 1 + TRACE_TOL)):
             raise DiagnosticError(
                 f"error probabilities must lie in [0, 1] within {TRACE_TOL:g}; the grid spans "
                 f"[{np.min(self.error_grid):.3g}, {np.max(self.error_grid):.3g}]"
@@ -316,7 +315,7 @@ def _sweep_errors(p: ModelParams, gammas: np.ndarray, gamma_phis: np.ndarray) ->
         return (f"gamma/2pi = {gammas[k] / (2e6 * math.pi):.6g} MHz, "
                 f"gamma_phi/2pi = {gamma_phis[k] / (2e6 * math.pi):.6g} MHz")
 
-    rho = _evolve(_pair_coordinates(), rows, grid.dt, [0, grid.steps], point).final
+    rho = _evolve(_pair_coordinates(), rows, grid.dt, grid.steps, grid.steps, point).final
     return 1.0 - _epr_fidelity(rho)  # every snapshot is checked
 
 

@@ -38,7 +38,7 @@ none of them imports this module, and ``import dotbus`` does not load it.
   50 digits; the X-state form that `protocols.epr_generation` reads is
   checked against it.
 - `propagate_schrodinger`: RK4 on -iH(t), its four stages written out at
-  every step, under the stability guard and snapshot schedule of
+  every step, under the stability guard and snapshot interval of
   `dynamics._snapshot_steps`.  The production stepper `dynamics._rk4` forms
   the closed-form step matrix of a constant generator and shares no step
   formula with it, so the order checks test one against the other.
@@ -318,7 +318,7 @@ def propagate_schrodinger(
 
     Each step takes the four stages on a = dt x (-iH) at the step's start,
     midpoint and end; dt scales H before any product.  The stability guard
-    and snapshot schedule are `dynamics._snapshot_steps`.  No renormalization
+    and snapshot interval are `dynamics._snapshot_steps`'.  No renormalization
     is applied; a snapshot whose norm drifts by more than 1e-6 stops the run
     with DiagnosticError.
     """
@@ -332,7 +332,8 @@ def propagate_schrodinger(
     psi = psi0.amplitudes.copy()
     times, states, drifts = [], [], []
     done, a_left = 0, a(0.0)
-    for mark in _snapshot_steps(grid, h_scale, record_every):
+    every = _snapshot_steps(grid, h_scale, record_every)
+    for mark in [*range(0, grid.steps, every), grid.steps]:
         for step in range(done, mark):
             t = step * dt
             a_mid, a_right = a(t + 0.5 * dt), a(t + dt)

@@ -203,7 +203,8 @@ class TestNoiseSpec:
 
 @pytest.mark.parametrize("t_end, steps, message", [
     (0.0, 10, "t_end must be positive"), (-1.0, 10, "t_end must be positive"),
-    (math.nan, 10, "t_end must be positive"), (1.0, 0, "steps must be at least 1"),
+    (math.nan, 10, "t_end must be positive"), (math.inf, 10, "t_end must be finite"),
+    (1.0, 0, "steps must be at least 1"),
     (1.0, 100.5, r"steps must be an integer, got 100\.5"),
     (1.0, 100.0, r"steps must be an integer, got 100\.0")])
 def test_a_time_grid_without_time_or_steps_is_refused(t_end, steps, message):
@@ -313,8 +314,7 @@ class TestDerivedSupport:
         coords = _real_coordinates(build_liouvillian(h_reduced_two_qubit(1.0)),
                                    np.diag([0.0, 0.0, 1.0, 0.0]))
         stack = np.array([(1.0, 0.0, 0.0)] + [(1.0, g, g_phi) for g, g_phi in rates])
-        rho = _evolve(coords, stack, TimeGrid(math.pi / 4, 400).dt, [*range(0, 401, 50)],
-                      str).states
+        rho = _evolve(coords, stack, TimeGrid(math.pi / 4, 400).dt, 400, 50, str).states
         assert np.all(rho[:, 0, 0, 0] == 0.0)  # every snapshot
         assert np.all(rho[-1, 1:, 0, 0].real > 0.0)  # at t0, where relaxation does reach it
 
@@ -393,7 +393,7 @@ class TestIntegrateLindblad:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(DiagnosticError, match=r"at t = 0\.01: "):
-                _evolve(coords, np.array([1.0, 0.0, -0.9]), 0.01, [*range(101)])
+                _evolve(coords, np.array([1.0, 0.0, -0.9]), 0.01, 100, 1)
 
     @pytest.mark.parametrize("record_every, message", [
         (-1, "record_every must be at least 1"), (0, "record_every must be at least 1"),
@@ -422,11 +422,49 @@ class TestIntegrateLindblad:
         result = integrate_lindblad(h, pure_rho(2), noise, TimeGrid(1.0, needed), needed)
         assert result.times.tolist() == [0.0, 1.0]
 
+    def test_a_step_count_that_overflows_a_float_is_refused_without_a_warning(self):
+        # ||H|| + 2 (gamma + gamma_phi) is inf, and so is the count that would pass.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=(
+                    r"^step size too large: dt\*\|\|H\|\| = inf >= 0\.1; "
+                    r"the step count it needs overflows a float$")):
+                integrate_lindblad(h_reduced_two_qubit(1.0), pure_rho(2), NoiseSpec(1e308, 1e308),
+                                   TimeGrid(1.0, 10))
+
+
+class TestSchedule:
+    """A run's schedule is its step count and interval: snapshots at 0, every interval, the last."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(steps=st.integers(1, 10**4), data=st.data(),
+           t_end=st.floats(1e-300, 1e300, allow_subnormal=False))
+    def test_the_times_are_the_step_counts_times_dt(self, steps, data, t_end):
+        # H = 0 and no noise: the guard passes any dt, and every snapshot is rho0.
+        record_every = data.draw(st.integers(1, 2 * steps))
+        grid = TimeGrid(t_end, steps)
+        assert _snapshot_steps(grid, 0.0, record_every) == min(record_every, steps)
+        result = integrate_lindblad(np.zeros((4, 4)), pure_rho(2), NoiseSpec(), grid,
+                                    record_every)
+        marks = [*range(0, steps, record_every), steps]
+        assert result.times.tolist() == [mark * grid.dt for mark in marks]  # bit for bit
+        assert result.states.shape == (len(marks), 4, 4)
+
+    def test_a_two_snapshot_run_past_2_to_the_63_steps_keeps_its_times(self):
+        # A zero generator: S is I exactly, so 70 squarings keep rho0.
+        steps = 2**70
+        coords = _real_coordinates(build_liouvillian(np.zeros((4, 4))), pure_rho(2).matrix)
+        dt = TimeGrid(1.0, steps).dt
+        result = _evolve(coords, NoiseSpec().rates, dt, steps, steps)
+        assert result.times.tolist() == [0.0, steps * dt]
+        assert len(result.states) == 2
+
 
 def stepped_snapshots(generator, y, grid, scale, record_every):
-    """(t, y) at each `_snapshot_steps` mark, y advanced one interval at a time by `_rk4`'s S^n."""
-    marks = _snapshot_steps(grid, scale, record_every)
-    powers = _rk4(generator, grid.dt, marks)
+    """(t, y) at 0, every `_snapshot_steps` interval and the last step, by `_rk4`'s S^n."""
+    every = _snapshot_steps(grid, scale, record_every)
+    marks = [*range(0, grid.steps, every), grid.steps]
+    powers = _rk4(generator, grid.dt, tuple({b - a for a, b in zip(marks, marks[1:])}))
     yield 0.0, y
     for done, mark in zip(marks, marks[1:]):
         y = powers[mark - done] @ y
@@ -436,7 +474,8 @@ def stepped_snapshots(generator, y, grid, scale, record_every):
 def per_snapshot_run(h, rho0, noise, grid, record_every):
     """The one-point run before doubling: one product by S^n per snapshot, each checked alone.
 
-    It steps the same real coordinates as `_evolve`.
+    It steps the same real coordinates as `_evolve` and reads each whole
+    matrix's least eigenvalue.
 
     Returns (times, states, diagnostics) as arrays, or the DiagnosticError message.
     """
@@ -449,7 +488,7 @@ def per_snapshot_run(h, rho0, noise, grid, record_every):
         for t, x in stepped_snapshots(generator, coords.start[:, None], grid, scale,
                                       record_every):
             rho = _scatter(x.ravel(), coords).reshape(d, d)
-            rows.append(_check_snapshot(rho, t))
+            rows.append(_check_snapshot(rho, t, (np.arange(d),)))
             times.append(t)
             states.append(rho)
     except DiagnosticError as exc:
@@ -596,7 +635,7 @@ class TestDoubling:
                                    pure_rho(2).matrix)
         s, grid = coords.support.size, _epr_grid(cfg.model.lam, cfg.noise)
         generator = (cfg.noise.rates @ coords.parts.reshape(3, -1)).reshape(s, s)
-        step = _rk4(generator, grid.dt, [0, 1])[1]  # S in floats: the oracle powers it exactly
+        step = _rk4(generator, grid.dt, (1,))[1]  # S in floats: the oracle powers it exactly
         exact = [coords.start]
         with mp.workdps(40):
             power, x = mp.matrix(step.tolist()), mp.matrix(coords.start.tolist())
@@ -672,12 +711,19 @@ class TestStepMatrixStepper:
     @pytest.mark.parametrize("steps, record_every, lengths", [
         (256, 1, {1}), (256, 3, {3, 1}), (10, 10, {10})])
     def test_one_power_array_per_distinct_interval(self, steps, record_every, lengths):
-        grid = TimeGrid(0.5, steps)
-        marks = _snapshot_steps(grid, 1.0, record_every)
-        with mock.patch.object(np, "empty_like", wraps=np.empty_like) as empty_like:
-            powers = _rk4(-np.eye(2), grid.dt, marks)
+        rk4, made = dynamics._rk4, []
+
+        def counted_rk4(*args):
+            with mock.patch.object(np, "empty_like", wraps=np.empty_like) as empty_like:
+                made.append((rk4(*args), empty_like.call_count))
+            return made[-1][0]
+
+        with mock.patch.object(dynamics, "_rk4", counted_rk4):
+            integrate_lindblad(h_reduced_two_qubit(1.0), pure_rho(2), NoiseSpec(0.1, 0.2),
+                               TimeGrid(0.1, steps), record_every)
+        [(powers, arrays)] = made
         assert powers.keys() == lengths
-        assert empty_like.call_count == len(lengths)
+        assert arrays == len(lengths)
 
 
 class TestRealCoordinates:
@@ -855,13 +901,14 @@ class TestScatter:
         x[0, data.draw(st.integers(0, s - 1))] = data.draw(
             st.sampled_from([np.nan, np.inf, -np.inf]))
         rho = _scatter(x, coords).reshape(-1, d, d)
-        for matrices, times in ((rho, np.arange(len(rho)) * 0.5), (rho[0], 0.0)):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf in the trace
-                with pytest.raises(DiagnosticError) as err:
-                    _check_snapshot(matrices, times)
-            assert str(err.value) == ("density-matrix diagnostics failed at t = 0: "
-                                      "non-finite entries")
+        for blocks in (coords.blocks, (np.arange(d),)):  # the set-up's, then whole matrices
+            for matrices, times in ((rho, np.arange(len(rho)) * 0.5), (rho[0], 0.0)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf in the trace
+                    with pytest.raises(DiagnosticError) as err:
+                        _check_snapshot(matrices, times, blocks)
+                assert str(err.value) == ("density-matrix diagnostics failed at t = 0: "
+                                          "non-finite entries")
 
 
 class TestBlockCheck:
@@ -870,9 +917,10 @@ class TestBlockCheck:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_the_block_minimum_is_the_dense_minimum(self, data):
-        # The drawn supports give blocks of 1, 2, 3 and 4 indices and zero
-        # rows; 4,000 draws met an error of at most 4.3 eps max|rho|.  Entries
-        # are multiples of 2^-20 scaled by 10^k, so none is subnormal.
+        # The drawn supports give blocks of 1, 2, 3 and 4 indices, untouched
+        # indices among them; 4,000 draws met an error of at most 4.3 eps
+        # max|rho|.  Entries are multiples of 2^-20 scaled by 10^k, so none is
+        # subnormal.
         coords = random_set_up(data)
         d, s = coords.d, coords.support.size
         n = data.draw(arrays(np.int64, (data.draw(st.integers(1, 3)), s),
@@ -880,10 +928,33 @@ class TestBlockCheck:
         scale = 2.0**-20 * 10.0 ** data.draw(st.integers(-290, 290))
         rho = _scatter(n * scale, coords).reshape(-1, d, d)
         dense = np.linalg.eigvalsh(rho)[..., 0]
-        assert np.array_equal(_min_eig(rho, None), dense)  # no blocks: the whole matrix
         bound = 16 * EPS * np.max(np.abs(rho), axis=(-2, -1))
+        whole = _min_eig(rho, (np.arange(d),))  # one block: the whole matrix
+        if d > 2:
+            assert np.array_equal(whole, dense)
+        assert np.all(np.abs(whole - dense) <= bound)
         assert np.all(np.abs(_min_eig(rho, coords.blocks) - dense) <= bound)
         assert np.all(np.abs(_min_eig(rho[0], coords.blocks) - dense[0]) <= bound[0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_the_blocks_partition_the_indices_and_link_every_support_entry(self, data):
+        coords = random_set_up(data)
+        blocks, d = coords.blocks, coords.d
+        assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(d))  # each index once
+        assert [block[0] for block in blocks] == sorted(block.min() for block in blocks)
+        assert all(np.array_equal(block, np.unique(block)) for block in blocks)  # ascending
+        owner = np.empty(d, dtype=int)
+        for k, block in enumerate(blocks):
+            owner[block] = k
+        i, j = np.divmod(coords.support, d)
+        assert np.array_equal(owner[i], owner[j])  # rho_ij in the support: i, j share a block
+        # A block is linked: it is not the union of two blocks with no entry between them.
+        for block in blocks:
+            linked = {int(block[0])}
+            for _ in range(d):
+                linked |= {int(b) for a, b in zip(i, j) if a in linked}
+            assert linked == set(block.tolist())
 
     def test_a_dense_start_takes_one_eigvalsh_per_check(self, monkeypatch):
         # A full-rank rho0 couples every index: one 4-index block, which only

@@ -97,6 +97,15 @@ class TestEprGeneration:
         with pytest.raises(ValueError, match="^lambda must be positive$"):
             epr_generation(p, noise)
 
+    def test_a_lambda_whose_gate_time_overflows_is_refused_without_a_warning(self):
+        # lambda = g^2/tau = 1e-320, so t0 = pi / (4 lambda) is inf.
+        p = ModelParams.uniform(2, 1e-160, 1.0)
+        assert p.lam == 1e-320 and gate_time_t0(p.lam) == math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^t_end must be finite$"):
+                epr_generation(p, NoiseSpec())
+
     def test_noiseless_is_exact(self):
         report = epr_generation(paper_model(), NoiseSpec())
         assert report.fidelity > 1 - 1e-8
@@ -545,6 +554,11 @@ class TestDecoherenceSweep:
         with pytest.raises(ValueError, match="^grid shape does not match axes$"):
             SweepResult(np.zeros(2), np.zeros(3), np.zeros((3, 2)))
 
+    def test_a_nan_error_is_refused(self):
+        with pytest.raises(DiagnosticError, match=re.escape(
+                "error probabilities must lie in [0, 1] within 1e-09; the grid spans [nan, nan]")):
+            SweepResult(np.zeros(1), np.zeros(1), np.array([[np.nan]]))
+
     @pytest.mark.parametrize("gamma_axis, gamma_phi_axis", [
         ([0.0, math.nan], [0.0]), ([0.0], [math.nan]), ([-1.0], [0.0])])
     def test_negative_or_nan_rate_rejected(self, gamma_axis, gamma_phi_axis):
@@ -801,14 +815,14 @@ class TestPairSetUp:
     def test_the_cached_set_up_is_read_only(self):
         coords = protocols._pair_coordinates()
         for array in (coords.support, *coords.transposes, coords.parts, coords.start,
-                      *coords.blocks.groups, protocols._EPR_START.matrix, protocols._EPR_TARGET):
+                      *coords.blocks, protocols._EPR_START.matrix, protocols._EPR_TARGET):
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
 
-    def test_the_blocks_are_00_then_01_and_10_and_the_zero_row_11(self):
-        # |11> is the one index that no entry of the support touches.
-        groups, zero_row = protocols._pair_coordinates().blocks
-        assert [group.tolist() for group in groups] == [[0], [1, 2]] and zero_row
+    def test_the_blocks_are_00_then_01_and_10_then_11(self):
+        # |11> is the one index that no entry of the support touches: a block of its own.
+        blocks = protocols._pair_coordinates().blocks
+        assert [block.tolist() for block in blocks] == [[0], [1, 2], [3]]
 
     def test_epr_target_is_the_constant_the_runs_read(self):
         target = epr_target()
