@@ -120,7 +120,7 @@ class SimResult:
         return self.states[-1]
 
 
-def _snapshot_steps(grid: TimeGrid, scale: float, record_every: int) -> int:
+def _snapshot_interval(grid: TimeGrid, scale: float, record_every: int) -> int:
     """A run's snapshot interval (`_evolve`): ``record_every`` steps, at most grid.steps.
 
     ``record_every`` that is not an integer of at least 1 raises ValueError.
@@ -355,10 +355,11 @@ def _evolve(coords: _Coordinates, rates: np.ndarray, dt: float, steps: int, ever
     """The checked RK4 run of the generator sum_c rates[..., c] coords.parts[c] from coords.start.
 
     ``steps`` steps of ``dt``, with a snapshot at step 0, every ``every``
-    steps (at most ``steps``: `_snapshot_steps`) and the last, each at its
-    step count times dt.  Rates of shape (C,) give one run; rates of shape
-    (points, C) one run per row, stepped at once, ``point(k)`` naming the
-    k-th, and states and diagnostics of shape (T, points, ...).  `_rk4` forms
+    steps (at most ``steps``: `_snapshot_interval`) and the last, each at
+    its step count times dt, as a Python int times dt gives it.  Rates of
+    shape (C,) give one run; rates of shape (points, C) one run per row,
+    stepped at once, ``point(k)`` naming the k-th, and states and
+    diagnostics of shape (T, points, ...).  `_rk4` forms
     the powers of every row's step matrix in one evaluation.  Snapshot 0,
     coords.start at every point, is scattered (`_scatter`) and checked once,
     before any step.  Snapshots [m, 2m) are one stacked product of
@@ -376,8 +377,10 @@ def _evolve(coords: _Coordinates, rates: np.ndarray, dt: float, steps: int, ever
     last = steps % every  # a shorter last interval, or 0
     powers = _rk4(generators, dt, (every, last) if last else (every,))
     size, count = math.prod(points), -(-steps // every) + 1
-    times = np.append(np.arange(count - 1) * float(every) * dt, steps * dt)
     states = np.zeros((count,) + points + (d * d,), dtype=complex)
+    times = np.empty(count)  # k x every exactly, then rounded once, as a Python int is
+    times[:-1] = np.arange(count - 1, dtype=np.int64 if steps < 2**63 else object) * every * dt
+    times[-1] = steps * dt
     checks = np.empty((2, count * size))
     start = states[0] = _scatter(coords.start, coords)  # every point starts here: checked once
     checks[:, :size] = np.reshape(
@@ -416,5 +419,5 @@ def integrate_lindblad(h_eff: np.ndarray, rho0: DensityMatrix, noise: NoiseSpec,
     parts = build_liouvillian(h_eff)  # refuses an h_eff that is not 2^n x 2^n
     n_qubits = len(h_eff).bit_length() - 1
     scale = np.linalg.norm(h_eff, 2) + n_qubits * (noise.gamma + noise.gamma_phi)
-    every = _snapshot_steps(grid, scale, record_every)
+    every = _snapshot_interval(grid, scale, record_every)
     return _evolve(_real_coordinates(parts, rho0.matrix), noise.rates, grid.dt, grid.steps, every)

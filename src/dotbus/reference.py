@@ -39,7 +39,7 @@ none of them imports this module, and ``import dotbus`` does not load it.
   checked against it.
 - `propagate_schrodinger`: RK4 on -iH(t), its four stages written out at
   every step, under the stability guard and snapshot interval of
-  `dynamics._snapshot_steps`.  The production stepper `dynamics._rk4` forms
+  `dynamics._snapshot_interval`.  The production stepper `dynamics._rk4` forms
   the closed-form step matrix of a constant generator and shares no step
   formula with it, so the order checks test one against the other.
 """
@@ -55,7 +55,7 @@ import numpy as np
 from .algebra import (EIG_FLOOR, HERMITIAN_TOL, SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z, DensityMatrix,
                       HilbertSpace, PureState, embed, hermiticity_defect)
 from .device import HBAR, DotParams
-from .dynamics import DiagnosticError, NoiseSpec, SimResult, TimeGrid, _snapshot_steps
+from .dynamics import DiagnosticError, NoiseSpec, SimResult, TimeGrid, _snapshot_interval
 from .hamiltonians import DISPERSIVE_THRESHOLD, ModelParams
 
 NORM_DRIFT_TOL = 1e-6
@@ -318,7 +318,7 @@ def propagate_schrodinger(
 
     Each step takes the four stages on a = dt x (-iH) at the step's start,
     midpoint and end; dt scales H before any product.  The stability guard
-    and snapshot interval are `dynamics._snapshot_steps`'.  No renormalization
+    and snapshot interval are `dynamics._snapshot_interval`'.  No renormalization
     is applied; a snapshot whose norm drifts by more than 1e-6 stops the run
     with DiagnosticError.
     """
@@ -332,7 +332,7 @@ def propagate_schrodinger(
     psi = psi0.amplitudes.copy()
     times, states, drifts = [], [], []
     done, a_left = 0, a(0.0)
-    every = _snapshot_steps(grid, h_scale, record_every)
+    every = _snapshot_interval(grid, h_scale, record_every)
     for mark in [*range(0, grid.steps, every), grid.steps]:
         for step in range(done, mark):
             t = step * dt

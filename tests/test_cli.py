@@ -895,7 +895,7 @@ def test_no_accepted_run_reaches_the_step_size_guard(raw):
     # With _epr_grid's step count, dt x (||h20||_2 + total rate) is
     # (pi/2 + t0 x total rate) / steps <= 0.031 < STABILITY_LIMIT, for an epr
     # run and for a sweep's worst point alike.  So epr never reaches the
-    # ValueError of _snapshot_steps, which the CLI does not map to an exit
+    # ValueError of _snapshot_interval, which the CLI does not map to an exit
     # code, and the sweep, which steps every point at its worst point's
     # count, needs no guard of its own.
     try:

@@ -27,7 +27,7 @@ from dotbus.dynamics import (
     _real_coordinates,
     _rk4,
     _scatter,
-    _snapshot_steps,
+    _snapshot_interval,
     _support,
     build_liouvillian,
     integrate_lindblad,
@@ -443,7 +443,7 @@ class TestSchedule:
         # H = 0 and no noise: the guard passes any dt, and every snapshot is rho0.
         record_every = data.draw(st.integers(1, 2 * steps))
         grid = TimeGrid(t_end, steps)
-        assert _snapshot_steps(grid, 0.0, record_every) == min(record_every, steps)
+        assert _snapshot_interval(grid, 0.0, record_every) == min(record_every, steps)
         result = integrate_lindblad(np.zeros((4, 4)), pure_rho(2), NoiseSpec(), grid,
                                     record_every)
         marks = [*range(0, steps, record_every), steps]
@@ -459,10 +459,20 @@ class TestSchedule:
         assert result.times.tolist() == [0.0, steps * dt]
         assert len(result.states) == 2
 
+    def test_an_interval_past_2_to_the_53_steps_keeps_its_times(self):
+        # float(every) rounds up by 1, so 3.0 * float(every) != float(3 * every):
+        # each time is its exact step count, rounded once, times dt.
+        every = 2**54 + 3
+        steps = 3 * every + 1
+        coords = _real_coordinates(build_liouvillian(np.zeros((4, 4))), pure_rho(2).matrix)
+        dt = TimeGrid(1.0, steps).dt
+        result = _evolve(coords, NoiseSpec().rates, dt, steps, every)
+        assert result.times.tolist() == [k * every * dt for k in range(4)] + [steps * dt]
+
 
 def stepped_snapshots(generator, y, grid, scale, record_every):
-    """(t, y) at 0, every `_snapshot_steps` interval and the last step, by `_rk4`'s S^n."""
-    every = _snapshot_steps(grid, scale, record_every)
+    """(t, y) at 0, every `_snapshot_interval` steps and the last step, by `_rk4`'s S^n."""
+    every = _snapshot_interval(grid, scale, record_every)
     marks = [*range(0, grid.steps, every), grid.steps]
     powers = _rk4(generator, grid.dt, tuple({b - a for a, b in zip(marks, marks[1:])}))
     yield 0.0, y

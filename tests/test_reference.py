@@ -70,7 +70,7 @@ def test_reference_shares_only_the_snapshot_schedule_with_dynamics():
     # The reference integrators are oracles for dynamics: sharing its step
     # formula would let a fault in it pass both sides of a check.
     tree = ast.parse((PACKAGE / "reference.py").read_text())
-    assert private_names_from_dynamics(tree) == {"_snapshot_steps"}
+    assert private_names_from_dynamics(tree) == {"_snapshot_interval"}
 
 
 def test_shared_name_check_sees_every_form():

@@ -117,17 +117,16 @@ class TestSummarize:
 
 def test_long_run_times_and_traces_a_short_run_of_this_checkout():
     # 1,000 steps, so 1,001 snapshots of 4 x 4 complex matrices: 250 KiB of states.
-    run = subprocess.run([sys.executable, str(TOOLS / "long_run.py"), "--snapshots", "1000",
-                          "--runs", "3", "--processes", "2"],
+    run = subprocess.run([sys.executable, str(TOOLS / "long_run.py"), "--snapshots", "1000"],
                          capture_output=True, text=True, check=True)
     lines = run.stdout.splitlines()
-    assert lines[0].startswith("1000 steps, 3 timed runs per process, dotbus from ")
+    assert lines[0].startswith("1000 steps, 10 timed runs per process, dotbus from ")
     pattern = (r"process (\d): median (\d+\.\d) ms \(IQR (\d+\.\d)-(\d+\.\d)\), "
                r"traced peak (\d+\.\d) MiB")
-    matches = [re.fullmatch(pattern, line) for line in lines[1:3]]
-    assert all(matches) and [m[1] for m in matches] == ["0", "1"]
+    matches = [re.fullmatch(pattern, line) for line in lines[1:4]]
+    assert all(matches) and [m[1] for m in matches] == ["0", "1", "2"]
     for m in matches:
         median, low, high, peak = (float(m[k]) for k in range(2, 6))
         assert 0 <= low <= median <= high and peak >= 0.2  # at least the states it keeps
-    assert re.fullmatch(r"median of the process medians: \d+\.\d ms", lines[3])
-    assert len(lines) == 4
+    assert re.fullmatch(r"median of the process medians: \d+\.\d ms", lines[4])
+    assert len(lines) == 5

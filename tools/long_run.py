@@ -1,17 +1,16 @@
 """Time and trace one long Lindblad trajectory: the README's 100,000-snapshot run.
 
-    python3 tools/long_run.py [--src SRC] [--snapshots N] [--runs R] [--processes P]
+    python3 tools/long_run.py [--src SRC] [--snapshots N]
 
 The run is `dotbus.dynamics.integrate_lindblad` of the two-qubit reduced
 model at lambda = 1 rad/s from |10><10|, with gamma = 0.1 and
 gamma_phi = 0.2 rad/s, over N steps of 0.01 s (default 100,000), recording
-every step: N + 1 snapshots.  Each of P fresh processes (default 3) imports
-dotbus from SRC (default: `src/` of this checkout, as `cli_snapshot.py`
-takes it), makes one untimed run, then R timed runs (default 10) and one run
-under tracemalloc.  For each process the script prints the median wall time
-of the timed runs and their interquartile range, in ms, and the traced peak
-in MiB; then the median of the process medians.  Pin it to one core for
-steady timings:
+every step: N + 1 snapshots.  Each of three fresh processes imports dotbus
+from SRC (default: `src/` of this checkout, as `cli_snapshot.py` takes it),
+makes one untimed run, then ten timed runs and one run under tracemalloc.
+For each process the script prints the median wall time of the timed runs
+and their interquartile range, in ms, and the traced peak in MiB; then the
+median of the process medians.  Pin it to one core for steady timings:
 
     taskset -c 1 python3 tools/long_run.py --src /path/to/other/checkout/src
 """
@@ -29,6 +28,7 @@ from pathlib import Path
 from bench_pairs import quartiles
 
 ROOT = Path(__file__).resolve().parent.parent
+RUNS, PROCESSES = 10, 3  # timed runs per process, fresh processes
 
 # Run as `python -c CHILD SNAPSHOTS RUNS` against the dotbus under test.
 CHILD = """
@@ -55,10 +55,10 @@ print(json.dumps({"wall_s": walls, "peak_bytes": peak}))
 """
 
 
-def measure(src: Path, snapshots: int, runs: int) -> dict:
-    """{"wall_s": [R wall times], "peak_bytes": traced peak} of one fresh process."""
+def measure(src: Path, snapshots: int) -> dict:
+    """{"wall_s": [RUNS wall times], "peak_bytes": traced peak} of one fresh process."""
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
-    proc = subprocess.run([sys.executable, "-c", CHILD, str(snapshots), str(runs)],
+    proc = subprocess.run([sys.executable, "-c", CHILD, str(snapshots), str(RUNS)],
                           env=env, capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         raise RuntimeError(f"the run exited {proc.returncode}:\n{proc.stderr}")
@@ -70,16 +70,13 @@ def main(argv=None) -> int:
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="directory holding the dotbus package to run")
     parser.add_argument("--snapshots", type=int, default=100_000, help="steps, one snapshot each")
-    parser.add_argument("--runs", type=int, default=10, help="timed runs per process")
-    parser.add_argument("--processes", type=int, default=3, help="fresh processes")
     args = parser.parse_args(argv)
-    for name in ("snapshots", "runs", "processes"):
-        if getattr(args, name) < 1:
-            parser.error(f"--{name} must be at least 1")
-    print(f"{args.snapshots} steps, {args.runs} timed runs per process, dotbus from {args.src}")
+    if args.snapshots < 1:
+        parser.error("--snapshots must be at least 1")
+    print(f"{args.snapshots} steps, {RUNS} timed runs per process, dotbus from {args.src}")
     medians = []
-    for k in range(args.processes):
-        result = measure(args.src.resolve(), args.snapshots, args.runs)
+    for k in range(PROCESSES):
+        result = measure(args.src.resolve(), args.snapshots)
         walls = [1e3 * wall for wall in result["wall_s"]]
         lo, median, hi = quartiles(walls)
         medians.append(median)
