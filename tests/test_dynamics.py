@@ -450,24 +450,19 @@ class TestSchedule:
         assert result.times.tolist() == [mark * grid.dt for mark in marks]  # bit for bit
         assert result.states.shape == (len(marks), 4, 4)
 
-    def test_a_two_snapshot_run_past_2_to_the_63_steps_keeps_its_times(self):
-        # A zero generator: S is I exactly, so 70 squarings keep rho0.
-        steps = 2**70
-        coords = _real_coordinates(build_liouvillian(np.zeros((4, 4))), pure_rho(2).matrix)
-        dt = TimeGrid(1.0, steps).dt
-        result = _evolve(coords, NoiseSpec().rates, dt, steps, steps)
-        assert result.times.tolist() == [0.0, steps * dt]
-        assert len(result.states) == 2
-
-    def test_an_interval_past_2_to_the_53_steps_keeps_its_times(self):
-        # float(every) rounds up by 1, so 3.0 * float(every) != float(3 * every):
-        # each time is its exact step count, rounded once, times dt.
-        every = 2**54 + 3
-        steps = 3 * every + 1
+    @pytest.mark.parametrize("steps, every", [
+        (2**70, 2**70),  # two snapshots, past int64
+        # float(every) rounds up by 1, so 3.0 * float(every) != float(3 * every)
+        (3 * (2**54 + 3) + 1, 2**54 + 3),
+    ])
+    def test_a_long_schedule_keeps_its_times(self, steps, every):
+        # A zero generator: S is I exactly, so any power keeps rho0.
         coords = _real_coordinates(build_liouvillian(np.zeros((4, 4))), pure_rho(2).matrix)
         dt = TimeGrid(1.0, steps).dt
         result = _evolve(coords, NoiseSpec().rates, dt, steps, every)
-        assert result.times.tolist() == [k * every * dt for k in range(4)] + [steps * dt]
+        marks = [*range(0, steps, every), steps]
+        assert result.times.tolist() == [mark * dt for mark in marks]  # bit for bit
+        assert len(result.states) == len(marks)
 
 
 def stepped_snapshots(generator, y, grid, scale, record_every):
