@@ -15,14 +15,15 @@ A run's schedule is two integers: its step count and its snapshot interval
 n, with a snapshot at step 0, every n steps and the last step.  Its
 generators are constant, so every fixed RK4 step applies one matrix S, which
 `_rk4` forms in closed form and returns as S^n for n and any shorter last
-interval, over a whole stack at once.  `_evolve` checks the start once, then
-fills every snapshot by doubling from snapshot 0: snapshots [m, 2m) are one
-stacked product of S^(n m) with snapshots [0, m), so a 256-snapshot
-trajectory takes 9 products and 8 squarings.  It scatters the snapshots back
-to exactly Hermitian matrices (`_scatter`, into the states array itself) and
-checks them in one call.  Nothing is renormalized: `_check_snapshot` reads
-finiteness, trace and least eigenvalue and names the first snapshot out of
-tolerance.  It reads the least eigenvalue block by block: the support links
+interval, over a whole stack at once.  `_evolve` fills every snapshot by
+doubling from snapshot 0, the start: snapshots [m, 2m) are one stacked
+product of S^(n m) with snapshots [0, m), so a 256-snapshot trajectory takes
+9 products and 8 squarings.  It scatters every snapshot, the start included,
+back to exactly Hermitian matrices in one `_scatter` call and checks them in
+one `_check_snapshot` call.  Nothing is renormalized: the check reads
+finiteness, then trace and least eigenvalue of the snapshots before the
+first non-finite one, and names the first snapshot out of tolerance.  It
+reads the least eigenvalue block by block: the support links
 indices i ~ j where rho_ij is in it, the linked groups partition the
 indices, and every rho on it is their direct sum.  A 1- or 2-index block has
 its least eigenvalue in closed form, a larger one `eigvalsh`'s.  From
@@ -213,22 +214,12 @@ def build_liouvillian(h_eff: np.ndarray) -> np.ndarray:
     return parts
 
 
-def _dense_min_eig(rho: np.ndarray) -> np.ndarray:
-    """The `eigvalsh` smallest eigenvalue of each matrix of ``rho``; a non-finite matrix's is 0.
-
-    eigvalsh refuses a whole stack for one non-finite matrix, so that matrix
-    enters as 0; `_check_snapshot` names it before it reads this value.
-    """
-    finite = np.isfinite(rho).all(axis=(-2, -1))
-    return np.linalg.eigvalsh(np.where(finite[..., None, None], rho, 0.0))[..., 0]
-
-
 def _min_eig(rho: np.ndarray, blocks: tuple) -> np.ndarray:
-    """The smallest eigenvalue of each Hermitian matrix of ``rho``: the least of its ``blocks``'.
+    """The smallest eigenvalue of each finite Hermitian matrix of ``rho``: its ``blocks``' least.
 
     ``blocks`` partition the indices, and rho is 0 off them.  A 1-index block
     gives its diagonal entry, a 2-index block [[a, c], [c*, b]]
-    (a + b)/2 - hypot((a - b)/2, |c|), a larger one `_dense_min_eig`.
+    (a + b)/2 - hypot((a - b)/2, |c|), a larger one `eigvalsh` of the block.
     """
     least = []
     for block in blocks:
@@ -237,42 +228,41 @@ def _min_eig(rho: np.ndarray, blocks: tuple) -> np.ndarray:
         elif block.size == 2:
             i, j = block  # halved first: a/2 + b/2 is (a + b)/2, and overflows for no finite a, b
             a, b = 0.5 * rho[..., i, i].real, 0.5 * rho[..., j, j].real
-            with np.errstate(invalid="ignore"):  # inf - inf in a non-finite matrix
-                least.append(a + b - np.hypot(a - b, abs(rho[..., i, j])))
+            least.append(a + b - np.hypot(a - b, abs(rho[..., i, j])))
         else:
-            least.append(_dense_min_eig(rho[..., block[:, None], block]))
+            least.append(np.linalg.eigvalsh(rho[..., block[:, None], block])[..., 0])
     return functools.reduce(np.minimum, least)
 
 
-def _check_snapshot(rho: np.ndarray, times, blocks: tuple,
+def _check_snapshot(rho: np.ndarray, times: np.ndarray, blocks: tuple,
                     point: Callable[[int], str] | None = None):
-    """(|trace - 1|, smallest eigenvalue) of the snapshots ``rho``, Hermitian by `_scatter`.
+    """(|trace - 1|, smallest eigenvalue) of each snapshot of ``rho``, Hermitian by `_scatter`.
 
-    ``rho`` is one density matrix, giving one value each, or a stack of them,
-    giving one array entry per matrix; ``times`` holds the time of each, shape
-    rho.shape[:-2].  The smallest eigenvalue is read on ``blocks``
-    (`_min_eig`): the set-up's (`_real_coordinates`), or (np.arange(d),) for
-    whole matrices.  The first matrix that `DensityMatrix` would refuse, with
-    a non-finite entry, |trace - 1| > TRACE_TOL or an eigenvalue below
-    EIG_FLOOR, raises DiagnosticError naming its time; ``point(k)`` names the
-    k-th matrix of a stack.
+    ``rho`` is a time-ordered stack of density matrices, shape (N, d, d), and
+    ``times`` holds the time of each.  The smallest eigenvalue is read on
+    ``blocks`` (`_min_eig`): the set-up's (`_real_coordinates`), or
+    (np.arange(d),) for whole matrices.  Trace and eigenvalue are read only
+    of the matrices before the first one with a non-finite entry.  The first
+    matrix that `DensityMatrix` would refuse, with a non-finite entry,
+    |trace - 1| > TRACE_TOL or an eigenvalue below EIG_FLOOR, raises
+    DiagnosticError naming its time; ``point(k)`` names the k-th matrix.
     """
     finite = np.isfinite(rho).all(axis=(-2, -1))
-    trace_dev = abs(rho.trace(axis1=-2, axis2=-1).real - 1.0)
-    min_eig = _min_eig(rho, blocks)
-    bad = ~(finite & (trace_dev <= TRACE_TOL) & (min_eig >= EIG_FLOOR))
-    if np.count_nonzero(bad):
-        k = int(np.flatnonzero(bad)[0])
-        t, ok, tr, eig = (np.ravel(x)[k] for x in (times, finite, trace_dev, min_eig))
-        if not ok:
+    n = len(rho) if finite.all() else int(finite.argmin())  # the matrices before a non-finite one
+    trace_dev = abs(rho[:n].trace(axis1=-2, axis2=-1).real - 1.0)
+    min_eig = _min_eig(rho[:n], blocks)
+    bad = np.flatnonzero(~((trace_dev <= TRACE_TOL) & (min_eig >= EIG_FLOOR)))  # NaN fails too
+    k = int(bad[0]) if bad.size else n  # the first breach; len(rho) if there is none
+    if k < len(rho):
+        if k == n:
             breaches = ["non-finite entries"]
         else:
-            breaches = [f"|trace-1| = {tr:.3g}"] if tr > TRACE_TOL else []
-            if eig < EIG_FLOOR:
-                breaches.append(f"min eigenvalue = {eig:.3g}")
+            breaches = [f"|trace-1| = {trace_dev[k]:.3g}"] if trace_dev[k] > TRACE_TOL else []
+            if min_eig[k] < EIG_FLOOR:
+                breaches.append(f"min eigenvalue = {min_eig[k]:.3g}")
         where = f", {point(k)}" if point else ""
         raise DiagnosticError(
-            f"density-matrix diagnostics failed at t = {t:.6g}{where}: " + "; ".join(breaches)
+            f"density-matrix diagnostics failed at t = {times[k]:.6g}{where}: " + "; ".join(breaches)
         )
     return trace_dev, min_eig
 
@@ -335,15 +325,14 @@ def _real_coordinates(parts: np.ndarray, rho0: np.ndarray) -> _Coordinates:
                         np.where(lower, start[partner].imag, start.real), d, blocks)
 
 
-def _scatter(x: np.ndarray, coords: _Coordinates, out: np.ndarray | None = None) -> np.ndarray:
+def _scatter(x: np.ndarray, coords: _Coordinates) -> np.ndarray:
     """The flat row-major d x d matrices of the real coordinates ``x`` (last axis) of ``coords``.
 
     rho_ij = x_re + i x_im and rho_ji = x_re - i x_im exactly, so every matrix
-    is Hermitian; entries off the support are 0.  They are written into
-    ``out``, which must hold 0 off the support, and returned, or into a new array.
+    is Hermitian; entries off the support are 0.
     """
     support, (partner, upper, lower), d = coords.support, coords.transposes, coords.d
-    rho = np.zeros(x.shape[:-1] + (d * d,), dtype=complex) if out is None else out
+    rho = np.zeros(x.shape[:-1] + (d * d,), dtype=complex)
     rho.real[..., support] = x[..., np.where(lower, partner, np.arange(support.size))]
     rho.imag[..., support[upper]] = x[..., partner[upper]]
     rho.imag[..., support[lower]] = -x[..., lower]
@@ -360,31 +349,26 @@ def _evolve(coords: _Coordinates, rates: np.ndarray, dt: float, steps: int, ever
     shape (C,) give one run; rates of shape (points, C) one run per row,
     stepped at once, ``point(k)`` naming the k-th, and states and
     diagnostics of shape (T, points, ...).  `_rk4` forms
-    the powers of every row's step matrix in one evaluation.  Snapshot 0,
-    coords.start at every point, is scattered (`_scatter`) and checked once,
-    before any step.  Snapshots [m, 2m) are one stacked product of
-    S^(every m) with snapshots [0, m), m = 1, 2, 4, ..., and S^(2 every m) is
-    the square of S^(every m); a shorter last interval is its own `_rk4`
+    the powers of every row's step matrix in one evaluation.  Snapshot 0 is
+    coords.start at every point.  Snapshots [m, 2m) are one stacked product
+    of S^(every m) with snapshots [0, m), m = 1, 2, 4, ..., and S^(2 every m)
+    is the square of S^(every m); a shorter last interval is its own `_rk4`
     power times the snapshot before it.  So a 256-step run ends on the S^256
     that `np.linalg.matrix_power` forms, with or without the snapshots
-    between.  The other snapshots are scattered straight into the states and
-    checked in one `_check_snapshot` call on coords.blocks, in time order, so
-    a breach names the earliest bad snapshot.  Every run makes two checks,
-    and a sweep one product.
+    between.  Every snapshot, the start included, is then scattered in one
+    `_scatter` call and checked in one `_check_snapshot` call on
+    coords.blocks, in time order, so a breach names the earliest bad
+    snapshot, and at t = 0 the first point.  Every run makes one check, and
+    a sweep one product.
     """
     d, s, points = coords.d, coords.support.size, rates.shape[:-1]
     generators = (rates @ coords.parts.reshape(len(coords.parts), -1)).reshape(points + (s, s))
     last = steps % every  # a shorter last interval, or 0
     powers = _rk4(generators, dt, (every, last) if last else (every,))
     size, count = math.prod(points), -(-steps // every) + 1
-    states = np.zeros((count,) + points + (d * d,), dtype=complex)
     times = np.empty(count)  # k x every exactly, then rounded once, as a Python int is
     times[:-1] = np.arange(count - 1, dtype=np.int64 if steps < 2**63 else object) * every * dt
     times[-1] = steps * dt
-    checks = np.empty((2, count * size))
-    start = states[0] = _scatter(coords.start, coords)  # every point starts here: checked once
-    checks[:, :size] = np.reshape(
-        _check_snapshot(start.reshape(d, d), times[0], coords.blocks, point), (2, 1))
     x = np.empty((count,) + points + (s, 1))
     x[0] = coords.start[:, None]
     regular = steps // every + 1  # snapshots [0, regular) lie every steps apart
@@ -397,13 +381,13 @@ def _evolve(coords: _Coordinates, rates: np.ndarray, dt: float, steps: int, ever
         span = top
     if last:
         np.matmul(powers[last], x[-2], out=x[-1])
-    rest = _scatter(x[1:, ..., 0], coords, states[1:])
+    states = _scatter(x[..., 0], coords).reshape((count,) + points + (d, d))
     del x  # freed before the check makes its temporaries
     # Time-major, so the first breach in the check is the earliest snapshot's.
-    checks[:, size:] = _check_snapshot(rest.reshape(-1, d, d), np.repeat(times[1:], size),
-                                       coords.blocks, point and (lambda k: point(k % size)))
-    checks = dict(zip(("trace_dev", "min_eig"), checks.reshape((2, count) + points)))
-    return SimResult(times, states.reshape(states.shape[:-1] + (d, d)), checks)
+    checks = _check_snapshot(states.reshape(-1, d, d), np.repeat(times, size), coords.blocks,
+                             point and (lambda k: point(k % size)))
+    return SimResult(times, states, {key: check.reshape((count,) + points)
+                                     for key, check in zip(("trace_dev", "min_eig"), checks)})
 
 
 def integrate_lindblad(h_eff: np.ndarray, rho0: DensityMatrix, noise: NoiseSpec, grid: TimeGrid,
@@ -413,11 +397,15 @@ def integrate_lindblad(h_eff: np.ndarray, rho0: DensityMatrix, noise: NoiseSpec,
     The `_evolve` run of ``rho0`` and the `build_liouvillian` parts at
     ``noise.rates``.  An ``h_eff`` that is Hermitian up to roundoff runs as
     its Hermitian part; a non-Hermitian one is refused with DiagnosticError
-    before any step (`build_liouvillian`), and the first snapshot that
-    `DensityMatrix` would refuse fails the run with DiagnosticError (`_check_snapshot`).
+    before any step (`build_liouvillian`), as is a ``rho0`` of another
+    dimension, with ValueError.  The first snapshot that `DensityMatrix`
+    would refuse fails the run with DiagnosticError (`_check_snapshot`).
     """
     parts = build_liouvillian(h_eff)  # refuses an h_eff that is not 2^n x 2^n
-    n_qubits = len(h_eff).bit_length() - 1
+    d = len(h_eff)
+    if len(rho0.matrix) != d:
+        raise ValueError(f"rho0 is {len(rho0.matrix)} x {len(rho0.matrix)} but h_eff is {d} x {d}")
+    n_qubits = d.bit_length() - 1
     scale = np.linalg.norm(h_eff, 2) + n_qubits * (noise.gamma + noise.gamma_phi)
     every = _snapshot_interval(grid, scale, record_every)
     return _evolve(_real_coordinates(parts, rho0.matrix), noise.rates, grid.dt, grid.steps, every)

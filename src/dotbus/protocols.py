@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -246,6 +247,10 @@ def selective_coupling_check(
     """
     if p.n_qubits < 3:
         raise ValueError("selective-coupling check needs at least one spectator qubit")
+    try:
+        active = tuple(map(operator.index, active))
+    except TypeError:
+        raise ValueError(f"active qubits must be integers, got {active!r}") from None
     if len(set(active)) != 2:
         raise ValueError("exactly two distinct active qubits required")
     if not all(0 <= j < p.n_qubits for j in active):

@@ -2,6 +2,7 @@
 
 import contextlib
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -432,6 +433,24 @@ class TestIntegrateLindblad:
                 integrate_lindblad(h_reduced_two_qubit(1.0), pure_rho(2), NoiseSpec(1e308, 1e308),
                                    TimeGrid(1.0, 10))
 
+    def test_a_rho0_of_another_dimension_is_refused_before_any_step(self):
+        rho0 = DensityMatrix(HilbertSpace((2,)), np.diag([1.0, 0.0]))
+        with pytest.raises(ValueError, match=r"^rho0 is 2 x 2 but h_eff is 4 x 4$"):
+            integrate_lindblad(h_reduced_two_qubit(1.0), rho0, NoiseSpec(), TimeGrid(1.0, 100))
+
+    def test_a_long_run_from_a_dense_start_holds_little_beside_its_states(self):
+        # A full-rank rho0 makes one 4-index block: eigvalsh reads one copy of
+        # the states' stack, and the check holds little else.
+        rho0 = DensityMatrix(TWO_QUBITS, np.full((4, 4), 0.05) + 0.2 * np.eye(4))
+        tracemalloc.start()
+        try:
+            result = integrate_lindblad(h_reduced_two_qubit(1.0), rho0, NoiseSpec(0.1, 0.2),
+                                        TimeGrid(100.0, 10_000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * result.states.nbytes
+
 
 class TestSchedule:
     """A run's schedule is its step count and interval: snapshots at 0, every interval, the last."""
@@ -493,7 +512,7 @@ def per_snapshot_run(h, rho0, noise, grid, record_every):
         for t, x in stepped_snapshots(generator, coords.start[:, None], grid, scale,
                                       record_every):
             rho = _scatter(x.ravel(), coords).reshape(d, d)
-            rows.append(_check_snapshot(rho, t, (np.arange(d),)))
+            rows.append([check[0] for check in _check_snapshot(rho[None], [t], (np.arange(d),))])
             times.append(t)
             states.append(rho)
     except DiagnosticError as exc:
@@ -583,16 +602,15 @@ class TestSnapshotChecks:
         ("spoil_coherence_finiteness", lambda snapshot: "non-finite entries"),
     ])
     def test_a_breach_names_the_time_of_the_first_bad_snapshot(self, spoil, breach):
-        # The start is scattered and checked alone, then snapshots [1, 101) at
+        # All 101 snapshots, the start included, are scattered and checked at
         # once; snapshots 6 and 7 are spoiled, and the run names the first of them.
         scatter, made = dynamics._scatter, []
         checks = mock.Mock(wraps=dynamics._check_snapshot)
 
         def spoiled_scatter(*args):
-            rho = scatter(*args)  # the start, shape (16,), then the rest, (snapshots, 16)
-            for n, snapshot in enumerate(rho.reshape(-1, 16), len(made)):
-                if n in (6, 7):
-                    getattr(self, spoil)(snapshot)
+            rho = scatter(*args)  # every snapshot, shape (snapshots, 16)
+            for snapshot in rho[6:8]:
+                getattr(self, spoil)(snapshot)
             made.extend(rho.reshape(-1, 4, 4))
             return rho
 
@@ -604,11 +622,11 @@ class TestSnapshotChecks:
         assert str(err.value) == ("density-matrix diagnostics failed at t = 0.06: "
                                   + breach(made[6]))
         # One product chain for the whole run, S^1 to S^64 by 6 squarings, then
-        # one check of every snapshot after the start.
+        # one scatter and one check of every snapshot.
         assert [n for kind, n in counts if kind == "product"] == [1, 2, 4, 8, 16, 32, 37]
         assert [kind for kind, _ in counts].count("square") == 6
         assert len(made) == 101
-        assert [call.args[0].shape for call in checks.call_args_list] == [(4, 4), (100, 4, 4)]
+        assert [call.args[0].shape for call in checks.call_args_list] == [(101, 4, 4)]
 
     def test_a_long_trajectory_is_one_product_chain_and_one_check(self):
         checks = mock.Mock(wraps=dynamics._check_snapshot)
@@ -618,7 +636,7 @@ class TestSnapshotChecks:
         assert len(result.times) == 1001
         assert [n for kind, n in counts if kind == "product"] == [1 << k for k in range(9)] + [489]
         assert [kind for kind, _ in counts].count("square") == 9  # S^2 to S^512
-        assert [call.args[0].shape for call in checks.call_args_list] == [(4, 4), (1000, 4, 4)]
+        assert [call.args[0].shape for call in checks.call_args_list] == [(1001, 4, 4)]
 
 
 class TestDoubling:
@@ -898,22 +916,31 @@ class TestScatter:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_a_non_finite_coordinate_is_named_by_the_check(self, data):
-        # The non-finite matrix comes first in a stack of finite ones, which
-        # `eigvalsh` must still read.
+        # The check reads trace and eigenvalues only of the matrices before the
+        # first non-finite one, and names the first breach: the non-finite
+        # matrix, or a finite breach before it, with that matrix's own time.
         coords = random_set_up(data)
         d, s = coords.d, coords.support.size
         x = data.draw(arrays(np.float64, (data.draw(st.integers(1, 3)), s), elements=FINITE))
         x[0, data.draw(st.integers(0, s - 1))] = data.draw(
             st.sampled_from([np.nan, np.inf, -np.inf]))
-        rho = _scatter(x, coords).reshape(-1, d, d)
+        rho = _scatter(x, coords).reshape(-1, d, d)  # rho[0] is non-finite
+        # Diagonal matrices, 0 off any blocks, with exact traces and eigenvalues.
+        valid = np.eye(d) / d
+        breaches = [(np.diag([2.0] + [0.0] * (d - 1)), "|trace-1| = 1")]
+        if d > 1:
+            breaches.append((np.diag([2.0, -1.0] + [0.0] * (d - 2)), "min eigenvalue = -1"))
+        cases = [(rho, "t = 0: non-finite entries"), (rho[:1], "t = 0: non-finite entries")]
+        for breach, message in breaches:
+            cases += [(np.stack([valid, breach, *rho]), f"t = 0.5: {message}"),
+                      (np.stack([valid, rho[0], breach]), "t = 0.5: non-finite entries")]
         for blocks in (coords.blocks, (np.arange(d),)):  # the set-up's, then whole matrices
-            for matrices, times in ((rho, np.arange(len(rho)) * 0.5), (rho[0], 0.0)):
+            for matrices, message in cases:
                 with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf in the trace
+                    warnings.simplefilter("error")  # no inf - inf: no non-finite matrix is read
                     with pytest.raises(DiagnosticError) as err:
-                        _check_snapshot(matrices, times, blocks)
-                assert str(err.value) == ("density-matrix diagnostics failed at t = 0: "
-                                          "non-finite entries")
+                        _check_snapshot(matrices, np.arange(len(matrices)) * 0.5, blocks)
+                assert str(err.value) == "density-matrix diagnostics failed at " + message
 
 
 class TestBlockCheck:
@@ -969,7 +996,7 @@ class TestBlockCheck:
         monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
         result = integrate_lindblad(h_reduced_two_qubit(1.0), rho0, NoiseSpec(0.1, 0.2),
                                     TimeGrid(1.0, 100))
-        assert [call.args[0].shape for call in eigvalsh.call_args_list] == [(4, 4), (100, 4, 4)]
+        assert [call.args[0].shape for call in eigvalsh.call_args_list] == [(101, 4, 4)]
         assert np.all(np.abs(result.diagnostics["min_eig"]
                              - np.linalg.eigvalsh(result.states)[:, 0]) <= 16 * EPS)
 

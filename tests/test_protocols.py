@@ -353,6 +353,12 @@ class TestSelectiveCoupling:
         with pytest.raises(ValueError, match=r"active qubits .* must lie in range\(3\)"):
             selective_coupling_check(p, active=active)
 
+    @pytest.mark.parametrize("active", [(0, 1.0), (0.0, 1), ("0", 1)])
+    def test_an_active_qubit_that_is_not_an_integer_is_refused(self, active):
+        p = ModelParams.uniform(3, 1.0, 10.0)
+        with pytest.raises(ValueError, match=r"^active qubits must be integers, got \("):
+            selective_coupling_check(p, active=active)
+
     def test_a_repeated_active_qubit_is_refused(self):
         p = ModelParams.uniform(3, 1.0, 10.0)
         with pytest.raises(ValueError, match="^exactly two distinct active qubits required$"):
@@ -567,7 +573,7 @@ class TestDecoherenceSweep:
 
 
 class TestOneBatchPerDefaultRun:
-    """A sweep of any size and `epr --out` raise one step-matrix power and make two checks.
+    """A sweep of any size and `epr --out` raise one step-matrix power and make one check.
 
     Neither takes an `eigvalsh`: the pair's blocks give every snapshot's least
     eigenvalue in closed form, and the start is validated once per process.
@@ -599,17 +605,17 @@ class TestOneBatchPerDefaultRun:
         powers, checks, eigvalsh = self.counted(monkeypatch)
         decoherence_sweep(cfg.model, cfg.sweep_gamma_axis, cfg.sweep_gamma_phi_axis)
         assert len(powers) == 1  # one power of the whole 441-point stack
-        # The start, once for every point, then the 21 x 21 finals in one check
-        assert [call.args[0].shape for call in checks.call_args_list] == [(4, 4), (441, 4, 4)]
+        # The start and the final of each of the 21 x 21 points in one check
+        assert [call.args[0].shape for call in checks.call_args_list] == [(882, 4, 4)]
         assert not eigvalsh.called
 
     def test_a_600_point_sweep(self, monkeypatch):
-        # 600 points, the finals of each in the one check after the start's
+        # 600 points, the start and the final of each in the one check
         cfg = config_from_dict({"sweep": {"gamma_points": 24, "gamma_phi_points": 25}})
         powers, checks, eigvalsh = self.counted(monkeypatch)
         decoherence_sweep(cfg.model, cfg.sweep_gamma_axis, cfg.sweep_gamma_phi_axis)
         assert len(powers) == 1
-        assert [call.args[0].shape for call in checks.call_args_list] == [(4, 4), (600, 4, 4)]
+        assert [call.args[0].shape for call in checks.call_args_list] == [(1200, 4, 4)]
         assert not eigvalsh.called
 
     def test_the_default_epr_trajectory(self, monkeypatch):
@@ -618,7 +624,7 @@ class TestOneBatchPerDefaultRun:
         epr_generation(cfg.model, cfg.noise, trajectory=True)  # what `epr --out` runs
         assert powers == [1]  # a snapshot every step: S itself
         assert ([call.args[0].shape for call in checks.call_args_list]
-                == [(4, 4), (MIN_EPR_STEPS, 4, 4)])
+                == [(MIN_EPR_STEPS + 1, 4, 4)])
         assert not eigvalsh.called
 
 
@@ -906,27 +912,23 @@ class TestBatchedSweep:
         Snapshot 0 is the start, one matrix that every point shares: spoiling
         it at any point spoils it at all of them.
         """
-        scatter, scattered = dynamics._scatter, []
+        scatter = dynamics._scatter
 
         def spoiled_scatter(*args):
-            rho = scatter(*args)
-            if rho.ndim == 1:  # the start, scattered once for every point
-                if any(snapshot == 0 for snapshot, _ in spoiled):
-                    spoil(rho)
-                scattered.append(rho)
-                return rho
-            for n, snapshot_rho in enumerate(rho, len(scattered)):  # (snapshots, points, 16)
-                for snapshot, k in spoiled:
-                    if n == snapshot:
-                        spoil(snapshot_rho[k])
-            scattered.extend(rho)
+            rho = scatter(*args)  # every snapshot at once: (snapshots, points, 16)
+            if any(snapshot == 0 for snapshot, _ in spoiled):
+                for start in rho[0]:  # the start, once at every point
+                    spoil(start)
+            for snapshot, k in spoiled:
+                if snapshot:
+                    spoil(rho[snapshot, k])
             return rho
 
         monkeypatch.setattr(dynamics, "_scatter", spoiled_scatter)
 
-    # The start is checked first, alone, and a breach there names the first
-    # point; snapshot t0 of both points is then one check, ordered
-    # (t, point) = (t0, 0), (t0, 1); the first spoiled in time is named.
+    # Every snapshot of every point is one check, ordered (t, point) = (0, 0),
+    # (0, 1), (t0, 0), (t0, 1): a breach at t = 0 names the first point, and
+    # the first spoiled in time is named.
     @pytest.mark.parametrize("spoiled, t, name", [
         ({(1, 1)}, "1e-08", "gamma/2pi = 0.5 MHz, gamma_phi/2pi = 0.25 MHz"),
         ({(1, 0), (0, 1)}, "0", "gamma/2pi = 0 MHz, gamma_phi/2pi = 0.25 MHz"),

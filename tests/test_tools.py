@@ -122,11 +122,12 @@ def test_long_run_times_and_traces_a_short_run_of_this_checkout():
     lines = run.stdout.splitlines()
     assert lines[0].startswith("1000 steps, 10 timed runs per process, dotbus from ")
     pattern = (r"process (\d): median (\d+\.\d) ms \(IQR (\d+\.\d)-(\d+\.\d)\), "
-               r"traced peak (\d+\.\d) MiB")
+               r"traced peak (\d+\.\d) MiB from \|10><10\|, (\d+\.\d) MiB from 0\.05 \+ 0\.2 I")
     matches = [re.fullmatch(pattern, line) for line in lines[1:4]]
     assert all(matches) and [m[1] for m in matches] == ["0", "1", "2"]
     for m in matches:
-        median, low, high, peak = (float(m[k]) for k in range(2, 6))
-        assert 0 <= low <= median <= high and peak >= 0.2  # at least the states it keeps
+        median, low, high, pure, dense = (float(m[k]) for k in range(2, 7))
+        assert 0 <= low <= median <= high
+        assert pure >= 0.2 and dense >= 0.2  # at least the states each run keeps
     assert re.fullmatch(r"median of the process medians: \d+\.\d ms", lines[4])
     assert len(lines) == 5
