@@ -7,7 +7,7 @@ decoherence sweeps.  The dense reference forms that the tests check these
 against live in `dotbus.reference`, which ``import dotbus`` does not load.
 """
 
-from .algebra import DensityMatrix, HilbertSpace, PureState, embed, fidelity
+from .algebra import DensityMatrix, HilbertSpace, PureState, embed
 from .device import CouplerParams, DotParams, TlrParams
 from .dynamics import DiagnosticError, NoiseSpec, SimResult, TimeGrid, integrate_lindblad
 from .hamiltonians import ModelParams, h_reduced_two_qubit
@@ -17,7 +17,6 @@ from .protocols import (
     decoherence_sweep,
     dispersive_validity,
     epr_generation,
-    epr_target,
     gate_time_t0,
     selective_coupling_check,
 )
@@ -40,8 +39,6 @@ __all__ = [
     "dispersive_validity",
     "embed",
     "epr_generation",
-    "epr_target",
-    "fidelity",
     "gate_time_t0",
     "h_reduced_two_qubit",
     "integrate_lindblad",

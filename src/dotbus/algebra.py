@@ -2,9 +2,9 @@
 
 Everything downstream (Hamiltonian builders, propagators, protocol-level
 reports) is written against the handful of primitives in this module:
-validated states, operator embedding and fidelities.  All operators are
-plain dense complex ``numpy`` arrays; dimensions stay small (a few thousand
-at most), so no sparse machinery is used anywhere.
+validated states, their one validity reading (`_defects`) and operator
+embedding.  All operators are plain dense complex ``numpy`` arrays of small
+dimension (a few thousand at most), so no sparse machinery is used anywhere.
 
 Conventions: hbar = 1, energies are angular frequencies (rad/s), times are
 seconds.  Qubit basis |0> = (1, 0), |1> = (0, 1), sigma^+ = |1><0|.
@@ -39,6 +39,47 @@ def hermiticity_defect(a: np.ndarray) -> float | np.ndarray:
     A stack of matrices (last two axes) gives one defect per matrix.
     """
     return abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+
+
+def _min_eig(rho: np.ndarray, blocks: tuple) -> np.ndarray:
+    """The smallest eigenvalue of each finite Hermitian matrix of ``rho``: its ``blocks``' least.
+
+    ``blocks`` partition the indices, and rho is 0 off them.  A 1-index block
+    gives its diagonal entry, a 2-index block [[a, c], [c*, b]]
+    (a + b)/2 - hypot((a - b)/2, |c|), a larger one `eigvalsh` of the block,
+    read from ``rho`` itself, with no copy, when the block is every index.
+    """
+    least = []
+    for block in blocks:
+        if block.size == 1:
+            least.append(rho[..., block[0], block[0]].real)
+        elif block.size == 2:
+            i, j = block  # halved first: a/2 + b/2 is (a + b)/2, and overflows for no finite a, b
+            a, b = 0.5 * rho[..., i, i].real, 0.5 * rho[..., j, j].real
+            least.append(a + b - np.hypot(a - b, abs(rho[..., i, j])))
+        else:  # a block of every index is range(d) in order, since the blocks partition it
+            stack = rho if block.size == rho.shape[-1] else rho[..., block[:, None], block]
+            least.append(np.linalg.eigvalsh(stack)[..., 0])
+    return reduce(np.minimum, least)
+
+
+def _defects(rho: np.ndarray, blocks: tuple) -> tuple[np.ndarray, np.ndarray, int]:
+    """(trace, least eigenvalue, first breach) of a stack of Hermitian matrices, shape (N, d, d).
+
+    The one reading of whether a Hermitian matrix is a valid density matrix.
+    Trace (its real part) and least eigenvalue (`_min_eig` on ``blocks``;
+    (np.arange(d),) for whole matrices) are read only of the n matrices
+    before the first one with a non-finite entry.  The first breach is the
+    index of the first matrix with a non-finite entry, |trace - 1| >
+    TRACE_TOL or a least eigenvalue below EIG_FLOOR (NaN fails too), and N
+    if there is none; it is n exactly when that matrix is the non-finite one.
+    """
+    finite = np.isfinite(rho).all(axis=(-2, -1))
+    n = len(rho) if finite.all() else int(finite.argmin())  # the matrices before a non-finite one
+    trace = rho[:n].trace(axis1=-2, axis2=-1).real
+    least = _min_eig(rho[:n], blocks)
+    bad = np.flatnonzero(~((abs(trace - 1.0) <= TRACE_TOL) & (least >= EIG_FLOOR)))
+    return trace, least, int(bad[0]) if bad.size else n
 
 
 @dataclass(frozen=True)
@@ -92,7 +133,7 @@ class PureState:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Valid density operator: finite, Hermitian, unit trace, positive semidefinite."""
+    """Valid density operator: finite, Hermitian, then unit trace and PSD by `_defects`."""
 
     space: HilbertSpace
     matrix: np.ndarray
@@ -106,12 +147,11 @@ class DensityMatrix:
             raise ValueError("density matrix entries are not all finite")
         if hermiticity_defect(mat) > HERMITIAN_TOL:
             raise ValueError("density matrix is not Hermitian within tolerance")
-        tr = np.trace(mat).real
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"density matrix trace is {tr!r}, expected 1")
-        min_eig = float(np.linalg.eigvalsh(mat)[0])
-        if min_eig < EIG_FLOOR:
-            raise ValueError(f"density matrix has negative eigenvalue {min_eig!r}")
+        (tr,), (min_eig,), breach = _defects(mat[None], (np.arange(d),))
+        if breach == 0:
+            if abs(tr - 1.0) > TRACE_TOL:
+                raise ValueError(f"density matrix trace is {tr!r}, expected 1")
+            raise ValueError(f"density matrix has negative eigenvalue {float(min_eig)!r}")
         object.__setattr__(self, "matrix", mat)
 
 
@@ -136,16 +176,3 @@ def embed(space: HilbertSpace, *factors: tuple[int, np.ndarray]) -> np.ndarray:
         local[at] = local[at] @ op if at in local else op
     return reduce(np.kron, [local.get(i, identity(d)) for i, d in enumerate(space.dims)])
 
-
-def fidelity(state: PureState | DensityMatrix, target: PureState) -> float:
-    """<target| rho |target>, or |<target|psi>|^2 for a pure input."""
-    if isinstance(state, PureState):
-        if state.space.dim != target.space.dim:
-            raise ValueError("state and target dimensions differ")
-        return float(abs(np.vdot(target.amplitudes, state.amplitudes)) ** 2)
-    if isinstance(state, DensityMatrix):
-        if state.space.dim != target.space.dim:
-            raise ValueError("state and target dimensions differ")
-        v = target.amplitudes
-        return float(np.real(v.conj() @ state.matrix @ v))
-    raise TypeError(f"unsupported state type {type(state)!r}")

@@ -20,16 +20,15 @@ doubling from snapshot 0, the start: snapshots [m, 2m) are one stacked
 product of S^(n m) with snapshots [0, m), so a 256-snapshot trajectory takes
 9 products and 8 squarings.  It scatters every snapshot, the start included,
 back to exactly Hermitian matrices in one `_scatter` call and checks them in
-one `_check_snapshot` call.  Nothing is renormalized: the check reads
-finiteness, then trace and least eigenvalue of the snapshots before the
-first non-finite one, and names the first snapshot out of tolerance.  It
-reads the least eigenvalue block by block: the support links
-indices i ~ j where rho_ij is in it, the linked groups partition the
-indices, and every rho on it is their direct sum.  A 1- or 2-index block has
-its least eigenvalue in closed form, a larger one `eigvalsh`'s.  From
-|10><10| the blocks are {|00>}, {|01>, |10>} and {|11>}, so the pair's runs
-take no eigvalsh.  `build_liouvillian` forms the dissipator parts once per
-qubit count (`_dissipators`).
+one `_check_snapshot` call.  Nothing is renormalized: the check is
+`algebra._defects`, the reading that `DensityMatrix` makes too, on the
+set-up's blocks, and it names the first snapshot out of tolerance.  The
+support links indices i ~ j where rho_ij is in it, the linked groups
+partition the indices, and every rho on it is their direct sum, so the
+least eigenvalue is read block by block, a 1- or 2-index block in closed
+form.  From |10><10| the blocks are {|00>}, {|01>, |10>} and {|11>}, so the
+pair's runs take no eigvalsh.  `build_liouvillian` forms the dissipator
+parts once per qubit count (`_dissipators`).
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .algebra import (EIG_FLOOR, HERMITIAN_TOL, SIGMA_MINUS, SIGMA_Z, TRACE_TOL, DensityMatrix,
-                      HilbertSpace, embed)
+                      HilbertSpace, _defects, embed)
 
 STABILITY_LIMIT = 0.1        # max allowed dt * ||generator||
 
@@ -214,47 +213,20 @@ def build_liouvillian(h_eff: np.ndarray) -> np.ndarray:
     return parts
 
 
-def _min_eig(rho: np.ndarray, blocks: tuple) -> np.ndarray:
-    """The smallest eigenvalue of each finite Hermitian matrix of ``rho``: its ``blocks``' least.
-
-    ``blocks`` partition the indices, and rho is 0 off them.  A 1-index block
-    gives its diagonal entry, a 2-index block [[a, c], [c*, b]]
-    (a + b)/2 - hypot((a - b)/2, |c|), a larger one `eigvalsh` of the block.
-    """
-    least = []
-    for block in blocks:
-        if block.size == 1:
-            least.append(rho[..., block[0], block[0]].real)
-        elif block.size == 2:
-            i, j = block  # halved first: a/2 + b/2 is (a + b)/2, and overflows for no finite a, b
-            a, b = 0.5 * rho[..., i, i].real, 0.5 * rho[..., j, j].real
-            least.append(a + b - np.hypot(a - b, abs(rho[..., i, j])))
-        else:
-            least.append(np.linalg.eigvalsh(rho[..., block[:, None], block])[..., 0])
-    return functools.reduce(np.minimum, least)
-
-
 def _check_snapshot(rho: np.ndarray, times: np.ndarray, blocks: tuple,
                     point: Callable[[int], str] | None = None):
     """(|trace - 1|, smallest eigenvalue) of each snapshot of ``rho``, Hermitian by `_scatter`.
 
     ``rho`` is a time-ordered stack of density matrices, shape (N, d, d), and
-    ``times`` holds the time of each.  The smallest eigenvalue is read on
-    ``blocks`` (`_min_eig`): the set-up's (`_real_coordinates`), or
-    (np.arange(d),) for whole matrices.  Trace and eigenvalue are read only
-    of the matrices before the first one with a non-finite entry.  The first
-    matrix that `DensityMatrix` would refuse, with a non-finite entry,
-    |trace - 1| > TRACE_TOL or an eigenvalue below EIG_FLOOR, raises
-    DiagnosticError naming its time; ``point(k)`` names the k-th matrix.
+    ``times`` holds the time of each.  `algebra._defects` reads them on
+    ``blocks``, the set-up's (`_real_coordinates`) or (np.arange(d),) for
+    whole matrices.  The first breach it names raises DiagnosticError naming
+    its time and what failed; ``point(k)`` names the k-th matrix.
     """
-    finite = np.isfinite(rho).all(axis=(-2, -1))
-    n = len(rho) if finite.all() else int(finite.argmin())  # the matrices before a non-finite one
-    trace_dev = abs(rho[:n].trace(axis1=-2, axis2=-1).real - 1.0)
-    min_eig = _min_eig(rho[:n], blocks)
-    bad = np.flatnonzero(~((trace_dev <= TRACE_TOL) & (min_eig >= EIG_FLOOR)))  # NaN fails too
-    k = int(bad[0]) if bad.size else n  # the first breach; len(rho) if there is none
+    trace, min_eig, k = _defects(rho, blocks)
+    trace_dev = abs(trace - 1.0)
     if k < len(rho):
-        if k == n:
+        if k == len(trace):
             breaches = ["non-finite entries"]
         else:
             breaches = [f"|trace-1| = {trace_dev[k]:.3g}"] if trace_dev[k] > TRACE_TOL else []

@@ -45,11 +45,6 @@ def gate_time_t0(lam: float) -> float:
     return math.pi / (4.0 * lam)
 
 
-def epr_target() -> PureState:
-    """(|10> - i|01>)/sqrt(2) on the register {|00>, |01>, |10>, |11>}."""
-    return PureState(TWO_QUBIT_SPACE, _EPR_TARGET)
-
-
 @dataclass(frozen=True, eq=False)
 class EprReport:
     t0: float
@@ -103,7 +98,7 @@ def _pair_coordinates() -> _Coordinates:
 
 
 def _epr_fidelity(rho: np.ndarray) -> np.ndarray:
-    """<target| rho |target> of `epr_target`, as `fidelity` forms it, for one rho or a stack."""
+    """<target| rho |target> of the pair target `_EPR_TARGET`, for one rho or a stack."""
     return np.real(_EPR_TARGET.conj() @ rho @ _EPR_TARGET)
 
 
@@ -201,7 +196,7 @@ def dispersive_validity(p: ModelParams) -> DispersiveReport:
     """Compare the full qubit-cavity dynamics against the effective model.
 
     `_pair_run` of |10> x |vacuum> to t0 under the full model: the pair's
-    overlap with `epr_target`, into which the reduced model of
+    overlap with the target `_EPR_TARGET`, into which the reduced model of
     `epr_generation` takes |10> at t0, and the peak cavity occupation.
     """
     fid, levels = _pair_run(p, (0, 1), p)  # refuses a phase that overflows first

@@ -17,7 +17,7 @@ none of them imports this module, and ``import dotbus`` does not load it.
   `hamiltonians.h_reduced_two_qubit` are checked against them.
 - `analytic_u`: the closed-form propagator of
   `hamiltonians.h_reduced_two_qubit`, itself checked against
-  `scipy.linalg.expm`; at t0 it takes |10> to `protocols.epr_target` up to a
+  `scipy.linalg.expm`; at t0 it takes |10> to `epr_target` up to a
   global phase, and the noiseless RK4 runs of the pair are checked against it.
 - `static_frame_hamiltonian`: the time-independent A + V over the whole
   space; its one-excitation rows and columns are the block that
@@ -37,6 +37,10 @@ none of them imports this module, and ``import dotbus`` does not load it.
 - `concurrence`: Wootters' concurrence from the eigenvalues of rho rho~, at
   50 digits; the X-state form that `protocols.epr_generation` reads is
   checked against it.
+- `fidelity`, `epr_target`: <target| rho |target> of a validated state, and
+  the pair target (|10> - i|01>)/sqrt(2) as a `PureState`.  Production reads
+  the target's amplitudes `protocols._EPR_TARGET` through
+  `protocols._epr_fidelity`; the tests score states with these.
 - `propagate_schrodinger`: RK4 on -iH(t), its four stages written out at
   every step, under the stability guard and snapshot interval of
   `dynamics._snapshot_interval`.  The production stepper `dynamics._rk4` forms
@@ -57,6 +61,7 @@ from .algebra import (EIG_FLOOR, HERMITIAN_TOL, SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z
 from .device import HBAR, DotParams
 from .dynamics import DiagnosticError, NoiseSpec, SimResult, TimeGrid, _snapshot_interval
 from .hamiltonians import DISPERSIVE_THRESHOLD, ModelParams
+from .protocols import TWO_QUBIT_SPACE, _EPR_TARGET
 
 NORM_DRIFT_TOL = 1e-6
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -306,6 +311,25 @@ def concurrence(rho: DensityMatrix) -> float:
                              "below tolerance")
         lams = [mpmath.sqrt(max(e, 0)) for e in evals]
         return float(max(0, lams[3] - lams[2] - lams[1] - lams[0]))
+
+
+def fidelity(state: PureState | DensityMatrix, target: PureState) -> float:
+    """<target| rho |target>, or |<target|psi>|^2 for a pure input."""
+    if isinstance(state, PureState):
+        if state.space.dim != target.space.dim:
+            raise ValueError("state and target dimensions differ")
+        return float(abs(np.vdot(target.amplitudes, state.amplitudes)) ** 2)
+    if isinstance(state, DensityMatrix):
+        if state.space.dim != target.space.dim:
+            raise ValueError("state and target dimensions differ")
+        v = target.amplitudes
+        return float(np.real(v.conj() @ state.matrix @ v))
+    raise TypeError(f"unsupported state type {type(state)!r}")
+
+
+def epr_target() -> PureState:
+    """(|10> - i|01>)/sqrt(2) on the register {|00>, |01>, |10>, |11>}."""
+    return PureState(TWO_QUBIT_SPACE, _EPR_TARGET)
 
 
 def propagate_schrodinger(

@@ -1,5 +1,7 @@
 """Linear-algebra primitives against hand-expanded and scipy oracles."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,18 +9,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dotbus.algebra import (
+    EIG_FLOOR,
+    HERMITIAN_TOL,
+    TRACE_TOL,
     DensityMatrix,
     HilbertSpace,
     PureState,
     SIGMA_PLUS,
     SIGMA_X,
     SIGMA_Z,
+    _defects,
     embed,
-    fidelity,
+    hermiticity_defect,
     identity,
 )
 from dotbus.hamiltonians import h_reduced_two_qubit
-from dotbus.reference import destroy, expm_propagator, partial_trace
+from dotbus.reference import destroy, expm_propagator, fidelity, partial_trace
 
 
 def random_density(rng, dims):
@@ -201,3 +207,54 @@ class TestStateValidation:
     def test_non_finite_density_matrix_rejected(self, matrix):
         with pytest.raises(ValueError, match="finite"):
             DensityMatrix(HilbertSpace((2,)), matrix)
+
+
+def drawn_matrix(data, d):
+    """A random d x d matrix near a density matrix, each defect drawn below or past its bound."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    w = rng.dirichlet(np.ones(d))
+    least = data.draw(st.sampled_from([None, 0.0, -0.5 * EIG_FLOOR, 2 * EIG_FLOOR, -0.1]))
+    if least is not None:  # moved between two eigenvalues: the trace stays
+        w[1] += w[0] - least
+        w[0] = least
+    rho = (q * w) @ q.conj().T
+    rho *= 1.0 + data.draw(st.sampled_from([0.0, 0.5 * TRACE_TOL, -2 * TRACE_TOL, 1e-3]))
+    skew = data.draw(st.sampled_from([0.0, 0.1 * HERMITIAN_TOL, 3 * HERMITIAN_TOL, 1e-3]))
+    rho += skew * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    if data.draw(st.integers(0, 3)) == 0:  # one matrix in four is not finite
+        rho[tuple(rng.integers(d, size=2))] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return rho
+
+
+class TestDefects:
+    """`DensityMatrix` reads trace and least eigenvalue by `_defects`, as `_check_snapshot` does."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_density_matrix_refuses_exactly_a_breach_or_a_non_hermitian_matrix(self, data):
+        n = data.draw(st.integers(1, 3))
+        d = 2**n
+        rho = drawn_matrix(data, d)
+        breach = _defects(rho[None], (np.arange(d),))[2] == 0
+        hermitian = np.isfinite(rho).all() and hermiticity_defect(rho) <= HERMITIAN_TOL
+        try:
+            DensityMatrix(HilbertSpace((2,) * n), rho)
+        except ValueError:
+            refused = True
+        else:
+            refused = False
+        assert refused == (breach or not hermitian)
+
+    @pytest.mark.parametrize("d", [4, 5, 8])
+    def test_a_block_of_every_index_hands_eigvalsh_rho_itself(self, d, monkeypatch):
+        eigvalsh = mock.Mock(wraps=np.linalg.eigvalsh)
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        rho = np.tile(np.eye(d, dtype=complex) / d, (5, 1, 1))
+        _defects(rho, (np.arange(d),))
+        state = DensityMatrix(HilbertSpace((d,)), np.eye(d) / d)
+        _defects(rho, (np.arange(1), np.arange(1, d)))  # a 1-index block, then one of d - 1
+        whole, single, gathered = (call.args[0] for call in eigvalsh.call_args_list)
+        assert np.shares_memory(whole, rho)
+        assert np.shares_memory(single, state.matrix)
+        assert not np.shares_memory(gathered, rho)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dotbus import dynamics
-from dotbus.algebra import (HERMITIAN_TOL, DensityMatrix, HilbertSpace, PureState, fidelity,
+from dotbus.algebra import (HERMITIAN_TOL, DensityMatrix, HilbertSpace, PureState, _min_eig,
                             hermiticity_defect)
 from dotbus.dynamics import (
     STABILITY_LIMIT,
@@ -24,7 +24,6 @@ from dotbus.dynamics import (
     TimeGrid,
     _check_snapshot,
     _evolve,
-    _min_eig,
     _real_coordinates,
     _rk4,
     _scatter,
@@ -36,7 +35,7 @@ from dotbus.dynamics import (
 from dotbus.config import config_from_dict
 from dotbus.hamiltonians import ModelParams, h_reduced_two_qubit
 from dotbus.protocols import _epr_grid, epr_generation
-from dotbus.reference import (analytic_u, expm_propagator, full_space, h_interaction,
+from dotbus.reference import (analytic_u, expm_propagator, fidelity, full_space, h_interaction,
                               lindblad_rhs, propagate_schrodinger)
 
 TWO_QUBITS = HilbertSpace((2, 2))

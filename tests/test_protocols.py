@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from dotbus import dynamics, protocols
-from dotbus.algebra import DensityMatrix, PureState, fidelity
+from dotbus.algebra import DensityMatrix, PureState
 from dotbus.dynamics import (DiagnosticError, NoiseSpec, TimeGrid, _real_coordinates, _support,
                              build_liouvillian, integrate_lindblad)
 from dotbus.config import MAX_QUBITS, config_from_dict
@@ -37,12 +37,12 @@ from dotbus.protocols import (
     decoherence_sweep,
     dispersive_validity,
     epr_generation,
-    epr_target,
     gate_time_t0,
     selective_coupling_check,
 )
 from dotbus.reference import (_frame_trajectory, analytic_u, concurrence, epr_error_closed_form,
-                              full_space, h_interaction, partial_trace, propagate_schrodinger)
+                              epr_target, fidelity, full_space, h_interaction, partial_trace,
+                              propagate_schrodinger)
 
 G_PAPER = 2 * math.pi * 100e6       # coupling, rad/s
 TAU_PAPER = 10 * G_PAPER

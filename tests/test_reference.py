@@ -81,6 +81,31 @@ def test_shared_name_check_sees_every_form():
         assert private_names_from_dynamics(ast.parse(source)) == names, source
 
 
+def names_eigvalsh(tree: ast.AST) -> bool:
+    """Whether ``tree`` names ``eigvalsh``: as an attribute, a bare name or an import."""
+    return any(isinstance(node, ast.Attribute) and node.attr == "eigvalsh"
+               or isinstance(node, ast.Name) and node.id == "eigvalsh"
+               or isinstance(node, ast.alias) and node.name == "eigvalsh"
+               for node in ast.walk(tree))
+
+
+def test_no_production_module_but_algebra_calls_eigvalsh():
+    # The least eigenvalue of a density matrix has one reader, `algebra._defects`;
+    # a second eigvalsh would be a second validity check.
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "reference.py")
+    assert {p.stem for p in modules} >= {"algebra", "dynamics", "protocols"}
+    callers = {p.stem for p in modules if names_eigvalsh(ast.parse(p.read_text()))}
+    assert callers == {"algebra"}
+
+
+def test_eigvalsh_check_sees_every_form():
+    for source in ("np.linalg.eigvalsh(a)", "linalg.eigvalsh(a)", "eigvalsh(a)",
+                   "from numpy.linalg import eigvalsh", "from scipy.linalg import eigvalsh as e"):
+        assert names_eigvalsh(ast.parse(source)), source
+    for source in ("np.linalg.eigh(a)", "'eigvalsh'", "eigvals(a)"):
+        assert not names_eigvalsh(ast.parse(source)), source
+
+
 def test_import_dotbus_leaves_reference_unloaded():
     code = "import sys, dotbus; print('dotbus.reference' in sys.modules)"
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
