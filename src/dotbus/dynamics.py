@@ -14,21 +14,21 @@ other, so every part keeps rho exactly Hermitian and is real there.
 A run's schedule is two integers: its step count and its snapshot interval
 n, with a snapshot at step 0, every n steps and the last step.  Its
 generators are constant, so every fixed RK4 step applies one matrix S, which
-`_rk4` forms in closed form and returns as S^n for n and any shorter last
-interval, over a whole stack at once.  `_evolve` fills every snapshot by
-doubling from snapshot 0, the start: snapshots [m, 2m) are one stacked
-product of S^(n m) with snapshots [0, m), so a 256-snapshot trajectory takes
-9 products and 8 squarings.  It scatters every snapshot, the start included,
-back to exactly Hermitian matrices in one `_scatter` call and checks them in
-one `_check_snapshot` call.  Nothing is renormalized: the check is
-`algebra._defects`, the reading that `DensityMatrix` makes too, on the
-set-up's blocks, and it names the first snapshot out of tolerance.  The
-support links indices i ~ j where rho_ij is in it, the linked groups
-partition the indices, and every rho on it is their direct sum, so the
-least eigenvalue is read block by block, a 1- or 2-index block in closed
-form.  From |10><10| the blocks are {|00>}, {|01>, |10>} and {|11>}, so the
-pair's runs take no eigvalsh.  `build_liouvillian` forms the dissipator
-parts once per qubit count (`_dissipators`).
+`_rk4` forms in closed form over a whole stack at once.  `_evolve` fills the
+snapshots before the last by doubling from snapshot 0, the start: snapshots
+[m, 2m) are one stacked product of S^(n m) with snapshots [0, m).  The last
+is S^steps times the start, so a run ends on the same bits whatever its
+interval; a 257-snapshot trajectory takes 9 products, 7 squarings and S^256.
+It scatters every snapshot, the start included, back to exactly Hermitian
+matrices in one `_scatter` call and checks them in one `_check_snapshot` call.
+Nothing is renormalized: the check is `algebra._defects`, the reading that
+`DensityMatrix` makes too, on the set-up's blocks, and it names the first
+snapshot out of tolerance.  The support links indices i ~ j where rho_ij is in
+it, the linked groups partition the indices, and every rho on it is their
+direct sum, so the least eigenvalue is read block by block, a 1- or 2-index
+block in closed form.  From |10><10| the blocks are {|00>}, {|01>, |10>} and
+{|11>}, so the pair's runs take no eigvalsh.  `build_liouvillian` forms the
+dissipator parts once per qubit count (`_dissipators`).
 """
 
 from __future__ import annotations
@@ -140,26 +140,19 @@ def _snapshot_interval(grid: TimeGrid, scale: float, record_every: int) -> int:
     return min(record_every, grid.steps)
 
 
-def _rk4(generator: np.ndarray, dt: float, lengths: tuple[int, ...]) -> dict[int, np.ndarray]:
-    """{n: S^n} for each interval length n of ``lengths``: S the RK4 step matrix.
+def _rk4(generator: np.ndarray, dt: float) -> np.ndarray:
+    """The RK4 step matrix S of dy/dt = G y for a step of ``dt``.
 
-    The generator G of dy/dt = G y is constant, so every RK4 step of ``dt``
-    applies the same matrix S = I + a (I + a/2 (I + a/3 (I + a/4))), a = dt x G,
-    formed by Horner's rule, and n steps apply S^n, raised by repeated
+    The generator G is constant, so every RK4 step of ``dt`` applies the same
+    matrix S = I + a (I + a/2 (I + a/3 (I + a/4))), a = dt x G, formed by
+    Horner's rule, and n steps apply S^n, which `_evolve` raises by repeated
     squaring.  dt scales G before any product, so no power of G alone under-
-    or overflows where the step itself does not.  A run passes one or two
-    lengths: its snapshot interval and any shorter last one.  The power
-    arrays are allocated before S's temporaries, which keeps a 197 x 198
-    `dotbus sweep` at 77.7 MiB peak RSS, not 82.0.  A stack of generators,
-    shape (points, n, n), is formed and raised in one evaluation and gives
-    powers of that shape.  Real and complex generators alike.
+    or overflows where the step itself does not.  A stack of generators,
+    shape (points, n, n), gives a stack of step matrices of that shape in
+    one evaluation.  Real and complex generators alike.
     """
-    powers = {n: np.empty_like(generator) for n in lengths}
     a, eye = dt * generator, np.eye(generator.shape[-1])
-    step = eye + a @ (eye + a @ (eye + a @ (eye + a / 4) / 3) / 2)
-    for n, power in powers.items():
-        power[...] = np.linalg.matrix_power(step, n)
-    return powers
+    return eye + a @ (eye + a @ (eye + a @ (eye + a / 4) / 3) / 2)
 
 
 @functools.cache
@@ -320,39 +313,33 @@ def _evolve(coords: _Coordinates, rates: np.ndarray, dt: float, steps: int, ever
     its step count times dt, as a Python int times dt gives it.  Rates of
     shape (C,) give one run; rates of shape (points, C) one run per row,
     stepped at once, ``point(k)`` naming the k-th, and states and
-    diagnostics of shape (T, points, ...).  `_rk4` forms
-    the powers of every row's step matrix in one evaluation.  Snapshot 0 is
-    coords.start at every point.  Snapshots [m, 2m) are one stacked product
-    of S^(every m) with snapshots [0, m), m = 1, 2, 4, ..., and S^(2 every m)
-    is the square of S^(every m); a shorter last interval is its own `_rk4`
-    power times the snapshot before it.  So a 256-step run ends on the S^256
-    that `np.linalg.matrix_power` forms, with or without the snapshots
-    between.  Every snapshot, the start included, is then scattered in one
-    `_scatter` call and checked in one `_check_snapshot` call on
-    coords.blocks, in time order, so a breach names the earliest bad
-    snapshot, and at t = 0 the first point.  Every run makes one check, and
-    a sweep one product.
+    diagnostics of shape (T, points, ...).  `_rk4` forms every row's step
+    matrix S at once.  Snapshot 0 is coords.start at every point, and
+    snapshots [m, 2m) before the last are one stacked product of
+    S^(every m) with snapshots [0, m), m = 1, 2, 4, ...: S^every, formed
+    only if such a snapshot exists, then each the square of the one before.
+    The last is S^steps (`np.linalg.matrix_power`) times the start, so the
+    final state does not depend on ``every``.  Every snapshot, the start
+    included, is then scattered in one `_scatter` call and checked in one
+    `_check_snapshot` call on coords.blocks, in time order, so a breach
+    names the earliest bad snapshot, and at t = 0 the first point.
     """
     d, s, points = coords.d, coords.support.size, rates.shape[:-1]
     generators = (rates @ coords.parts.reshape(len(coords.parts), -1)).reshape(points + (s, s))
-    last = steps % every  # a shorter last interval, or 0
-    powers = _rk4(generators, dt, (every, last) if last else (every,))
+    step = _rk4(generators, dt)
     size, count = math.prod(points), -(-steps // every) + 1
     times = np.empty(count)  # k x every exactly, then rounded once, as a Python int is
     times[:-1] = np.arange(count - 1, dtype=np.int64 if steps < 2**63 else object) * every * dt
     times[-1] = steps * dt
     x = np.empty((count,) + points + (s, 1))
     x[0] = coords.start[:, None]
-    regular = steps // every + 1  # snapshots [0, regular) lie every steps apart
-    power, span = powers[every], 1  # S^(every span)
-    while span < regular:
-        if span > 1:
-            power = power @ power
-        top = min(regular, 2 * span)
+    span = 1  # snapshots [0, count - 1) lie every steps apart
+    while span < count - 1:
+        power = np.linalg.matrix_power(step, every) if span == 1 else power @ power
+        top = min(count - 1, 2 * span)
         np.matmul(power, x[:top - span], out=x[span:top])
         span = top
-    if last:
-        np.matmul(powers[last], x[-2], out=x[-1])
+    np.matmul(np.linalg.matrix_power(step, steps), x[:1], out=x[-1:])
     states = _scatter(x[..., 0], coords).reshape((count,) + points + (d, d))
     del x  # freed before the check makes its temporaries
     # Time-major, so the first breach in the check is the earliest snapshot's.

@@ -24,7 +24,7 @@ _EPR_START = DensityMatrix(TWO_QUBIT_SPACE, np.diag([0.0, 0.0, 1.0, 0.0]))  # |1
 _EPR_TARGET = np.array([0, -1j, 1, 0]) / math.sqrt(2)  # (|10> - i|01>)/sqrt(2)
 _EPR_START.matrix.flags.writeable = False  # every pair run reads both: formed once
 _EPR_TARGET.flags.writeable = False
-MIN_EPR_STEPS = 256  # also the most snapshot intervals a recorded trajectory keeps
+MIN_EPR_STEPS = 256  # also the most snapshot intervals an EPR run keeps
 FRAME_SAMPLES = 400  # intervals of [0, t0] at which _pair_run records mean levels
 # Largest frame phase tau x t0 = (pi/4)(tau/g)^2, in rad, for `validate`.  Its
 # roundoff grows like eps x tau x t0 and reaches the cavity check's margin
@@ -69,8 +69,8 @@ def _epr_grid(lam: float, noise: NoiseSpec) -> TimeGrid:
     total rate, at least MIN_EPR_STEPS (the Hamiltonian's action t0 x 2 lam =
     pi/2 asks for 20 pi).  So dt x (2 lambda + 2(gamma + gamma_phi)) <=
     pi/512 + 1/40 < 0.031: within the stability guard, which
-    `integrate_lindblad` holds and `_sweep_errors` need not.  `dynamics._rk4`
-    takes an interval of n steps as log2(n) squarings, so the count bounds
+    `integrate_lindblad` holds and `_sweep_errors` need not.  `dynamics._evolve`
+    takes n steps as log2(n) squarings of the step matrix, so the count bounds
     no work; `_check_snapshot` refuses a run whose roundoff has grown past
     its tolerances.  Raises DiagnosticError if the count overflows a float.
     """
@@ -102,21 +102,21 @@ def _epr_fidelity(rho: np.ndarray) -> np.ndarray:
     return np.real(_EPR_TARGET.conj() @ rho @ _EPR_TARGET)
 
 
-def epr_generation(p: ModelParams, noise: NoiseSpec, trajectory: bool = False) -> EprReport:
+def epr_generation(p: ModelParams, noise: NoiseSpec) -> EprReport:
     """Evolve |10> under the vacuum-sector Hamiltonian with noise for t0.
 
     One `integrate_lindblad` run on `_epr_grid`, the call at which `perfbench`
-    counts RK4 work.  Reports fidelity against the entangled target, D = 1 -
+    counts RK4 work, keeping every ceil(steps / MIN_EPR_STEPS)-th step and
+    the last: every step of a MIN_EPR_STEPS run, at most MIN_EPR_STEPS + 1
+    snapshots of any.  Reports fidelity against the entangled target, D = 1 -
     fidelity and the concurrence (`_x_state_concurrence`) of the final state,
-    which `_check_snapshot` has checked.  The result keeps the states at 0
-    and t0, or with ``trajectory`` at every ceil(steps / MIN_EPR_STEPS)-th
-    step and the last: every step of a MIN_EPR_STEPS run, at most
-    MIN_EPR_STEPS + 1 snapshots of any.  Refuses a model below its dispersive
-    threshold, where that Hamiltonian does not hold.
+    S^steps x rho0 whatever the interval, which `_check_snapshot` has checked.
+    Refuses a model below its dispersive threshold, where that Hamiltonian
+    does not hold.
     """
     _require_dispersive_pair(p)
     grid = _epr_grid(p.lam, noise)
-    record_every = -(-grid.steps // MIN_EPR_STEPS) if trajectory else grid.steps
+    record_every = -(-grid.steps // MIN_EPR_STEPS)
     result = integrate_lindblad(h_reduced_two_qubit(p.lam), _EPR_START, noise, grid, record_every)
     fid = float(_epr_fidelity(result.final))
     return EprReport(t0=grid.t_end, fidelity=fid, error_d=1.0 - fid,
@@ -175,8 +175,8 @@ def _pair_run(p: ModelParams, active: tuple[int, int], pair: ModelParams) -> tup
     amps = _sector_run(p, active[0], gate_time_t0(pair.lam))
     final = PureState(HilbertSpace((p.n_qubits + 1,)), amps[-1]).amplitudes
     c_a, c_b = final[list(active)]
-    rho = np.zeros((4, 4), dtype=complex)  # |10> is active[0] excited, |01> active[1]
-    rho[0, 0] = np.sum(np.abs(np.delete(final, active)) ** 2)
+    # The {|01>, |10>} block, all that _EPR_TARGET reads: |10> is active[0] excited, |01> active[1]
+    rho = np.zeros((4, 4), dtype=complex)
     rho[1, 1], rho[2, 2] = abs(c_b) ** 2, abs(c_a) ** 2
     rho[2, 1] = c_a * c_b.conjugate()
     rho[1, 2] = rho[2, 1].conjugate()

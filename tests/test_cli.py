@@ -453,6 +453,43 @@ class TestAtomicOutput:
                                                                "run.json"]
 
 
+    @pytest.mark.parametrize("command", ["device", "epr", "sweep", "validate"])
+    def test_a_failed_write_keeps_an_older_resolved_config(self, tmp_path, capsys, command):
+        # <out> is a directory, so its move fails after <out>.resolved.json
+        # is in place; the older resolved config, moved aside, comes back.
+        path = write_config(tmp_path, {"model": {"coupling_g": "100 MHz"},
+                                       "sweep": {"gamma_points": 2, "gamma_phi_points": 2}})
+        (tmp_path / "out").mkdir()
+        older = tmp_path / "out.resolved.json"
+        older.write_bytes(b'{"older": true}\r\n')
+        assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 4
+        assert "i/o error" in capsys.readouterr().err
+        assert older.read_bytes() == b'{"older": true}\r\n'
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "out.resolved.json",
+                                                               "run.json"]
+
+    def test_a_second_write_replaces_both_outputs_and_leaves_nothing_aside(self, tmp_path):
+        path = write_config(tmp_path, {})
+        out = tmp_path / "out"
+        out.write_text("older\n")
+        (tmp_path / "out.resolved.json").write_text('{"older": true}\n')
+        assert main(["device", "--config", path, "--out", str(out)]) == 0
+        assert out.read_text().startswith("bare mode frequency")
+        assert json.loads((tmp_path / "out.resolved.json").read_text()) != {"older": True}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "out.resolved.json",
+                                                               "run.json"]
+
+    def test_a_leftover_moved_aside_file_is_not_overwritten(self, tmp_path, capsys):
+        path = write_config(tmp_path, {})
+        for name in ("out", "out.old"):
+            (tmp_path / name).write_text(f"{name} from a killed run\n")
+        assert main(["device", "--config", path, "--out", str(tmp_path / "out")]) == 4
+        assert "out.old" in capsys.readouterr().err
+        for name in ("out", "out.old"):
+            assert (tmp_path / name).read_text() == f"{name} from a killed run\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "out.old", "run.json"]
+
+
 class TestCliValidate:
     def test_dispersive_point_passes(self, tmp_path, capsys):
         path = write_config(tmp_path, {"model": {"coupling_g": "100 MHz"}})

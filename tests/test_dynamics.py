@@ -484,10 +484,11 @@ class TestSchedule:
 
 
 def stepped_snapshots(generator, y, grid, scale, record_every):
-    """(t, y) at 0, every `_snapshot_interval` steps and the last step, by `_rk4`'s S^n."""
+    """(t, y) at 0, every `_snapshot_interval` steps and the last step, by powers of `_rk4`'s S."""
     every = _snapshot_interval(grid, scale, record_every)
     marks = [*range(0, grid.steps, every), grid.steps]
-    powers = _rk4(generator, grid.dt, tuple({b - a for a, b in zip(marks, marks[1:])}))
+    step = _rk4(generator, grid.dt)
+    powers = {n: np.linalg.matrix_power(step, n) for n in {b - a for a, b in zip(marks, marks[1:])}}
     yield 0.0, y
     for done, mark in zip(marks, marks[1:]):
         y = powers[mark - done] @ y
@@ -521,12 +522,13 @@ def per_snapshot_run(h, rho0, noise, grid, record_every):
 
 @contextlib.contextmanager
 def counted_powers():
-    """Count `_evolve`'s products by `_rk4`'s powers and its squarings of them, which still run.
+    """Count `_evolve`'s powers of `_rk4`'s S, its products and its squarings, which still run.
 
-    Yields the list of (kind, snapshots): ("product", the snapshots it writes)
-    or ("square", 0).  A square of a counted power is counted in turn.
+    Yields the list of (kind, n): ("power", the exponent `np.linalg.matrix_power`
+    raises S to), ("product", the snapshots it writes) or ("square", 0).  A
+    power or square of a counted matrix is counted in turn.
     """
-    rk4, counts = dynamics._rk4, []
+    rk4, matrix_power, counts = dynamics._rk4, np.linalg.matrix_power, []
 
     class CountedPower(np.ndarray):
         def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
@@ -537,10 +539,14 @@ def counted_powers():
             result = getattr(ufunc, method)(*inputs, **kwargs)
             return result.view(CountedPower) if square else result
 
-    def counted_rk4(*args):
-        return {n: power.view(CountedPower) for n, power in rk4(*args).items()}
+    def counted_matrix_power(a, n):
+        if not isinstance(a, CountedPower):  # the boolean powers of `_support` and the blocks
+            return matrix_power(a, n)
+        counts.append(("power", n))
+        return matrix_power(a.view(np.ndarray), n).view(CountedPower)
 
-    with mock.patch.object(dynamics, "_rk4", counted_rk4):
+    with mock.patch.object(dynamics, "_rk4", lambda *args: rk4(*args).view(CountedPower)), \
+            mock.patch.object(np.linalg, "matrix_power", counted_matrix_power):
         yield counts
 
 
@@ -620,10 +626,11 @@ class TestSnapshotChecks:
                                    TimeGrid(1.0, 100))
         assert str(err.value) == ("density-matrix diagnostics failed at t = 0.06: "
                                   + breach(made[6]))
-        # One product chain for the whole run, S^1 to S^64 by 6 squarings, then
-        # one scatter and one check of every snapshot.
-        assert [n for kind, n in counts if kind == "product"] == [1, 2, 4, 8, 16, 32, 37]
+        # One product chain for snapshots 1 to 99, S^1 to S^64 by 6 squarings,
+        # the last as S^100 x rho0, then one scatter and one check of every snapshot.
+        assert [n for kind, n in counts if kind == "product"] == [1, 2, 4, 8, 16, 32, 36, 1]
         assert [kind for kind, _ in counts].count("square") == 6
+        assert [n for kind, n in counts if kind == "power"] == [1, 100]
         assert len(made) == 101
         assert [call.args[0].shape for call in checks.call_args_list] == [(101, 4, 4)]
 
@@ -633,8 +640,10 @@ class TestSnapshotChecks:
             result = integrate_lindblad(h_reduced_two_qubit(1.0), pure_rho(1),
                                         NoiseSpec(0.1, 0.2), TimeGrid(10.0, 1000))
         assert len(result.times) == 1001
-        assert [n for kind, n in counts if kind == "product"] == [1 << k for k in range(9)] + [489]
+        products = [n for kind, n in counts if kind == "product"]
+        assert products == [1 << k for k in range(9)] + [488, 1]  # the last is S^1000 x rho0
         assert [kind for kind, _ in counts].count("square") == 9  # S^2 to S^512
+        assert [n for kind, n in counts if kind == "power"] == [1, 1000]
         assert [call.args[0].shape for call in checks.call_args_list] == [(1001, 4, 4)]
 
 
@@ -644,20 +653,21 @@ class TestDoubling:
     def test_the_default_epr_trajectory_takes_log2_products(self):
         cfg = config_from_dict({})
         with counted_powers() as counts:
-            epr_generation(cfg.model, cfg.noise, trajectory=True)  # what `epr --out` runs
+            epr_generation(cfg.model, cfg.noise)  # what `epr` runs, with or without --out
         products = [n for kind, n in counts if kind == "product"]
         assert products == [1, 2, 4, 8, 16, 32, 64, 128, 1]  # 256 snapshots in 9 products
-        assert [kind for kind, _ in counts].count("square") == 8  # S^2 to S^256
+        assert [kind for kind, _ in counts].count("square") == 7  # S^2 to S^128
+        assert [n for kind, n in counts if kind == "power"] == [1, 256]  # S, and S^256 for the last
 
     @pytest.mark.parametrize("noise", [{}, {"gamma_over_2pi": 0, "gamma_phi_over_2pi": 0}])
     def test_every_snapshot_of_the_default_trajectory_is_near_a_40_digit_power(self, noise):
         cfg = config_from_dict({"noise": noise})
-        result = epr_generation(cfg.model, cfg.noise, trajectory=True).result
+        result = epr_generation(cfg.model, cfg.noise).result
         coords = _real_coordinates(build_liouvillian(h_reduced_two_qubit(cfg.model.lam)),
                                    pure_rho(2).matrix)
         s, grid = coords.support.size, _epr_grid(cfg.model.lam, cfg.noise)
         generator = (cfg.noise.rates @ coords.parts.reshape(3, -1)).reshape(s, s)
-        step = _rk4(generator, grid.dt, (1,))[1]  # S in floats: the oracle powers it exactly
+        step = _rk4(generator, grid.dt)  # S in floats: the oracle powers it exactly
         exact = [coords.start]
         with mp.workdps(40):
             power, x = mp.matrix(step.tolist()), mp.matrix(coords.start.tolist())
@@ -669,21 +679,36 @@ class TestDoubling:
         # snapshot stayed within 3 eps.
         assert np.max(np.abs(result.states - expected)) <= 32 * EPS
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_a_run_ends_on_the_bits_of_its_two_snapshot_run(self, data):
+        # The last snapshot is S^steps x rho0 whatever the interval, so the
+        # final state depends on the generator, dt, the step count and rho0 alone.
+        rng, h, noise = random_model(data)
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        rho0 = DensityMatrix(TWO_QUBITS, a @ a.conj().T / np.trace(a @ a.conj().T).real)
+        t = data.draw(st.floats(0.05, 1.0))
+        scale = np.linalg.norm(h, 2) + 2 * (noise.gamma + noise.gamma_phi)
+        steps = math.ceil(t * scale / 0.05) + data.draw(st.integers(1, 60) | st.integers(1, 5000))
+        record_every = data.draw(st.sampled_from([1, 2, 3]) | st.integers(1, steps))
+        grid = TimeGrid(t, steps)
+        final = integrate_lindblad(h, rho0, noise, grid, steps).final
+        assert np.array_equal(integrate_lindblad(h, rho0, noise, grid, record_every).final, final)
+
     @settings(max_examples=50, deadline=None)
-    @given(st.floats(5.0, 100.0), st.floats(0.0, 2.0), st.floats(0.0, 2.0),
-           st.sampled_from([1, 2, 4, 8, 256]))
-    def test_a_256_step_run_ends_bit_for_bit_where_its_two_mark_run_does(
-            self, tau_over_g, gamma, gamma_phi, record_every):
-        # The last snapshot is S^256 x0 by the 8 squarings `matrix_power` makes.
+    @given(st.floats(5.0, 100.0), st.floats(0.0, 50.0), st.floats(0.0, 50.0), st.data())
+    def test_an_epr_run_ends_bit_for_bit_where_its_two_mark_run_does(
+            self, tau_over_g, gamma, gamma_phi, data):
+        # 256 to 6,284 steps: the last snapshot is S^steps x0 by `matrix_power`
+        # whatever the interval, so `epr` reports one D with or without --out.
         p = ModelParams.uniform(2, 1.0, tau_over_g)
         noise = NoiseSpec(gamma * p.lam, gamma_phi * p.lam)
         grid = _epr_grid(p.lam, noise)
-        assert grid.steps == 256
         final = integrate_lindblad(h_reduced_two_qubit(p.lam), pure_rho(2), noise, grid,
-                                   256).final
+                                   grid.steps).final
+        record_every = data.draw(st.sampled_from([1, 2, 3]) | st.integers(1, grid.steps))
         assert np.array_equal(integrate_lindblad(h_reduced_two_qubit(p.lam), pure_rho(2), noise,
                                                  grid, record_every).final, final)
-        assert np.array_equal(epr_generation(p, noise, trajectory=True).result.final, final)
         assert np.array_equal(epr_generation(p, noise).result.final, final)
 
 
@@ -729,23 +754,15 @@ class TestStepMatrixStepper:
             norm = max(np.max(np.abs(y0)), np.max(np.abs(y_old)))
             assert np.max(np.abs(y_new - y_old)) <= 2 * steps * n * np.finfo(float).eps * norm
 
-    # Intervals of 1; of 3 and a last 1 (256 = 85 x 3 + 1); of 10 alone
-    @pytest.mark.parametrize("steps, record_every, lengths", [
-        (256, 1, {1}), (256, 3, {3, 1}), (10, 10, {10})])
-    def test_one_power_array_per_distinct_interval(self, steps, record_every, lengths):
-        rk4, made = dynamics._rk4, []
-
-        def counted_rk4(*args):
-            with mock.patch.object(np, "empty_like", wraps=np.empty_like) as empty_like:
-                made.append((rk4(*args), empty_like.call_count))
-            return made[-1][0]
-
-        with mock.patch.object(dynamics, "_rk4", counted_rk4):
+    # S^1 and S^256; S^3 and S^256, with no power for the last interval of 1
+    # (256 = 85 x 3 + 1); S^255 and S^256; S^10 alone, since no snapshot lies between
+    @pytest.mark.parametrize("steps, record_every, powers", [
+        (256, 1, [1, 256]), (256, 3, [3, 256]), (256, 255, [255, 256]), (10, 10, [10])])
+    def test_one_power_per_interval_and_one_of_every_step(self, steps, record_every, powers):
+        with counted_powers() as counts:
             integrate_lindblad(h_reduced_two_qubit(1.0), pure_rho(2), NoiseSpec(0.1, 0.2),
                                TimeGrid(0.1, steps), record_every)
-        [(powers, arrays)] = made
-        assert powers.keys() == lengths
-        assert arrays == len(lengths)
+        assert [n for kind, n in counts if kind == "power"] == powers
 
 
 class TestRealCoordinates:

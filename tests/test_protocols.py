@@ -155,11 +155,10 @@ class TestEprGeneration:
         ]
         assert all(a >= b for a, b in zip(conc, conc[1:]))
 
-    @pytest.mark.parametrize("trajectory", [True, False])
-    def test_noiseless_concurrence_is_one_with_or_without_snapshots(self, trajectory):
-        # Wootters' eigenvalues read 0.9999999937 here without snapshots: the
-        # roundoff of a zero eigenvalue under a square root.
-        report = epr_generation(paper_model(), NoiseSpec(), trajectory=trajectory)
+    def test_noiseless_concurrence_is_one(self):
+        # Wootters' eigenvalues read 0.9999999937 here: the roundoff of a zero
+        # eigenvalue under a square root.
+        report = epr_generation(paper_model(), NoiseSpec())
         assert abs(report.concurrence - 1.0) <= 1e-12
 
     # Relaxation asking for 256 steps, one past it, twice it and 446,916 (tau/g = 1e6).
@@ -172,7 +171,7 @@ class TestEprGeneration:
         every = -(-steps // MIN_EPR_STEPS)  # 1, 2, 2 and 1746
         marks = [*range(0, steps, every), steps]
         assert len(marks) <= MIN_EPR_STEPS + 1
-        times = epr_generation(p, noise, trajectory=True).result.times
+        times = epr_generation(p, noise).result.times
         assert np.array_equal(times, np.array(marks) * grid.dt)
 
     @settings(max_examples=100, deadline=None)
@@ -573,7 +572,7 @@ class TestDecoherenceSweep:
 
 
 class TestOneBatchPerDefaultRun:
-    """A sweep of any size and `epr --out` raise one step-matrix power and make one check.
+    """A sweep of any size raises one step-matrix power, `epr` two, and each makes one check.
 
     Neither takes an `eigvalsh`: the pair's blocks give every snapshot's least
     eigenvalue in closed form, and the start is validated once per process.
@@ -621,8 +620,8 @@ class TestOneBatchPerDefaultRun:
     def test_the_default_epr_trajectory(self, monkeypatch):
         cfg = config_from_dict({})
         powers, checks, eigvalsh = self.counted(monkeypatch)
-        epr_generation(cfg.model, cfg.noise, trajectory=True)  # what `epr --out` runs
-        assert powers == [1]  # a snapshot every step: S itself
+        epr_generation(cfg.model, cfg.noise)  # what `epr` runs, with or without --out
+        assert powers == [1, 256]  # a snapshot every step: S itself, and S^256 for the last
         assert ([call.args[0].shape for call in checks.call_args_list]
                 == [(MIN_EPR_STEPS + 1, 4, 4)])
         assert not eigvalsh.called

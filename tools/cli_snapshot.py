@@ -1,9 +1,9 @@
 """Record what the dotbus CLI prints and writes, for byte comparison across versions.
 
-    python3 tools/cli_snapshot.py OUTDIR [--src SRC]
+    python3 tools/cli_snapshot.py [OUTDIR] [--record PATH] [--src SRC]
 
 Runs `device`, `epr`, `sweep` and `validate` with `--out`, and `epr` once
-more without it (`epr-no-out`, which keeps only the final state), on the
+more without it (`epr-no-out`, which writes no file), on the
 empty config `{}`, on the first three seeded inputs (seed 7) of each
 benchmark workload, drawn by `perfbench/workloads.py` of this checkout, and
 on one config per documented failure exit (`FAILURES`, one for each
@@ -18,7 +18,7 @@ with one row per n = 3..7: the benchmark times that library protocol, and no
 command runs it.  For every
 config it stores, under OUTDIR/<config>/exact-sweep/, exact-epr/ and
 exact-validate/, the sweep's D, the EPR run's fidelity, D and concurrence
-(without and with the `--out` trajectory) and every float of
+and every float of
 `protocols.dispersive_validity`'s report as CSV at full float precision,
 which the commands print to 10 and 8 digits; `tools/csv_delta.py` reads
 the changes of all these CSVs.  dotbus is
@@ -28,11 +28,20 @@ snapshot another:
     python3 tools/cli_snapshot.py /tmp/new
     python3 tools/cli_snapshot.py /tmp/old --src /path/to/other/checkout/src
     diff -r /tmp/old /tmp/new
+
+``--record PATH`` runs the same five commands on every config in this
+process through `dotbus.cli.main` (`cli_record`) and writes, as JSON, each
+run's exit code and the sha256 of its stdout, its stderr and each file it
+wrote, the output path masked as in the tree.  `tests/cli_record.json` is
+that record; `tests/test_cli_record.py` recomputes it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import hashlib
+import io
 import itertools
 import json
 import os
@@ -42,7 +51,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-COMMANDS = ("device", "epr", "sweep", "validate")
+# Each run's directory name; `epr-no-out` is `epr` without `--out`.
+COMMANDS = ("device", "epr-no-out", "epr", "sweep", "validate")
 SEED = 7
 PER_WORKLOAD = 3
 
@@ -115,8 +125,9 @@ EDGE_CASES = {
 
 def configs() -> dict[str, dict | str]:
     sys.path.insert(0, str(ROOT / "perfbench"))
-    sys.dont_write_bytecode = True  # leave perfbench/ as it is
+    bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True  # leave perfbench/ as it is
     import workloads
+    sys.dont_write_bytecode = bytecode
 
     out = {"default": {}}
     for name in workloads.WORKLOADS:
@@ -161,13 +172,39 @@ try:
         print(f"{r.tau_over_g!r},{r.fidelity_full_vs_effective!r},{r.infidelity!r},"
               f"{r.max_cavity_occupation!r},{r.cavity_bound!r}")
     else:
-        print("trajectory,fidelity,error_D,concurrence")
-        for trajectory in (0, 1):
-            r = epr_generation(cfg.model, cfg.noise, trajectory=bool(trajectory))
-            print(f"{trajectory},{r.fidelity!r},{r.error_d!r},{r.concurrence!r}")
+        r = epr_generation(cfg.model, cfg.noise)
+        print("fidelity,error_D,concurrence")
+        print(f"{r.fidelity!r},{r.error_d!r},{r.concurrence!r}")
 except Exception as exc:
     sys.exit(f"{type(exc).__name__}: {exc}")
 """
+
+
+def cli_runs():
+    """(run, args, out) of every CLI run: ``run`` is <config>/<command>, ``args`` its arguments.
+
+    Each run gets a fresh work directory holding config.json, in which every
+    command but `epr-no-out` writes ``out``; the directory is removed when
+    the next run is drawn.
+    """
+    for name, config in configs().items():
+        for command in COMMANDS:
+            with tempfile.TemporaryDirectory() as work:
+                cfg = Path(work) / "config.json"
+                cfg.write_text(config if isinstance(config, str) else json.dumps(config))
+                args = [command.removesuffix("-no-out"), "--config", str(cfg)]
+                out = None if command == "epr-no-out" else Path(work) / "out"
+                yield f"{name}/{command}", args + (["--out", str(out)] if out else []), out
+
+
+def written(out: Path | None) -> list[Path]:
+    """The files a run with output path ``out`` wrote beside its config.json, by name."""
+    return sorted(p for p in out.parent.iterdir() if p.name != "config.json") if out else []
+
+
+def masked(text: str, out: Path | None) -> str:
+    """``text`` with the output path ``out`` written as ``<OUT>``."""
+    return text.replace(str(out), "<OUT>") if out else text
 
 
 def record(dest: Path, argv: list[str], env: dict, out: Path | None = None) -> None:
@@ -175,27 +212,18 @@ def record(dest: Path, argv: list[str], env: dict, out: Path | None = None) -> N
     dest.mkdir(parents=True)
     run = subprocess.run(argv, capture_output=True, text=True, env=env)
     for stream, text in (("stdout", run.stdout), ("stderr", run.stderr)):
-        (dest / stream).write_text(text.replace(str(out), "<OUT>") if out else text)
+        (dest / stream).write_text(masked(text, out))
     (dest / "exit_code").write_text(f"{run.returncode}\n")
     print(f"{dest.parent.name}/{dest.name}: exit {run.returncode}", flush=True)
 
 
 def snapshot(src: Path, outdir: Path) -> None:
     env = {**os.environ, "PYTHONPATH": str(src)}
+    for run, args, out in cli_runs():
+        record(outdir / run, [sys.executable, "-m", "dotbus.cli", *args], env, out)
+        for path in written(out):
+            (outdir / run / path.name).write_bytes(path.read_bytes())
     for name, config in configs().items():
-        for command in COMMANDS:
-            dest = outdir / name / command
-            with tempfile.TemporaryDirectory() as work:
-                cfg = Path(work) / "config.json"
-                cfg.write_text(config if isinstance(config, str) else json.dumps(config))
-                argv = [sys.executable, "-m", "dotbus.cli", command, "--config", str(cfg)]
-                if command == "epr":
-                    record(outdir / name / "epr-no-out", argv, env)
-                out = Path(work) / "out"
-                record(dest, argv + ["--out", str(out)], env, out)
-                for written in Path(work).iterdir():
-                    if written != cfg:
-                        (dest / written.name).write_bytes(written.read_bytes())
         raw = config if isinstance(config, str) else json.dumps(config)
         for command in ("sweep", "epr", "validate"):
             record(outdir / name / f"exact-{command}",
@@ -205,14 +233,45 @@ def snapshot(src: Path, outdir: Path) -> None:
                    [sys.executable, "-c", SELECTIVE, json.dumps(config)], env)
 
 
+def cli_record() -> dict[str, dict]:
+    """{run: {part: value}} of every `cli_runs` run through `dotbus.cli.main`, in this process.
+
+    The parts are the exit code and the sha256 of stdout, of stderr and of
+    each written file, as the tree `snapshot` writes holds them.  dotbus is
+    imported from sys.path.
+    """
+    from dotbus import cli
+
+    def sha256(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    runs = {}
+    for run, args, out in cli_runs():
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(args)
+        runs[run] = {"exit_code": code,
+                     **{stream: sha256(masked(text.getvalue(), out).encode())
+                        for stream, text in (("stdout", stdout), ("stderr", stderr))},
+                     **{path.name: sha256(path.read_bytes()) for path in written(out)}}
+    return runs
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("outdir", type=Path, help="new directory for the snapshot")
+    parser.add_argument("outdir", type=Path, nargs="?", help="new directory for the snapshot")
+    parser.add_argument("--record", type=Path, help="JSON file for the in-process record")
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="directory holding the dotbus package to run")
     args = parser.parse_args()
-    args.outdir.mkdir(parents=True, exist_ok=False)
-    snapshot(args.src.resolve(), args.outdir)
+    if not (args.outdir or args.record):
+        parser.error("give OUTDIR, --record PATH or both")
+    if args.outdir:
+        args.outdir.mkdir(parents=True, exist_ok=False)
+        snapshot(args.src.resolve(), args.outdir)
+    if args.record:
+        sys.path.insert(0, str(args.src.resolve()))
+        args.record.write_text(json.dumps(cli_record(), indent=1) + "\n")
 
 
 if __name__ == "__main__":

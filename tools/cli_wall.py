@@ -31,6 +31,7 @@ from bench_pairs import SIDES, quartiles
 
 COMMANDS = {
     "device": ["device"],
+    "epr": ["epr"],
     "epr --out": ["epr", "--out", "epr.csv"],
     "sweep": ["sweep"],
     "validate": ["validate"],
